@@ -28,6 +28,7 @@ from .rings import (
     PolynomialRing,
     PrimeField,
     RingError,
+    _is_prime,
     check_homogeneous,
 )
 from .groebner import Budget, BudgetExceededError, Ideal
@@ -86,7 +87,7 @@ class Job:
 
 
 def _require_prime(p: int) -> int:
-    if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
+    if not _is_prime(p):
         raise InputError(f"{p} is not prime")
     return p
 
@@ -125,9 +126,13 @@ def _auto_n_max(polys: Sequence[Polynomial]) -> int:
     return max(10, deg.bit_length() + 2)
 
 
-def _budget(args) -> Budget:
-    limit = getattr(args, "budget", None)
-    return Budget(limit) if limit else Budget()
+def _budget(limit: Optional[int]) -> Budget:
+    """A budget of ``limit`` steps; None gives the default limit."""
+    if limit is None:
+        return Budget()
+    if not isinstance(limit, int) or limit <= 0:
+        raise InputError(f"budget must be a positive number of steps, got {limit!r}")
+    return Budget(limit)
 
 
 def _job_from_args(args, command: str) -> Job:
@@ -150,13 +155,18 @@ def _job_from_args(args, command: str) -> Job:
     return Job(command, p, variables, polys, grading, options)
 
 
-def _regular_sequence_caveat(job: Job) -> None:
-    if len(job.polynomials) > 1:
+def _generators(job: Job) -> list[Polynomial]:
+    """The job's parsed generators; at least one, assumed a regular sequence."""
+    polys = job.parsed()
+    if not polys:
+        raise InputError(f"{job.command} needs at least one polynomial")
+    if len(polys) > 1:
         print(
             "note: generators are assumed to form a regular sequence; "
             "this is not verified.",
             file=sys.stderr,
         )
+    return polys
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +175,14 @@ def _regular_sequence_caveat(job: Job) -> None:
 
 
 def _run_height(job: Job) -> tuple[dict, int]:
-    polys = job.parsed()
-    if not polys:
-        raise InputError("height needs at least one polynomial")
-    _regular_sequence_caveat(job)
+    polys = _generators(job)
     n_max = job.options.get("n_max") or _auto_n_max(polys)
-    budget = Budget(job.options.get("budget")) if job.options.get("budget") else Budget()
     res = height(
         polys,
         grading=job.grading,
         n_max=n_max,
         strategy=job.options.get("strategy", "auto"),
-        budget=budget,
+        budget=_budget(job.options.get("budget")),
     )
     payload = result_to_json(res)
     code = 2 if res.verdict == UNKNOWN else 0
@@ -193,19 +199,12 @@ def _run_height(job: Job) -> tuple[dict, int]:
 
 
 def _run_fsplit(job: Job) -> tuple[dict, int]:
-    polys = job.parsed()
-    if not polys:
-        raise InputError("fsplit needs at least one polynomial")
-    _regular_sequence_caveat(job)
-    return {"fsplit": fedder_fsplit(polys)}, 0
+    return {"fsplit": fedder_fsplit(_generators(job))}, 0
 
 
 def _run_qfs(job: Job) -> tuple[dict, int]:
-    polys = job.parsed()
-    if not polys:
-        raise InputError("qfs needs at least one polynomial")
-    _regular_sequence_caveat(job)
-    budget = Budget(job.options.get("budget")) if job.options.get("budget") else Budget()
+    polys = _generators(job)
+    budget = _budget(job.options.get("budget"))
     I = Ideal(polys[0].ring, polys)
     is_qfs, cert = qfs_decide(I, budget)
     payload = {
@@ -222,11 +221,11 @@ def _run_qfs(job: Job) -> tuple[dict, int]:
     return payload, 0
 
 
-def _run_verify_chain(job: Job, chain_texts: Sequence[str]) -> tuple[dict, int]:
-    polys = job.parsed()
+def _run_verify_chain(args) -> tuple[dict, int]:
+    polys = _job_from_args(args, "verify-chain").parsed()
     ring = polys[0].ring
     try:
-        chain = [ring.parse(t) for t in chain_texts]
+        chain = [ring.parse(t) for t in _split_polys([args.chain])]
     except ParseError as exc:
         raise InputError(f"bad chain element: {exc}") from exc
     if not chain:
@@ -239,13 +238,11 @@ def _run_verify_chain(job: Job, chain_texts: Sequence[str]) -> tuple[dict, int]:
     return payload, 0
 
 
-def _run_verify_infty(
-    job: Job, trap_texts: Sequence[str], close: bool
-) -> tuple[dict, int]:
-    polys = job.parsed()
+def _run_verify_infty(args) -> tuple[dict, int]:
+    polys = _job_from_args(args, "verify-infty").parsed()
     ring = polys[0].ring
     try:
-        trap = [ring.parse(t) for t in trap_texts]
+        trap = [ring.parse(t) for t in _split_polys([args.trap])]
     except ParseError as exc:
         raise InputError(f"bad trap ideal generator: {exc}") from exc
     if not trap:
@@ -253,7 +250,7 @@ def _run_verify_infty(
     I = Ideal(ring, polys)
     payload: dict[str, Any] = {}
     J = Ideal(ring, trap)
-    if close:
+    if args.close:
         J = enclosure_closure(I, trap)
         payload["closure_generators"] = [str(g) for g in J.gens]
     reasons: list[str] = []
@@ -297,7 +294,7 @@ def _run_product(args) -> tuple[dict, int]:
 def _run_strata(args) -> tuple[dict, int]:
     p = _require_prime(args.p)
     ctx = FamilyContext.create(p, args.nvars)
-    strata = strata_polynomials(ctx, args.h_max, _budget(args))
+    strata = strata_polynomials(ctx, args.h_max, _budget(args.budget))
     return {
         "p": p,
         "nvars": args.nvars,
@@ -317,7 +314,7 @@ def _run_search(args) -> tuple[dict, int]:
         smoothness_check=not args.no_smoothness,
         restrict=args.restrict,
         seed=args.seed,
-        budget=_budget(args),
+        budget=_budget(args.budget),
     )
     if witness is None:
         return {"found": False, "samples": args.samples}, 0
@@ -469,16 +466,10 @@ def run_batch_record(record: dict[str, Any]) -> tuple[dict, int]:
     """One batch entry; errors are captured, not raised (isolation)."""
     try:
         job = _job_from_record(record)
-        if job.command == "height":
-            return _run_height(job)
-        if job.command == "fsplit":
-            return _run_fsplit(job)
-        if job.command == "qfs":
-            return _run_qfs(job)
-        raise InputError(f"unsupported batch command {job.command!r}")
-    except InputError as exc:
-        return {"error": str(exc)}, 1
-    except (ParseError, RingError, HomogeneityError) as exc:
+        if job.command not in _JOB_COMMANDS:
+            raise InputError(f"unsupported batch command {job.command!r}")
+        return _JOB_COMMANDS[job.command](job)
+    except (InputError, RingError) as exc:
         return {"error": str(exc)}, 1
     except BudgetExceededError as exc:
         return {"error": f"budget exhausted after {exc.steps} steps"}, 2
@@ -510,6 +501,20 @@ def _run_batch(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
+
+# commands that run one Job, from the command line or from a batch record
+_JOB_COMMANDS = {"height": _run_height, "fsplit": _run_fsplit, "qfs": _run_qfs}
+
+# commands that read their own arguments
+_ARG_COMMANDS = {
+    "verify-chain": _run_verify_chain,
+    "verify-infty": _run_verify_infty,
+    "product": _run_product,
+    "strata": _run_strata,
+    "search": _run_search,
+    "rdp-table": _run_rdp_table,
+    "batch": _run_batch,
+}
 
 
 def _add_common(sub, with_poly=True):
@@ -624,47 +629,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "height":
-            payload, code = _run_height(_job_from_args(args, "height"))
-        elif args.command == "fsplit":
-            payload, code = _run_fsplit(_job_from_args(args, "fsplit"))
-        elif args.command == "qfs":
-            payload, code = _run_qfs(_job_from_args(args, "qfs"))
-        elif args.command == "verify-chain":
-            job = _job_from_args(args, "verify-chain")
-            payload, code = _run_verify_chain(job, _split_polys([args.chain]))
-        elif args.command == "verify-infty":
-            job = _job_from_args(args, "verify-infty")
-            payload, code = _run_verify_infty(
-                job, _split_polys([args.trap]), args.close
-            )
-        elif args.command == "product":
-            payload, code = _run_product(args)
-        elif args.command == "strata":
-            payload, code = _run_strata(args)
-        elif args.command == "search":
-            payload, code = _run_search(args)
-        elif args.command == "rdp-table":
-            payload, code = _run_rdp_table(args)
-            if args.format in ("md", "csv"):
-                print(_format_rdp_table(payload, args.format))
-                return code
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return code
-        elif args.command == "batch":
-            payload, code = _run_batch(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, RingError, HomogeneityError) as exc:
+        if args.command in _JOB_COMMANDS:
+            payload, code = _JOB_COMMANDS[args.command](_job_from_args(args, args.command))
+        else:
+            payload, code = _ARG_COMMANDS[args.command](args)
+    except (InputError, RingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:
         print(f"error: budget exhausted after {exc.steps} steps", file=sys.stderr)
         return 2
-    _emit(payload, getattr(args, "format", "text"))
+    if args.command == "rdp-table" and args.format in ("md", "csv"):
+        print(_format_rdp_table(payload, args.format))
+    else:
+        _emit(payload, args.format)
     return code
 
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from .rings import (
@@ -135,13 +136,6 @@ def _as_gen_list(arg: Union[Ideal, Polynomial, Sequence[Polynomial]]) -> list[Po
     return list(arg)
 
 
-def _product(gens: Sequence[Polynomial], ring: PolynomialRing) -> Polynomial:
-    f = ring.one
-    for g in gens:
-        f = f * g
-    return f
-
-
 def _dedupe(polys: Iterable[Polynomial]) -> list[Polynomial]:
     out: list[Polynomial] = []
     seen: set[Polynomial] = set()
@@ -152,11 +146,51 @@ def _dedupe(polys: Iterable[Polynomial]) -> list[Polynomial]:
     return out
 
 
-def _fedder_ideal_gens(gens: Sequence[Polynomial], ring: PolynomialRing) -> list[Polynomial]:
-    """Generators of I_1 = (f^{p−1}) + ((f'_i)^p) for f = Π f'_i."""
-    p = ring.field.p
-    f = _product(gens, ring)
-    return _dedupe([f ** (p - 1)] + [g.pth_power() for g in gens])
+class _Splitting:
+    """The derived data of one problem I = (f'_1, ..., f'_m): f = Π f'_i and
+    f^{p−1}, plus I_1's generators and Δ₁(f^{p−1}) computed on first use."""
+
+    def __init__(self, gens: Sequence[Polynomial]):
+        self.gens = list(gens)
+        self.ring = self.gens[0].ring
+        self.p = self.ring.field.p
+        f = self.ring.one
+        for g in self.gens:
+            f = f * g
+        self.f = f
+        self.fp1 = f ** (self.p - 1)
+
+    @cached_property
+    def i1(self) -> list[Polynomial]:
+        """Generators of I_1 = (f^{p−1}) + ((f'_i)^p)."""
+        return _dedupe([self.fp1] + [g.pth_power() for g in self.gens])
+
+    @cached_property
+    def delta(self) -> Polynomial:
+        """Δ₁(f^{p−1}), the multiplier of θ."""
+        return delta1(self.fp1)
+
+
+def _fail(reasons: Optional[list[str]], msg: str) -> bool:
+    """Record why a verification failed (when the caller collects reasons)."""
+    if reasons is not None:
+        reasons.append(msg)
+    return False
+
+
+def _stamped(res: HeightResult, budget: Budget, t0: float) -> HeightResult:
+    """Fill in the steps and wall time of a result that is about to be returned."""
+    res.steps = budget.steps
+    res.wall_time_ms = (time.perf_counter() - t0) * 1000
+    return res
+
+
+def _unknown(exc: BudgetExceededError, route: str) -> HeightResult:
+    """The Unknown result of a route whose step budget ran out."""
+    return HeightResult(
+        UNKNOWN, None, None, route=route,
+        diagnostics=(f"budget exhausted after {exc.steps} steps",),
+    )
 
 
 def _top_residue(ring: PolynomialRing) -> tuple[int, ...]:
@@ -218,12 +252,7 @@ def fedder_fsplit(I: Union[Ideal, Polynomial, Sequence[Polynomial]]) -> bool:
     for the generators forming a regular sequence in m.
     """
     gens = _as_gen_list(I)
-    if not gens:
-        return True
-    ring = gens[0].ring
-    p = ring.field.p
-    f = _product(gens, ring)
-    return not in_max_ideal_frobenius_power(f ** (p - 1), 1)
+    return not gens or not in_max_ideal_frobenius_power(_Splitting(gens).fp1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +305,9 @@ def height_graded_cy(
     if budget is None:
         budget = Budget()
     t0 = time.perf_counter()
-    ring = f_list[0].ring
-    p = ring.field.p
-    top = _top_residue(ring)
-    f = _product(f_list, ring)
-    t = f ** (p - 1)
-    delta: Optional[Polynomial] = None
+    sp = _Splitting(f_list)
+    top = _top_residue(sp.ring)
+    t = sp.fp1
     diagnostics: list[str] = []
     for n in range(1, n_max + 1):
         budget.tick()
@@ -291,27 +317,17 @@ def height_graded_cy(
                 COEFFICIENT_WITNESS,
                 {"level": n, "coefficient": c, "grading": [list(r) for r in g.rows]},
             )
-            return HeightResult(
-                FINITE, n, cert,
-                steps=budget.steps,
-                wall_time_ms=(time.perf_counter() - t0) * 1000,
-                route="graded-cy",
-            )
+            return _stamped(HeightResult(FINITE, n, cert, route="graded-cy"), budget, t0)
         if t.is_zero():
             diagnostics.append(
                 f"theta orbit vanished at level {n}; every later coefficient is zero"
             )
             break
-        if delta is None:
-            delta = delta1(f ** (p - 1))
-        t = theta(t, delta)
-    return HeightResult(
-        LOWER_BOUND, n_max, None,
-        steps=budget.steps,
-        wall_time_ms=(time.perf_counter() - t0) * 1000,
-        route="graded-cy",
-        diagnostics=tuple(diagnostics),
+        t = theta(t, sp.delta)
+    res = HeightResult(
+        LOWER_BOUND, n_max, None, route="graded-cy", diagnostics=tuple(diagnostics)
     )
+    return _stamped(res, budget, t0)
 
 
 def graded_cy_coefficient(
@@ -326,18 +342,15 @@ def graded_cy_coefficient(
     """
     if n < 1:
         raise RingError("level must be >= 1")
-    ring = f_list[0].ring
-    p = ring.field.p
-    q = p**n
-    cap = (q - 1,) * ring.nvars
-    f = _product(f_list, ring)
-    base = f ** (p - 1)
+    sp = _Splitting(f_list)
+    p = sp.p
+    cap = (p**n - 1,) * sp.ring.nvars
+    base = sp.fp1
     if n == 1:
         return base.coefficient_of(cap)
-    delta = delta1(base)
     exp = (p ** (n - 1) - 1) // (p - 1)  # p^{n−2} + ... + p + 1
-    acc = ring.one
-    sq = delta
+    acc = sp.ring.one
+    sq = sp.delta
     e = exp
     while True:
         if budget is not None:
@@ -372,18 +385,22 @@ def verify_coefficient_witness(
 
 
 def _theta_images(
-    pool: Sequence[Polynomial],
-    delta: Polynomial,
-    ring: PolynomialRing,
-    budget: Budget,
+    sp: _Splitting, pool: Sequence[Polynomial], budget: Budget
 ) -> list[ChainStep]:
     """θ(F_* (I ∩ Ker u)) for I = (pool), one record per intersection generator."""
-    inter = frobenius_module_intersect_keru(Ideal(ring, pool), budget)
-    out = []
-    for gen in inter:
-        img = theta(gen.element, delta)
-        out.append(ChainStep(gen.element, img))
-    return out
+    inter = frobenius_module_intersect_keru(Ideal(sp.ring, pool), budget)
+    return [ChainStep(gen.element, theta(gen.element, sp.delta)) for gen in inter]
+
+
+def _theta_step(
+    sp: _Splitting,
+    pool: Sequence[Polynomial],
+    base: Sequence[Polynomial],
+    budget: Budget,
+) -> tuple[list[ChainStep], Ideal]:
+    """The records of θ(F_*((pool) ∩ Ker u)) and the ideal (base) + their images."""
+    steps = _theta_images(sp, pool, budget)
+    return steps, Ideal(sp.ring, _dedupe(list(base) + [s.image for s in steps]))
 
 
 def local_chain_ideals(
@@ -392,15 +409,10 @@ def local_chain_ideals(
     """The ideals I_1, ..., I_k (k ≤ n_max), stopping early on stabilization."""
     if budget is None:
         budget = Budget()
-    ring = I.ring
-    p = ring.field.p
-    f = _product(I.gens, ring)
-    delta = delta1(f ** (p - 1))
-    i1 = _fedder_ideal_gens(I.gens, ring)
-    out = [Ideal(ring, i1)]
+    sp = _Splitting(I.gens)
+    out = [Ideal(sp.ring, sp.i1)]
     for _ in range(1, n_max):
-        steps = _theta_images(out[-1].gens, delta, ring, budget)
-        nxt = Ideal(ring, _dedupe(i1 + [s.image for s in steps]))
+        _, nxt = _theta_step(sp, out[-1].gens, sp.i1, budget)
         # containment in m^{[p]} is an ideal invariant, so differing escape
         # status settles inequality without a Groebner comparison
         same_side = (_escapes(out[-1].gens) is None) == (_escapes(nxt.gens) is None)
@@ -428,22 +440,13 @@ def height_local(
         budget = Budget()
     t0 = time.perf_counter()
 
-    def finish(verdict, n, cert, route="local-chain", diagnostics=()):
-        return HeightResult(
-            verdict, n, cert,
-            steps=budget.steps,
-            wall_time_ms=(time.perf_counter() - t0) * 1000,
-            route=route,
-            diagnostics=tuple(diagnostics),
-        )
+    def finish(verdict, n, cert, diagnostics=()):
+        res = HeightResult(verdict, n, cert, route="local-chain", diagnostics=diagnostics)
+        return _stamped(res, budget, t0)
 
-    ring = I.ring
-    p = ring.field.p
-    f = _product(I.gens, ring)
-    i1 = _fedder_ideal_gens(I.gens, ring)
-    delta = delta1(f ** (p - 1))
+    sp = _Splitting(I.gens)
     levels: list[list[ChainStep]] = []
-    current = Ideal(ring, i1)
+    current = Ideal(sp.ring, sp.i1)
     try:
         for n in range(1, n_max + 1):
             esc = _escapes(current.gens)
@@ -453,14 +456,13 @@ def height_local(
                     "escape": esc,
                     "escape_level": n,
                 }
-                chain = _strict_chain_search(i1, delta, n, ring, budget)
+                chain = _strict_chain_search(sp, n, budget)
                 if chain is not None:
                     cert_data["chain"] = chain
                 return finish(FINITE, n, Certificate(CHAIN_WITNESS, cert_data))
             if n == n_max:
                 break
-            steps = _theta_images(current.gens, delta, ring, budget)
-            nxt = Ideal(ring, _dedupe(i1 + [s.image for s in steps]))
+            steps, nxt = _theta_step(sp, current.gens, sp.i1, budget)
             # an escaping I_{n+1} cannot equal I_n ⊆ m^{[p]}, so only pay for
             # the Groebner comparison when the next level stays inside
             if _escapes(nxt.gens) is None and ideal_equal(current, nxt, budget):
@@ -475,18 +477,13 @@ def height_local(
             levels.append(steps)
             current = nxt
     except BudgetExceededError as exc:
-        return finish(
-            UNKNOWN, None, None,
-            diagnostics=(f"budget exhausted after {exc.steps} steps",),
-        )
+        return _stamped(_unknown(exc, "local-chain"), budget, t0)
     return finish(LOWER_BOUND, n_max, None)
 
 
 def _strict_chain_search(
-    i1_gens: Sequence[Polynomial],
-    delta: Polynomial,
+    sp: _Splitting,
     n: int,
-    ring: PolynomialRing,
     budget: Budget,
     max_candidates: int = 20000,
 ) -> Optional[list[Polynomial]]:
@@ -499,20 +496,18 @@ def _strict_chain_search(
     the search space is exhausted or too large; the levelled records in the
     certificate still re-verify in that case.
     """
-    p = ring.field.p
     if n == 1:
-        for g in i1_gens:
-            if not in_max_ideal_frobenius_power(g, 1):
-                return [g]
-        return None
-    bound = p ** (n - 1)  # exclusive per-variable multiplier bound
-    if bound ** ring.nvars * len(i1_gens) > max_candidates:
-        bound = max(p, int(max_candidates ** (1.0 / ring.nvars)))
+        esc = _escapes(sp.i1)
+        return None if esc is None else [esc]
+    nvars = sp.ring.nvars
+    bound = sp.p ** (n - 1)  # exclusive per-variable multiplier bound
+    if bound ** nvars * len(sp.i1) > max_candidates:
+        bound = max(sp.p, int(max_candidates ** (1.0 / nvars)))
     mults = sorted(
-        itertools.product(range(bound), repeat=ring.nvars), key=sum
+        itertools.product(range(bound), repeat=nvars), key=sum
     )
     for mu in mults:
-        for g in i1_gens:
+        for g in sp.i1:
             budget.tick()
             cand = g.mul_term(mu)
             chain = [cand]
@@ -522,7 +517,7 @@ def _strict_chain_search(
                 if not u_map(cur).is_zero():
                     ok = False
                     break
-                chain.append(theta(cur, delta))
+                chain.append(theta(cur, sp.delta))
             if ok and len(chain) == n and not in_max_ideal_frobenius_power(chain[-1], 1):
                 return chain
     return None
@@ -531,6 +526,21 @@ def _strict_chain_search(
 # ---------------------------------------------------------------------------
 # the I_∞ fixed point
 # ---------------------------------------------------------------------------
+
+
+def _theta_closure(sp: _Splitting, J: Ideal, budget: Budget) -> tuple[Ideal, int]:
+    """Iterate J ← J + θ(F_*J ∩ Ker u) until it stabilizes.
+
+    Returns the limit, presented by its reduced Groebner basis, and the number
+    of θ-steps taken (the last one adds nothing new)."""
+    iterations = 0
+    while True:
+        budget.tick()
+        _, nxt = _theta_step(sp, J.gens, J.gens, budget)
+        iterations += 1
+        if ideal_equal(J, nxt, budget):
+            return Ideal(sp.ring, J.groebner(budget)), iterations
+        J = nxt
 
 
 def qfs_decide(
@@ -546,25 +556,14 @@ def qfs_decide(
     """
     if budget is None:
         budget = Budget()
-    ring = I.ring
-    p = ring.field.p
-    f = _product(I.gens, ring)
-    delta = delta1(f ** (p - 1))
+    sp = _Splitting(I.gens)
     if len(I.gens) <= 1:
         # (f^p) : (f) = (f^{p−1}) in a domain
-        J = Ideal(ring, [f ** (p - 1)])
+        J = Ideal(sp.ring, [sp.fp1])
     else:
         J = colon_ideal(bracket_power(I, 1), I, budget)
-    iterations = 0
-    while True:
-        budget.tick()
-        steps = _theta_images(J.gens, delta, ring, budget)
-        nxt = Ideal(ring, _dedupe(list(J.gens) + [s.image for s in steps]))
-        iterations += 1
-        if ideal_equal(J, nxt, budget):
-            break
-        J = nxt
-    gens = list(J.groebner(budget))
+    J, iterations = _theta_closure(sp, J, budget)
+    gens = list(J.gens)
     cert = Certificate(
         I_INFTY_STABILIZED, {"generators": gens, "iterations": iterations}
     )
@@ -585,18 +584,8 @@ def enclosure_closure(
     """
     if budget is None:
         budget = Budget()
-    ring = I.ring
-    p = ring.field.p
-    f = _product(I.gens, ring)
-    delta = delta1(f ** (p - 1))
-    J = Ideal(ring, _dedupe(list(seed) + _fedder_ideal_gens(I.gens, ring)))
-    while True:
-        budget.tick()
-        steps = _theta_images(J.gens, delta, ring, budget)
-        nxt = Ideal(ring, _dedupe(list(J.gens) + [s.image for s in steps]))
-        if ideal_equal(J, nxt, budget):
-            return Ideal(ring, list(J.groebner(budget)))
-        J = nxt
+    sp = _Splitting(I.gens)
+    return _theta_closure(sp, Ideal(sp.ring, _dedupe(list(seed) + sp.i1)), budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +605,11 @@ def non_qfs_quick(f_list: Sequence[Polynomial]) -> Optional[Certificate]:
     gens = _as_gen_list(f_list)
     if not gens:
         return None
-    ring = gens[0].ring
-    p = ring.field.p
-    f = _product(gens, ring)
+    sp = _Splitting(gens)
+    p, f = sp.p, sp.f
     if p >= 3 and in_max_ideal_frobenius_power(f ** (p - 2), 1):
         return Certificate(NON_QFS, {"tag": TAG_FPM2, "element": f ** (p - 2)})
-    if not in_max_ideal_frobenius_power(f ** (p - 1), 1):
+    if not in_max_ideal_frobenius_power(sp.fp1, 1):
         return None  # F-split, certainly not infinite
     d1 = delta1(f)
     scale = f ** (p * (p - 2)) * d1
@@ -651,34 +639,25 @@ def verify_witness_chain(
 
     A passing chain certifies height ≤ len(chain): membership g_l ∈ I_l
     follows inductively from I_{l+1} = θ(F_*I_l ∩ Ker u) + I_1."""
-
-    def fail(msg: str) -> bool:
-        if reasons is not None:
-            reasons.append(msg)
-        return False
-
     if not chain:
-        return fail("empty chain")
+        return _fail(reasons, "empty chain")
     if budget is None:
         budget = Budget()
-    ring = I.ring
-    p = ring.field.p
-    f = _product(I.gens, ring)
-    i1 = Ideal(ring, _fedder_ideal_gens(I.gens, ring))
-    if not ideal_membership(chain[0], i1, budget):
-        return fail(f"step 1: {chain[0]} is not in I_1")
-    delta = delta1(f ** (p - 1))
+    sp = _Splitting(I.gens)
+    if not ideal_membership(chain[0], Ideal(sp.ring, sp.i1), budget):
+        return _fail(reasons, f"step 1: {chain[0]} is not in I_1")
     for l in range(len(chain) - 1):
         g = chain[l]
         if not u_map(g).is_zero():
-            return fail(f"step {l + 1}: u(F_*g) = {u_map(g)} is nonzero")
-        img = theta(g, delta)
+            return _fail(reasons, f"step {l + 1}: u(F_*g) = {u_map(g)} is nonzero")
+        img = theta(g, sp.delta)
         if img != chain[l + 1]:
-            return fail(
-                f"step {l + 1}: theta image {img} differs from recorded {chain[l + 1]}"
+            return _fail(
+                reasons,
+                f"step {l + 1}: theta image {img} differs from recorded {chain[l + 1]}",
             )
     if in_max_ideal_frobenius_power(chain[-1], 1):
-        return fail(f"final element {chain[-1]} lies in m^[p]")
+        return _fail(reasons, f"final element {chain[-1]} lies in m^[p]")
     return True
 
 
@@ -694,47 +673,38 @@ def verify_witness_levels(
     satisfy w ∈ (pool_l), u(F_*w) = 0 and θ(F_*w) = image; the next pool is
     I_1's generators plus the images.  The escape element must belong to the
     final pool's ideal and lie outside m^{[p]}."""
-
-    def fail(msg: str) -> bool:
-        if reasons is not None:
-            reasons.append(msg)
-        return False
-
     if cert.kind != CHAIN_WITNESS:
-        return fail(f"expected a {CHAIN_WITNESS} certificate, got {cert.kind}")
+        return _fail(reasons, f"expected a {CHAIN_WITNESS} certificate, got {cert.kind}")
     if budget is None:
         budget = Budget()
-    ring = I.ring
-    p = ring.field.p
-    f = _product(I.gens, ring)
-    i1 = _fedder_ideal_gens(I.gens, ring)
-    delta = delta1(f ** (p - 1))
-    pool = list(i1)
+    sp = _Splitting(I.gens)
+    pool = list(sp.i1)
     levels: Sequence[Sequence[ChainStep]] = cert.data.get("levels", ())
     for l, records in enumerate(levels, start=1):
-        pool_ideal = Ideal(ring, pool)
+        pool_ideal = Ideal(sp.ring, pool)
         images = []
         for rec in records:
             if not ideal_membership(rec.element, pool_ideal, budget):
-                return fail(f"level {l}: {rec.element} is not in I_{l}")
+                return _fail(reasons, f"level {l}: {rec.element} is not in I_{l}")
             if not u_map(rec.element).is_zero():
-                return fail(f"level {l}: u(F_*{rec.element}) is nonzero")
-            img = theta(rec.element, delta)
+                return _fail(reasons, f"level {l}: u(F_*{rec.element}) is nonzero")
+            img = theta(rec.element, sp.delta)
             if img != rec.image:
-                return fail(
-                    f"level {l}: theta image {img} differs from recorded {rec.image}"
+                return _fail(
+                    reasons,
+                    f"level {l}: theta image {img} differs from recorded {rec.image}",
                 )
             images.append(rec.image)
-        pool = _dedupe(i1 + images)
+        pool = _dedupe(sp.i1 + images)
     esc = cert.data.get("escape")
     if esc is None:
-        return fail("certificate has no escape element")
-    if not ideal_membership(esc, Ideal(ring, pool), budget):
-        return fail(f"escape element {esc} is not in the final level's ideal")
+        return _fail(reasons, "certificate has no escape element")
+    if not ideal_membership(esc, Ideal(sp.ring, pool), budget):
+        return _fail(reasons, f"escape element {esc} is not in the final level's ideal")
     if in_max_ideal_frobenius_power(esc, 1):
-        return fail(f"escape element {esc} lies in m^[p]")
+        return _fail(reasons, f"escape element {esc} lies in m^[p]")
     if cert.data.get("escape_level") != len(levels) + 1:
-        return fail("escape level disagrees with the number of recorded levels")
+        return _fail(reasons, "escape level disagrees with the number of recorded levels")
     return True
 
 
@@ -749,27 +719,20 @@ def verify_infinity_certificate(
     Such a J traps the whole I_n chain: I_1 ⊆ J and inductively
     I_{n+1} = θ(F_*I_n ∩ Ker u) + I_1 ⊆ J, so no I_n escapes m^{[p]} and the
     height is infinite."""
-
-    def fail(msg: str) -> bool:
-        if reasons is not None:
-            reasons.append(msg)
-        return False
-
     if budget is None:
         budget = Budget()
-    ring = I.ring
-    p = ring.field.p
-    f = _product(I.gens, ring)
-    delta = delta1(f ** (p - 1))
+    sp = _Splitting(I.gens)
     for g in J.gens:
         if not in_max_ideal_frobenius_power(g, 1):
-            return fail(f"generator {g} of J escapes m^[p]")
-    for g in _fedder_ideal_gens(I.gens, ring):
+            return _fail(reasons, f"generator {g} of J escapes m^[p]")
+    for g in sp.i1:
         if not ideal_membership(g, J, budget):
-            return fail(f"I_1 generator {g} is not in J")
-    for step in _theta_images(J.gens, delta, ring, budget):
+            return _fail(reasons, f"I_1 generator {g} is not in J")
+    for step in _theta_images(sp, J.gens, budget):
         if not ideal_membership(step.image, J, budget):
-            return fail(f"theta image {step.image} (of {step.element}) is not in J")
+            return _fail(
+                reasons, f"theta image {step.image} (of {step.element}) is not in J"
+            )
     return True
 
 
@@ -783,9 +746,7 @@ def verify_certificate(
     """Dispatch re-verification on the certificate kind."""
     if cert.kind == COEFFICIENT_WITNESS:
         ok = verify_coefficient_witness(list(I.gens), cert, budget)
-        if not ok and reasons is not None:
-            reasons.append("recomputed coefficient disagrees with the certificate")
-        return ok
+        return ok or _fail(reasons, "recomputed coefficient disagrees with the certificate")
     if cert.kind == CHAIN_WITNESS:
         if "chain" in cert.data:
             return verify_witness_chain(I, cert.data["chain"], budget, reasons)
@@ -796,12 +757,8 @@ def verify_certificate(
     if cert.kind == NON_QFS:
         fresh = non_qfs_quick(list(I.gens))
         ok = fresh is not None and fresh.data["tag"] == cert.data["tag"]
-        if not ok and reasons is not None:
-            reasons.append("quick test no longer fires with the recorded tag")
-        return ok
-    if reasons is not None:
-        reasons.append(f"unknown certificate kind {cert.kind}")
-    return False
+        return ok or _fail(reasons, "quick test no longer fires with the recorded tag")
+    return _fail(reasons, f"unknown certificate kind {cert.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +817,6 @@ def product_witness(
     ring_x = gs[0].ring
     ring_y = h.ring
     joint = joint_ring_of(ring_x, ring_y)
-    p = joint.field.p
     for l, g in enumerate(gs[:-1], start=1):
         if not u_map(g).is_zero():
             raise RingError(f"chain element {l} has nonzero u-image")
@@ -871,8 +827,7 @@ def product_witness(
             "choose h with a surviving Frobenius iterate"
         )
     if fx is not None and fy is not None:
-        big_f = embed_left(fx, joint) * embed_right(fy, joint)
-        delta = delta1(big_f ** (p - 1))
+        delta = _Splitting([embed_left(fx, joint), embed_right(fy, joint)]).delta
         out = [embed_left(gs[0], joint) * embed_right(h, joint)]
         for _ in range(n - 1):
             out.append(theta(out[-1], delta))
@@ -920,51 +875,41 @@ def height(
     t0 = time.perf_counter()
 
     def finish(res: HeightResult) -> HeightResult:
-        res.steps = budget.steps
-        res.wall_time_ms = (time.perf_counter() - t0) * 1000
+        _stamped(res, budget, t0)
         if cross_check and res.verdict in (FINITE, INFINITE):
             _assert_route_agreement(I, gens, grading, res, n_max, budget)
         return res
 
+    g = grading if grading is not None else Grading.standard(ring.nvars)
+
+    def graded() -> HeightResult:
+        try:
+            return height_graded_cy(gens, g, n_max, budget)
+        except BudgetExceededError as exc:
+            return _unknown(exc, "graded-cy")
+
     if strategy == "local":
         return finish(height_local(I, n_max, budget))
     if strategy == "graded":
-        g = grading if grading is not None else Grading.standard(ring.nvars)
-        return finish(height_graded_cy(gens, g, n_max, budget))
+        return finish(graded())
     if strategy == "qfs":
-        try:
-            qfs, cert = qfs_decide(I, budget)
-        except BudgetExceededError as exc:
-            return finish(
-                HeightResult(
-                    UNKNOWN, None, None, route="i-infinity",
-                    diagnostics=(f"budget exhausted after {exc.steps} steps",),
-                )
-            )
-        if qfs:
-            return finish(
-                HeightResult(
-                    LOWER_BOUND, 1, cert, route="i-infinity",
-                    diagnostics=("quasi-F-split; height finite but not computed",),
-                )
-            )
-        return finish(HeightResult(INFINITE, None, cert, route="i-infinity"))
+        return finish(
+            _i_infinity(I, budget, 1, "quasi-F-split; height finite but not computed")
+        )
     if strategy != "auto":
         raise RingError(f"unknown strategy {strategy!r}")
 
     # (a) F-split?
-    if fedder_fsplit(gens):
-        p = ring.field.p
-        f = _product(gens, ring)
-        cert = Certificate(CHAIN_WITNESS, {"chain": [f ** (p - 1)]})
+    fp1 = _Splitting(gens).fp1
+    if not in_max_ideal_frobenius_power(fp1, 1):
+        cert = Certificate(CHAIN_WITNESS, {"chain": [fp1]})
         return finish(HeightResult(FINITE, 1, cert, route="fedder"))
 
     # (b) graded engine
     graded_result: Optional[HeightResult] = None
-    g = grading if grading is not None else Grading.standard(ring.nvars)
     if graded_cy_applicable(gens, g) is None:
-        graded_result = height_graded_cy(gens, g, n_max, budget)
-        if graded_result.verdict == FINITE:
+        graded_result = graded()
+        if graded_result.verdict in (FINITE, UNKNOWN):
             return finish(graded_result)
 
     # (c) quick infinite-height tests
@@ -976,32 +921,29 @@ def height(
     # in which case only the Infinite/LowerBound separation remains
     if graded_result is None:
         local = height_local(I, n_max, budget)
-        if local.verdict in (FINITE, INFINITE):
-            return finish(local)
-        if local.verdict == UNKNOWN:
+        if local.verdict in (FINITE, INFINITE, UNKNOWN):
             return finish(local)
 
     # (e) I_∞ separates Infinite from LowerBound
+    return finish(
+        _i_infinity(
+            I, budget, n_max,
+            f"quasi-F-split (I_infinity escapes m^[p]) but no level <= {n_max} "
+            "escaped; the height is finite and exceeds the cutoff",
+        )
+    )
+
+
+def _i_infinity(I: Ideal, budget: Budget, n: int, note: str) -> HeightResult:
+    """The I_∞ route: Infinite when I_∞ ⊆ m^{[p]}, else LowerBound(n) with
+    ``note`` (the height is finite but was not found)."""
     try:
         qfs, cert = qfs_decide(I, budget)
     except BudgetExceededError as exc:
-        return finish(
-            HeightResult(
-                UNKNOWN, None, None, route="i-infinity",
-                diagnostics=(f"budget exhausted after {exc.steps} steps",),
-            )
-        )
+        return _unknown(exc, "i-infinity")
     if not qfs:
-        return finish(HeightResult(INFINITE, None, cert, route="i-infinity"))
-    return finish(
-        HeightResult(
-            LOWER_BOUND, n_max, cert, route="i-infinity",
-            diagnostics=(
-                f"quasi-F-split (I_infinity escapes m^[p]) but no level <= {n_max} "
-                "escaped; the height is finite and exceeds the cutoff",
-            ),
-        )
-    )
+        return HeightResult(INFINITE, None, cert, route="i-infinity")
+    return HeightResult(LOWER_BOUND, n, cert, route="i-infinity", diagnostics=(note,))
 
 
 def _assert_route_agreement(

@@ -13,9 +13,9 @@ chains computed in `criteria`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .rings import Polynomial, PolynomialRing, RingError
 from .witt import W2Element, delta1

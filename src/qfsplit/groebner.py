@@ -36,7 +36,10 @@ class BudgetExceededError(RuntimeError):
 
 
 class Budget:
-    """Shared step counter.  `limit=None` means unlimited."""
+    """Shared step counter that raises BudgetExceededError past `limit` steps.
+
+    `limit=None` takes the limit from the QFSPLIT_GB_BUDGET environment
+    variable, or DEFAULT_GB_BUDGET when that is unset."""
 
     __slots__ = ("limit", "steps")
 

@@ -14,7 +14,7 @@ which is special to F_p.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 # Exponents are stored as plain ints but kept below 2^31 so that exponent
 # arithmetic stays within machine-word range on every platform we target.

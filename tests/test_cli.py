@@ -146,6 +146,19 @@ def test_budget_abort_exits_two(capsys):
     assert data["diagnostics"]
 
 
+@pytest.mark.parametrize("command", ["height", "qfs", "strata"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_nonpositive_budget_is_an_input_error(capsys, command, budget):
+    if command == "strata":
+        argv = ["strata", "--p", "3", "--nvars", "3"]
+    else:
+        argv = [command, "--p", "2", "--vars", "x,y,z", "--poly", "x^3 + y^2*z"]
+    code, out, err = run_cli(capsys, argv + ["--budget", budget])
+    assert code == 1
+    assert out == ""
+    assert "budget must be a positive number of steps" in err
+
+
 def test_failed_verification_still_exits_zero(capsys):
     """A chain that does not verify is a computed answer, not an error."""
     code, out, _ = run_cli(
@@ -391,6 +404,19 @@ def test_batch_aggregate_is_worst_code(capsys, tmp_path):
     assert code == 2
     data = json.loads(out)
     assert [j["exit"] for j in data["jobs"]] == [0, 2]
+
+
+def test_batch_rejects_nonpositive_budget(capsys, tmp_path):
+    jobs = [
+        {"command": cmd, "p": 2, "vars": ["x", "y", "z"],
+         "polys": ["x^3 + y^2*z"], "options": {"budget": budget}}
+        for cmd in ("height", "qfs") for budget in (0, -1)
+    ]
+    code, out, _ = run_cli(capsys, ["batch", write_jobs(tmp_path, jobs), "--serial"])
+    assert code == 1
+    data = json.loads(out)
+    assert [j["exit"] for j in data["jobs"]] == [1, 1, 1, 1]
+    assert all("budget must be" in j["report"]["error"] for j in data["jobs"])
 
 
 def test_batch_parallel_matches_serial(capsys, tmp_path):

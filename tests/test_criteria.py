@@ -478,6 +478,17 @@ def test_height_unknown_on_tiny_budget():
     assert res.diagnostics
 
 
+@pytest.mark.parametrize("strategy", ["auto", "graded", "local", "qfs"])
+def test_budget_abort_is_unknown_on_every_strategy(strategy):
+    """A non-F-split Calabi-Yau cubic reaches the graded engine under auto, so
+    every route, graded included, must turn the abort into Unknown."""
+    ring = ring_over(5)
+    res = height(ring.parse("x^3 + y^3 + z^3"), strategy=strategy, budget=Budget(1))
+    assert res.verdict == UNKNOWN
+    assert res.n is None
+    assert res.diagnostics
+
+
 def test_height_rejects_empty_system():
     with pytest.raises(RingError):
         height([])
