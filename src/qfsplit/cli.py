@@ -155,11 +155,17 @@ def _job_from_args(args, command: str) -> Job:
     return Job(command, p, variables, polys, grading, options)
 
 
-def _generators(job: Job) -> list[Polynomial]:
-    """The job's parsed generators; at least one, assumed a regular sequence."""
+def _polynomials(job: Job) -> list[Polynomial]:
+    """The job's parsed polynomials; at least one."""
     polys = job.parsed()
     if not polys:
         raise InputError(f"{job.command} needs at least one polynomial")
+    return polys
+
+
+def _generators(job: Job) -> list[Polynomial]:
+    """The job's parsed generators; at least one, assumed a regular sequence."""
+    polys = _polynomials(job)
     if len(polys) > 1:
         print(
             "note: generators are assumed to form a regular sequence; "
@@ -222,7 +228,7 @@ def _run_qfs(job: Job) -> tuple[dict, int]:
 
 
 def _run_verify_chain(args) -> tuple[dict, int]:
-    polys = _job_from_args(args, "verify-chain").parsed()
+    polys = _polynomials(_job_from_args(args, "verify-chain"))
     ring = polys[0].ring
     try:
         chain = [ring.parse(t) for t in _split_polys([args.chain])]
@@ -239,7 +245,7 @@ def _run_verify_chain(args) -> tuple[dict, int]:
 
 
 def _run_verify_infty(args) -> tuple[dict, int]:
-    polys = _job_from_args(args, "verify-infty").parsed()
+    polys = _polynomials(_job_from_args(args, "verify-infty"))
     ring = polys[0].ring
     try:
         trap = [ring.parse(t) for t in _split_polys([args.trap])]

@@ -10,18 +10,25 @@ The module layer implements position-over-term orders with a designated top
 position.  Its one serious client is `frobenius_module_intersect_keru`, which
 computes F_*I ∩ Ker(u) through the syzygies of the u-components of the
 translate generators F_*(x^α·g) — the same elimination as a rank-p^N
-position-over-term run, but on a free module of rank 1 + #generators.  The
-literal rank-p^N route is kept alongside for cross-checking on small inputs.
+position-over-term run, but on a free module of rank 1 + #generators.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .rings import Polynomial, PolynomialRing, RingError, grevlex_key
+from .rings import (
+    EXPONENT_LIMIT,
+    ExponentOverflowError,
+    Polynomial,
+    PolynomialRing,
+    RingError,
+    grevlex_key,
+)
 from .frobenius import FreeModuleVector, FrobCoordinates, frobenius_decompose, u_map
 
 DEFAULT_GB_BUDGET = 2_000_000
@@ -218,19 +225,23 @@ def buchberger(
             if g:
                 basis.append(g)
     leads = [order.leading_term(g)[0] for g in basis]
+    # heap of (key(lcm), i, j, lcm): (i, j) makes every key distinct, so pops
+    # come in the same order as a min() over the pending pairs would give
+    queue: list = []
 
-    def lcm_key(i: int, j: int):
-        return (order.key(_lcm(leads[i], leads[j])), i, j)
+    def add_pairs(j: int) -> None:
+        for i in range(j):
+            m = _lcm(leads[i], leads[j])
+            heapq.heappush(queue, (order.key(m), i, j, m))
 
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    for j in range(len(basis)):
+        add_pairs(j)
     done: set[tuple[int, int]] = set()
-    while pairs:
-        i, j = min(pairs, key=lambda ij: lcm_key(*ij))
-        pairs.remove((i, j))
+    while queue:
+        _, i, j, m = heapq.heappop(queue)
         done.add((i, j))
         budget.tick()
         li, lj = leads[i], leads[j]
-        m = _lcm(li, lj)
         # product criterion
         if all(a + b == c for a, b, c in zip(li, lj, m)):
             continue
@@ -248,11 +259,9 @@ def buchberger(
             continue
         s = normal_form(_s_poly(basis[i], basis[j], order), basis, order, budget)
         if s:
-            new = len(basis)
             basis.append(s)
             leads.append(order.leading_term(s)[0])
-            for k in range(new):
-                pairs.add((k, new))
+            add_pairs(len(basis) - 1)
     return _reduce_basis(basis, order, budget)
 
 
@@ -396,15 +405,11 @@ class ModuleOrder:
         return (-pos, self.base.key(exps))
 
     def leading_term(self, v: FreeModuleVector) -> tuple[int, tuple[int, ...], int]:
-        best = None
-        for pos, poly in v.components.items():
-            e, c = self.base.leading_term(poly)
-            cand = (pos, e, c)
-            if best is None or self.term_key(pos, e) > self.term_key(best[0], best[1]):
-                best = cand
-        if best is None:
+        if not v.components:
             raise RingError("zero vector has no leading term")
-        return best
+        pos = min(v.components)  # the lowest index is on top
+        e, c = self.base.leading_term(v.components[pos])
+        return pos, e, c
 
 
 def module_normal_form(
@@ -414,34 +419,51 @@ def module_normal_form(
     budget: Optional[Budget] = None,
 ) -> FreeModuleVector:
     """Full division remainder of a module element by a list of vectors."""
-    if not G and not v:
-        return v
     ring = v.ring
     p = ring.field.p
     field = ring.field
-    basis = []
+    # divisors grouped by the position of their leading term, in list order:
+    # (leading exponent, inverse leading coefficient, components, max exponent)
+    divisors: dict[int, list] = {}
     for g in G:
         if g:
             pos, e, c = order.leading_term(g)
-            basis.append((pos, e, field.inv(c), g))
-    work = v
-    rem_comps: dict[int, Polynomial] = {}
+            top = max(poly.max_exponent() for poly in g.components.values())
+            divisors.setdefault(pos, []).append((e, field.inv(c), g.components, top))
+    work = {pos: dict(poly.terms) for pos, poly in v.components.items()}
+    rem: dict[int, dict[tuple[int, ...], int]] = {}
+    key = order.base.key
     while work:
         if budget is not None:
             budget.tick()
-        pos, e, c = order.leading_term(work)
-        hit = False
-        for gpos, ge, ginv, g in basis:
-            if gpos == pos and _divides(ge, e):
-                work = work - g.scale_term(_sub(e, ge), (c * ginv) % p)
-                hit = True
+        pos = min(work)
+        terms = work[pos]
+        e = max(terms, key=key)
+        c = terms[e]
+        for ge, ginv, comps, top in divisors.get(pos, ()):
+            if _divides(ge, e):
+                shift = _sub(e, ge)
+                if top + max(shift, default=0) > EXPONENT_LIMIT:
+                    raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
+                mult = (c * ginv) % p
+                for gpos, gpoly in comps.items():
+                    comp = work.setdefault(gpos, {})
+                    for eg, cg in gpoly.terms.items():
+                        ep = tuple(map(int.__add__, eg, shift))
+                        s = (comp.get(ep, 0) - mult * cg) % p
+                        if s:
+                            comp[ep] = s
+                        elif ep in comp:
+                            del comp[ep]
+                    if not comp:
+                        del work[gpos]
                 break
-        if not hit:
-            # move the leading term into the remainder
-            term = Polynomial(ring, {e: c})
-            rem_comps[pos] = rem_comps.get(pos, ring.zero) + term
-            work = work - FreeModuleVector(ring, {pos: term})
-    return FreeModuleVector(ring, rem_comps)
+        else:
+            rem.setdefault(pos, {})[e] = c
+            del terms[e]
+            if not terms:
+                del work[pos]
+    return FreeModuleVector(ring, {pos: Polynomial(ring, t) for pos, t in rem.items()})
 
 
 def _module_s_vector(
@@ -472,27 +494,25 @@ def module_buchberger(
             if g:
                 basis.append(g)
     leads = [order.leading_term(g) for g in basis]
+    # heap of (term_key(pos, lcm), i, j): pops in normal-selection order
+    queue: list = []
 
-    def pair_ok(i: int, j: int) -> bool:
-        return leads[i][0] == leads[j][0]
+    def add_pairs(j: int) -> None:
+        pos, lj, _ = leads[j]
+        for i in range(j):
+            if leads[i][0] == pos:
+                heapq.heappush(queue, (order.term_key(pos, _lcm(leads[i][1], lj)), i, j))
 
-    def lcm_key(i: int, j: int):
-        m = _lcm(leads[i][1], leads[j][1])
-        return (order.term_key(leads[i][0], m), i, j)
-
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j) if pair_ok(i, j)}
-    while pairs:
-        i, j = min(pairs, key=lambda ij: lcm_key(*ij))
-        pairs.remove((i, j))
+    for j in range(len(basis)):
+        add_pairs(j)
+    while queue:
+        _, i, j = heapq.heappop(queue)
         budget.tick()
         s = module_normal_form(_module_s_vector(basis[i], basis[j], order), basis, order, budget)
         if s:
-            new = len(basis)
             basis.append(s)
             leads.append(order.leading_term(s))
-            for k in range(new):
-                if pair_ok(k, new):
-                    pairs.add((k, new))
+            add_pairs(len(basis) - 1)
     return _reduce_module_basis(basis, order, budget)
 
 
@@ -604,50 +624,4 @@ def frobenius_module_intersect_keru(
         assert u_map(w_elem).is_zero(), "intersection generator escaped Ker(u)"
         coords = frobenius_decompose(w_elem)
         out.append(KerUGenerator(w_elem, coords))
-    return out
-
-
-def frobenius_module_intersect_keru_direct(
-    I: Ideal, budget: Optional[Budget] = None
-) -> list[KerUGenerator]:
-    """Reference route: the literal rank-p^N position-over-term elimination.
-
-    Positions index the p-basis residues with the u-residue (p−1,...,p−1)
-    designated top (position 0).  Exponential in N; used to cross-check the
-    syzygy route on small instances.
-    """
-    ring = I.ring
-    p = ring.field.p
-    if budget is None:
-        budget = Budget()
-    top = (p - 1,) * ring.nvars
-    residues = [top] + sorted(
-        (r for r in itertools.product(range(p), repeat=ring.nvars) if r != top),
-        key=grevlex_key,
-        reverse=True,
-    )
-    pos_of = {r: i for i, r in enumerate(residues)}
-    gens = list(I.groebner(budget))
-    mvecs = []
-    for g in gens:
-        for alpha in itertools.product(range(p), repeat=ring.nvars):
-            tg = g.mul_term(alpha)
-            coords = frobenius_decompose(tg)
-            mvecs.append(
-                FreeModuleVector(
-                    ring, {pos_of[r]: c for r, c in coords.components.items()}
-                )
-            )
-    order = ModuleOrder(GREVLEX)
-    gb = module_buchberger(mvecs, order, budget)
-    out = []
-    for v in gb:
-        if 0 in v.components:
-            continue
-        w_elem = ring.zero
-        for pos, c in v.components.items():
-            w_elem = w_elem + c.pth_power().mul_term(residues[pos])
-        if w_elem:
-            coords = frobenius_decompose(w_elem)
-            out.append(KerUGenerator(w_elem, coords))
     return out

@@ -6,6 +6,7 @@ arithmetic paths:
 * length-2 Witt vectors via exact integer ghost components,
 * Groebner bases / ideal membership via sympy over GF(p),
 * the trace-like map u by raw coefficient extraction,
+* F_*I ∩ Ker(u) by the literal rank-p^N module elimination,
 * elliptic curves via the classical discriminant and brute-force point
   counts over the projective plane.
 
@@ -20,7 +21,10 @@ from typing import Iterable, Optional, Sequence
 
 import sympy as sp
 
-from qfsplit import Ideal, Polynomial, PolynomialRing
+from qfsplit import FreeModuleVector, Ideal, ModuleOrder, Polynomial, PolynomialRing
+from qfsplit.frobenius import frobenius_decompose
+from qfsplit.groebner import KerUGenerator, module_buchberger
+from qfsplit.rings import grevlex_key
 
 # ---------------------------------------------------------------------------
 # integer polynomials as {exponent-tuple: int} dicts (exact, no modulus)
@@ -224,6 +228,46 @@ def mine_canonical(polys: Iterable[Polynomial], ring: PolynomialRing) -> set[fro
 def sympy_ideal_equal(I: Ideal, J: Ideal) -> bool:
     ring = I.ring
     return sympy_groebner_canonical(I.gens, ring) == sympy_groebner_canonical(J.gens, ring)
+
+
+# ---------------------------------------------------------------------------
+# F_*I ∩ Ker(u) by the literal rank-p^N elimination
+# ---------------------------------------------------------------------------
+
+
+def frobenius_module_intersect_keru_direct(I: Ideal) -> list[KerUGenerator]:
+    """F_*I ∩ Ker(u) as a position-over-term elimination on S^(p^N).
+
+    Positions index the p-basis residues with the u-residue (p−1,...,p−1)
+    designated top (position 0).  Exponential in N; the package computes the
+    same module through syzygies on a module of rank 1 + #generators.
+    """
+    ring = I.ring
+    p = ring.field.p
+    top = (p - 1,) * ring.nvars
+    residues = [top] + sorted(
+        (r for r in itertools.product(range(p), repeat=ring.nvars) if r != top),
+        key=grevlex_key,
+        reverse=True,
+    )
+    pos_of = {r: i for i, r in enumerate(residues)}
+    mvecs = []
+    for g in I.groebner():
+        for alpha in itertools.product(range(p), repeat=ring.nvars):
+            coords = frobenius_decompose(g.mul_term(alpha))
+            mvecs.append(
+                FreeModuleVector(ring, {pos_of[r]: c for r, c in coords.components.items()})
+            )
+    out = []
+    for v in module_buchberger(mvecs, ModuleOrder()):
+        if 0 in v.components:
+            continue
+        w_elem = ring.zero
+        for pos, c in v.components.items():
+            w_elem = w_elem + c.pth_power().mul_term(residues[pos])
+        if w_elem:
+            out.append(KerUGenerator(w_elem, frobenius_decompose(w_elem)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,21 @@ def test_failed_verification_still_exits_zero(capsys):
     assert data["reasons"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-chain", "--p", "2", "--vars", "x", "--chain", "x"],
+        ["verify-infty", "--p", "2", "--vars", "x", "--trap", "x"],
+    ],
+    ids=["verify-chain", "verify-infty"],
+)
+def test_verify_without_poly_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"error: {argv[0]} needs at least one polynomial" in err
+
+
 def test_rdp_table_rejects_unknown_prime(capsys):
     code, _, err = run_cli(capsys, ["rdp-table", "--primes", "7"])
     assert code == 1

@@ -1,8 +1,8 @@
 """Tests for Groebner bases, ideal arithmetic and the Ker(u) module engine.
 
 sympy over GF(p) is the external referee for basis computation and
-membership; the module layer is cross-checked against its own literal
-rank-p^N reference implementation.
+membership; the module layer is cross-checked against the literal rank-p^N
+reference route in `oracles`.
 """
 
 import random
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from qfsplit import (
     Budget,
     BudgetExceededError,
+    ExponentOverflowError,
     Ideal,
     RingError,
     buchberger,
@@ -31,10 +32,10 @@ from qfsplit.groebner import (
     EliminationOrder,
     ModuleOrder,
     exact_divide,
-    frobenius_module_intersect_keru_direct,
     module_normal_form,
 )
 from qfsplit.frobenius import FreeModuleVector
+from qfsplit.rings import EXPONENT_LIMIT
 
 import oracles as O
 from conftest import nonzero_poly_strategy, poly_strategy, ring_over
@@ -76,6 +77,15 @@ def test_buchberger_known_twisted_cubic():
     assert O.mine_canonical(G, ring) == O.sympy_groebner_canonical(gens, ring)
     # classic grevlex basis has three elements
     assert len(G) == 3
+
+
+def test_buchberger_step_count_is_pinned():
+    """The pair selection order fixes the step count; a change to the queue
+    or the criteria that moves it must say why."""
+    ring = ring_over(7)
+    budget = Budget(10**6)
+    buchberger([ring.parse("y + 6*x^2"), ring.parse("z + 6*x^3")], budget=budget)
+    assert budget.steps == 17
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -279,15 +289,15 @@ def test_module_buchberger_solves_membership():
     assert module_normal_form(outside, G, order)
 
 
-@pytest.mark.parametrize(
-    "p,gens_text,vars",
-    [
-        (2, ["z^2 + x^2*y + x*y^2"], ("x", "y", "z")),
-        (2, ["x^3 + y^3 + z^3"], ("x", "y", "z")),
-        (3, ["x^3 + y^2*z"], ("x", "y", "z")),
-        (2, ["x*y", "z^2 + x^2"], ("x", "y", "z")),
-    ],
-)
+KERU_IDEALS = [
+    (2, ["z^2 + x^2*y + x*y^2"], ("x", "y", "z")),
+    (2, ["x^3 + y^3 + z^3"], ("x", "y", "z")),
+    (3, ["x^3 + y^2*z"], ("x", "y", "z")),
+    (2, ["x*y", "z^2 + x^2"], ("x", "y", "z")),
+]
+
+
+@pytest.mark.parametrize("p,gens_text,vars", KERU_IDEALS)
 def test_keru_syzygy_route_matches_direct(p, gens_text, vars):
     """The syzygy-based F_*I ∩ Ker(u) agrees with the literal rank-p^N
     elimination, as ideals of representing elements."""
@@ -296,10 +306,24 @@ def test_keru_syzygy_route_matches_direct(p, gens_text, vars):
     ring = PolynomialRing(PrimeField(p), vars)
     I = Ideal(ring, [ring.parse(t) for t in gens_text])
     fast = frobenius_module_intersect_keru(I)
-    slow = frobenius_module_intersect_keru_direct(I)
+    slow = O.frobenius_module_intersect_keru_direct(I)
     fast_ideal = Ideal(ring, [g.element for g in fast])
     slow_ideal = Ideal(ring, [g.element for g in slow])
     assert ideal_equal(fast_ideal, slow_ideal)
+
+
+@pytest.mark.parametrize(
+    "p,gens_text,vars,steps",
+    [case + (steps,) for case, steps in zip(KERU_IDEALS, [35, 35, 13, 38])],
+)
+def test_keru_step_count_is_pinned(p, gens_text, vars, steps):
+    """Steps of F_*I ∩ Ker(u), ideal basis included, stay as they were."""
+    from qfsplit import PolynomialRing, PrimeField
+
+    ring = PolynomialRing(PrimeField(p), vars)
+    budget = Budget(10**6)
+    frobenius_module_intersect_keru(Ideal(ring, [ring.parse(t) for t in gens_text]), budget)
+    assert budget.steps == steps
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -311,3 +335,85 @@ def test_keru_generators_satisfy_contract(p):
     for g in frobenius_module_intersect_keru(I):
         assert ideal_membership(g.element, I)
         assert u_map(g.element).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# module layer against the definitions (position 0 on top)
+# ---------------------------------------------------------------------------
+
+
+def vector_strategy(ring, rank=2, max_exp=2, max_terms=3):
+    comps = st.lists(poly_strategy(ring, max_exp, max_terms), min_size=rank, max_size=rank)
+    return comps.map(lambda cs: FreeModuleVector(ring, dict(enumerate(cs))))
+
+
+def _module_terms(v):
+    return [(pos, e) for pos, poly in v.components.items() for e in poly.terms]
+
+
+def _module_divides(lead, term):
+    return lead[0] == term[0] and all(a <= b for a, b in zip(lead[1], term[1]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@given(data=st.data())
+def test_module_leading_term_is_the_largest_term(p, data):
+    ring = ring_over(p)
+    order = ModuleOrder()
+    v = data.draw(vector_strategy(ring, rank=3).filter(bool))
+    pos, e, c = order.leading_term(v)
+    assert (pos, e) == max(_module_terms(v), key=lambda t: order.term_key(*t))
+    assert c == v.components[pos].terms[e]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@given(data=st.data())
+def test_module_remainder_has_no_divisible_term(p, data):
+    ring = ring_over(p)
+    order = ModuleOrder()
+    G = data.draw(st.lists(vector_strategy(ring), min_size=1, max_size=3))
+    v = data.draw(vector_strategy(ring, max_exp=4, max_terms=5))
+    leads = [order.leading_term(g)[:2] for g in G if g]
+    r = module_normal_form(v, G, order)
+    for term in _module_terms(r):
+        assert not any(_module_divides(lead, term) for lead in leads)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@given(data=st.data())
+def test_module_basis_combinations_reduce_to_zero(p, data):
+    """Σ h_i·g_i lies in the module the basis generates, so its remainder
+    by a Groebner basis is zero; the g_i run over generators and basis."""
+    ring = ring_over(p)
+    order = ModuleOrder()
+    gens = data.draw(st.lists(vector_strategy(ring), min_size=1, max_size=3))
+    G = module_buchberger(gens, order)
+    members = gens + G
+    hs = data.draw(
+        st.lists(poly_strategy(ring, 2, 3), min_size=len(members), max_size=len(members))
+    )
+    w = FreeModuleVector(ring, {})
+    for h, g in zip(hs, members):
+        w = w + g.scale(h)
+    assert not module_normal_form(w, G, order)
+
+
+@pytest.mark.parametrize(
+    "divisor,dividend",
+    [
+        # the tail component of the divisor carries the overflow
+        ({0: "x", 1: f"x^{EXPONENT_LIMIT}"}, (2, 0, 0)),
+        # the shift carries it: y^3 leads x^2 under grevlex
+        ({0: "y^3 + x^2"}, (EXPONENT_LIMIT - 1, 3, 0)),
+    ],
+)
+def test_module_reduction_past_exponent_limit_raises(divisor, dividend):
+    """The dividend is the single term dividend·e_0."""
+    ring = ring_over(2)
+    order = ModuleOrder()
+    g = _vec(ring, {k: ring.parse(t) for k, t in divisor.items()})
+    v = _vec(ring, {0: ring.from_terms({dividend: 1})})
+    with pytest.raises(ExponentOverflowError):
+        module_normal_form(v, [g], order)
+    # at the limit itself the reduction still goes through
+    assert not module_normal_form(g, [g], order)
