@@ -11,24 +11,16 @@ from .rings import (
     PolynomialRing,
     PrimeField,
     RingError,
-    capped_multiply,
     check_homogeneous,
-    coefficient_of,
-    multiply,
     parse_polynomial,
-    power,
     serialize_polynomial,
 )
-from .witt import W2Element, delta1, delta1_multinomial, teichmuller, w2_add, w2_mul, w2_neg
+from .witt import W2Element, delta1, teichmuller, w2_add, w2_mul, w2_neg
 from .frobenius import (
     FreeModuleVector,
-    FrobCoordinates,
     bracket_power,
-    frobenius_compose,
-    frobenius_decompose,
     in_max_ideal_frobenius_power,
     iterated_u,
-    psi2_eval,
     theta,
     u_map,
 )

@@ -142,9 +142,7 @@ def _job_from_args(args, command: str) -> Job:
         raise InputError(f"bad variable list {args.vars!r}")
     polys = _split_polys(args.poly or [])
     grading = None
-    if getattr(args, "weights", None):
-        grading = parse_grading(args.weights, len(variables))
-    if getattr(args, "grading", None):
+    if args.grading:
         grading = parse_grading(args.grading, len(variables))
     options = {
         "n_max": getattr(args, "n_max", None),
@@ -237,7 +235,7 @@ def _run_verify_chain(args) -> tuple[dict, int]:
     if not chain:
         raise InputError("empty chain")
     reasons: list[str] = []
-    ok = verify_witness_chain(Ideal(ring, polys), chain, reasons=reasons)
+    ok = verify_witness_chain(Ideal(ring, polys), chain, _budget(args.budget), reasons)
     payload = {"verified": ok, "chain_length": len(chain)}
     if reasons:
         payload["reasons"] = reasons
@@ -254,13 +252,14 @@ def _run_verify_infty(args) -> tuple[dict, int]:
     if not trap:
         raise InputError("empty trap ideal")
     I = Ideal(ring, polys)
+    budget = _budget(args.budget)
     payload: dict[str, Any] = {}
     J = Ideal(ring, trap)
     if args.close:
-        J = enclosure_closure(I, trap)
+        J = enclosure_closure(I, trap, budget)
         payload["closure_generators"] = [str(g) for g in J.gens]
     reasons: list[str] = []
-    ok = verify_infinity_certificate(I, J, reasons=reasons)
+    ok = verify_infinity_certificate(I, J, budget, reasons)
     payload["verified"] = ok
     if reasons:
         payload["reasons"] = reasons
@@ -523,29 +522,30 @@ _ARG_COMMANDS = {
 }
 
 
-def _add_common(sub, with_poly=True):
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, since exit code 2 means an exhausted budget."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _add_common(sub):
     sub.add_argument("--p", type=int, required=True, help="prime characteristic")
     sub.add_argument("--vars", required=True, help="comma-separated variables")
-    if with_poly:
-        sub.add_argument(
-            "--poly",
-            action="append",
-            help="generator polynomial (repeatable; ';' separates within one flag)",
-        )
-    sub.add_argument("--grading", help="grading rows 'a,b,c|d,e,f' (or ';')")
-    sub.add_argument("--weights", help="single-row grading shortcut 'w1,...,wN'")
-    sub.add_argument("--n-max", dest="n_max", type=int, help="chain length cutoff")
-    sub.add_argument("--budget", type=int, help="Groebner step budget")
     sub.add_argument(
-        "--verify", action="store_true", help="re-verify certificates before printing"
+        "--poly",
+        action="append",
+        help="generator polynomial (repeatable; ';' separates within one flag)",
     )
+    sub.add_argument("--grading", help="grading rows 'a,b,c|d,e,f' (or ';')")
     sub.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfsplit",
         description="quasi-F-split heights of hypersurfaces and complete intersections",
     )
@@ -553,6 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("height", help="compute the quasi-F-split height")
     _add_common(sp)
+    sp.add_argument("--n-max", dest="n_max", type=int, help="chain length cutoff")
+    sp.add_argument("--budget", type=int, help="Groebner step budget")
+    sp.add_argument("--verify", action="store_true", help="re-verify certificates before printing")
     sp.add_argument(
         "--strategy",
         choices=("auto", "graded", "local", "qfs"),
@@ -565,13 +568,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("qfs", help="decide quasi-F-splitness via the fixed point")
     _add_common(sp)
+    sp.add_argument("--budget", type=int, help="Groebner step budget")
+    sp.add_argument("--verify", action="store_true", help="re-verify certificates before printing")
 
     sp = subs.add_parser("verify-chain", help="check a strict θ-chain certificate")
     _add_common(sp)
+    sp.add_argument("--budget", type=int, help="Groebner step budget")
     sp.add_argument("--chain", required=True, help="';'-separated chain elements")
 
     sp = subs.add_parser("verify-infty", help="check a trap ideal certifying height ∞")
     _add_common(sp)
+    sp.add_argument("--budget", type=int, help="Groebner step budget")
     sp.add_argument("--trap", required=True, help="';'-separated trap ideal generators")
     sp.add_argument(
         "--close",

@@ -119,9 +119,6 @@ class HeightResult:
     route: str = ""
     diagnostics: tuple[str, ...] = ()
 
-    def is_finite(self) -> bool:
-        return self.verdict == FINITE
-
 
 # ---------------------------------------------------------------------------
 # shared plumbing
@@ -389,7 +386,7 @@ def _theta_images(
 ) -> list[ChainStep]:
     """θ(F_* (I ∩ Ker u)) for I = (pool), one record per intersection generator."""
     inter = frobenius_module_intersect_keru(Ideal(sp.ring, pool), budget)
-    return [ChainStep(gen.element, theta(gen.element, sp.delta)) for gen in inter]
+    return [ChainStep(w, theta(w, sp.delta)) for w in inter]
 
 
 def _theta_step(
@@ -401,25 +398,6 @@ def _theta_step(
     """The records of θ(F_*((pool) ∩ Ker u)) and the ideal (base) + their images."""
     steps = _theta_images(sp, pool, budget)
     return steps, Ideal(sp.ring, _dedupe(list(base) + [s.image for s in steps]))
-
-
-def local_chain_ideals(
-    I: Ideal, n_max: int, budget: Optional[Budget] = None
-) -> list[Ideal]:
-    """The ideals I_1, ..., I_k (k ≤ n_max), stopping early on stabilization."""
-    if budget is None:
-        budget = Budget()
-    sp = _Splitting(I.gens)
-    out = [Ideal(sp.ring, sp.i1)]
-    for _ in range(1, n_max):
-        _, nxt = _theta_step(sp, out[-1].gens, sp.i1, budget)
-        # containment in m^{[p]} is an ideal invariant, so differing escape
-        # status settles inequality without a Groebner comparison
-        same_side = (_escapes(out[-1].gens) is None) == (_escapes(nxt.gens) is None)
-        if same_side and ideal_equal(out[-1], nxt, budget):
-            break
-        out.append(nxt)
-    return out
 
 
 def height_local(
@@ -607,13 +585,14 @@ def non_qfs_quick(f_list: Sequence[Polynomial]) -> Optional[Certificate]:
         return None
     sp = _Splitting(gens)
     p, f = sp.p, sp.f
-    if p >= 3 and in_max_ideal_frobenius_power(f ** (p - 2), 1):
-        return Certificate(NON_QFS, {"tag": TAG_FPM2, "element": f ** (p - 2)})
+    fp2 = f ** (p - 2)
+    if p >= 3 and in_max_ideal_frobenius_power(fp2, 1):
+        return Certificate(NON_QFS, {"tag": TAG_FPM2, "element": fp2})
     if not in_max_ideal_frobenius_power(sp.fp1, 1):
         return None  # F-split, certainly not infinite
     d1 = delta1(f)
     scale = f ** (p * (p - 2)) * d1
-    factors = [f ** (p - 2)] + [g.pth_power() for g in gens]
+    factors = [fp2] + [g.pth_power() for g in gens]
     products = [b * scale for b in factors]
     if all(in_max_ideal_frobenius_power(q, 2) for q in products if q):
         return Certificate(

@@ -1,4 +1,4 @@
-"""Frobenius pushforward coordinates and the splitting maps u and θ.
+"""The splitting maps u and θ on the Frobenius pushforward.
 
 Over S = F_p[x_1..x_N], the pushforward F_*S is free over S with monomial
 basis {F_*(x^α) : 0 ≤ α_j ≤ p−1}.  Writing h = Σ_α h_α^p · x^α gives the
@@ -13,23 +13,10 @@ chains computed in `criteria`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from .rings import Polynomial, PolynomialRing, RingError
-from .witt import W2Element, delta1
-
-
-@dataclass
-class FrobCoordinates:
-    """Coordinates of F_*h in the monomial p-basis: residue α ↦ h_α."""
-
-    ring: PolynomialRing
-    components: dict[tuple[int, ...], Polynomial]
-
-    def component(self, alpha: Sequence[int]) -> Polynomial:
-        return self.components.get(tuple(alpha), self.ring.zero)
 
 
 class FreeModuleVector:
@@ -89,41 +76,13 @@ class FreeModuleVector:
 
 
 # ---------------------------------------------------------------------------
-# decomposition and the u map
+# the u map
 # ---------------------------------------------------------------------------
-
-
-def frobenius_decompose(h: Polynomial) -> FrobCoordinates:
-    """Split h into p-basis coordinates: term c·x^e goes to component e mod p
-    as c·x^((e - e mod p)/p).  Coefficients carry over unchanged (c^(1/p) = c)."""
-    ring = h.ring
-    p = ring.field.p
-    comps: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for e, c in h.terms.items():
-        alpha = tuple(x % p for x in e)
-        q = tuple(x // p for x in e)
-        comps.setdefault(alpha, {})[q] = c
-    return FrobCoordinates(ring, {a: Polynomial(ring, t) for a, t in comps.items()})
-
-
-def frobenius_compose(fc: FrobCoordinates) -> Polynomial:
-    """Inverse of frobenius_decompose: Σ_α h_α^p · x^α."""
-    ring = fc.ring
-    out = ring.zero
-    for alpha, h in fc.components.items():
-        out = out + h.pth_power().mul_term(alpha)
-    return out
 
 
 def u_map(h: Polynomial) -> Polynomial:
     """u(F_*h): the coordinate of F_*h along F_*((x_1⋯x_N)^{p−1})."""
-    ring = h.ring
-    p = ring.field.p
-    out: dict[tuple[int, ...], int] = {}
-    for e, c in h.terms.items():
-        if all(x % p == p - 1 for x in e):
-            out[tuple(x // p for x in e)] = c
-    return Polynomial(ring, out)
+    return iterated_u(h, 1)
 
 
 def iterated_u(h: Polynomial, r: int) -> Polynomial:
@@ -208,41 +167,3 @@ def in_max_ideal_frobenius_power(a: Polynomial, n: int) -> bool:
         raise RingError("frobenius power index must be >= 1")
     q = a.ring.field.p**n
     return all(max(e) >= q for e in a.terms)
-
-
-# ---------------------------------------------------------------------------
-# evaluator for the two-term splitting sections
-# ---------------------------------------------------------------------------
-
-
-def psi2_eval(
-    f1: Polynomial,
-    f2: Polynomial,
-    elem: Union[W2Element, Polynomial],
-    delta_source: Optional[Polynomial] = None,
-) -> Polynomial:
-    """Evaluate the height-2 splitting section ψ_{f1,f2} on a W₂ element.
-
-    On Teichmüller and Verschiebung parts:
-
-        ψ(F_*[a])  = u(F_*(f1·a)) + u²(F²_*(f2·Δ₁(a)))
-        ψ(F_*V[b]) = u²(F²_*(f2·b))
-
-    and additively on a general (a, b) = [a] + V[b].  A Polynomial argument is
-    shorthand for its Teichmüller lift.  `delta_source`, when given, is used
-    as a precomputed Δ₁(a) (it is recomputed otherwise).  Coefficients must
-    lie in the prime field for the p-th root normalizations to collapse.
-    """
-    if isinstance(elem, Polynomial):
-        elem = W2Element(elem, elem.ring.zero)
-    a, b = elem.w0, elem.w1
-    ring = a.ring
-    out = ring.zero
-    if a:
-        out = out + u_map(f1 * a)
-        da = delta_source if delta_source is not None else delta1(a)
-        if da:
-            out = out + iterated_u(f2 * da, 2)
-    if b:
-        out = out + iterated_u(f2 * b, 2)
-    return out

@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .rings import (
@@ -29,7 +28,7 @@ from .rings import (
     RingError,
     grevlex_key,
 )
-from .frobenius import FreeModuleVector, FrobCoordinates, frobenius_decompose, u_map
+from .frobenius import FreeModuleVector, u_map
 
 DEFAULT_GB_BUDGET = 2_000_000
 
@@ -59,7 +58,7 @@ class Budget:
 
     def tick(self, n: int = 1) -> None:
         self.steps += n
-        if self.limit is not None and self.steps > self.limit:
+        if self.steps > self.limit:
             raise BudgetExceededError(self.steps)
 
 
@@ -71,8 +70,6 @@ class Budget:
 class MonomialOrder:
     """A total order on exponent vectors given by a sort key."""
 
-    name = "abstract"
-
     def key(self, exps: tuple[int, ...]):
         raise NotImplementedError
 
@@ -82,8 +79,6 @@ class MonomialOrder:
 
 
 class GrevlexOrder(MonomialOrder):
-    name = "grevlex"
-
     def key(self, exps: tuple[int, ...]):
         return grevlex_key(exps)
 
@@ -94,8 +89,6 @@ class GrevlexOrder(MonomialOrder):
 class EliminationOrder(MonomialOrder):
     """Block order making the last `nelim` variables dominate (used with
     auxiliary variables appended at the end of the ring)."""
-
-    name = "elim-last"
 
     def __init__(self, nelim: int = 1):
         self.nelim = nelim
@@ -143,9 +136,6 @@ class Ideal:
         if self._gb is None:
             self._gb = tuple(buchberger(list(self.gens), GREVLEX, budget=budget))
         return self._gb
-
-    def contains(self, f: Polynomial, budget: Optional[Budget] = None) -> bool:
-        return normal_form(f, self.groebner(budget), GREVLEX).is_zero()
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -550,19 +540,6 @@ def _reduce_module_basis(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KerUGenerator:
-    """One generator of F_*I ∩ Ker(u).
-
-    `element` is the ring element w ∈ I with u(F_*w) = 0 whose pushforward
-    F_*w is the module generator; `coordinates` are its p-basis components
-    (the u-component is absent by construction).
-    """
-
-    element: Polynomial
-    coordinates: FrobCoordinates
-
-
 def _translates(ring: PolynomialRing, gens: Sequence[Polynomial]):
     """All x^α·g for α ∈ [0, p−1]^N and g a generator, with their u-images."""
     p = ring.field.p
@@ -576,7 +553,7 @@ def _translates(ring: PolynomialRing, gens: Sequence[Polynomial]):
 
 def frobenius_module_intersect_keru(
     I: Ideal, budget: Optional[Budget] = None
-) -> list[KerUGenerator]:
+) -> list[Polynomial]:
     """Generators of F_*I ∩ Ker(u) as a submodule of F_*S ≅ S^(p^N).
 
     F_*I is generated over S by F_*(x^α·g) for generators g of I and residues
@@ -585,7 +562,8 @@ def frobenius_module_intersect_keru(
     intersection is computed as a syzygy module: run the position-over-term
     engine on the vectors (u(F_*t_j), e_j) ⊂ S^(1+G) with position 0 on top,
     and keep the basis members with vanishing position 0.  Each survivor
-    yields the ring element w = Σ c_j^p·t_j with F_*w in the intersection.
+    yields the ring element w = Σ c_j^p·t_j with F_*w in the intersection;
+    the elements w ∈ I are returned, without duplicates.
     """
     ring = I.ring
     if budget is None:
@@ -622,6 +600,5 @@ def frobenius_module_intersect_keru(
             continue
         seen.add(w_elem)
         assert u_map(w_elem).is_zero(), "intersection generator escaped Ker(u)"
-        coords = frobenius_decompose(w_elem)
-        out.append(KerUGenerator(w_elem, coords))
+        out.append(w_elem)
     return out

@@ -157,9 +157,6 @@ class PolynomialRing:
         e[i] = 1
         return Polynomial(self, {tuple(e): 1})
 
-    def gens(self) -> tuple["Polynomial", ...]:
-        return tuple(self.variable(nm) for nm in self.variables)
-
     def from_terms(self, terms: Mapping[tuple[int, ...], int]) -> "Polynomial":
         """Build a polynomial, normalizing coefficients mod p and dropping zeros."""
         p = self.field.p
@@ -242,12 +239,6 @@ class Polynomial:
         if not self.terms:
             raise RingError("zero polynomial has no leading term")
         return self.sorted_terms()[0]
-
-    def constant_coefficient(self) -> int:
-        return self.terms.get((0,) * self.ring.nvars, 0)
-
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.constant_coefficient() != 0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -450,27 +441,6 @@ class Grading:
 
     def __repr__(self) -> str:
         return f"Grading({[list(r) for r in self.rows]})"
-
-
-# ---------------------------------------------------------------------------
-# functional aliases (free functions over the classes above)
-# ---------------------------------------------------------------------------
-
-
-def multiply(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a * b
-
-
-def power(a: Polynomial, e: int) -> Polynomial:
-    return a**e
-
-
-def capped_multiply(a: Polynomial, b: Polynomial, cap: Sequence[Optional[int]]) -> Polynomial:
-    return a.capped_mul(b, cap)
-
-
-def coefficient_of(a: Polynomial, mono: Sequence[int]) -> int:
-    return a.coefficient_of(mono)
 
 
 def check_homogeneous(a: Polynomial, g: Grading) -> tuple[int, ...]:

@@ -8,9 +8,9 @@ lift: for a = Σ Mᵢ (a sum of terms, or more generally of grouped summands),
 
 equivalently Δ₁(a) = Σ_{0≤αⱼ≤p−1, Σα=p} (1/p)·binom(p; α₁..α_r)·M₁^{α₁}⋯M_r^{α_r}.
 
-The production implementation folds the terms through W₂ additions (one Witt
-addition per summand); the closed multinomial formula is kept as an
-independently-coded oracle for small numbers of summands.
+`delta1` folds the summands through W₂ additions (one Witt addition per
+summand).  The test suite evaluates the closed multinomial formula and the
+ghost components independently and compares.
 """
 
 from __future__ import annotations
@@ -130,38 +130,3 @@ def delta1(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) -> Po
     for s in summands:
         acc = w2_add(acc, teichmuller(s))
     return -acc.w1
-
-
-def _compositions(total: int, parts: int, bound: int):
-    """All tuples of length `parts` with entries in [0, bound] summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, bound), -1, -1):
-        for rest in _compositions(total - first, parts - 1, bound):
-            yield (first,) + rest
-
-
-def delta1_multinomial(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) -> Polynomial:
-    """Direct evaluation of the closed multinomial formula for Δ₁.
-
-    Exponential in the number of summands; intended as a cross-check for
-    small decompositions (a handful of terms).
-    """
-    ring = a.ring
-    p = ring.field.p
-    if summands is None:
-        summands = _summands_of(a)
-    r = len(summands)
-    out = ring.zero
-    for alpha in _compositions(p, r, p - 1):
-        coeff = (math.factorial(p) // math.prod(math.factorial(k) for k in alpha) // p) % p
-        if not coeff:
-            continue
-        term = ring.constant(coeff)
-        for s, k in zip(summands, alpha):
-            if k:
-                term = term * s**k
-        out = out + term
-    return out

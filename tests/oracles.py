@@ -4,11 +4,16 @@ Everything here is deliberately implemented *without* the package's own
 arithmetic paths:
 
 * length-2 Witt vectors via exact integer ghost components,
+* Δ₁ by the closed multinomial formula,
 * Groebner bases / ideal membership via sympy over GF(p),
 * the trace-like map u by raw coefficient extraction,
-* F_*I ∩ Ker(u) by the literal rank-p^N module elimination,
+* F_*h in p-basis coordinates, and F_*I ∩ Ker(u) by the literal rank-p^N
+  module elimination,
 * elliptic curves via the classical discriminant and brute-force point
   counts over the projective plane.
+
+The reference routes built from the package's public maps sit beside them:
+the height-2 splitting section ψ₂ and the I_n chain of the local engine.
 
 Test modules freeze expected values against these, never the other way
 around.
@@ -17,13 +22,27 @@ around.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+import math
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, Union
 
 import sympy as sp
 
-from qfsplit import FreeModuleVector, Ideal, ModuleOrder, Polynomial, PolynomialRing
-from qfsplit.frobenius import frobenius_decompose
-from qfsplit.groebner import KerUGenerator, module_buchberger
+from qfsplit import (
+    FreeModuleVector,
+    Ideal,
+    ModuleOrder,
+    Polynomial,
+    PolynomialRing,
+    W2Element,
+    delta1,
+    frobenius_module_intersect_keru,
+    ideal_equal,
+    iterated_u,
+    theta,
+    u_map,
+)
+from qfsplit.groebner import module_buchberger
 from qfsplit.rings import grevlex_key
 
 # ---------------------------------------------------------------------------
@@ -148,6 +167,41 @@ def delta1_ghost(f: Polynomial, summands: Optional[Sequence[Polynomial]] = None)
     return zreduce(zdiv_exact(acc, p), ring)
 
 
+def _compositions(total: int, parts: int, bound: int):
+    """All tuples of length `parts` with entries in [0, bound] summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, bound), -1, -1):
+        for rest in _compositions(total - first, parts - 1, bound):
+            yield (first,) + rest
+
+
+def delta1_multinomial(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) -> Polynomial:
+    """Direct evaluation of the closed multinomial formula for Δ₁.
+
+    Exponential in the number of summands (default: the terms of a); meant
+    for small decompositions (a handful of summands).
+    """
+    ring = a.ring
+    p = ring.field.p
+    if summands is None:
+        summands = [ring.from_terms({e: c}) for e, c in a.sorted_terms()]
+    r = len(summands)
+    out = ring.zero
+    for alpha in _compositions(p, r, p - 1):
+        coeff = (math.factorial(p) // math.prod(math.factorial(k) for k in alpha) // p) % p
+        if not coeff:
+            continue
+        term = ring.constant(coeff)
+        for s, k in zip(summands, alpha):
+            if k:
+                term = term * s**k
+        out = out + term
+    return out
+
+
 # ---------------------------------------------------------------------------
 # u by coefficient surgery
 # ---------------------------------------------------------------------------
@@ -231,11 +285,41 @@ def sympy_ideal_equal(I: Ideal, J: Ideal) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# F_*I ∩ Ker(u) by the literal rank-p^N elimination
+# p-basis coordinates of F_*h, and F_*I ∩ Ker(u) by the literal rank-p^N
+# elimination
 # ---------------------------------------------------------------------------
 
 
-def frobenius_module_intersect_keru_direct(I: Ideal) -> list[KerUGenerator]:
+@dataclass
+class FrobCoordinates:
+    """Coordinates of F_*h in the monomial p-basis: residue α ↦ h_α."""
+
+    ring: PolynomialRing
+    components: dict[tuple[int, ...], Polynomial]
+
+
+def frobenius_decompose(h: Polynomial) -> FrobCoordinates:
+    """Split h into p-basis coordinates: term c·x^e goes to component e mod p
+    as c·x^((e - e mod p)/p).  Coefficients carry over unchanged (c^(1/p) = c)."""
+    ring = h.ring
+    p = ring.field.p
+    comps: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for e, c in h.terms.items():
+        alpha = tuple(x % p for x in e)
+        q = tuple(x // p for x in e)
+        comps.setdefault(alpha, {})[q] = c
+    return FrobCoordinates(ring, {a: Polynomial(ring, t) for a, t in comps.items()})
+
+
+def frobenius_compose(fc: FrobCoordinates) -> Polynomial:
+    """Inverse of frobenius_decompose: Σ_α h_α^p · x^α."""
+    out = fc.ring.zero
+    for alpha, h in fc.components.items():
+        out = out + h.pth_power().mul_term(alpha)
+    return out
+
+
+def frobenius_module_intersect_keru_direct(I: Ideal) -> list[Polynomial]:
     """F_*I ∩ Ker(u) as a position-over-term elimination on S^(p^N).
 
     Positions index the p-basis residues with the u-residue (p−1,...,p−1)
@@ -266,7 +350,66 @@ def frobenius_module_intersect_keru_direct(I: Ideal) -> list[KerUGenerator]:
         for pos, c in v.components.items():
             w_elem = w_elem + c.pth_power().mul_term(residues[pos])
         if w_elem:
-            out.append(KerUGenerator(w_elem, frobenius_decompose(w_elem)))
+            out.append(w_elem)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference routes built from the public maps
+# ---------------------------------------------------------------------------
+
+
+def psi2_eval(
+    f1: Polynomial,
+    f2: Polynomial,
+    elem: Union[W2Element, Polynomial],
+) -> Polynomial:
+    """Evaluate the height-2 splitting section ψ_{f1,f2} on a W₂ element.
+
+    On Teichmüller and Verschiebung parts:
+
+        ψ(F_*[a])  = u(F_*(f1·a)) + u²(F²_*(f2·Δ₁(a)))
+        ψ(F_*V[b]) = u²(F²_*(f2·b))
+
+    and additively on a general (a, b) = [a] + V[b].  A Polynomial argument is
+    shorthand for its Teichmüller lift.  Coefficients must lie in the prime
+    field for the p-th root normalizations to collapse.
+    """
+    if isinstance(elem, Polynomial):
+        elem = W2Element(elem, elem.ring.zero)
+    a, b = elem.w0, elem.w1
+    out = a.ring.zero
+    if a:
+        out = out + u_map(f1 * a)
+        da = delta1(a)
+        if da:
+            out = out + iterated_u(f2 * da, 2)
+    if b:
+        out = out + iterated_u(f2 * b, 2)
+    return out
+
+
+def local_chain_ideals(I: Ideal, n_max: int) -> list[Ideal]:
+    """The ideals I_1, ..., I_k (k ≤ n_max) of the local engine, stopping at
+    the first I_{k+1} = I_k.
+
+    I_1 = (f^{p−1}) + ((f'_i)^p) for f = Π f'_i, and
+    I_{n+1} = θ(F_*I_n ∩ Ker u) + I_1 with θ's multiplier Δ₁(f^{p−1}).
+    """
+    ring = I.ring
+    f = ring.one
+    for g in I.gens:
+        f = f * g
+    fp1 = f ** (ring.field.p - 1)
+    delta = delta1(fp1)
+    i1 = [fp1] + [g.pth_power() for g in I.gens]
+    out = [Ideal(ring, i1)]
+    for _ in range(1, n_max):
+        images = [theta(w, delta) for w in frobenius_module_intersect_keru(out[-1])]
+        nxt = Ideal(ring, i1 + images)
+        if ideal_equal(out[-1], nxt):
+            break
+        out.append(nxt)
     return out
 
 

@@ -15,7 +15,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import is_supersingular, random_smooth_cubic, w2_add_ghost, w2_mul_ghost
+from oracles import (
+    frobenius_compose,
+    frobenius_decompose,
+    is_supersingular,
+    random_smooth_cubic,
+    w2_add_ghost,
+    w2_mul_ghost,
+)
 
 from qfsplit import (
     Grading,
@@ -40,12 +47,7 @@ from qfsplit.criteria import (
     height_local,
     product_witness,
 )
-from qfsplit.frobenius import (
-    frobenius_compose,
-    frobenius_decompose,
-    theta,
-    u_map,
-)
+from qfsplit.frobenius import theta, u_map
 from qfsplit.groebner import GREVLEX, _s_poly, buchberger, ideal_equal, normal_form
 from qfsplit.strata import (
     FamilyContext,

@@ -126,7 +126,7 @@ def test_inhomogeneous_input_with_grading_exits_one(capsys):
         capsys,
         [
             "height", "--p", "2", "--vars", "x,y,z",
-            "--poly", "x^3 + y^2", "--weights", "1,1,1",
+            "--poly", "x^3 + y^2", "--grading", "1,1,1",
         ],
     )
     assert code == 1
@@ -146,17 +146,77 @@ def test_budget_abort_exits_two(capsys):
     assert data["diagnostics"]
 
 
-@pytest.mark.parametrize("command", ["height", "qfs", "strata"])
+CUSP = ["--p", "2", "--vars", "x,y,z", "--poly", "x^3 + y^2*z"]
+CUSP_TRAP = ["--trap", "x^2; y^2; z^2"]
+
+# one valid command line per command that takes --budget
+BUDGETED = {
+    "height": ["height"] + CUSP,
+    "qfs": ["qfs"] + CUSP,
+    "verify-chain": ["verify-chain"] + CUSP + ["--chain", "x^3 + y^2*z"],
+    "verify-infty": ["verify-infty"] + CUSP + CUSP_TRAP,
+    "strata": ["strata", "--p", "3", "--nvars", "3"],
+}
+
+
+@pytest.mark.parametrize("command", list(BUDGETED))
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_nonpositive_budget_is_an_input_error(capsys, command, budget):
-    if command == "strata":
-        argv = ["strata", "--p", "3", "--nvars", "3"]
-    else:
-        argv = [command, "--p", "2", "--vars", "x,y,z", "--poly", "x^3 + y^2*z"]
-    code, out, err = run_cli(capsys, argv + ["--budget", budget])
+    code, out, err = run_cli(capsys, BUDGETED[command] + ["--budget", budget])
     assert code == 1
     assert out == ""
     assert "budget must be a positive number of steps" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        BUDGETED["verify-chain"],
+        BUDGETED["verify-infty"],
+        BUDGETED["verify-infty"] + ["--close"],
+    ],
+    ids=["verify-chain", "verify-infty", "verify-infty-close"],
+)
+def test_verify_commands_honour_the_budget(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--budget", "1"])
+    assert code == 2
+    assert out == ""
+    assert "budget exhausted" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["height", "--p", "5", "--vars", "x,y", "--bogus"],
+        ["height", "--vars", "x,y", "--poly", "x*y"],
+        ["height", "--p", "five", "--vars", "x,y", "--poly", "x*y"],
+        ["nonsense"],
+        ["fsplit"] + CUSP + ["--budget", "5"],
+        ["fsplit"] + CUSP + ["--verify"],
+        ["qfs"] + CUSP + ["--n-max", "3"],
+        ["height"] + CUSP + ["--weights", "1,1,1"],
+        BUDGETED["verify-chain"] + ["--verify"],
+        BUDGETED["verify-infty"] + ["--n-max", "3"],
+    ],
+    ids=[
+        "unknown-flag", "missing-p", "bad-int", "unknown-command", "fsplit-budget",
+        "fsplit-verify", "qfs-n-max", "height-weights", "verify-chain-verify",
+        "verify-infty-n-max",
+    ],
+)
+def test_usage_error_exits_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["height", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_failed_verification_still_exits_zero(capsys):

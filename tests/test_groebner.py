@@ -307,9 +307,7 @@ def test_keru_syzygy_route_matches_direct(p, gens_text, vars):
     I = Ideal(ring, [ring.parse(t) for t in gens_text])
     fast = frobenius_module_intersect_keru(I)
     slow = O.frobenius_module_intersect_keru_direct(I)
-    fast_ideal = Ideal(ring, [g.element for g in fast])
-    slow_ideal = Ideal(ring, [g.element for g in slow])
-    assert ideal_equal(fast_ideal, slow_ideal)
+    assert ideal_equal(Ideal(ring, fast), Ideal(ring, slow))
 
 
 @pytest.mark.parametrize(
@@ -332,9 +330,9 @@ def test_keru_generators_satisfy_contract(p):
     ring = ring_over(p)
     f = ring.parse("x^3 + y^2*z") if p == 3 else ring.parse("z^2 + x^2*y + x*y^2")
     I = Ideal(ring, [f])
-    for g in frobenius_module_intersect_keru(I):
-        assert ideal_membership(g.element, I)
-        assert u_map(g.element).is_zero()
+    for w in frobenius_module_intersect_keru(I):
+        assert ideal_membership(w, I)
+        assert u_map(w).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -35,3 +35,37 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_defs(source: str) -> list[str]:
+    """Top-level ``_private`` functions and classes that no code outside their
+    own body reads."""
+    tree = ast.parse(source)
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        own = {id(n) for n in ast.walk(node)}
+        if not any(
+            isinstance(n, ast.Name) and n.id == node.name and id(n) not in own
+            for n in ast.walk(tree)
+        ):
+            out.append(f"{node.name} (line {node.lineno})")
+    return out
+
+
+def test_unreferenced_private_detector():
+    src = (
+        "def _used(): return 1\n"
+        "def _rec(n): return _rec(n - 1) if n else 0\n"
+        "class _Gone: pass\n"
+        "def public(): return _used()\n"
+    )
+    assert unreferenced_private_defs(src) == ["_rec (line 2)", "_Gone (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_definitions_are_used(path):
+    assert unreferenced_private_defs(path.read_text()) == []
