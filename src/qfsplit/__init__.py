@@ -15,7 +15,7 @@ from .rings import (
     parse_polynomial,
     serialize_polynomial,
 )
-from .witt import W2Element, delta1, teichmuller, w2_add, w2_mul, w2_neg
+from .witt import delta1
 from .frobenius import (
     FreeModuleVector,
     bracket_power,

@@ -126,13 +126,44 @@ def _auto_n_max(polys: Sequence[Polynomial]) -> int:
     return max(10, deg.bit_length() + 2)
 
 
+def _positive(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+_STRATEGIES = ("auto", "graded", "local", "qfs")
+
+# what each job option must be: the check its flag gets
+_OPTION_RULES = {
+    "n_max": (_positive, "a positive chain length"),
+    "budget": (_positive, "a positive number of steps"),
+    "verify": (lambda v: isinstance(v, bool), "true or false"),
+    "strategy": (lambda v: v in _STRATEGIES, "one of " + ", ".join(_STRATEGIES)),
+}
+# the options each job command reads (the other commands read their flags directly)
+_JOB_OPTIONS = {"height": tuple(_OPTION_RULES), "fsplit": (), "qfs": ("budget", "verify")}
+
+
+def _checked(key: str, value: Any) -> Any:
+    """``value`` if the option ``key`` may take it; otherwise an input error."""
+    ok, must = _OPTION_RULES[key]
+    if not ok(value):
+        raise InputError(f"{key} must be {must}, got {value!r}")
+    return value
+
+
+def _options(command: str, options: dict[str, Any]) -> dict[str, Any]:
+    """The options of a job, each checked; one its command does not read is
+    an input error."""
+    for key, value in options.items():
+        if key not in _JOB_OPTIONS[command]:
+            raise InputError(f"{command} takes no option {key!r}")
+        _checked(key, value)
+    return options
+
+
 def _budget(limit: Optional[int]) -> Budget:
     """A budget of ``limit`` steps; None gives the default limit."""
-    if limit is None:
-        return Budget()
-    if not isinstance(limit, int) or limit <= 0:
-        raise InputError(f"budget must be a positive number of steps, got {limit!r}")
-    return Budget(limit)
+    return Budget() if limit is None else Budget(_checked("budget", limit))
 
 
 def _job_from_args(args, command: str) -> Job:
@@ -145,12 +176,11 @@ def _job_from_args(args, command: str) -> Job:
     if args.grading:
         grading = parse_grading(args.grading, len(variables))
     options = {
-        "n_max": getattr(args, "n_max", None),
-        "budget": getattr(args, "budget", None),
-        "verify": bool(getattr(args, "verify", False)),
-        "strategy": getattr(args, "strategy", "auto"),
+        key: getattr(args, key)
+        for key in _JOB_OPTIONS.get(command, ())
+        if getattr(args, key) is not None
     }
-    return Job(command, p, variables, polys, grading, options)
+    return Job(command, p, variables, polys, grading, _options(command, options))
 
 
 def _polynomials(job: Job) -> list[Polynomial]:
@@ -463,16 +493,18 @@ def _job_from_record(record: dict[str, Any]) -> Job:
         grading = Grading(tuple(tuple(row) for row in record["grading"]))
         if grading.nvars != len(variables):
             raise InputError("grading width disagrees with variable count")
-    options = dict(record.get("options", ()))
-    return Job(command, p, variables, polys, grading, options)
+    if command not in _JOB_COMMANDS:
+        raise InputError(f"unsupported batch command {command!r}")
+    options = record.get("options", {})
+    if not isinstance(options, dict):
+        raise InputError(f"job options must be an object, got {options!r}")
+    return Job(command, p, variables, polys, grading, _options(command, dict(options)))
 
 
 def run_batch_record(record: dict[str, Any]) -> tuple[dict, int]:
     """One batch entry; errors are captured, not raised (isolation)."""
     try:
         job = _job_from_record(record)
-        if job.command not in _JOB_COMMANDS:
-            raise InputError(f"unsupported batch command {job.command!r}")
         return _JOB_COMMANDS[job.command](job)
     except (InputError, RingError) as exc:
         return {"error": str(exc)}, 1
@@ -558,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verify", action="store_true", help="re-verify certificates before printing")
     sp.add_argument(
         "--strategy",
-        choices=("auto", "graded", "local", "qfs"),
+        choices=_STRATEGIES,
         default="auto",
         help="force a computation route",
     )

@@ -591,7 +591,7 @@ def non_qfs_quick(f_list: Sequence[Polynomial]) -> Optional[Certificate]:
     if not in_max_ideal_frobenius_power(sp.fp1, 1):
         return None  # F-split, certainly not infinite
     d1 = delta1(f)
-    scale = f ** (p * (p - 2)) * d1
+    scale = fp2.pth_power() * d1  # f^{p(p−2)}: Frobenius fixes F_p coefficients
     factors = [fp2] + [g.pth_power() for g in gens]
     products = [b * scale for b in factors]
     if all(in_max_ideal_frobenius_power(q, 2) for q in products if q):

@@ -4,6 +4,8 @@ Everything here is deliberately implemented *without* the package's own
 arithmetic paths:
 
 * length-2 Witt vectors via exact integer ghost components,
+* length-2 Witt vector arithmetic over F_p[x] by the classical sum and
+  product laws, and Δ₁ by folding Teichmüller lifts through it,
 * Δ₁ by the closed multinomial formula,
 * Groebner bases / ideal membership via sympy over GF(p),
 * the trace-like map u by raw coefficient extraction,
@@ -21,6 +23,7 @@ around.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ from qfsplit import (
     ModuleOrder,
     Polynomial,
     PolynomialRing,
-    W2Element,
+    RingError,
     delta1,
     frobenius_module_intersect_keru,
     ideal_equal,
@@ -200,6 +203,111 @@ def delta1_multinomial(a: Polynomial, summands: Optional[Sequence[Polynomial]] =
                 term = term * s**k
         out = out + term
     return out
+
+
+# ---------------------------------------------------------------------------
+# length-2 Witt vectors over F_p[x] and the Δ₁ fold
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class W2Element:
+    """A length-2 Witt vector (w0, w1) with components in one ring."""
+
+    w0: Polynomial
+    w1: Polynomial
+
+    def __post_init__(self):
+        if self.w0.ring != self.w1.ring:
+            raise RingError("W2 components must live in the same ring")
+
+    @property
+    def ring(self) -> PolynomialRing:
+        return self.w0.ring
+
+
+def teichmuller(a: Polynomial) -> W2Element:
+    return W2Element(a, a.ring.zero)
+
+
+def w2_zero(ring: PolynomialRing) -> W2Element:
+    return W2Element(ring.zero, ring.zero)
+
+
+@functools.lru_cache(maxsize=None)
+def _carry_coefficients(p: int) -> tuple[int, ...]:
+    """(1/p)·binom(p, i) mod p for i = 1..p−1 (exact integer division)."""
+    return tuple((math.comb(p, i) // p) % p for i in range(1, p))
+
+
+def w2_add(x: W2Element, y: W2Element) -> W2Element:
+    """Witt vector addition:
+
+    (x0, x1) + (y0, y1) = (x0+y0, x1+y1 − Σ_{i=1}^{p−1} (1/p)·binom(p,i)·x0^i·y0^(p−i)).
+    """
+    ring = x.ring
+    if ring != y.ring:
+        raise RingError("W2 addition across different rings")
+    p = ring.field.p
+    w0 = x.w0 + y.w0
+    carry = ring.zero
+    if x.w0 and y.w0:
+        coeffs = _carry_coefficients(p)
+        xpow = ring.one
+        ypows = [ring.one]
+        for _ in range(p - 1):
+            ypows.append(ypows[-1] * y.w0)
+        for i in range(1, p):
+            xpow = xpow * x.w0
+            c = coeffs[i - 1]
+            if c:
+                carry = carry + (xpow * ypows[p - i]).scale(c)
+    w1 = x.w1 + y.w1 - carry
+    return W2Element(w0, w1)
+
+
+def w2_neg(x: W2Element) -> W2Element:
+    """Additive inverse.  For odd p this is componentwise; at p = 2 the second
+    component picks up the square of the first."""
+    if x.ring.field.p == 2:
+        return W2Element(x.w0, x.w1 + x.w0 * x.w0)
+    return W2Element(-x.w0, -x.w1)
+
+
+def w2_sub(x: W2Element, y: W2Element) -> W2Element:
+    return w2_add(x, w2_neg(y))
+
+
+def w2_mul(x: W2Element, y: W2Element) -> W2Element:
+    """Witt vector multiplication:
+
+    (x0, x1)·(y0, y1) = (x0·y0, x0^p·y1 + y0^p·x1).
+    """
+    if x.ring != y.ring:
+        raise RingError("W2 multiplication across different rings")
+    return W2Element(
+        x.w0 * y.w0,
+        x.w0.pth_power() * y.w1 + y.w0.pth_power() * x.w1,
+    )
+
+
+def delta1_fold(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) -> Polynomial:
+    """Δ₁ by folding the Teichmüller lifts of the summands (default: the
+    terms of a) through w2_add; by the defining identity the accumulated
+    second component is −Δ₁(a).  One Witt addition per summand."""
+    ring = a.ring
+    if summands is None:
+        summands = [ring.from_terms({e: c}) for e, c in a.sorted_terms()]
+    else:
+        total = ring.zero
+        for s in summands:
+            total = total + s
+        if total != a:
+            raise RingError("summands do not add up to the polynomial")
+    acc = w2_zero(ring)
+    for s in summands:
+        acc = w2_add(acc, teichmuller(s))
+    return -acc.w1
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import (
+    W2Element,
     frobenius_compose,
     frobenius_decompose,
     is_supersingular,
     random_smooth_cubic,
+    teichmuller,
+    w2_add,
     w2_add_ghost,
+    w2_mul,
     w2_mul_ghost,
+    w2_sub,
+    w2_zero,
 )
 
 from qfsplit import (
@@ -55,7 +61,6 @@ from qfsplit.strata import (
     is_smooth_at_rational_points,
     strata_polynomials,
 )
-from qfsplit.witt import W2Element, teichmuller, w2_add, w2_mul, w2_sub, w2_zero
 
 
 def _check(failures, cond, msg):

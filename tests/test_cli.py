@@ -168,6 +168,15 @@ def test_nonpositive_budget_is_an_input_error(capsys, command, budget):
     assert "budget must be a positive number of steps" in err
 
 
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_nonpositive_n_max_is_an_input_error(capsys, n_max):
+    argv = ["height", "--p", "2", "--vars", "x,y,z", "--poly", "z^2 + x^2*y + x*y^4"]
+    code, out, err = run_cli(capsys, argv + ["--n-max", n_max])
+    assert code == 1
+    assert out == ""
+    assert "n_max must be a positive chain length" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -492,6 +501,56 @@ def test_batch_rejects_nonpositive_budget(capsys, tmp_path):
     data = json.loads(out)
     assert [j["exit"] for j in data["jobs"]] == [1, 1, 1, 1]
     assert all("budget must be" in j["report"]["error"] for j in data["jobs"])
+
+
+# (command, options, part of the error) for batch records whose options the
+# command's flags would not accept
+BAD_OPTIONS = {
+    "misspelled": ("height", {"nmax": 1, "stratgy": "local"}, "height takes no option 'nmax'"),
+    "fsplit-budget": ("fsplit", {"budget": 5}, "fsplit takes no option 'budget'"),
+    "fsplit-verify": ("fsplit", {"verify": True}, "fsplit takes no option 'verify'"),
+    "qfs-n-max": ("qfs", {"n_max": 3}, "qfs takes no option 'n_max'"),
+    "qfs-strategy": ("qfs", {"strategy": "local"}, "qfs takes no option 'strategy'"),
+    "n-max-zero": ("height", {"n_max": 0}, "n_max must be a positive chain length"),
+    "n-max-negative": ("height", {"n_max": -3}, "n_max must be a positive chain length"),
+    "n-max-text": ("height", {"n_max": "3"}, "n_max must be a positive chain length"),
+    "budget-boolean": ("qfs", {"budget": True}, "budget must be a positive number of steps"),
+    "verify-number": ("qfs", {"verify": 1}, "verify must be true or false"),
+    "strategy-unknown": ("height", {"strategy": "fastest"}, "strategy must be one of"),
+    "not-an-object": ("height", [["n_max", 3]], "job options must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_OPTIONS))
+def test_batch_rejects_bad_options(capsys, tmp_path, case):
+    command, options, message = BAD_OPTIONS[case]
+    jobs = [
+        {"command": "fsplit", "p": 2, "vars": ["x"], "polys": ["x"]},
+        {"command": command, "p": 2, "vars": ["x", "y", "z"],
+         "polys": ["x^3 + y^2*z"], "options": options},
+    ]
+    code, out, _ = run_cli(capsys, ["batch", write_jobs(tmp_path, jobs), "--serial"])
+    assert code == 1
+    data = json.loads(out)
+    assert [j["exit"] for j in data["jobs"]] == [0, 1]
+    assert message in data["jobs"][1]["report"]["error"]
+
+
+def test_batch_accepts_the_flags_options(capsys, tmp_path):
+    cusp = {"p": 2, "vars": ["x", "y", "z"], "polys": ["x^3 + y^2*z"]}
+    jobs = [
+        dict(cusp, command="height",
+             options={"n_max": 4, "budget": 10000, "verify": True, "strategy": "local"}),
+        dict(cusp, command="qfs", options={"budget": 10000, "verify": False}),
+        dict(cusp, command="fsplit", options={}),
+    ]
+    code, out, _ = run_cli(capsys, ["batch", write_jobs(tmp_path, jobs), "--serial"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["jobs"][0]["report"]["route"] == "local-chain"
+    assert data["jobs"][0]["report"]["verified"] is True
+    assert data["jobs"][1]["report"]["qfs"] is False
+    assert data["jobs"][2]["report"]["fsplit"] is False
 
 
 def test_batch_parallel_matches_serial(capsys, tmp_path):

@@ -13,9 +13,9 @@ from qfsplit import (
     theta,
     u_map,
 )
-from qfsplit.witt import W2Element
 
 import oracles as O
+from oracles import W2Element
 from conftest import poly_strategy, ring_over
 
 

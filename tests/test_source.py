@@ -11,6 +11,13 @@ MODULES = sorted(
     p for p in Path(qfsplit.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
 
+# the code that may use the package's public names; the tests do not count,
+# since routes only the tests need belong in tests/oracles.py
+REPO = Path(__file__).resolve().parents[1]
+USERS = sorted(
+    p for d in ("src/qfsplit", "scripts", "perfbench") for p in (REPO / d).glob("*.py")
+)
+
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import statement that the module never reads."""
@@ -69,3 +76,51 @@ def test_unreferenced_private_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_private_definitions_are_used(path):
     assert unreferenced_private_defs(path.read_text()) == []
+
+
+def unreferenced_public_defs(sources: dict[str, str], modules: list[str]) -> list[str]:
+    """Top-level public functions and classes of the `modules` among
+    `sources` (name -> source) that no code in `sources` reads, by name or as
+    an attribute, outside their own body.  A re-export by ``import`` is not
+    a read."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    reads = [
+        (id(n), n.id if isinstance(n, ast.Name) else n.attr)
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    ]
+    out = []
+    for name in modules:
+        for node in trees[name].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(read == node.name and i not in own for i, read in reads):
+                out.append(f"{name}: {node.name} (line {node.lineno})")
+    return out
+
+
+def test_unreferenced_public_detector():
+    sources = {
+        "m.py": (
+            "def used(): return 1\n"
+            "def rec(n): return rec(n - 1) if n else 0\n"
+            "class Gone: pass\n"
+            "def _private(): pass\n"
+            "def by_attribute(): pass\n"
+            "def exported(): pass\n"
+        ),
+        "user.py": "import m\nfrom m import exported\nm.by_attribute()\nused()\n",
+    }
+    assert unreferenced_public_defs(sources, ["m.py"]) == [
+        "m.py: rec (line 2)", "m.py: Gone (line 3)", "m.py: exported (line 6)",
+    ]
+
+
+def test_public_definitions_are_used():
+    sources = {str(p.relative_to(REPO)): p.read_text() for p in USERS}
+    modules = [n for n in sources if n.startswith("src/") and not n.endswith("__init__.py")]
+    assert unreferenced_public_defs(sources, modules) == []

@@ -6,6 +6,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qfsplit import (
     Budget,
@@ -32,6 +33,11 @@ from qfsplit.strata import (
 @pytest.fixture(scope="module")
 def ctx2():
     return FamilyContext.create(2, 3)
+
+
+@pytest.fixture(scope="module")
+def ctx3():
+    return FamilyContext.create(3, 3)
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +206,24 @@ def test_delta1_tilde_matches_plain_delta1_on_specialized(ctx2):
             key = exps[:3]
             collected[key] = (collected.get(key, 0) + scaled) % 2
     assert small.from_terms({k: v for k, v in collected.items() if v}) == delta1(g)
+
+
+@pytest.fixture(scope="module")
+def tilde3(ctx3):
+    return delta1_tilde(ctx3, ctx3.generic**2)
+
+
+@given(values=st.lists(st.integers(0, 2), min_size=10, max_size=10))
+def test_delta1_tilde_specializes_at_any_point(ctx3, tilde3, values):
+    """Δ̃₁(G²) at p = 3 evaluated at an arbitrary F_3 point is Δ₁(g²) of the
+    specialized member: specialization commutes with the grouped carry."""
+    g = ctx3.specialize_generic(values)
+    collected = {}
+    for exps, c in tilde3.terms.items():
+        for e, v in zip(exps[3:], values):
+            c = c * pow(v, e, 3)
+        collected[exps[:3]] = collected.get(exps[:3], 0) + c
+    assert g.ring.from_terms(collected) == delta1(g**2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Tests for length-2 Witt vectors and the carry polynomial Δ₁.
 
 The ground truth is exact integer arithmetic: ghost components for the
-additive structure, and the closed multinomial/ghost formulas for Δ₁.
+additive structure, and the closed multinomial/ghost formulas for Δ₁.  The
+W₂ arithmetic itself lives in `tests/oracles.py`, where folding Teichmüller
+lifts through it gives a third, independent route to Δ₁.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qfsplit import RingError, delta1, teichmuller, w2_add, w2_mul, w2_neg
-from qfsplit.witt import w2_sub, w2_zero
+from qfsplit import EXPONENT_LIMIT, ExponentOverflowError, RingError, delta1
 
 import oracles as O
+from oracles import W2Element, teichmuller, w2_add, w2_mul, w2_neg, w2_sub, w2_zero
 from conftest import poly_strategy, ring_over
 
 
@@ -22,8 +24,6 @@ def test_w2_add_matches_ghost_components(p, data):
     x1 = data.draw(poly_strategy(ring, max_exp=2, max_terms=3))
     y = data.draw(poly_strategy(ring, max_exp=2, max_terms=3))
     y1 = data.draw(poly_strategy(ring, max_exp=2, max_terms=3))
-    from qfsplit.witt import W2Element
-
     s = w2_add(W2Element(x, x1), W2Element(y, y1))
     g0, g1 = O.w2_add_ghost(x, x1, y, y1)
     assert s.w0 == g0 and s.w1 == g1
@@ -117,6 +117,72 @@ def test_delta1_grouped_summands(p):
     total = parts[0] + parts[1] + parts[2]
     assert delta1(total, summands=parts) == O.delta1_ghost(total, summands=parts)
     assert delta1(total, summands=parts) == O.delta1_multinomial(total, summands=parts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data())
+def test_delta1_matches_fold(p, data):
+    ring = ring_over(p)
+    f = data.draw(poly_strategy(ring, max_exp=3, max_terms=5))
+    assert delta1(f) == O.delta1_fold(f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data())
+def test_delta1_grouped_matches_fold(p, data):
+    """Grouped summands that overlap and cancel: the carry does not depend on
+    how the lifted summands add up to a lift of the polynomial."""
+    ring = ring_over(p)
+    f = data.draw(poly_strategy(ring, max_exp=3, max_terms=4))
+    extra = data.draw(st.lists(poly_strategy(ring, max_exp=3, max_terms=3), max_size=3))
+    rest = f
+    for g in extra:
+        rest = rest - g
+    h = data.draw(poly_strategy(ring, max_exp=3, max_terms=3))
+    parts = data.draw(st.permutations([rest, h, -h] + extra))
+    assert delta1(f, summands=parts) == O.delta1_fold(f, summands=parts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_delta1_with_cancelling_summands(p):
+    ring = ring_over(p)
+    parts = [ring.parse("x + y"), ring.parse("x"), ring.parse("-x")]
+    f = ring.parse("x + y")
+    assert delta1(f, summands=parts) == O.delta1_fold(f, summands=parts)
+    assert delta1(f, summands=parts) == O.delta1_ghost(f, summands=parts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_delta1_at_packing_boundaries(p, k, offset):
+    """Largest exponents at a power of two, where the packed field width of
+    p·M steps up, with a third variable in the next field."""
+    ring = ring_over(p)
+    e = 2**k + offset
+    f = ring.parse(f"x^{e}*y + 2*x*y^{e} + z^{e}")
+    assert delta1(f) == O.delta1_fold(f) == O.delta1_ghost(f)
+    parts = [ring.parse(f"x^{e}*y + z^{e}"), ring.parse(f"2*x*y^{e}")]
+    assert delta1(f, summands=parts) == O.delta1_fold(f, summands=parts)
+
+
+def test_delta1_overflow_boundary():
+    """p·M may reach EXPONENT_LIMIT but not pass it, M the largest exponent
+    of the polynomial and of the summands."""
+    ring = ring_over(3)
+    k = EXPONENT_LIMIT // 3
+    x, y = ring.parse("x"), ring.parse("y")
+    f = x**k + y
+    expected = ring.from_terms({(2 * k, 1, 0): 1, (k, 2, 0): 1})
+    assert delta1(f) == expected == O.delta1_fold(f)
+    assert delta1(f, summands=[x**k, y]) == expected
+    g = x ** (k + 1) + y
+    with pytest.raises(ExponentOverflowError):
+        delta1(g)
+    with pytest.raises(ExponentOverflowError):
+        delta1(g, summands=[x ** (k + 1), y])
+    with pytest.raises(ExponentOverflowError):
+        delta1(y, summands=[g, -(x ** (k + 1))])
 
 
 def test_delta1_rejects_wrong_summands():
