@@ -18,7 +18,6 @@ from .rings import (
 from .witt import delta1
 from .frobenius import (
     FreeModuleVector,
-    bracket_power,
     in_max_ideal_frobenius_power,
     iterated_u,
     theta,

@@ -31,8 +31,9 @@ from .rings import (
     _is_prime,
     check_homogeneous,
 )
-from .groebner import Budget, BudgetExceededError, Ideal
+from .groebner import Budget, BudgetExceededError, Ideal, colon_ideal, ideal_equal
 from .criteria import (
+    Certificate,
     FINITE,
     INFINITE,
     UNKNOWN,
@@ -126,8 +127,12 @@ def _auto_n_max(polys: Sequence[Polynomial]) -> int:
     return max(10, deg.bit_length() + 2)
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+    return _is_int(value) and value > 0
 
 
 _STRATEGIES = ("auto", "graded", "local", "qfs")
@@ -192,15 +197,52 @@ def _polynomials(job: Job) -> list[Polynomial]:
 
 
 def _generators(job: Job) -> list[Polynomial]:
-    """The job's parsed generators; at least one, assumed a regular sequence."""
+    """The job's parsed generators: at least one, and a regular sequence,
+    which is checked when they are homogeneous and noted otherwise."""
     polys = _polynomials(job)
     if len(polys) > 1:
-        print(
-            "note: generators are assumed to form a regular sequence; "
-            "this is not verified.",
-            file=sys.stderr,
-        )
+        grading = job.grading or Grading.standard(len(job.variables))
+        try:
+            degrees = [check_homogeneous(f, grading) for f in polys]
+        except HomogeneityError:
+            print(
+                "note: generators are assumed to form a regular sequence; "
+                "this is not verified.",
+                file=sys.stderr,
+            )
+        else:
+            _require_regular_sequence(polys, degrees, _budget(job.options.get("budget")))
     return polys
+
+
+def _require_regular_sequence(
+    polys: Sequence[Polynomial], degrees: Sequence[tuple[int, ...]], budget: Budget
+) -> None:
+    """Input error unless the homogeneous ``polys`` form a regular sequence:
+    none is constant, and (f_1..f_{i−1}) : f_i = (f_1..f_{i−1}) for i ≥ 2.
+    Gradings are positive, so such generators lie in m, and their order does
+    not matter."""
+    for f, d in zip(polys, degrees):
+        if not any(d):
+            raise InputError(
+                f"generator '{f}' is constant, so the generators are not a regular sequence"
+            )
+    ring = polys[0].ring
+    for i in range(1, len(polys)):
+        before = Ideal(ring, polys[:i])
+        if not ideal_equal(colon_ideal(before, Ideal(ring, [polys[i]]), budget), before, budget):
+            raise InputError(
+                f"generators are not a regular sequence: '{polys[i]}' is a zero "
+                "divisor modulo the generators before it"
+            )
+
+
+def _add_verification(payload: dict, I: Ideal, cert: Certificate, grading=None) -> None:
+    """Re-verify ``cert`` against I and record the outcome in ``payload``."""
+    reasons: list[str] = []
+    payload["verified"] = verify_certificate(I, cert, grading=grading, reasons=reasons)
+    if reasons:
+        payload["verify_reasons"] = reasons
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +263,7 @@ def _run_height(job: Job) -> tuple[dict, int]:
     payload = result_to_json(res)
     code = 2 if res.verdict == UNKNOWN else 0
     if job.options.get("verify") and res.certificate is not None and code == 0:
-        reasons: list[str] = []
-        ok = verify_certificate(
-            Ideal(polys[0].ring, polys), res.certificate,
-            grading=job.grading, reasons=reasons,
-        )
-        payload["verified"] = ok
-        if reasons:
-            payload["verify_reasons"] = reasons
+        _add_verification(payload, Ideal(polys[0].ring, polys), res.certificate, job.grading)
     return payload, code
 
 
@@ -247,11 +282,7 @@ def _run_qfs(job: Job) -> tuple[dict, int]:
         "certificate": certificate_to_json(cert),
     }
     if job.options.get("verify") and not is_qfs:
-        J = Ideal(I.ring, [I.ring.parse(s) for s in payload["certificate"]["data"]["generators"]])
-        reasons: list[str] = []
-        payload["verified"] = verify_infinity_certificate(I, J, reasons=reasons)
-        if reasons:
-            payload["verify_reasons"] = reasons
+        _add_verification(payload, I, cert)
     return payload, 0
 
 
@@ -480,17 +511,37 @@ def _format_rdp_table(payload: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _job_from_record(record: dict[str, Any]) -> Job:
-    try:
-        command = record["command"]
-        p = _require_prime(int(record["p"]))
-        variables = tuple(record["vars"])
-    except KeyError as exc:
-        raise InputError(f"job record missing field {exc}") from exc
-    polys = tuple(record.get("polys", ()))
+def _is_list_of(ok):
+    """The check that a value is a list whose items all pass ``ok``."""
+    return lambda value: isinstance(value, list) and all(ok(v) for v in value)
+
+
+# what each field of a batch record must be; the first three are required
+_RECORD_FIELDS = {
+    "command": (lambda v: isinstance(v, str), "a string"),
+    "p": (_is_int, "an integer"),
+    "vars": (_is_list_of(lambda v: isinstance(v, str)), "a list of strings"),
+    "polys": (_is_list_of(lambda v: isinstance(v, str)), "a list of strings"),
+    "grading": (_is_list_of(_is_list_of(_is_int)), "a list of lists of integers"),
+}
+
+
+def _job_from_record(record: Any) -> Job:
+    if not isinstance(record, dict):
+        raise InputError(f"job record must be an object, got {record!r}")
+    for key, (ok, must) in _RECORD_FIELDS.items():
+        if record.get(key) is None:
+            if key in ("command", "p", "vars"):
+                raise InputError(f"job record missing field {key!r}")
+        elif not ok(record[key]):
+            raise InputError(f"job field {key} must be {must}, got {record[key]!r}")
+    command = record["command"]
+    p = _require_prime(record["p"])
+    variables = tuple(record["vars"])
+    polys = tuple(record.get("polys") or ())
     grading = None
     if record.get("grading"):
-        grading = Grading(tuple(tuple(row) for row in record["grading"]))
+        grading = Grading(record["grading"])
         if grading.nvars != len(variables):
             raise InputError("grading width disagrees with variable count")
     if command not in _JOB_COMMANDS:

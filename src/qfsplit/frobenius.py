@@ -137,23 +137,8 @@ def theta(a: Polynomial, delta: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# bracket powers and the monomial membership shortcut
+# the monomial membership shortcut
 # ---------------------------------------------------------------------------
-
-
-def bracket_power(I, n: int):
-    """I^[p^n]: the ideal generated by g^(p^n) for the generators g of I.
-
-    Independent of the chosen generators.  Accepts an Ideal-like object (has
-    `.ring` and `.gens`) or a plain iterable of polynomials, returning the
-    same shape.  Each g^(p^n) is a termwise exponent scaling: Frobenius fixes
-    F_p coefficients, so no multiplication happens.
-    """
-    if n < 0:
-        raise RingError("negative bracket power")
-    if hasattr(I, "gens"):
-        return type(I)(I.ring, [g.pth_power(n) for g in I.gens])
-    return [g.pth_power(n) for g in I]
 
 
 def in_max_ideal_frobenius_power(a: Polynomial, n: int) -> bool:

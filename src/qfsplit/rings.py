@@ -73,9 +73,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in F_p")
         return pow(a, self.p - 2, self.p)
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -169,9 +166,6 @@ class PolynomialRing:
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
-
-    def index_of(self, name: str) -> int:
-        return self._var_index[name]
 
     def __eq__(self, other: object) -> bool:
         return (

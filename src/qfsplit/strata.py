@@ -75,13 +75,6 @@ class FamilyContext:
     def coefficient_names(self) -> tuple[str, ...]:
         return self.ring.variables[self.nvars:]
 
-    def coefficient_variable(self, monomial: Sequence[int]) -> str:
-        """Name of the a-variable attached to an x-exponent tuple."""
-        key = tuple(monomial)
-        if key not in self.monomials:
-            raise ValueError(f"not a degree-{self.nvars} monomial: {key}")
-        return _coefficient_name(key)
-
     def x_ring(self) -> PolynomialRing:
         return PolynomialRing(self.ring.field, self.ring.variables[: self.nvars])
 

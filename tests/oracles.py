@@ -15,7 +15,8 @@ arithmetic paths:
   counts over the projective plane.
 
 The reference routes built from the package's public maps sit beside them:
-the height-2 splitting section ψ₂ and the I_n chain of the local engine.
+the height-2 splitting section ψ₂, the I_n chain of the local engine, and the
+bracket power I^{[p^n]} that forms Fedder's colon (I^{[p]} : I).
 
 Test modules freeze expected values against these, never the other way
 around.
@@ -311,7 +312,7 @@ def delta1_fold(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) 
 
 
 # ---------------------------------------------------------------------------
-# u by coefficient surgery
+# u by coefficient surgery, and bracket powers
 # ---------------------------------------------------------------------------
 
 
@@ -334,6 +335,20 @@ def in_bracket_m_oracle(h: Polynomial, n: int) -> bool:
     """h in m^[p^n]: every monomial has some exponent >= p^n."""
     q = h.ring.field.p ** n
     return all(any(x >= q for x in e) for e in h.terms)
+
+
+def bracket_power(I, n: int):
+    """I^[p^n]: the ideal generated by g^(p^n) for the generators g of I.
+
+    Independent of the chosen generators.  Accepts an Ideal (returning an
+    Ideal) or a plain iterable of polynomials (returning a list).  Frobenius
+    fixes F_p coefficients, so each g^(p^n) is a termwise exponent scaling.
+    """
+    if n < 0:
+        raise RingError("negative bracket power")
+    if isinstance(I, Ideal):
+        return Ideal(I.ring, [g.pth_power(n) for g in I.gens])
+    return [g.pth_power(n) for g in I]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 import qfsplit
 import qfsplit.__main__
 import qfsplit.cli
+from qfsplit import PolynomialRing, PrimeField, height
 from qfsplit.cli import (
     InputError,
     main,
@@ -280,16 +281,86 @@ def test_height_text_format(capsys):
 
 
 def test_height_complete_intersection_warns(capsys):
+    """An inhomogeneous system is not checked, so a note says so."""
     code, out, err = run_cli(
         capsys,
         [
             "height", "--p", "2", "--vars", "x,y,z,w",
-            "--poly", "x^3 + y^3 + z^3; w", "--format", "json",
+            "--poly", "x^3 + y^3 + z^3; w + x^2", "--format", "json",
         ],
     )
     assert code == 0
     assert "regular sequence" in err
     assert json.loads(out)["verdict"] == "Finite"
+
+
+SEXTIC = ["--p", "2", "--vars", "x,y,z,w,u,s"]
+CUBIC_PAIR = ["--p", "2", "--vars", "x0,x1,x2,y0,y1,y2"]
+
+# homogeneous complete intersections: (command line, verdict, height)
+REGULAR_SEQUENCES = {
+    "sextic-g1-section": (
+        SEXTIC + ["--poly", "x*y*s^2 + z*w*u^2 + y^3*w + x^3*z; s"], "Finite", 2,
+    ),
+    "sextic-g2-section": (
+        SEXTIC + ["--poly", "x*y*s^2 + z*w*u^2 + z^3*u + y^3*w + x^3*z; s"], "Finite", 2,
+    ),
+    "cubic-fiber-product": (
+        CUBIC_PAIR + ["--poly", "x0^3 + x1^3 + x2^3; y0^3 + y0*y1*y2 + y1^2*y2 + y2^3"],
+        "Finite", 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REGULAR_SEQUENCES))
+def test_regular_sequence_runs_without_the_note(capsys, case):
+    argv, verdict, n = REGULAR_SEQUENCES[case]
+    code, out, err = run_cli(capsys, ["height"] + argv + ["--format", "json"])
+    assert code == 0
+    assert err == ""
+    assert (json.loads(out)["verdict"], json.loads(out)["n"]) == (verdict, n)
+
+
+def test_regular_sequence_check_spends_its_own_budget(capsys):
+    """The check's steps are not counted in the result."""
+    argv, _, _ = REGULAR_SEQUENCES["sextic-g1-section"]
+    code, out, _ = run_cli(capsys, ["height"] + argv + ["--format", "json"])
+    assert code == 0
+    ring = PolynomialRing(PrimeField(2), tuple("xyzwus"))
+    direct = height(
+        [ring.parse("x*y*s^2 + z*w*u^2 + y^3*w + x^3*z"), ring.variable("s")], n_max=10
+    )
+    assert json.loads(out)["steps"] == direct.steps
+
+
+# homogeneous systems that are not regular sequences: (generators, error)
+NOT_REGULAR = {
+    "repeated": ("x; x", "'x' is a zero divisor modulo the generators before it"),
+    "common-factor": ("x*y; x*z", "'x*z' is a zero divisor modulo the generators before it"),
+    "constant": ("x*y; 1", "generator '1' is constant"),
+}
+
+
+@pytest.mark.parametrize("command", ["height", "qfs", "fsplit"])
+@pytest.mark.parametrize("case", list(NOT_REGULAR))
+def test_non_regular_sequence_is_an_input_error(capsys, command, case):
+    polys, message = NOT_REGULAR[case]
+    code, out, err = run_cli(
+        capsys, [command, "--p", "2", "--vars", "x,y,z", "--poly", polys]
+    )
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_regular_sequence_check_budget_abort_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["height", "--p", "2", "--vars", "x,y,z", "--poly", "x*y; x*z", "--budget", "3"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget exhausted" in err
 
 
 def test_fsplit_command(capsys):
@@ -551,6 +622,52 @@ def test_batch_accepts_the_flags_options(capsys, tmp_path):
     assert data["jobs"][0]["report"]["verified"] is True
     assert data["jobs"][1]["report"]["qfs"] is False
     assert data["jobs"][2]["report"]["fsplit"] is False
+
+
+def test_batch_rejects_non_regular_sequences(capsys, tmp_path):
+    jobs = [{"command": "fsplit", "p": 2, "vars": ["x"], "polys": ["x"]}] + [
+        {"command": "height", "p": 2, "vars": ["x", "y", "z"], "polys": polys.split("; ")}
+        for polys, _ in NOT_REGULAR.values()
+    ]
+    code, out, _ = run_cli(capsys, ["batch", write_jobs(tmp_path, jobs), "--serial"])
+    assert code == 1
+    data = json.loads(out)
+    assert [j["exit"] for j in data["jobs"]] == [0, 1, 1, 1]
+    for job, (_, message) in zip(data["jobs"][1:], NOT_REGULAR.values()):
+        assert message in job["report"]["error"]
+
+
+GOOD_RECORD = {"command": "fsplit", "p": 2, "vars": ["x", "y", "z"], "polys": ["x^3 + y^2*z"]}
+
+# batch records with a field of the wrong type: (record, part of the error)
+STRINGS = "must be a list of strings"
+INT_ROWS = "job field grading must be a list of lists of integers"
+BAD_RECORDS = {
+    "command-number": (dict(GOOD_RECORD, command=3), "job field command must be a string"),
+    "p-text": (dict(GOOD_RECORD, p="two"), "job field p must be an integer"),
+    "p-float": (dict(GOOD_RECORD, p=2.7), "job field p must be an integer"),
+    "p-boolean": (dict(GOOD_RECORD, p=True), "job field p must be an integer"),
+    "vars-text": (dict(GOOD_RECORD, vars="x,y,z"), "job field vars " + STRINGS),
+    "vars-number": (dict(GOOD_RECORD, vars=["x", 1]), "job field vars " + STRINGS),
+    "polys-text": (dict(GOOD_RECORD, polys="x*y + x^2"), "job field polys " + STRINGS),
+    "polys-number": (dict(GOOD_RECORD, polys=[3]), "job field polys " + STRINGS),
+    "grading-text-entry": (dict(GOOD_RECORD, grading=[[1, "a", 1]]), INT_ROWS),
+    "grading-flat": (dict(GOOD_RECORD, grading=[1, 1, 1]), INT_ROWS),
+    "grading-float": (dict(GOOD_RECORD, grading=[[1, 1.5, 1]]), INT_ROWS),
+    "record-not-object": (["fsplit", 2], "job record must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RECORDS))
+def test_batch_rejects_bad_field_types(capsys, tmp_path, case):
+    record, message = BAD_RECORDS[case]
+    code, out, _ = run_cli(
+        capsys, ["batch", write_jobs(tmp_path, [GOOD_RECORD, record]), "--serial"]
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert [j["exit"] for j in data["jobs"]] == [0, 1]
+    assert message in data["jobs"][1]["report"]["error"]
 
 
 def test_batch_parallel_matches_serial(capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Tests for the height criteria: splitting tests, chain engines, fixed
 points, certificates and the orchestrator."""
 
+import itertools
 import math
+import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from qfsplit import (
     Budget,
@@ -34,10 +37,12 @@ from qfsplit.criteria import (
     LOWER_BOUND,
     NON_QFS,
     UNKNOWN,
+    _Splitting,
+    _theta_closure,
     graded_cy_applicable,
     graded_cy_coefficient,
 )
-from qfsplit.groebner import ideal_equal, ideal_membership
+from qfsplit.groebner import colon_ideal, ideal_equal, ideal_membership
 from qfsplit.frobenius import in_max_ideal_frobenius_power, theta, u_map
 
 import oracles as O
@@ -205,8 +210,27 @@ def test_route_agreement_on_cy_corpus():
         a = height_graded_cy([f], Grading.standard(3), n_max=4)
         b = height_local(Ideal(ring, [f]), 4)
         assert (a.verdict, a.n) == (b.verdict, b.n)
-    res = height(ring.parse("x^3 + y^3 + z^3"), n_max=4, cross_check=True)
-    assert (res.verdict, res.n) == (FINITE, 2)
+
+
+PLANE_CUBIC_MONOMIALS = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 3]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@given(data=st.data())
+def test_graded_and_local_routes_agree_on_plane_cubics(p, data):
+    """Both engines find the same height of a random plane cubic.  The graded
+    engine cannot prove an infinite height, so where the local chain
+    stabilizes inside m^[p] it stops at the cutoff instead."""
+    ring = ring_over(p)
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=10, max_size=10))
+    f = ring.from_terms(dict(zip(PLANE_CUBIC_MONOMIALS, coeffs)))
+    assume(not f.is_zero())
+    graded = height_graded_cy([f], Grading.standard(3), n_max=4)
+    local = height_local(Ideal(ring, [f]), 4)
+    if local.verdict == INFINITE:
+        assert (graded.verdict, graded.n) == (LOWER_BOUND, 4)
+    else:
+        assert (graded.verdict, graded.n) == (local.verdict, local.n)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +290,67 @@ def test_enclosure_closure_is_theta_closed():
     for s in seed:
         assert ideal_membership(s, closure)
     assert ideal_membership(g, closure)
+
+
+def assert_i1_seed_matches_colon_seed(gens):
+    """Fedder: for a regular sequence (I^[p] : I) = I_1, so qfs_decide's I_∞,
+    seeded with I_1, is the θ-closure of the colon seed, step for step."""
+    ring = gens[0].ring
+    I = Ideal(ring, gens)
+    seed = colon_ideal(O.bracket_power(I, 1), I)
+    assert ideal_equal(seed, Ideal(ring, _Splitting(gens).i1))
+    closure, iterations = _theta_closure(_Splitting(gens), seed, Budget())
+    _, cert = qfs_decide(I)
+    assert cert.data["generators"] == list(closure.gens)
+    assert cert.data["iterations"] == iterations
+
+
+SEXTIC_VARS = ["x", "y", "z", "w", "u", "s"]
+CUBIC_PAIR_VARS = ["x0", "x1", "x2", "y0", "y1", "y2"]
+
+# complete intersections at p = 2: the hyperplane sections s = 0 of the two
+# sextics, and the fiber product of two ordinary plane cubics
+COMPLETE_INTERSECTIONS = {
+    "sextic-g1-section": (SEXTIC_VARS, ["x*y*s^2 + z*w*u^2 + y^3*w + x^3*z", "s"]),
+    "sextic-g2-section": (
+        SEXTIC_VARS, ["x*y*s^2 + z*w*u^2 + z^3*u + y^3*w + x^3*z", "s"],
+    ),
+    "cubic-fiber-product": (
+        CUBIC_PAIR_VARS,
+        ["x0^3 + x0*x1*x2 + x1^2*x2 + x2^3", "y0^3 + y0*y1*y2 + y1^2*y2 + y2^3"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(COMPLETE_INTERSECTIONS))
+def test_qfs_decide_equals_closure_of_colon_seed(case):
+    names, texts = COMPLETE_INTERSECTIONS[case]
+    ring = ring_named(2, names)
+    assert_i1_seed_matches_colon_seed([ring.parse(t) for t in texts])
+
+
+def quadric_pairs(p, count):
+    """``count`` pairs of random quadrics in four variables over F_p that form
+    a regular sequence, drawn from a fixed seed."""
+    ring = ring_named(p, ["x", "y", "z", "w"])
+    monomials = [e for e in itertools.product(range(3), repeat=4) if sum(e) == 2]
+    rng = random.Random(p)
+    pairs = []
+    while len(pairs) < count:
+        q = [
+            ring.from_terms({m: rng.randrange(p) for m in rng.sample(monomials, 4)})
+            for _ in range(2)
+        ]
+        first = Ideal(ring, q[:1])
+        if all(q) and ideal_equal(colon_ideal(first, Ideal(ring, q[1:])), first):
+            pairs.append(q)
+    return pairs
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_qfs_decide_equals_closure_of_colon_seed_on_quadric_pairs(p):
+    for gens in quadric_pairs(p, 3):
+        assert_i1_seed_matches_colon_seed(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from qfsplit import (
     Ideal,
     RingError,
-    bracket_power,
     delta1,
     in_max_ideal_frobenius_power,
     iterated_u,
@@ -109,12 +108,12 @@ def test_bracket_power_on_ideal_and_list():
     ring = ring_over(2)
     f = ring.parse("x + y^2")
     I = Ideal(ring, [f, ring.variable("z")])
-    J = bracket_power(I, 1)
+    J = O.bracket_power(I, 1)
     assert isinstance(J, Ideal)
     assert list(J.gens) == [ring.parse("x^2 + y^4"), ring.parse("z^2")]
-    assert bracket_power([f], 2) == [ring.parse("x^4 + y^8")]
+    assert O.bracket_power([f], 2) == [ring.parse("x^4 + y^8")]
     with pytest.raises(RingError):
-        bracket_power(I, -1)
+        O.bracket_power(I, -1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

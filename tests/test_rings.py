@@ -30,7 +30,6 @@ def test_field_ring_axioms(p, a, b):
     F = PrimeField(p)
     assert F(a + b) == (F(a) + F(b)) % p
     assert F(a * b) == (F(a) * F(b)) % p
-    assert F(F.neg(a) + a) == 0
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -171,7 +170,6 @@ def test_monomial_and_variable_constructors():
     assert ring.constant(7) == ring.parse("2")
     with pytest.raises(RingError):
         ring.variable("t")
-    assert ring.index_of("z") == 2
 
 
 def test_exponent_overflow_guard():

@@ -78,28 +78,44 @@ def test_private_definitions_are_used(path):
     assert unreferenced_private_defs(path.read_text()) == []
 
 
+def _public_defs(body: list[ast.stmt]) -> list[ast.stmt]:
+    return [
+        n for n in body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not n.name.startswith("_")
+    ]
+
+
 def unreferenced_public_defs(sources: dict[str, str], modules: list[str]) -> list[str]:
-    """Top-level public functions and classes of the `modules` among
-    `sources` (name -> source) that no code in `sources` reads, by name or as
-    an attribute, outside their own body.  A re-export by ``import`` is not
-    a read."""
+    """Public definitions of the `modules` among `sources` (name -> source)
+    that no code in `sources` reads outside their own body: top-level
+    functions and classes, read by name or as an attribute, and the methods
+    of those classes, read as an attribute.  A re-export by ``import`` is
+    not a read."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     reads = [
-        (id(n), n.id if isinstance(n, ast.Name) else n.attr)
+        (id(n), n.attr if isinstance(n, ast.Attribute) else n.id, isinstance(n, ast.Attribute))
         for tree in trees.values()
         for n in ast.walk(tree)
         if isinstance(n, (ast.Name, ast.Attribute))
     ]
+
+    def unread(node: ast.stmt, as_attribute: bool) -> bool:
+        own = {id(n) for n in ast.walk(node)}
+        return not any(
+            read == node.name and i not in own and (attr or not as_attribute)
+            for i, read, attr in reads
+        )
+
     out = []
     for name in modules:
-        for node in trees[name].body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            own = {id(n) for n in ast.walk(node)}
-            if not any(read == node.name and i not in own for i, read in reads):
+        for node in _public_defs(trees[name].body):
+            if unread(node, as_attribute=False):
                 out.append(f"{name}: {node.name} (line {node.lineno})")
+            if isinstance(node, ast.ClassDef):
+                for method in _public_defs(node.body):
+                    if unread(method, as_attribute=True):
+                        out.append(f"{name}: {node.name}.{method.name} (line {method.lineno})")
     return out
 
 
@@ -117,6 +133,24 @@ def test_unreferenced_public_detector():
     }
     assert unreferenced_public_defs(sources, ["m.py"]) == [
         "m.py: rec (line 2)", "m.py: Gone (line 3)", "m.py: exported (line 6)",
+    ]
+
+
+def test_unreferenced_public_method_detector():
+    sources = {
+        "m.py": (
+            "class Box:\n"
+            "    def read(self): return 1\n"
+            "    def idle(self): return self.idle()\n"
+            "    def _private(self): pass\n"
+            "    @property\n"
+            "    def size(self): return 0\n"
+            "    def named(self): pass\n"
+        ),
+        "user.py": "from m import Box\nBox().read()\nBox().size\nnamed = 1\n",
+    }
+    assert unreferenced_public_defs(sources, ["m.py"]) == [
+        "m.py: Box.idle (line 3)", "m.py: Box.named (line 7)",
     ]
 
 
