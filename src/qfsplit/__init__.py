@@ -17,7 +17,6 @@ from .rings import (
 )
 from .witt import delta1
 from .frobenius import (
-    FreeModuleVector,
     in_max_ideal_frobenius_power,
     iterated_u,
     theta,
@@ -26,14 +25,13 @@ from .frobenius import (
 from .groebner import (
     Budget,
     BudgetExceededError,
+    FreeModuleVector,
     Ideal,
-    ModuleOrder,
     buchberger,
     colon_ideal,
     frobenius_module_intersect_keru,
     ideal_equal,
     ideal_membership,
-    intersect_ideals,
     module_buchberger,
     normal_form,
 )

@@ -28,7 +28,6 @@ from .rings import (
     PolynomialRing,
     PrimeField,
     RingError,
-    _is_prime,
     check_homogeneous,
 )
 from .groebner import Budget, BudgetExceededError, Ideal, colon_ideal, ideal_equal
@@ -85,12 +84,6 @@ class Job:
                 except HomogeneityError as exc:
                     raise InputError(str(exc)) from exc
         return out
-
-
-def _require_prime(p: int) -> int:
-    if not _is_prime(p):
-        raise InputError(f"{p} is not prime")
-    return p
 
 
 def _split_polys(chunks: Sequence[str]) -> tuple[str, ...]:
@@ -172,7 +165,7 @@ def _budget(limit: Optional[int]) -> Budget:
 
 
 def _job_from_args(args, command: str) -> Job:
-    p = _require_prime(args.p)
+    p = PrimeField(args.p).p
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if len(set(variables)) != len(variables) or not variables:
         raise InputError(f"bad variable list {args.vars!r}")
@@ -237,10 +230,10 @@ def _require_regular_sequence(
             )
 
 
-def _add_verification(payload: dict, I: Ideal, cert: Certificate, grading=None) -> None:
+def _add_verification(payload: dict, I: Ideal, cert: Certificate) -> None:
     """Re-verify ``cert`` against I and record the outcome in ``payload``."""
     reasons: list[str] = []
-    payload["verified"] = verify_certificate(I, cert, grading=grading, reasons=reasons)
+    payload["verified"] = verify_certificate(I, cert, reasons=reasons)
     if reasons:
         payload["verify_reasons"] = reasons
 
@@ -263,7 +256,7 @@ def _run_height(job: Job) -> tuple[dict, int]:
     payload = result_to_json(res)
     code = 2 if res.verdict == UNKNOWN else 0
     if job.options.get("verify") and res.certificate is not None and code == 0:
-        _add_verification(payload, Ideal(polys[0].ring, polys), res.certificate, job.grading)
+        _add_verification(payload, Ideal(polys[0].ring, polys), res.certificate)
     return payload, code
 
 
@@ -328,11 +321,11 @@ def _run_verify_infty(args) -> tuple[dict, int]:
 
 
 def _run_product(args) -> tuple[dict, int]:
-    p = _require_prime(args.p)
+    field = PrimeField(args.p)
     xvars = tuple(v.strip() for v in args.x_vars.split(",") if v.strip())
     yvars = tuple(v.strip() for v in args.y_vars.split(",") if v.strip())
-    rx = PolynomialRing(PrimeField(p), xvars)
-    ry = PolynomialRing(PrimeField(p), yvars)
+    rx = PolynomialRing(field, xvars)
+    ry = PolynomialRing(field, yvars)
     try:
         gs = [rx.parse(t) for t in _split_polys([args.chain])]
         h = ry.parse(args.splitting)
@@ -358,11 +351,10 @@ def _run_product(args) -> tuple[dict, int]:
 
 
 def _run_strata(args) -> tuple[dict, int]:
-    p = _require_prime(args.p)
-    ctx = FamilyContext.create(p, args.nvars)
+    ctx = FamilyContext.create(args.p, args.nvars)
     strata = strata_polynomials(ctx, args.h_max, _budget(args.budget))
     return {
-        "p": p,
+        "p": ctx.p,
         "nvars": args.nvars,
         "monomials": len(ctx.monomials),
         "coefficients": list(ctx.coefficient_names),
@@ -371,8 +363,7 @@ def _run_strata(args) -> tuple[dict, int]:
 
 
 def _run_search(args) -> tuple[dict, int]:
-    p = _require_prime(args.p)
-    ctx = FamilyContext.create(p, args.nvars)
+    ctx = FamilyContext.create(args.p, args.nvars)
     witness = search_height(
         ctx,
         args.target,
@@ -466,7 +457,10 @@ def rdp_compute_row(row: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_rdp_table(args) -> tuple[dict, int]:
-    p_set = sorted({int(v) for v in args.primes.split(",")})
+    try:
+        p_set = sorted({int(v) for v in args.primes.split(",")})
+    except ValueError as exc:
+        raise InputError(f"bad prime list {args.primes!r}: {exc}") from exc
     bad = [p for p in p_set if p not in (2, 3, 5)]
     if bad:
         raise InputError(f"no table rows for p = {bad}; choose among 2,3,5")
@@ -536,7 +530,7 @@ def _job_from_record(record: Any) -> Job:
         elif not ok(record[key]):
             raise InputError(f"job field {key} must be {must}, got {record[key]!r}")
     command = record["command"]
-    p = _require_prime(record["p"])
+    p = PrimeField(record["p"]).p
     variables = tuple(record["vars"])
     polys = tuple(record.get("polys") or ())
     grading = None

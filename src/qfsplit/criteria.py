@@ -712,7 +712,6 @@ def verify_infinity_certificate(
 def verify_certificate(
     I: Ideal,
     cert: Certificate,
-    grading: Optional[Grading] = None,
     budget: Optional[Budget] = None,
     reasons: Optional[list[str]] = None,
 ) -> bool:

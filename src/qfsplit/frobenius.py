@@ -14,65 +14,8 @@ chains computed in `criteria`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
-from .rings import Polynomial, PolynomialRing, RingError
-
-
-class FreeModuleVector:
-    """An element of a finite free module S^r, stored as position ↦ polynomial.
-
-    Positions are small integers whose meaning (e.g. which p-basis residue
-    they stand for) is fixed by the surrounding computation.  Zero components
-    are never stored.
-    """
-
-    __slots__ = ("ring", "components")
-
-    def __init__(self, ring: PolynomialRing, components: dict[int, Polynomial]):
-        self.ring = ring
-        self.components = {i: c for i, c in components.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __bool__(self) -> bool:
-        return bool(self.components)
-
-    def get(self, i: int) -> Polynomial:
-        return self.components.get(i, self.ring.zero)
-
-    def __add__(self, other: "FreeModuleVector") -> "FreeModuleVector":
-        out = dict(self.components)
-        for i, c in other.components.items():
-            s = out.get(i)
-            s = c if s is None else s + c
-            if s:
-                out[i] = s
-            elif i in out:
-                del out[i]
-        return FreeModuleVector(self.ring, out)
-
-    def __sub__(self, other: "FreeModuleVector") -> "FreeModuleVector":
-        return self + other.scale_term((0,) * self.ring.nvars, -1)
-
-    def scale_term(self, exps: Sequence[int], coeff: int) -> "FreeModuleVector":
-        """Multiply by the single term coeff·x^exps."""
-        return FreeModuleVector(
-            self.ring, {i: c.mul_term(exps, coeff) for i, c in self.components.items()}
-        )
-
-    def scale(self, poly: Polynomial) -> "FreeModuleVector":
-        return FreeModuleVector(self.ring, {i: c * poly for i, c in self.components.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreeModuleVector):
-            return NotImplemented
-        return self.ring == other.ring and self.components == other.components
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{i}: {c}" for i, c in sorted(self.components.items()))
-        return f"<vector {{{inner}}}>"
+from .rings import Polynomial, RingError
 
 
 # ---------------------------------------------------------------------------

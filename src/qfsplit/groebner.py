@@ -1,16 +1,16 @@
 """Buchberger engine for ideals and free modules over F_p[x_1..x_N].
 
-Everything is deterministic: grevlex is the default order, the pair queue is
-processed in normal-selection order (smallest lcm first, index tie-breaks),
-and reduced bases are returned sorted by leading term.  Long computations are
-guarded by a step budget (see `Budget`), overridable through the
-QFSPLIT_GB_BUDGET environment variable.
+Grevlex is the only monomial order.  Everything is deterministic: the pair
+queue is processed in normal-selection order (smallest lcm first, index
+tie-breaks), and reduced bases are returned sorted by leading term.  Long
+computations are guarded by a step budget (see `Budget`), overridable
+through the QFSPLIT_GB_BUDGET environment variable.
 
-The module layer implements position-over-term orders with a designated top
-position.  Its one serious client is `frobenius_module_intersect_keru`, which
-computes F_*I ∩ Ker(u) through the syzygies of the u-components of the
-translate generators F_*(x^α·g) — the same elimination as a rank-p^N
-position-over-term run, but on a free module of rank 1 + #generators.
+The module layer orders terms position over term: the lowest position is on
+top, then grevlex within a position.  Every position is thereby an
+elimination block, so both kernels the criteria need come out of a module
+basis as syzygies: Fedder's colon (I : J) (`colon_ideal`) and F_*I ∩ Ker(u)
+(`frobenius_module_intersect_keru`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .rings import (
     RingError,
     grevlex_key,
 )
-from .frobenius import FreeModuleVector, u_map
+from .frobenius import u_map
 
 DEFAULT_GB_BUDGET = 2_000_000
 
@@ -60,45 +60,6 @@ class Budget:
         self.steps += n
         if self.steps > self.limit:
             raise BudgetExceededError(self.steps)
-
-
-# ---------------------------------------------------------------------------
-# monomial orders
-# ---------------------------------------------------------------------------
-
-
-class MonomialOrder:
-    """A total order on exponent vectors given by a sort key."""
-
-    def key(self, exps: tuple[int, ...]):
-        raise NotImplementedError
-
-    def leading_term(self, f: Polynomial) -> tuple[tuple[int, ...], int]:
-        e = max(f.terms, key=self.key)
-        return e, f.terms[e]
-
-
-class GrevlexOrder(MonomialOrder):
-    def key(self, exps: tuple[int, ...]):
-        return grevlex_key(exps)
-
-    def leading_term(self, f: Polynomial) -> tuple[tuple[int, ...], int]:
-        return f.sorted_terms()[0]  # cached view is already grevlex-sorted
-
-
-class EliminationOrder(MonomialOrder):
-    """Block order making the last `nelim` variables dominate (used with
-    auxiliary variables appended at the end of the ring)."""
-
-    def __init__(self, nelim: int = 1):
-        self.nelim = nelim
-
-    def key(self, exps: tuple[int, ...]):
-        cut = len(exps) - self.nelim
-        return (exps[cut:], grevlex_key(exps[:cut]))
-
-
-GREVLEX = GrevlexOrder()
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -134,21 +95,15 @@ class Ideal:
 
     def groebner(self, budget: Optional[Budget] = None) -> tuple[Polynomial, ...]:
         if self._gb is None:
-            self._gb = tuple(buchberger(list(self.gens), GREVLEX, budget=budget))
+            self._gb = tuple(buchberger(list(self.gens), budget=budget))
         return self._gb
-
-    def is_zero_ideal(self) -> bool:
-        return not self.gens
 
     def __repr__(self) -> str:
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
 
 
 def normal_form(
-    a: Polynomial,
-    G: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
-    budget: Optional[Budget] = None,
+    a: Polynomial, G: Sequence[Polynomial], budget: Optional[Budget] = None
 ) -> Polynomial:
     """Full remainder of a under multivariate division by G."""
     ring = a.ring
@@ -157,15 +112,14 @@ def normal_form(
     basis = []
     for g in G:
         if g:
-            le, lc = order.leading_term(g)
+            le, lc = g.leading_term()
             basis.append((le, field.inv(lc), g))
     work = dict(a.terms)
     rem: dict[tuple[int, ...], int] = {}
-    key = order.key
     while work:
         if budget is not None:
             budget.tick()
-        e = max(work, key=key)
+        e = max(work, key=grevlex_key)
         c = work[e]
         for le, inv_lc, g in basis:
             if _divides(le, e):
@@ -185,18 +139,16 @@ def normal_form(
     return Polynomial(ring, rem)
 
 
-def _s_poly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     field = f.ring.field
-    ef, cf = order.leading_term(f)
-    eg, cg = order.leading_term(g)
+    ef, cf = f.leading_term()
+    eg, cg = g.leading_term()
     m = _lcm(ef, eg)
     return f.mul_term(_sub(m, ef), field.inv(cf)) - g.mul_term(_sub(m, eg), field.inv(cg))
 
 
 def buchberger(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
-    budget: Optional[Budget] = None,
+    gens: Sequence[Polynomial], budget: Optional[Budget] = None
 ) -> list[Polynomial]:
     """Reduced Groebner basis of (gens), normal pair selection strategy.
 
@@ -211,10 +163,10 @@ def buchberger(
     basis: list[Polynomial] = []
     for g in gens:
         if g:
-            g = normal_form(g, basis, order, budget)
+            g = normal_form(g, basis, budget)
             if g:
                 basis.append(g)
-    leads = [order.leading_term(g)[0] for g in basis]
+    leads = [g.leading_term()[0] for g in basis]
     # heap of (key(lcm), i, j, lcm): (i, j) makes every key distinct, so pops
     # come in the same order as a min() over the pending pairs would give
     queue: list = []
@@ -222,7 +174,7 @@ def buchberger(
     def add_pairs(j: int) -> None:
         for i in range(j):
             m = _lcm(leads[i], leads[j])
-            heapq.heappush(queue, (order.key(m), i, j, m))
+            heapq.heappush(queue, (grevlex_key(m), i, j, m))
 
     for j in range(len(basis)):
         add_pairs(j)
@@ -247,21 +199,19 @@ def buchberger(
                 break
         if skip:
             continue
-        s = normal_form(_s_poly(basis[i], basis[j], order), basis, order, budget)
+        s = normal_form(_s_poly(basis[i], basis[j]), basis, budget)
         if s:
             basis.append(s)
-            leads.append(order.leading_term(s)[0])
+            leads.append(s.leading_term()[0])
             add_pairs(len(basis) - 1)
-    return _reduce_basis(basis, order, budget)
+    return _reduce_basis(basis, budget)
 
 
-def _reduce_basis(
-    basis: list[Polynomial], order: MonomialOrder, budget: Optional[Budget]
-) -> list[Polynomial]:
+def _reduce_basis(basis: list[Polynomial], budget: Optional[Budget]) -> list[Polynomial]:
     if not basis:
         return []
     field = basis[0].ring.field
-    leads = [order.leading_term(g)[0] for g in basis]
+    leads = [g.leading_term()[0] for g in basis]
     keep_mask = [True] * len(basis)
     for idx in range(len(basis)):
         e = leads[idx]
@@ -276,137 +226,82 @@ def _reduce_basis(
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others, order, budget)
+        r = normal_form(g, others, budget)
         if r:
-            lc = order.leading_term(r)[1]
-            reduced.append(r.scale(field.inv(lc)))
-    reduced.sort(key=lambda f: order.key(order.leading_term(f)[0]), reverse=True)
+            reduced.append(r.scale(field.inv(r.leading_term()[1])))
+    reduced.sort(key=lambda f: grevlex_key(f.leading_term()[0]), reverse=True)
     return reduced
 
 
 def ideal_membership(a: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
-    return normal_form(a, I.groebner(budget), GREVLEX, budget).is_zero()
+    return normal_form(a, I.groebner(budget), budget).is_zero()
 
 
 def ideal_equal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> bool:
-    """Equality via reduced Groebner bases, which are canonical per order."""
+    """Equality via reduced Groebner bases, which are canonical."""
     return list(I.groebner(budget)) == list(J.groebner(budget))
 
 
 # ---------------------------------------------------------------------------
-# intersections and colon ideals (single auxiliary variable elimination)
+# free modules, position over term
 # ---------------------------------------------------------------------------
 
 
-_AUX = "t_aux_"
+class FreeModuleVector:
+    """An element of a finite free module S^r, stored as position ↦ polynomial.
+
+    Zero components are never stored.
+    """
+
+    __slots__ = ("ring", "components")
+
+    def __init__(self, ring: PolynomialRing, components: dict[int, Polynomial]):
+        self.ring = ring
+        self.components = {i: c for i, c in components.items() if c}
+
+    def __bool__(self) -> bool:
+        return bool(self.components)
+
+    def __add__(self, other: "FreeModuleVector") -> "FreeModuleVector":
+        out = dict(self.components)
+        for i, c in other.components.items():
+            s = out.get(i)
+            s = c if s is None else s + c
+            if s:
+                out[i] = s
+            elif i in out:
+                del out[i]
+        return FreeModuleVector(self.ring, out)
+
+    def __sub__(self, other: "FreeModuleVector") -> "FreeModuleVector":
+        return self + other.scale_term((0,) * self.ring.nvars, -1)
+
+    def scale_term(self, exps: Sequence[int], coeff: int) -> "FreeModuleVector":
+        """Multiply by the single term coeff·x^exps."""
+        return FreeModuleVector(
+            self.ring, {i: c.mul_term(exps, coeff) for i, c in self.components.items()}
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FreeModuleVector):
+            return NotImplemented
+        return self.ring == other.ring and self.components == other.components
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{i}: {c}" for i, c in sorted(self.components.items()))
+        return f"<vector {{{inner}}}>"
 
 
-def _extended_ring(ring: PolynomialRing) -> PolynomialRing:
-    name = _AUX
-    while name in ring.variables:
-        name += "_"
-    return PolynomialRing(ring.field, ring.variables + (name,))
-
-
-def _lift(f: Polynomial, ext: PolynomialRing, t_exp: int = 0) -> Polynomial:
-    return Polynomial(ext, {e + (t_exp,): c for e, c in f.terms.items()})
-
-
-def _project(f: Polynomial, ring: PolynomialRing) -> Optional[Polynomial]:
-    """Map back along t ↦ (drop); returns None if f involves the auxiliary."""
-    out = {}
-    for e, c in f.terms.items():
-        if e[-1] != 0:
-            return None
-        out[e[:-1]] = c
-    return Polynomial(ring, out)
-
-
-def intersect_ideals(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
-    """I ∩ J = (t·I + (1−t)·J) ∩ S, eliminating one auxiliary variable t."""
-    ring = I.ring
-    if J.ring != ring:
-        raise RingError("intersection across rings")
-    if I.is_zero_ideal() or J.is_zero_ideal():
-        return Ideal(ring, [])
-    ext = _extended_ring(ring)
-    t = ext.variable(ext.variables[-1])
-    one = ext.one
-    gens = [t * _lift(f, ext) for f in I.gens]
-    gens += [(one - t) * _lift(g, ext) for g in J.gens]
-    gb = buchberger(gens, EliminationOrder(1), budget)
-    kept = []
-    for g in gb:
-        pr = _project(g, ring)
-        if pr is not None:
-            kept.append(pr)
-    return Ideal(ring, kept)
-
-
-def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g for f ∈ (g); raises if the division leaves a remainder."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
-    field = ring.field
-    eg, cg = g.sorted_terms()[0]
-    inv = field.inv(cg)
-    quot: dict[tuple[int, ...], int] = {}
-    work = f
-    while work:
-        e, c = work.sorted_terms()[0]
-        if not _divides(eg, e):
-            raise RingError("exact_divide: dividend is not a multiple of the divisor")
-        qe = _sub(e, eg)
-        qc = (c * inv) % field.p
-        quot[qe] = qc
-        work = work - g.mul_term(qe, qc)
-    return Polynomial(ring, quot)
-
-
-def colon_ideal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
-    """(I : J) = ∩_g (I : g), each principal colon via I ∩ (g) scaled by 1/g."""
-    ring = I.ring
-    if J.is_zero_ideal():
-        return Ideal(ring, [ring.one])
-    result: Optional[Ideal] = None
-    for g in J.gens:
-        inter = intersect_ideals(I, Ideal(ring, [g]), budget)
-        quot = Ideal(ring, [exact_divide(f, g) for f in inter.gens])
-        result = quot if result is None else intersect_ideals(result, quot, budget)
-    assert result is not None
-    return Ideal(ring, list(result.groebner(budget)))
-
-
-# ---------------------------------------------------------------------------
-# free modules with position-over-term orders
-# ---------------------------------------------------------------------------
-
-
-class ModuleOrder:
-    """Position-over-term order: positions are compared first (position 0 is
-    the designated top and every position beats all larger indices), then the
-    base monomial order within a position."""
-
-    def __init__(self, base: MonomialOrder = GREVLEX):
-        self.base = base
-
-    def term_key(self, pos: int, exps: tuple[int, ...]):
-        return (-pos, self.base.key(exps))
-
-    def leading_term(self, v: FreeModuleVector) -> tuple[int, tuple[int, ...], int]:
-        if not v.components:
-            raise RingError("zero vector has no leading term")
-        pos = min(v.components)  # the lowest index is on top
-        e, c = self.base.leading_term(v.components[pos])
-        return pos, e, c
+def _module_lead(v: FreeModuleVector) -> tuple[int, tuple[int, ...], int]:
+    """(position, exponent, coefficient) of the leading term of a nonzero v:
+    the lowest position is on top, then grevlex within it."""
+    pos = min(v.components)
+    e, c = v.components[pos].leading_term()
+    return pos, e, c
 
 
 def module_normal_form(
-    v: FreeModuleVector,
-    G: Sequence[FreeModuleVector],
-    order: ModuleOrder,
-    budget: Optional[Budget] = None,
+    v: FreeModuleVector, G: Sequence[FreeModuleVector], budget: Optional[Budget] = None
 ) -> FreeModuleVector:
     """Full division remainder of a module element by a list of vectors."""
     ring = v.ring
@@ -417,18 +312,17 @@ def module_normal_form(
     divisors: dict[int, list] = {}
     for g in G:
         if g:
-            pos, e, c = order.leading_term(g)
+            pos, e, c = _module_lead(g)
             top = max(poly.max_exponent() for poly in g.components.values())
             divisors.setdefault(pos, []).append((e, field.inv(c), g.components, top))
     work = {pos: dict(poly.terms) for pos, poly in v.components.items()}
     rem: dict[int, dict[tuple[int, ...], int]] = {}
-    key = order.base.key
     while work:
         if budget is not None:
             budget.tick()
         pos = min(work)
         terms = work[pos]
-        e = max(terms, key=key)
+        e = max(terms, key=grevlex_key)
         c = terms[e]
         for ge, ginv, comps, top in divisors.get(pos, ()):
             if _divides(ge, e):
@@ -456,21 +350,17 @@ def module_normal_form(
     return FreeModuleVector(ring, {pos: Polynomial(ring, t) for pos, t in rem.items()})
 
 
-def _module_s_vector(
-    f: FreeModuleVector, g: FreeModuleVector, order: ModuleOrder
-) -> FreeModuleVector:
+def _module_s_vector(f: FreeModuleVector, g: FreeModuleVector) -> FreeModuleVector:
     field = f.ring.field
-    pf, ef, cf = order.leading_term(f)
-    pg, eg, cg = order.leading_term(g)
+    pf, ef, cf = _module_lead(f)
+    pg, eg, cg = _module_lead(g)
     assert pf == pg
     m = _lcm(ef, eg)
     return f.scale_term(_sub(m, ef), field.inv(cf)) - g.scale_term(_sub(m, eg), field.inv(cg))
 
 
 def module_buchberger(
-    gens: Sequence[FreeModuleVector],
-    order: ModuleOrder,
-    budget: Optional[Budget] = None,
+    gens: Sequence[FreeModuleVector], budget: Optional[Budget] = None
 ) -> list[FreeModuleVector]:
     """Reduced module Groebner basis.  S-pairs form only between vectors whose
     leading terms sit in the same position; no product criterion is applied
@@ -480,39 +370,39 @@ def module_buchberger(
     basis: list[FreeModuleVector] = []
     for g in gens:
         if g:
-            g = module_normal_form(g, basis, order, budget)
+            g = module_normal_form(g, basis, budget)
             if g:
                 basis.append(g)
-    leads = [order.leading_term(g) for g in basis]
-    # heap of (term_key(pos, lcm), i, j): pops in normal-selection order
+    leads = [_module_lead(g) for g in basis]
+    # heap of ((−pos, key(lcm)), i, j): pops in normal-selection order
     queue: list = []
 
     def add_pairs(j: int) -> None:
         pos, lj, _ = leads[j]
         for i in range(j):
             if leads[i][0] == pos:
-                heapq.heappush(queue, (order.term_key(pos, _lcm(leads[i][1], lj)), i, j))
+                heapq.heappush(queue, ((-pos, grevlex_key(_lcm(leads[i][1], lj))), i, j))
 
     for j in range(len(basis)):
         add_pairs(j)
     while queue:
         _, i, j = heapq.heappop(queue)
         budget.tick()
-        s = module_normal_form(_module_s_vector(basis[i], basis[j], order), basis, order, budget)
+        s = module_normal_form(_module_s_vector(basis[i], basis[j]), basis, budget)
         if s:
             basis.append(s)
-            leads.append(order.leading_term(s))
+            leads.append(_module_lead(s))
             add_pairs(len(basis) - 1)
-    return _reduce_module_basis(basis, order, budget)
+    return _reduce_module_basis(basis, budget)
 
 
 def _reduce_module_basis(
-    basis: list[FreeModuleVector], order: ModuleOrder, budget: Optional[Budget]
+    basis: list[FreeModuleVector], budget: Optional[Budget]
 ) -> list[FreeModuleVector]:
     if not basis:
         return []
     field = basis[0].ring.field
-    leads = [order.leading_term(g) for g in basis]
+    leads = [_module_lead(g) for g in basis]
     keep = [True] * len(basis)
     for idx in range(len(basis)):
         pos, e, _ = leads[idx]
@@ -527,17 +417,46 @@ def _reduce_module_basis(
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        r = module_normal_form(g, others, order, budget)
+        r = module_normal_form(g, others, budget)
         if r:
-            _, _, c = order.leading_term(r)
+            _, _, c = _module_lead(r)
             reduced.append(r.scale_term((0,) * r.ring.nvars, field.inv(c)))
-    reduced.sort(key=lambda v: order.term_key(*order.leading_term(v)[:2]), reverse=True)
+
+    def key(v: FreeModuleVector):
+        pos, e, _ = _module_lead(v)
+        return (-pos, grevlex_key(e))
+
+    reduced.sort(key=key, reverse=True)
     return reduced
 
 
 # ---------------------------------------------------------------------------
-# F_*I ∩ Ker(u)
+# kernels as syzygies: (I : J) and F_*I ∩ Ker(u)
 # ---------------------------------------------------------------------------
+
+
+def colon_ideal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
+    """(I : J) as a syzygy module (Cox–Little–O'Shea, Using Algebraic
+    Geometry, ch. 5).
+
+    With J = (g_1..g_k), h lies in (I : J) iff h·(g_1..g_k) ∈ I^k, i.e. iff
+    h·e_k lies in the submodule of S^(k+1) generated by (g_1, …, g_k, 1) and
+    the f·e_i for f a generator of I and i < k.  Positions 0..k−1 sit above
+    position k, so the basis members whose lowest position is k generate
+    that submodule's part in S·e_k, and their position-k parts generate
+    (I : J).  For J = 0 the only generator is e_0 and the result is (1).
+    """
+    ring = I.ring
+    if J.ring != ring:
+        raise RingError("colon ideal across rings")
+    k = len(J.gens)
+    gens = [FreeModuleVector(ring, {**dict(enumerate(J.gens)), k: ring.one})]
+    gens += [FreeModuleVector(ring, {i: f}) for f in I.gens for i in range(k)]
+    quot = Ideal(
+        ring,
+        [v.components[k] for v in module_buchberger(gens, budget=budget) if min(v.components) == k],
+    )
+    return Ideal(ring, quot.groebner(budget))
 
 
 def _translates(ring: PolynomialRing, gens: Sequence[Polynomial]):
@@ -583,8 +502,7 @@ def frobenius_module_intersect_keru(
         FreeModuleVector(ring, {0: w, j + 1: ring.one})
         for j, (w, _) in enumerate(vectors)
     ]
-    order = ModuleOrder(GREVLEX)
-    gb = module_buchberger(mvecs, order, budget)
+    gb = module_buchberger(mvecs, budget=budget)
     for v in gb:
         if 0 in v.components:
             continue

@@ -60,7 +60,7 @@ class FamilyContext:
     @classmethod
     def create(cls, p: int, nvars: int) -> "FamilyContext":
         if nvars < 2:
-            raise ValueError("need at least two variables")
+            raise RingError("need at least two variables")
         monomials = tuple(degree_monomials(nvars, nvars))
         x_names = tuple(f"x{i}" for i in range(1, nvars + 1))
         a_names = tuple(_coefficient_name(m) for m in monomials)
@@ -177,7 +177,7 @@ def strata_polynomials(
     if budget is None:
         budget = Budget()
     if h_max < 1:
-        raise ValueError("h_max must be positive")
+        raise RingError("h_max must be positive")
     p = ctx.p
     gp = ctx.generic ** (p - 1)
     out = []

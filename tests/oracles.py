@@ -7,7 +7,8 @@ arithmetic paths:
 * length-2 Witt vector arithmetic over F_p[x] by the classical sum and
   product laws, and Δ₁ by folding Teichmüller lifts through it,
 * Δ₁ by the closed multinomial formula,
-* Groebner bases / ideal membership via sympy over GF(p),
+* Groebner bases / ideal membership via sympy over GF(p), and colon
+  ideals by lex elimination of an auxiliary variable in sympy,
 * the trace-like map u by raw coefficient extraction,
 * F_*h in p-basis coordinates, and F_*I ∩ Ker(u) by the literal rank-p^N
   module elimination,
@@ -35,7 +36,6 @@ import sympy as sp
 from qfsplit import (
     FreeModuleVector,
     Ideal,
-    ModuleOrder,
     Polynomial,
     PolynomialRing,
     RingError,
@@ -407,6 +407,36 @@ def sympy_ideal_equal(I: Ideal, J: Ideal) -> bool:
     return sympy_groebner_canonical(I.gens, ring) == sympy_groebner_canonical(J.gens, ring)
 
 
+def sympy_colon(I: Ideal, J: Ideal) -> set[frozenset]:
+    """(I : J) for J ≠ 0, as the canonical terms of its reduced grevlex basis.
+
+    Textbook elimination with an auxiliary variable t, ordered lex with t
+    first: A ∩ B = (t·A + (1−t)·B) ∩ S, then (I : g) = (I ∩ (g))/g and
+    (I : J) = ∩_g (I : g) over the generators g of J.
+    """
+    ring = I.ring
+    p = ring.field.p
+    syms = sympy_symbols(ring)
+    t = sp.Dummy("t")
+
+    def intersect(A: list, B: list) -> list:
+        gens = [t * a for a in A] + [(1 - t) * b for b in B]
+        G = sp.groebner(gens, t, *syms, modulus=p, order="lex")
+        return [g for g in G.exprs if not g.has(t)]
+
+    I_exprs = [to_sympy(f, syms) for f in I.gens]
+    colon = None
+    for g in J.gens:
+        gs = to_sympy(g, syms)
+        quotients = []
+        for h in intersect(I_exprs, [gs]):
+            q, r = sp.div(h, gs, *syms, modulus=p)
+            assert r == 0, "a member of (g) is not a multiple of g"
+            quotients.append(q)
+        colon = quotients if colon is None else intersect(colon, quotients)
+    return {canonical_terms(g, syms, p) for g in sp.groebner(colon, *syms, modulus=p, order="grevlex").exprs}
+
+
 # ---------------------------------------------------------------------------
 # p-basis coordinates of F_*h, and F_*I ∩ Ker(u) by the literal rank-p^N
 # elimination
@@ -466,7 +496,7 @@ def frobenius_module_intersect_keru_direct(I: Ideal) -> list[Polynomial]:
                 FreeModuleVector(ring, {pos_of[r]: c for r, c in coords.components.items()})
             )
     out = []
-    for v in module_buchberger(mvecs, ModuleOrder()):
+    for v in module_buchberger(mvecs):
         if 0 in v.components:
             continue
         w_elem = ring.zero

@@ -54,7 +54,7 @@ from qfsplit.criteria import (
     product_witness,
 )
 from qfsplit.frobenius import theta, u_map
-from qfsplit.groebner import GREVLEX, _s_poly, buchberger, ideal_equal, normal_form
+from qfsplit.groebner import _s_poly, buchberger, ideal_equal, normal_form
 from qfsplit.strata import (
     FamilyContext,
     _evaluate_coefficients,
@@ -482,7 +482,7 @@ def _buchberger_postcondition_suite(failures):
         G = buchberger(gens)
         for i in range(len(G)):
             for j in range(i + 1, len(G)):
-                if normal_form(_s_poly(G[i], G[j], GREVLEX), G):
+                if normal_form(_s_poly(G[i], G[j]), G):
                     failures.append(
                         f"S-polynomial of GB pair did not reduce to zero (p={p})"
                     )

@@ -265,6 +265,39 @@ def test_rdp_table_rejects_unknown_prime(capsys):
     assert "choose among 2,3,5" in err
 
 
+# a prime far past the field range: trial division up to its square root
+# would run for minutes, so the range check must come first
+HUGE_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fsplit", "--p", str(HUGE_PRIME), "--vars", "x", "--poly", "x"],
+        ["strata", "--p", "3", "--nvars", "1"],
+        ["strata", "--p", "3", "--nvars", "3", "--h-max", "0"],
+        ["search", "--p", "3", "--nvars", "1", "--target", "2"],
+        ["rdp-table", "--primes", "2,x"],
+    ],
+    ids=["huge-prime", "strata-nvars", "strata-h-max", "search-nvars", "rdp-primes"],
+)
+def test_bad_input_is_an_error_line(argv):
+    proc = run_module(argv, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_batch_record_with_huge_prime_is_an_error(tmp_path):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps([dict(GOOD_RECORD, p=HUGE_PRIME)]))
+    proc = run_module(["batch", str(path), "--serial"], timeout=30)
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)["jobs"][0]
+    assert report["exit"] == 1
+    assert "field characteristic must be" in report["report"]["error"]
+
+
 # ---------------------------------------------------------------------------
 # individual commands
 # ---------------------------------------------------------------------------
@@ -693,23 +726,25 @@ def test_batch_missing_file(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_console_script_smoke():
-    assert qfsplit.__main__.main is qfsplit.cli.main
+def run_module(argv, timeout=60):
+    """``python -m qfsplit argv`` in a child interpreter."""
     # Put the directory holding the imported package first on PYTHONPATH, so
     # the child interpreter runs the same code from any working directory.
     env = dict(os.environ)
     src = str(Path(qfsplit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "qfsplit",
-            "fsplit", "--p", "5", "--vars", "x,y", "--poly", "x*y",
-        ],
+    return subprocess.run(
+        [sys.executable, "-m", "qfsplit", *argv],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env=env,
     )
+
+
+def test_console_script_smoke():
+    assert qfsplit.__main__.main is qfsplit.cli.main
+    proc = run_module(["fsplit", "--p", "5", "--vars", "x,y", "--poly", "x*y"])
     assert proc.returncode == 0
     assert "fsplit: True" in proc.stdout
 

@@ -1,6 +1,9 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -158,3 +161,52 @@ def test_public_definitions_are_used():
     sources = {str(p.relative_to(REPO)): p.read_text() for p in USERS}
     modules = [n for n in sources if n.startswith("src/") and not n.endswith("__init__.py")]
     assert unreferenced_public_defs(sources, modules) == []
+
+
+def _tracer_targets() -> dict:
+    """`TARGETS` of perfbench/tracer.py: metric prefix -> (home module,
+    attribute, budget argument position, value function)."""
+    spec = importlib.util.spec_from_file_location("_tracer", REPO / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_tracer_targets_resolve():
+    """The tracer patches each target by name, so a renamed or moved one
+    would drop out of the per-layer metrics without an error."""
+    missing = []
+    for prefix, (home, attr, _, _) in _tracer_targets().items():
+        obj = importlib.import_module(home)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{prefix}: {home}.{attr}")
+    assert missing == []
+
+
+def test_traced_budgets_are_readable():
+    """The tracer reads a target's budget at its recorded argument position
+    or from the ``budget`` keyword.  Where the signature puts the budget
+    elsewhere, every call in the package must pass it by keyword, or the
+    layer's step count would silently read nothing."""
+    calls = [
+        node
+        for p in USERS
+        if p.parts[-2] == "qfsplit"
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+    wrong = []
+    for prefix, (home, attr, pos, _) in _tracer_targets().items():
+        if pos is None:
+            continue
+        fn = getattr(importlib.import_module(home), attr)
+        at = list(inspect.signature(fn).parameters).index("budget")
+        if at == pos:
+            continue
+        for call in calls:
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name == attr and len(call.args) > at:
+                wrong.append(f"{prefix}: positional budget at line {call.lineno}")
+    assert wrong == []
