@@ -363,6 +363,10 @@ def _run_strata(args) -> tuple[dict, int]:
 
 
 def _run_search(args) -> tuple[dict, int]:
+    if args.target < 1:
+        raise InputError(f"--target must be a positive height, got {args.target}")
+    if args.samples < 1:
+        raise InputError(f"--samples must be a positive count, got {args.samples}")
     ctx = FamilyContext.create(args.p, args.nvars)
     witness = search_height(
         ctx,
@@ -464,6 +468,9 @@ def _run_rdp_table(args) -> tuple[dict, int]:
     bad = [p for p in p_set if p not in (2, 3, 5)]
     if bad:
         raise InputError(f"no table rows for p = {bad}; choose among 2,3,5")
+    if args.n_bound < 2:
+        # the D-families start at n = 2 (D4, D5); a smaller bound drops them all
+        raise InputError(f"--n-bound must be at least 2, got {args.n_bound}")
     rows = [rdp_compute_row(r) for r in rdp_rows(p_set, args.n_bound)]
     mismatches = [r for r in rows if not r["match"]]
     payload = {

@@ -144,7 +144,8 @@ def _dedupe(polys: Iterable[Polynomial]) -> list[Polynomial]:
 
 class _Splitting:
     """The derived data of one problem I = (f'_1, ..., f'_m): f = Π f'_i and
-    f^{p−1}, plus I_1's generators and Δ₁(f^{p−1}) computed on first use."""
+    f^{p−1}, plus I_1's generators, f^{p−2} and Δ₁(f^{p−1}) computed on
+    first use."""
 
     def __init__(self, gens: Sequence[Polynomial]):
         self.gens = list(gens)
@@ -160,6 +161,11 @@ class _Splitting:
     def i1(self) -> list[Polynomial]:
         """Generators of I_1 = (f^{p−1}) + ((f'_i)^p)."""
         return _dedupe([self.fp1] + [g.pth_power() for g in self.gens])
+
+    @cached_property
+    def fp2(self) -> Polynomial:
+        """f^{p−2}, read by the quick non-splitting tests and their verifier."""
+        return self.f ** (self.p - 2)
 
     @cached_property
     def delta(self) -> Polynomial:
@@ -380,22 +386,21 @@ def verify_coefficient_witness(
 # ---------------------------------------------------------------------------
 
 
-def _theta_images(
-    sp: _Splitting, pool: Sequence[Polynomial], budget: Budget
-) -> list[ChainStep]:
-    """θ(F_* (I ∩ Ker u)) for I = (pool), one record per intersection generator."""
-    inter = frobenius_module_intersect_keru(Ideal(sp.ring, pool), budget)
+def _theta_images(sp: _Splitting, I: Ideal, budget: Budget) -> list[ChainStep]:
+    """θ(F_* (I ∩ Ker u)), one record per intersection generator.
+
+    Takes the `Ideal` itself, not its generators: the Groebner basis that the
+    intersection needs is then the one cached on I, which the chain's
+    equality test and the next level read again."""
+    inter = frobenius_module_intersect_keru(I, budget)
     return [ChainStep(w, theta(w, sp.delta)) for w in inter]
 
 
 def _theta_step(
-    sp: _Splitting,
-    pool: Sequence[Polynomial],
-    base: Sequence[Polynomial],
-    budget: Budget,
+    sp: _Splitting, I: Ideal, base: Sequence[Polynomial], budget: Budget
 ) -> tuple[list[ChainStep], Ideal]:
-    """The records of θ(F_*((pool) ∩ Ker u)) and the ideal (base) + their images."""
-    steps = _theta_images(sp, pool, budget)
+    """The records of θ(F_*(I ∩ Ker u)) and the ideal (base) + their images."""
+    steps = _theta_images(sp, I, budget)
     return steps, Ideal(sp.ring, _dedupe(list(base) + [s.image for s in steps]))
 
 
@@ -439,7 +444,7 @@ def height_local(
                 return finish(FINITE, n, Certificate(CHAIN_WITNESS, cert_data))
             if n == n_max:
                 break
-            steps, nxt = _theta_step(sp, current.gens, sp.i1, budget)
+            steps, nxt = _theta_step(sp, current, sp.i1, budget)
             # an escaping I_{n+1} cannot equal I_n ⊆ m^{[p]}, so only pay for
             # the Groebner comparison when the next level stays inside
             if _escapes(nxt.gens) is None and ideal_equal(current, nxt, budget):
@@ -513,7 +518,7 @@ def _theta_closure(sp: _Splitting, J: Ideal, budget: Budget) -> tuple[Ideal, int
     iterations = 0
     while True:
         budget.tick()
-        _, nxt = _theta_step(sp, J.gens, J.gens, budget)
+        _, nxt = _theta_step(sp, J, J.gens, budget)
         iterations += 1
         if ideal_equal(J, nxt, budget):
             return Ideal(sp.ring, J.groebner(budget)), iterations
@@ -565,6 +570,12 @@ def enclosure_closure(
 # ---------------------------------------------------------------------------
 
 
+def _product_generators(sp: _Splitting) -> list[Polynomial]:
+    """The generators (f^{p−2}, I^{[p]})·f^{p(p−2)}·Δ₁(f) of condition (2)."""
+    scale = sp.fp2.pth_power() * delta1(sp.f)  # f^{p(p−2)}: Frobenius fixes F_p coefficients
+    return [b * scale for b in [sp.fp2] + [g.pth_power() for g in sp.gens]]
+
+
 def non_qfs_quick(f_list: Sequence[Polynomial]) -> Optional[Certificate]:
     """Sufficient conditions for infinite height, checked per-monomial only.
 
@@ -578,21 +589,13 @@ def non_qfs_quick(f_list: Sequence[Polynomial]) -> Optional[Certificate]:
     if not gens:
         return None
     sp = _Splitting(gens)
-    p, f = sp.p, sp.f
-    fp2 = f ** (p - 2)
-    if p >= 3 and in_max_ideal_frobenius_power(fp2, 1):
-        return Certificate(NON_QFS, {"tag": TAG_FPM2, "element": fp2})
+    if sp.p >= 3 and in_max_ideal_frobenius_power(sp.fp2, 1):
+        return Certificate(NON_QFS, {"tag": TAG_FPM2, "element": sp.fp2})
     if not in_max_ideal_frobenius_power(sp.fp1, 1):
         return None  # F-split, certainly not infinite
-    d1 = delta1(f)
-    scale = fp2.pth_power() * d1  # f^{p(p−2)}: Frobenius fixes F_p coefficients
-    factors = [fp2] + [g.pth_power() for g in gens]
-    products = [b * scale for b in factors]
+    products = _product_generators(sp)
     if all(in_max_ideal_frobenius_power(q, 2) for q in products if q):
-        return Certificate(
-            NON_QFS,
-            {"tag": TAG_PRODUCT, "generators": list(products)},
-        )
+        return Certificate(NON_QFS, {"tag": TAG_PRODUCT, "generators": products})
     return None
 
 
@@ -701,12 +704,43 @@ def verify_infinity_certificate(
     for g in sp.i1:
         if not ideal_membership(g, J, budget):
             return _fail(reasons, f"I_1 generator {g} is not in J")
-    for step in _theta_images(sp, J.gens, budget):
+    for step in _theta_images(sp, J, budget):
         if not ideal_membership(step.image, J, budget):
             return _fail(
                 reasons, f"theta image {step.image} (of {step.element}) is not in J"
             )
     return True
+
+
+def _verify_non_qfs(I: Ideal, cert: Certificate, reasons: Optional[list[str]]) -> bool:
+    """Re-check a NonQFS certificate against its recorded data.
+
+    The recorded element f^{p−2} (tag TAG_FPM2) or the recorded products
+    (tag TAG_PRODUCT) are recomputed from f and must equal what the
+    certificate holds; then each containment is tested term by term:
+    f^{p−2} ∈ m^{[p]} (only for p ≥ 3), or f^{p−1} ∈ m^{[p]} and every
+    product in m^{[p²]}."""
+    sp = _Splitting(I.gens)
+    tag = cert.data.get("tag")
+    if tag == TAG_FPM2:
+        if sp.p < 3:
+            return _fail(reasons, "the f^(p-2) test needs p >= 3")
+        if cert.data.get("element") != sp.fp2:
+            return _fail(reasons, f"recorded element differs from f^(p-2) = {sp.fp2}")
+        if not in_max_ideal_frobenius_power(sp.fp2, 1):
+            return _fail(reasons, "f^(p-2) is not in m^[p]")
+        return True
+    if tag == TAG_PRODUCT:
+        if not in_max_ideal_frobenius_power(sp.fp1, 1):
+            return _fail(reasons, "f^(p-1) is not in m^[p]")
+        products = _product_generators(sp)
+        if list(cert.data.get("generators", ())) != products:
+            return _fail(reasons, "recorded generators differ from the recomputed products")
+        for q in products:
+            if q and not in_max_ideal_frobenius_power(q, 2):
+                return _fail(reasons, f"product {q} is not in m^[p^2]")
+        return True
+    return _fail(reasons, f"unknown {NON_QFS} tag {tag!r}")
 
 
 def verify_certificate(
@@ -727,9 +761,7 @@ def verify_certificate(
         J = Ideal(I.ring, cert.data["generators"])
         return verify_infinity_certificate(I, J, budget, reasons)
     if cert.kind == NON_QFS:
-        fresh = non_qfs_quick(list(I.gens))
-        ok = fresh is not None and fresh.data["tag"] == cert.data["tag"]
-        return ok or _fail(reasons, "quick test no longer fires with the recorded tag")
+        return _verify_non_qfs(I, cert, reasons)
     return _fail(reasons, f"unknown certificate kind {cert.kind}")
 
 

@@ -94,6 +94,10 @@ class Ideal:
         self._gb: Optional[tuple[Polynomial, ...]] = None
 
     def groebner(self, budget: Optional[Budget] = None) -> tuple[Polynomial, ...]:
+        """The reduced Groebner basis, computed on first call (its steps tick
+        that call's budget) and cached on this object.  The I_n chain relies
+        on the cache: pass the same `Ideal` on, rather than a new one built
+        from its generators, and each level's basis is computed once."""
         if self._gb is None:
             self._gb = tuple(buchberger(list(self.gens), budget=budget))
         return self._gb
@@ -250,14 +254,18 @@ def ideal_equal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> bool:
 class FreeModuleVector:
     """An element of a finite free module S^r, stored as position ↦ polynomial.
 
-    Zero components are never stored.
+    Zero components are never stored.  A vector is never mutated after
+    construction: `module_normal_form` caches its divisor entry in
+    `_divisor` on first use, and the entry is valid only as long as
+    `components` stays as built.
     """
 
-    __slots__ = ("ring", "components")
+    __slots__ = ("ring", "components", "_divisor")
 
     def __init__(self, ring: PolynomialRing, components: dict[int, Polynomial]):
         self.ring = ring
         self.components = {i: c for i, c in components.items() if c}
+        self._divisor = None
 
     def __bool__(self) -> bool:
         return bool(self.components)
@@ -308,13 +316,18 @@ def module_normal_form(
     p = ring.field.p
     field = ring.field
     # divisors grouped by the position of their leading term, in list order:
-    # (leading exponent, inverse leading coefficient, components, max exponent)
+    # (leading exponent, inverse leading coefficient, components, max exponent),
+    # built once per vector and kept on it, since a basis is reused across
+    # every normal form of a Buchberger run
     divisors: dict[int, list] = {}
     for g in G:
         if g:
-            pos, e, c = _module_lead(g)
-            top = max(poly.max_exponent() for poly in g.components.values())
-            divisors.setdefault(pos, []).append((e, field.inv(c), g.components, top))
+            if g._divisor is None:
+                pos, e, c = _module_lead(g)
+                top = max(poly.max_exponent() for poly in g.components.values())
+                g._divisor = (pos, (e, field.inv(c), g.components, top))
+            pos, entry = g._divisor
+            divisors.setdefault(pos, []).append(entry)
     work = {pos: dict(poly.terms) for pos, poly in v.components.items()}
     rem: dict[int, dict[tuple[int, ...], int]] = {}
     while work:

@@ -288,6 +288,29 @@ def test_bad_input_is_an_error_line(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["search", "--p", "3", "--nvars", "3", "--target", "2", "--samples", "-1"], "--samples"),
+        (["search", "--p", "3", "--nvars", "3", "--target", "2", "--samples", "0"], "--samples"),
+        (["search", "--p", "3", "--nvars", "3", "--target", "0"], "--target"),
+        (["rdp-table", "--primes", "2", "--n-bound", "1"], "--n-bound"),
+        (["rdp-table", "--primes", "2", "--n-bound", "0"], "--n-bound"),
+        (["rdp-table", "--primes", "2", "--n-bound", "-3"], "--n-bound"),
+    ],
+    ids=["samples-negative", "samples-zero", "target-zero", "n-bound-1", "n-bound-0",
+         "n-bound-negative"],
+)
+def test_out_of_range_count_is_an_input_error(capsys, argv, flag):
+    """A count that would make the command do nothing, or silently drop rows,
+    is an error line naming the flag, not a report with exit 0."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be")
+    assert "Traceback" not in err
+
+
 def test_batch_record_with_huge_prime_is_an_error(tmp_path):
     path = tmp_path / "jobs.json"
     path.write_text(json.dumps([dict(GOOD_RECORD, p=HUGE_PRIME)]))

@@ -31,6 +31,7 @@ from qfsplit import (
 )
 from qfsplit.criteria import (
     CHAIN_WITNESS,
+    Certificate,
     COEFFICIENT_WITNESS,
     FINITE,
     INFINITE,
@@ -353,6 +354,40 @@ def test_qfs_decide_equals_closure_of_colon_seed_on_quadric_pairs(p):
         assert_i1_seed_matches_colon_seed(gens)
 
 
+@pytest.mark.parametrize(
+    "kind,p,text,steps",
+    [
+        ("height", 2, "z^2 + x^3 + y^5", 457),  # E8^0, local chain to n = 4
+        ("height", 3, "z^2 + x^3 + y^5", 604),  # E8^0, local chain to n = 3
+        ("qfs_decide", 2, "x^3 + y^2*z", 27),  # the cusp's I_infinity
+    ],
+)
+def test_chain_reduces_each_generator_set_once(monkeypatch, kind, p, text, steps):
+    """Each level's Groebner basis is computed once and then read from the
+    `Ideal` that carries it: no generator set reaches `buchberger` twice
+    within one call, and the steps stay as measured."""
+    from qfsplit import groebner
+
+    reduced = []
+    real = groebner.buchberger
+
+    def recording(gens, budget=None):
+        reduced.append(frozenset(gens))
+        return real(gens, budget=budget)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    ring = ring_over(p)
+    f = ring.parse(text)
+    if kind == "height":
+        taken = height(f).steps
+    else:
+        budget = Budget()
+        qfs_decide(Ideal(ring, [f]), budget)
+        taken = budget.steps
+    assert reduced and len(reduced) == len(set(reduced))
+    assert taken == steps
+
+
 # ---------------------------------------------------------------------------
 # quick infinite-height tests
 # ---------------------------------------------------------------------------
@@ -377,6 +412,31 @@ def test_non_qfs_quick_negative_cases():
     # at p = 2 the f^{p-2} test can never fire (f^0 = 1)
     ring = ring_over(2)
     assert non_qfs_quick([ring.parse("x^3 + x*y*z + y^3 + z^3")]) is None
+
+
+@pytest.mark.parametrize(
+    "p,names,text,key",
+    [
+        (3, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4", "element"),
+        (7, ["x", "y", "z"], "x^3 + y^2*z", "generators"),
+    ],
+    ids=["f^(p-2)", "products"],
+)
+def test_non_qfs_verifier_checks_the_recorded_data(p, names, text, key):
+    """The verifier recomputes what a NonQFS certificate records: the same
+    tag over a changed coefficient is rejected."""
+    ring = ring_named(p, names)
+    I = Ideal(ring, [ring.parse(text)])
+    cert = non_qfs_quick(list(I.gens))
+    assert verify_certificate(I, cert)
+    recorded = cert.data[key]
+    first = recorded if key == "element" else recorded[0]
+    lead, _ = first.leading_term()
+    changed = first + ring.from_terms({lead: 1})
+    data = dict(cert.data, **{key: changed if key == "element" else [changed] + recorded[1:]})
+    reasons = []
+    assert not verify_certificate(I, Certificate(NON_QFS, data), reasons=reasons)
+    assert reasons and "recorded" in reasons[0]
 
 
 # ---------------------------------------------------------------------------
