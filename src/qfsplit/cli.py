@@ -274,8 +274,17 @@ def _run_qfs(job: Job) -> tuple[dict, int]:
         "verdict": "QuasiFSplit" if is_qfs else INFINITE,
         "certificate": certificate_to_json(cert),
     }
-    if job.options.get("verify") and not is_qfs:
-        _add_verification(payload, I, cert)
+    if job.options.get("verify"):
+        if is_qfs:
+            # the certificate records an I_∞ that escapes m^[p]; nothing
+            # checks that it is the smallest fixed point
+            payload["verified"] = None
+            payload["verify_reasons"] = [
+                "no verifier for a quasi-F-split answer (its I_infinity escapes m^[p]); "
+                "`height --verify` checks a certificate of the finite height"
+            ]
+        else:
+            _add_verification(payload, I, cert)
     return payload, 0
 
 

@@ -151,8 +151,8 @@ class _Splitting:
         self.gens = list(gens)
         self.ring = self.gens[0].ring
         self.p = self.ring.field.p
-        f = self.ring.one
-        for g in self.gens:
+        f = self.gens[0]
+        for g in self.gens[1:]:
             f = f * g
         self.f = f
         self.fp1 = f ** (self.p - 1)
@@ -339,8 +339,10 @@ def graded_cy_coefficient(
 
     Independent of the θ-orbit route: forms Δ₁(f^{p−1})^{p^{n−2}+⋯+1} by
     binary powering with every exponent capped at p^n−1 (sound, since
-    exponents only grow and the target stays within the cap).  Used to
-    re-verify CoefficientWitness certificates.
+    exponents only grow and the target stays within the cap), then reads the
+    target coefficient of f^{p−1} times that power as Σ f^{p−1}[e]·acc[cap−e]
+    without forming the product.  Used to re-verify CoefficientWitness
+    certificates.
     """
     if n < 1:
         raise RingError("level must be >= 1")
@@ -363,7 +365,11 @@ def graded_cy_coefficient(
         if not e:
             break
         sq = sq.capped_mul(sq, cap)
-    return base.capped_mul(acc, cap).coefficient_of(cap)
+    dual = acc.terms
+    total = 0
+    for e, c in base.terms.items():
+        total += c * dual.get(tuple([t - x for t, x in zip(cap, e)]), 0)
+    return total % p
 
 
 def verify_coefficient_witness(
@@ -521,7 +527,7 @@ def _theta_closure(sp: _Splitting, J: Ideal, budget: Budget) -> tuple[Ideal, int
         _, nxt = _theta_step(sp, J, J.gens, budget)
         iterations += 1
         if ideal_equal(J, nxt, budget):
-            return Ideal(sp.ring, J.groebner(budget)), iterations
+            return Ideal.from_reduced_basis(sp.ring, J.groebner(budget)), iterations
         J = nxt
 
 

@@ -8,14 +8,17 @@ u is the projection onto the top basis vector F_*((x_1⋯x_N)^{p−1}),
 normalized by u(F_*((x_1⋯x_N)^{p−1})) = 1: the Cartier-type generator of
 Hom_S(F_*S, S).  θ twists u by a fixed multiplier δ: θ(F_*a) = u(F_*(δ·a));
 with δ = Δ₁(f^{p−1}) this is the transition operator of the splitting-height
-chains computed in `criteria`.
+chains computed in `criteria`.  θ runs on exponents packed by
+`rings.ExponentCodec`: it reads δ from a per-δ table of packed terms grouped
+by residue class, so u's output exponent is one int addition and one exact
+division by p.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .rings import Polynomial, RingError
+from .rings import ExponentCodec, Polynomial, RingError
 
 
 # ---------------------------------------------------------------------------
@@ -44,39 +47,51 @@ def iterated_u(h: Polynomial, r: int) -> Polynomial:
 
 
 @lru_cache(maxsize=32)
-def _residue_buckets(delta: Polynomial):
-    """Group the terms of delta by exponent residue class mod p."""
-    p = delta.ring.field.p
-    buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for e, c in delta.sorted_terms():
-        buckets.setdefault(tuple(x % p for x in e), []).append((e, c))
-    return buckets
+def _residue_table(delta: Polynomial, width: int):
+    """The terms of delta grouped by the residue mod p of the a-exponents they
+    pair with, each packed at `width` bits with (p−1)·𝟙 already subtracted."""
+    ring = delta.ring
+    p = ring.field.p
+    codec = ExponentCodec(ring.nvars, width)
+    pack = codec.pack
+    shift = pack((p - 1,) * ring.nvars)
+    table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for e, c in delta.terms.items():
+        table.setdefault(tuple([(p - 1 - x) % p for x in e]), []).append((pack(e) - shift, c))
+    return codec, table
 
 
 def theta(a: Polynomial, delta: Polynomial) -> Polynomial:
     """θ(F_*a) = u(F_*(delta·a)) without forming the full product.
 
     Only products landing in the top residue class (p−1, ..., p−1) survive u,
-    so for each term of `a` we touch only the compatible residue bucket of
-    `delta`.  The bucket table is cached per delta polynomial.
+    so for each term of `a` we touch only the compatible residue class of
+    `delta`.  For such a pair every field of pa + pd (packed a-exponent plus
+    packed delta-exponent minus (p−1)·𝟙) is a nonnegative multiple of p, so
+    the packed exponent of u's output is (pa + pd) // p.  The residue table
+    is cached per delta and field width; it is keyed at the width that holds
+    2·max(delta) and re-keyed wider for an `a` whose exponents need more.
     """
     ring = a.ring
     if delta.ring != ring:
         raise RingError("theta arguments must share a ring")
     p = ring.field.p
-    buckets = _residue_buckets(delta)
-    out: dict[tuple[int, ...], int] = {}
+    top = delta.max_exponent()
+    width = max(2 * top, a.max_exponent() + top).bit_length()
+    codec, table = _residue_table(delta, width)
+    pack = codec.pack
+    out: dict[int, int] = {}
     get = out.get
     for ea, ca in a.terms.items():
-        want = tuple((p - 1 - x) % p for x in ea)
-        for ed, cd in buckets.get(want, ()):
-            q = tuple((x + y - (p - 1)) // p for x, y in zip(ea, ed))
-            s = (get(q, 0) + ca * cd) % p
-            if s:
-                out[q] = s
-            elif q in out:
-                del out[q]
-    return Polynomial(ring, out)
+        bucket = table.get(tuple([x % p for x in ea]))
+        if bucket is None:
+            continue
+        pa = pack(ea)
+        for pd, cd in bucket:
+            q = (pa + pd) // p
+            out[q] = get(q, 0) + ca * cd
+    unpack = codec.unpack
+    return Polynomial(ring, {unpack(q): r for q, c in out.items() if (r := c % p)})
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,14 @@ class Ideal:
                 raise RingError("ideal generator from a different ring")
         self._gb: Optional[tuple[Polynomial, ...]] = None
 
+    @classmethod
+    def from_reduced_basis(cls, ring: PolynomialRing, basis: Sequence[Polynomial]) -> "Ideal":
+        """The ideal presented by `basis`, a reduced Groebner basis as
+        `groebner()` returns it, which it keeps as its cached basis."""
+        ideal = cls(ring, basis)
+        ideal._gb = ideal.gens
+        return ideal
+
     def groebner(self, budget: Optional[Budget] = None) -> tuple[Polynomial, ...]:
         """The reduced Groebner basis, computed on first call (its steps tick
         that call's budget) and cached on this object.  The I_n chain relies

@@ -6,6 +6,11 @@ sparsely as a hash map from exponent vectors (tuples of machine ints) to
 nonzero coefficients in [1, p), with a lazily cached graded-reverse-lex
 sorted view used for display and leading-term scans.
 
+Inner loops that only add exponents and compare them to bounds (Δ₁, θ and
+capped products) work on packed exponents instead: `ExponentCodec` packs a
+tuple into one int with a fixed number of bits per variable, so a monomial
+product is one int addition.  It is the only place exponents are packed.
+
 Only prime coefficient fields are supported: every criterion implemented in
 this package reads or writes coefficients through the identity c^(1/p) = c,
 which is special to F_p.
@@ -91,6 +96,29 @@ def grevlex_key(exps: tuple[int, ...]) -> tuple:
     exponents) compared lexicographically.
     """
     return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+class ExponentCodec:
+    """Exponent tuples of `nvars` variables packed into one int, `width`
+    bits per variable, the first variable in the lowest field.
+
+    Sums of packed exponents are packed sums as long as every field of the
+    sum stays in [0, 2^width); choosing a width that holds the largest
+    exponent sum is the caller's part.
+    """
+
+    __slots__ = ("shifts", "mask")
+
+    def __init__(self, nvars: int, width: int):
+        self.shifts = tuple(width * j for j in range(nvars))
+        self.mask = (1 << width) - 1
+
+    def pack(self, exps: Sequence[int]) -> int:
+        return sum(map(int.__lshift__, exps, self.shifts))
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        mask = self.mask
+        return tuple([(key >> s) & mask for s in self.shifts])
 
 
 class PolynomialRing:
@@ -313,13 +341,13 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise RingError("negative power of a polynomial")
-        result = self.ring.one
         if n == 0:
-            return result
+            return self.ring.one
+        result = None
         base = self
         while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if not n:
                 return result
@@ -341,7 +369,10 @@ class Polynomial:
 
         cap[i] = None means variable i is unbounded.  Sound for any downstream
         query whose exponents all stay within the cap, because exponents only
-        grow under multiplication.
+        grow under multiplication.  Exponents are packed with one guard bit
+        above each field: the limit holds each cap with its guard bit set, and
+        a packed exponent e stays within every cap iff (limit − e) keeps all
+        guard bits.  Operand terms already over the cap are dropped first.
         """
         self._require_same_ring(other)
         caps = tuple(cap)
@@ -349,29 +380,30 @@ class Polynomial:
             raise RingError("cap vector length mismatch")
         if not self.terms or not other.terms:
             return self.ring.zero
-        if self.max_exponent() + other.max_exponent() > EXPONENT_LIMIT:
+        top = self.max_exponent() + other.max_exponent()
+        if top > EXPONENT_LIMIT:
             raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
+        if any(c is not None and c < 0 for c in caps):
+            return self.ring.zero
         p = self.ring.field.p
-        bounded = [(i, c) for i, c in enumerate(caps) if c is not None]
-        out: dict[tuple[int, ...], int] = {}
+        codec = ExponentCodec(self.ring.nvars, top.bit_length() + 1)
+        pack = codec.pack
+        room = codec.mask >> 1
+        guard = pack((room + 1,) * self.ring.nvars)
+        limit = guard + pack([room if c is None else min(c, room) for c in caps])
+        a, b = (
+            [(k, c) for e, c in f.terms.items() if (limit - (k := pack(e))) & guard == guard]
+            for f in (self, other)
+        )
+        out: dict[int, int] = {}
         get = out.get
-        bitems = list(other.terms.items())
-        for ea, ca in self.terms.items():
-            for eb, cb in bitems:
-                e = tuple(map(int.__add__, ea, eb))
-                ok = True
-                for i, ci in bounded:
-                    if e[i] > ci:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                s = (get(e, 0) + ca * cb) % p
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Polynomial(self.ring, out)
+        for ea, ca in a:
+            for eb, cb in b:
+                e = ea + eb
+                if (limit - e) & guard == guard:
+                    out[e] = get(e, 0) + ca * cb
+        unpack = codec.unpack
+        return Polynomial(self.ring, {unpack(e): r for e, c in out.items() if (r := c % p)})
 
     # -- structure -----------------------------------------------------
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 from .rings import Grading, Polynomial, PolynomialRing, PrimeField, RingError
@@ -119,31 +120,35 @@ class StrataPolynomials:
     def profile(self, point: Union[Mapping[str, int], Sequence[int]]) -> int:
         """Largest h with b_1 = ⋯ = b_{h−1} = 0 at the point (so the fiber's
         height is at least h; h = len+1 means every computed b vanished)."""
-        values = self.context._point_values(point)
+        p = self.context.p
+        values = [v % p for v in self.context._point_values(point)]
         h = 1
-        for b in self.polynomials:
-            if _evaluate_coefficients(self.context, b, values) != 0:
+        for form in self._forms:
+            total = 0
+            for c, factors in form:
+                for j, e in factors:
+                    c = c * pow(values[j], e, p)
+                total += c
+            if total % p:
                 break
             h += 1
         return h
 
-
-def _evaluate_coefficients(
-    ctx: FamilyContext, poly: Polynomial, values: Sequence[int]
-) -> int:
-    """Evaluate an x-free polynomial at a-values; errors if any x survives."""
-    p = ctx.p
-    nx = ctx.nvars
-    total = 0
-    for exps, c in poly.terms.items():
-        if any(exps[:nx]):
-            raise RingError("polynomial is not free of the x-variables")
-        term = c
-        for e, v in zip(exps[nx:], values):
-            if e:
-                term = term * pow(v % p, e, p) % p
-        total = (total + term) % p
-    return total
+    @cached_property
+    def _forms(self) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]:
+        """Each b_i compiled for `profile`: per term, the coefficient and its
+        (a-index, exponent) pairs.  Raises RingError if a b_i involves an
+        x-variable."""
+        nx = self.context.nvars
+        forms = []
+        for b in self.polynomials:
+            form = []
+            for exps, c in b.terms.items():
+                if any(exps[:nx]):
+                    raise RingError("polynomial is not free of the x-variables")
+                form.append((c, tuple((j, e) for j, e in enumerate(exps[nx:]) if e)))
+            forms.append(tuple(form))
+        return tuple(forms)
 
 
 def _group_by_x_monomial(ctx: FamilyContext, poly: Polynomial) -> list[Polynomial]:

@@ -15,7 +15,7 @@ with the coefficients lifted to [0, p).  The result does not depend on the
 lift, since (A + pB)^p ≡ A^p mod p², so every product is taken over ℤ/p²:
 one binary powering of ã, one small powering per grouped summand (a term
 summand c·x^e contributes c^p·x^{pe}), then an exact division by p.  Inside
-the call each exponent tuple is packed into one int whose fields are wide
+the call exponents are packed by `rings.ExponentCodec` into fields wide
 enough for every exponent up to p·M, M the largest exponent of a and the
 summands, so monomial products are single int additions and no field carries
 into the next.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .rings import EXPONENT_LIMIT, ExponentOverflowError, Polynomial, RingError
+from .rings import EXPONENT_LIMIT, ExponentCodec, ExponentOverflowError, Polynomial, RingError
 
 
 def _mul(f: dict[int, int], g: dict[int, int], q: int) -> dict[int, int]:
@@ -72,26 +72,22 @@ def delta1(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) -> Po
             raise RingError("summands do not add up to the polynomial")
     if p * top > EXPONENT_LIMIT:
         raise ExponentOverflowError("Δ₁ would need exponents beyond the 32-bit budget")
-    width = (p * top).bit_length() + 1
-    shifts = [width * j for j in range(ring.nvars)]
-
-    def pack(poly: Polynomial) -> dict[int, int]:
-        return {sum(x << s for x, s in zip(e, shifts)): c for e, c in poly.terms.items()}
-
+    codec = ExponentCodec(ring.nvars, (p * top).bit_length() + 1)
     q = p * p
-    packed = pack(a)
+    pack = codec.pack
+    packed = {pack(e): c for e, c in a.terms.items()}
     acc = _power(packed, p, q)
     if summands is None:
         for e, c in packed.items():
             acc[p * e] = acc.get(p * e, 0) - pow(c, p, q)
     else:
         for s in summands:
-            for e, c in _power(pack(s), p, q).items():
+            for e, c in _power({pack(x): v for x, v in s.terms.items()}, p, q).items():
                 acc[e] = acc.get(e, 0) - c
-    mask = (1 << width) - 1
+    unpack = codec.unpack
     out = {}
     for e, c in acc.items():
         c %= q
         if c:
-            out[tuple([(e >> s) & mask for s in shifts])] = c // p
+            out[unpack(e)] = c // p
     return Polynomial(ring, out)

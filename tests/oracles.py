@@ -10,6 +10,8 @@ arithmetic paths:
 * Groebner bases / ideal membership via sympy over GF(p), and colon
   ideals by lex elimination of an auxiliary variable in sympy,
 * the trace-like map u by raw coefficient extraction,
+* capped products and the graded coefficient by full products truncated
+  afterwards, and stratum polynomials at a point term by term,
 * F_*h in p-basis coordinates, and F_*I ∩ Ker(u) by the literal rank-p^N
   module elimination,
 * elliptic curves via the classical discriminant and brute-force point
@@ -564,6 +566,56 @@ def local_chain_ideals(I: Ideal, n_max: int) -> list[Ideal]:
             break
         out.append(nxt)
     return out
+
+
+# ---------------------------------------------------------------------------
+# capped products, the graded coefficient and stratum polynomials, termwise
+# ---------------------------------------------------------------------------
+
+
+def truncated_product(f: Polynomial, g: Polynomial, cap: Sequence[Optional[int]]) -> Polynomial:
+    """The full product f·g with every term over the per-variable cap dropped
+    (cap[i] = None: variable i unbounded)."""
+    return f.ring.from_terms(
+        {
+            e: c
+            for e, c in (f * g).terms.items()
+            if all(b is None or x <= b for x, b in zip(e, cap))
+        }
+    )
+
+
+def graded_cy_coefficient_product(f_list: Sequence[Polynomial], n: int) -> int:
+    """The (x_1⋯x_N)^{p^n−1} coefficient of f_n = f^{p−1}·Δ₁(f^{p−1})^{p^{n−2}+⋯+1},
+    read off the whole product, truncated at p^n−1 after each factor."""
+    ring = f_list[0].ring
+    p = ring.field.p
+    f = ring.one
+    for g in f_list:
+        f = f * g
+    fp1 = f ** (p - 1)
+    cap = (p**n - 1,) * ring.nvars
+    acc = ring.one
+    if n >= 2:
+        delta = delta1(fp1)
+        for _ in range((p ** (n - 1) - 1) // (p - 1)):
+            acc = truncated_product(acc, delta, cap)
+    return truncated_product(fp1, acc, cap).coefficient_of(cap)
+
+
+def evaluate_coefficients(nx: int, poly: Polynomial, values: Sequence[int]) -> int:
+    """An x-free polynomial of F_p[x_1..x_nx, a_1..a_M] at a-values, term by
+    term; errors if any x survives."""
+    p = poly.ring.field.p
+    total = 0
+    for exps, c in poly.terms.items():
+        if any(exps[:nx]):
+            raise RingError("polynomial is not free of the x-variables")
+        term = c
+        for e, v in zip(exps[nx:], values):
+            term = term * pow(v % p, e, p) % p
+        total = (total + term) % p
+    return total
 
 
 # ---------------------------------------------------------------------------

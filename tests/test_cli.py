@@ -72,6 +72,24 @@ def test_golden_qfs_cusp(capsys):
     assert json.loads(out) == json.loads((GOLDEN / "qfs_cusp.json").read_text())
 
 
+def test_qfs_verify_on_a_quasi_f_split_answer_says_it_has_no_verifier(capsys):
+    """D4 at p = 2 is quasi-F-split: its I_∞ escapes m^[p], and no verifier
+    checks that, so the answer says so and points to `height --verify`."""
+    code, out, _ = run_cli(
+        capsys,
+        [
+            "qfs", "--p", "2", "--vars", "x,y,z",
+            "--poly", "z^2 + x^2*y + x*y^2", "--format", "json", "--verify",
+        ],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["qfs"] is True
+    assert payload["verified"] is None
+    assert len(payload["verify_reasons"]) == 1
+    assert "height --verify" in payload["verify_reasons"][0]
+
+
 def test_golden_verify_chain_conic(capsys):
     head = "x0*y0^3*y1*y2 + x1*y0*y1^3*y2 + x2*y0*y1*y2^3"
     code, out, _ = run_cli(

@@ -145,6 +145,31 @@ def test_coefficient_against_uncapped_expansion():
         assert graded_cy_coefficient([f], 2) == raw
 
 
+CUBICS = (
+    "x^3 + y^3 + z^3",
+    "x^3 + x*y*z + y^2*z + z^3",
+    "x^2*y + y^2*z + z^2*x",
+    "y^2*z + x^3 + x*z^2",
+    "y^2*z + x^3 + 2*x*z^2 + z^3",
+)
+
+
+@pytest.mark.parametrize("p,levels", [(2, 3), (3, 3), (5, 2)])
+def test_coefficient_matches_whole_capped_product(p, levels):
+    """The coefficient read as Σ f^{p−1}[e]·acc[cap−e] equals the one read off
+    the whole product f^{p−1}·Δ₁(f^{p−1})^{p^{n−2}+⋯+1}, truncated at the
+    cap after each factor (zero and nonzero values both occur)."""
+    ring = ring_over(p)
+    seen = set()
+    for text in CUBICS:
+        f = ring.parse(text)
+        for n in range(1, levels + 1):
+            c = graded_cy_coefficient([f], n)
+            assert c == O.graded_cy_coefficient_product([f], n)
+            seen.add(c != 0)
+    assert seen == {False, True}
+
+
 def test_coefficient_level_one_is_fedder():
     ring = ring_over(2)
     f = ring.parse("x^3 + x*y*z + y^2*z + z^3")
@@ -291,6 +316,30 @@ def test_enclosure_closure_is_theta_closed():
     for s in seed:
         assert ideal_membership(s, closure)
     assert ideal_membership(g, closure)
+
+
+def test_closure_carries_its_reduced_basis(monkeypatch):
+    """The θ-closure comes back presented by its reduced Groebner basis and
+    holding it as its cache, so verifying it as a trap ideal reduces no basis
+    again (cusp at p = 2 with trap x^2, as `verify-infty --close` runs it)."""
+    from qfsplit import groebner
+
+    ring = ring_over(2)
+    I = Ideal(ring, [ring.parse("x^3 + y^2*z")])
+    closure = enclosure_closure(I, seed=[ring.parse("x^2")])
+    assert list(closure.gens) == groebner.buchberger(list(closure.gens))
+    reduced = []
+    real = groebner.buchberger
+
+    def recording(gens, budget=None):
+        reduced.append(gens)
+        return real(gens, budget=budget)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    budget = Budget()
+    assert verify_infinity_certificate(I, closure, budget)
+    assert reduced == []
+    assert budget.steps == 19  # 24 when the closure's basis was reduced again
 
 
 def assert_i1_seed_matches_colon_seed(gens):

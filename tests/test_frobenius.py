@@ -84,6 +84,49 @@ def test_theta_is_u_after_delta_multiplication(p, data):
     assert theta(a, delta) == O.u_oracle(delta * a)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("names", ["x", "xy", "xyzw"])
+@given(data=st.data())
+def test_theta_matches_u_oracle_in_one_to_four_variables(p, names, data):
+    """θ against u(F_*(Δ·a)) with a both as narrow as Δ and far wider, in
+    either order, so the cached residue table is read at its own width and
+    re-keyed at a wider one."""
+    ring = ring_over(p, tuple(names))
+    f = data.draw(poly_strategy(ring, max_exp=2, max_terms=3))
+    delta = delta1(f ** (p - 1))
+    narrow = data.draw(poly_strategy(ring, max_exp=4, max_terms=4))
+    far = data.draw(poly_strategy(ring, max_exp=2**12, max_terms=3))
+    wide = far.pth_power() * narrow + far
+    for a in data.draw(st.permutations([narrow, wide, narrow])):
+        assert theta(a, delta) == O.u_oracle(delta * a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_theta_at_packing_boundaries(p, k, offset):
+    """max(a) + max(Δ) at a power of two, where the packed field width of the
+    residue table steps up.  The widest term of a sits in the variable of
+    Δ's widest term and, for one of its p shifts, pairs with it, so the
+    widest field of the packed sums is used."""
+    ring = ring_over(p, ("x", "y", "z", "w"))
+    delta = delta1(ring.parse("x*y + z*w + y^3 + x*z") ** (p - 1))
+    top = delta.max_exponent()
+    widest = next(e for e in delta.terms if max(e) == top)
+    j = widest.index(top)
+    reach = 2 ** (top.bit_length() + k) + offset - top
+    terms = {}
+    for shift in range(p):
+        e = [(p - 1 - x) % p for x in widest]
+        e[j] = reach - shift
+        terms[tuple(e)] = 1
+    a = ring.from_terms(terms)
+    assert a.max_exponent() + top == 2 ** (top.bit_length() + k) + offset
+    image = theta(a, delta)
+    assert image == O.u_oracle(delta * a)
+    assert not image.is_zero()
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @given(data=st.data())
 def test_theta_is_frobenius_semilinear(p, data):

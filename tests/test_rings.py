@@ -19,6 +19,7 @@ from qfsplit import (
 )
 from qfsplit.rings import grevlex_key
 
+import oracles as O
 from conftest import poly_strategy, ring_over
 
 PRIMES = [2, 3, 5, 7]
@@ -128,6 +129,35 @@ def test_capped_mul_is_truncated_product(data):
         }
     )
     assert f.capped_mul(g, cap) == truncated
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@given(data=st.data())
+def test_capped_mul_matches_truncated_product(p, data):
+    """Caps of 0, None, exactly the largest exponent sum, one below it and
+    far above it, or anything in between, per variable."""
+    ring = ring_over(p, ("x", "y", "z", "w"))
+    f = data.draw(poly_strategy(ring, max_exp=6, max_terms=5))
+    g = data.draw(poly_strategy(ring, max_exp=6, max_terms=5))
+    top = f.max_exponent() + g.max_exponent()
+    caps = st.one_of(st.sampled_from([0, None, top, max(top - 1, 0), 2 * top + 1]), st.integers(0, top))
+    cap = data.draw(st.tuples(*[caps] * 4))
+    assert f.capped_mul(g, cap) == O.truncated_product(f, g, cap)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_capped_mul_at_packing_boundaries(p, k, offset):
+    """The largest exponent sum at a power of two, where the field width
+    below the guard bit steps up; caps at the sum, one below it, 0 and negative."""
+    ring = ring_over(p)
+    e = 2**k + offset
+    f = ring.parse(f"x^{e} + 2*y*z^{e} + x*y")
+    g = ring.parse(f"y^{e}*z + x + 1")
+    top = f.max_exponent() + g.max_exponent()
+    for cap in ((top, top, top), (top - 1, None, top), (0, top - 1, None), (None, None, 0), (None, -1, top), (-(2**40), None, None)):
+        assert f.capped_mul(g, cap) == O.truncated_product(f, g, cap)
 
 
 def test_coefficient_of_reads_the_term_map():

@@ -298,3 +298,62 @@ def test_module_vectors_are_not_mutated(path):
     """`module_normal_form` caches each divisor's leading data on the vector,
     which stays right only while the vector's components are never changed."""
     assert vector_writes(path.read_text()) == []
+
+
+def packing_sites(source: str, codec: str = "") -> list[str]:
+    """Exponent packing outside the class named `codec`: a bit shift by a
+    computed amount, or a read of int's own shift methods.  Shifts by a
+    constant (halving in binary powering, a mask's top bit) are not packing."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        inside = bool(codec) and (scope == codec or scope.startswith(codec + "."))
+        shifts = (ast.LShift, ast.RShift)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, shifts):
+            amount = node.right if isinstance(node, ast.BinOp) else node.value
+            if not isinstance(amount, ast.Constant) and not inside:
+                out.append(f"shift by a computed amount in {scope or '<module>'} (line {node.lineno})")
+        if isinstance(node, ast.Attribute) and node.attr in ("__lshift__", "__rshift__") and not inside:
+            out.append(f"{node.attr} in {scope or '<module>'} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_packing_detector():
+    src = (
+        "class ExponentCodec:\n"
+        "    def pack(self, e):\n"
+        "        return sum(map(int.__lshift__, e, self.shifts))\n"
+        "    def unpack(self, k):\n"
+        "        return [(k >> s) & 3 for s in self.shifts]\n"
+        "def power(n):\n"
+        "    n >>= 1\n"
+        "    return (n >> 1) + (1 << 4)\n"
+        "def pack(e, w):\n"
+        "    k = e[0] | (e[1] << w)\n"
+        "    k <<= w\n"
+        "    return list(map(int.__rshift__, e, e))\n"
+    )
+    assert packing_sites(src, "ExponentCodec") == [
+        "shift by a computed amount in pack (line 10)",
+        "shift by a computed amount in pack (line 11)",
+        "__rshift__ in pack (line 12)",
+    ]
+    assert packing_sites(src)[:2] == [
+        "__lshift__ in ExponentCodec.pack (line 3)",
+        "shift by a computed amount in ExponentCodec.unpack (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exponent_packing_lives_in_the_codec(path):
+    """Δ₁, θ and capped products pack exponents only through
+    `rings.ExponentCodec`, so the packed layout is defined in one place."""
+    codec = "ExponentCodec" if path.name == "rings.py" else ""
+    assert packing_sites(path.read_text(), codec) == []

@@ -14,6 +14,7 @@ from qfsplit import (
     Grading,
     PolynomialRing,
     PrimeField,
+    RingError,
     delta1,
     height,
     height_graded_cy,
@@ -21,13 +22,15 @@ from qfsplit import (
 from qfsplit.criteria import FINITE, INFINITE, graded_cy_coefficient
 from qfsplit.strata import (
     FamilyContext,
-    _evaluate_coefficients,
+    StrataPolynomials,
     degree_monomials,
     delta1_tilde,
     is_smooth_at_rational_points,
     search_height,
     strata_polynomials,
 )
+
+import oracles as O
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +169,36 @@ def test_profile_matches_exact_height(ctx2, strata2):
             assert prof == depth + 1
 
 
+@pytest.fixture(scope="module")
+def strata3(ctx3):
+    return strata_polynomials(ctx3, 3)
+
+
+def test_profile_matches_termwise_evaluation(ctx3, strata3):
+    """The compiled profile against b_1, b_2 evaluated term by term on random
+    F_3 points, given as sequences and as name mappings; every profile value
+    occurs."""
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(300):
+        values = [rng.randrange(3) for _ in ctx3.monomials]
+        h = 1
+        for b in strata3.polynomials:
+            if O.evaluate_coefficients(ctx3.nvars, b, values):
+                break
+            h += 1
+        assert strata3.profile(values) == h
+        assert strata3.profile(dict(zip(ctx3.coefficient_names, values))) == h
+        seen.add(h)
+    assert seen == {1, 2, 3}
+
+
+def test_profile_rejects_polynomials_in_x(ctx2):
+    bad = StrataPolynomials(ctx2, (ctx2.ring.zero, ctx2.generic))
+    with pytest.raises(RingError, match="not free of the x-variables"):
+        bad.profile([1] * len(ctx2.monomials))
+
+
 def test_specialization_commutes_with_coefficients(ctx2, strata2):
     """Evaluating b_i at a point equals computing the level-i coefficient of
     the specialized member directly."""
@@ -179,7 +212,7 @@ def test_specialization_commutes_with_coefficients(ctx2, strata2):
             continue
         checked += 1
         for i, b in enumerate(strata2.polynomials, start=1):
-            assert _evaluate_coefficients(ctx2, b, values) == graded_cy_coefficient(
+            assert O.evaluate_coefficients(ctx2.nvars, b, values) == graded_cy_coefficient(
                 [g], i
             )
 
