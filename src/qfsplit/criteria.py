@@ -39,7 +39,7 @@ from .rings import (
     RingError,
     check_homogeneous,
 )
-from .witt import delta1
+from .witt import delta1, delta1_power
 from .frobenius import (
     in_max_ideal_frobenius_power,
     iterated_u,
@@ -145,7 +145,9 @@ def _dedupe(polys: Iterable[Polynomial]) -> list[Polynomial]:
 class _Splitting:
     """The derived data of one problem I = (f'_1, ..., f'_m): f = Π f'_i and
     f^{p−1}, plus I_1's generators, f^{p−2} and Δ₁(f^{p−1}) computed on
-    first use."""
+    first use.  Δ₁(f^{p−1}) comes from `witt.delta1_power` (the δ-ring
+    product rule), never from the p-th power of f^{p−1}; the graded engine,
+    the certificate verifier and the I_n chain all read it here."""
 
     def __init__(self, gens: Sequence[Polynomial]):
         self.gens = list(gens)
@@ -170,7 +172,7 @@ class _Splitting:
     @cached_property
     def delta(self) -> Polynomial:
         """Δ₁(f^{p−1}), the multiplier of θ."""
-        return delta1(self.fp1)
+        return delta1_power(self.f)
 
 
 def _fail(reasons: Optional[list[str]], msg: str) -> bool:
@@ -325,7 +327,8 @@ def height_graded_cy(
                 f"theta orbit vanished at level {n}; every later coefficient is zero"
             )
             break
-        t = theta(t, sp.delta)
+        if n < n_max:
+            t = theta(t, sp.delta)
     res = HeightResult(
         LOWER_BOUND, n_max, None, route="graded-cy", diagnostics=tuple(diagnostics)
     )
@@ -353,14 +356,16 @@ def graded_cy_coefficient(
     if n == 1:
         return base.coefficient_of(cap)
     exp = (p ** (n - 1) - 1) // (p - 1)  # p^{n−2} + ... + p + 1
-    acc = sp.ring.one
+    acc = None
     sq = sp.delta
     e = exp
     while True:
         if budget is not None:
             budget.tick()
         if e & 1:
-            acc = acc.capped_mul(sq, cap)
+            # the first factor is taken as it is: terms over the cap are
+            # never read, and every later product drops them
+            acc = sq if acc is None else acc.capped_mul(sq, cap)
         e >>= 1
         if not e:
             break

@@ -122,23 +122,26 @@ class StrataPolynomials:
         height is at least h; h = len+1 means every computed b vanished)."""
         p = self.context.p
         values = [v % p for v in self.context._point_values(point)]
+        zeros = frozenset(j for j, v in enumerate(values) if not v)
         h = 1
         for form in self._forms:
             total = 0
-            for c, factors in form:
-                for j, e in factors:
-                    c = c * pow(values[j], e, p)
-                total += c
+            for c, factors, support in form:
+                if zeros.isdisjoint(support):
+                    for j, e in factors:
+                        c = c * pow(values[j], e, p)
+                    total += c
             if total % p:
                 break
             h += 1
         return h
 
     @cached_property
-    def _forms(self) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]:
-        """Each b_i compiled for `profile`: per term, the coefficient and its
-        (a-index, exponent) pairs.  Raises RingError if a b_i involves an
-        x-variable."""
+    def _forms(self) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...], frozenset[int]], ...], ...]:
+        """Each b_i compiled for `profile`: per term, the coefficient, its
+        (a-index, exponent) pairs and its support (the a-indices), so that a
+        term vanishing at the point is skipped unevaluated.  Raises RingError
+        if a b_i involves an x-variable."""
         nx = self.context.nvars
         forms = []
         for b in self.polynomials:
@@ -146,7 +149,8 @@ class StrataPolynomials:
             for exps, c in b.terms.items():
                 if any(exps[:nx]):
                     raise RingError("polynomial is not free of the x-variables")
-                form.append((c, tuple((j, e) for j, e in enumerate(exps[nx:]) if e)))
+                factors = tuple((j, e) for j, e in enumerate(exps[nx:]) if e)
+                form.append((c, factors, frozenset(j for j, _ in factors)))
             forms.append(tuple(form))
         return tuple(forms)
 

@@ -20,8 +20,15 @@ enough for every exponent up to p·M, M the largest exponent of a and the
 summands, so monomial products are single int additions and no field carries
 into the next.
 
+`delta1_power` forms Δ₁(f^{p−1}), the multiplier of θ, without the p-th
+power of f^{p−1} that the ghost route `delta1(f ** (p − 1))` takes: the
+δ-ring rules give it from one powering of f to the (p−1)-th power over ℤ/p²,
+Δ₁(f) and one product (Joyal, "δ-anneaux et vecteurs de Witt", 1985; Bhatt
+and Scholze, "Prisms and prismatic cohomology", §2).
+
 The test suite checks Δ₁ against the W₂ fold, the multinomial formula and
-exact integer ghost components (`tests/oracles.py`).
+exact integer ghost components, and `delta1_power` against the ghost route
+and the fold (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -91,3 +98,41 @@ def delta1(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) -> Po
         if c:
             out[unpack(e)] = c // p
     return Polynomial(ring, out)
+
+
+def delta1_power(f: Polynomial) -> Polynomial:
+    """Δ₁(f^{p−1}) by the δ-ring rules, without the p-th power of f^{p−1}.
+
+    With F the Teichmüller lift of f (each coefficient c becomes c^p mod p²)
+    and p·h = F^{p−1} − T(F^{p−1} mod p), where T is the same lift,
+
+        Δ₁(f^{p−1}) = h^p − f^{p(p−2)}·Δ₁(f),
+
+    from δ(A^k) ≡ k·A^{p(k−1)}·δ(A) and δ(A − p·h) ≡ δ(A) − h^p (mod p),
+    since Δ₁(g) = −δ(T(g)) mod p for the Frobenius lift x_i ↦ x_i^p.  Every
+    exponent stays within p(p−1)·M, M the largest exponent of f, so one
+    packing serves the whole call.  Raises ExponentOverflowError exactly
+    when `delta1(f ** (p − 1))` does: when p(p−1)·M exceeds EXPONENT_LIMIT.
+    """
+    ring = f.ring
+    p = ring.field.p
+    top = p * (p - 1) * f.max_exponent()
+    if top > EXPONENT_LIMIT:
+        raise ExponentOverflowError("Δ₁ would need exponents beyond the 32-bit budget")
+    codec = ExponentCodec(ring.nvars, top.bit_length())
+    q = p * p
+    pack = codec.pack
+    lift = {pack(e): pow(c, p, q) for e, c in f.terms.items()}  # F
+    low = _power(lift, p - 2, q) if p > 2 else {0: 1}  # F^{p−2}
+    scale = {p * e: r for e, c in low.items() if (r := c % p)}  # f^{p(p−2)}
+    power = _mul(low, lift, q)  # F^{p−1}
+    ghost = _mul(power, lift, q)  # F^p
+    for e, c in lift.items():  # minus Σ c^p·x^{pe}, which leaves p·Δ₁(f)
+        ghost[p * e] = ghost.get(p * e, 0) - c
+    out = _mul(scale, {e: r // p for e, c in ghost.items() if (r := c % q)}, p)
+    for e, c in power.items():  # minus h^p, so out is −Δ₁(f^{p−1})
+        h = (c - pow(c % p, p, q)) % q // p
+        if h:
+            out[p * e] = out.get(p * e, 0) - h
+    unpack = codec.unpack
+    return Polynomial(ring, {unpack(e): r for e, c in out.items() if (r := -c % p)})

@@ -29,6 +29,7 @@ from oracles import (
     w2_mul_ghost,
     w2_sub,
     w2_zero,
+    weierstrass_cubic,
 )
 
 from qfsplit import (
@@ -369,6 +370,40 @@ def test_criterion_8_elliptic_oracle():
                 disagreements.append((p, coeffs, res.verdict, res.n))
     _check(failures, not disagreements, f"disagreements: {disagreements}")
     _finish(8, "elliptic-oracle", failures)
+
+
+# supersingular by the classical criteria: y^2 = x^3 + 1 for p ≡ 2 (mod 3),
+# y^2 = x^3 + x for p ≡ 3 (mod 4); as (a1, a2, a3, a4, a6)
+KNOWN_SUPERSINGULAR = {5: [(0, 0, 0, 0, 1)], 7: [(0, 0, 0, 1, 0)], 11: [(0, 0, 0, 0, 1), (0, 0, 0, 1, 0)]}
+
+
+def test_criterion_8_elliptic_oracle_at_larger_primes():
+    """Ten random smooth Weierstrass cubics per prime p = 5, 7, 11, plus the
+    known supersingular curves: height 2 exactly for the supersingular ones
+    (by brute-force point counting), 1 otherwise, and every certificate
+    re-verifies."""
+    failures = []
+    rng = random.Random(2026)
+    for p, known in KNOWN_SUPERSINGULAR.items():
+        ring = ring3(p)
+        curves = [random_smooth_cubic(rng, ring) for _ in range(10)]
+        curves += [(c, weierstrass_cubic(ring, c)) for c in known]
+        for coeffs, cubic in curves:
+            supersingular = is_supersingular(coeffs, p, cubic)
+            _check(failures, supersingular or coeffs not in known, f"{coeffs} at p={p} is ordinary")
+            res = height(cubic, n_max=3)
+            _check(
+                failures,
+                (res.verdict, res.n) == (FINITE, 2 if supersingular else 1),
+                f"{coeffs} at p={p}: {res.verdict} {res.n}, supersingular={supersingular}",
+            )
+            _check(
+                failures,
+                res.certificate is not None
+                and verify_certificate(Ideal(ring, [cubic]), res.certificate),
+                f"{coeffs} at p={p}: certificate does not re-verify",
+            )
+    _finish(8, "elliptic-oracle-larger-primes", failures)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,27 @@ def test_graded_cy_supersingular_cubic():
     assert res.certificate.kind == COEFFICIENT_WITNESS
 
 
+def test_lower_bound_run_forms_no_theta_past_the_cutoff(monkeypatch):
+    """A cubic at p = 3 whose target coefficient vanishes and whose θ orbit
+    stays nonzero through level 5: a run to n_max reads n_max coefficients,
+    so it forms n_max − 1 θ images."""
+    calls = []
+
+    def counting_theta(a, delta):
+        calls.append(a)
+        return theta(a, delta)
+
+    monkeypatch.setattr("qfsplit.criteria.theta", counting_theta)
+    f = ring_over(3).parse("x^3 + x^2*y + y^3 + x*y*z + y*z^2")
+    for n_max in range(1, 6):
+        calls.clear()
+        res = height_graded_cy([f], Grading.standard(3), n_max=n_max)
+        assert (res.verdict, res.n, res.steps) == (LOWER_BOUND, n_max, n_max)
+        assert res.diagnostics == ()
+        assert len(calls) == n_max - 1
+        assert all(calls)
+
+
 def test_graded_cy_rejects_wrong_degree_sum():
     ring = ring_over(2)
     # quadric in three variables: degree 2 != 3
@@ -154,11 +175,14 @@ CUBICS = (
 )
 
 
-@pytest.mark.parametrize("p,levels", [(2, 3), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,levels", [(2, 3), (3, 3), (5, 2), (2, 4), (3, 4)])
 def test_coefficient_matches_whole_capped_product(p, levels):
     """The coefficient read as Σ f^{p−1}[e]·acc[cap−e] equals the one read off
     the whole product f^{p−1}·Δ₁(f^{p−1})^{p^{n−2}+⋯+1}, truncated at the
-    cap after each factor (zero and nonzero values both occur)."""
+    cap after each factor (zero and nonzero values both occur).  The powering
+    starts from the first factor, which at n = 2 is Δ₁(f^{p−1}) itself,
+    uncapped; levels 2–4 take the exponents 1, 3, 7 at p = 2 and 1, 4, 13
+    at p = 3."""
     ring = ring_over(p)
     seen = set()
     for text in CUBICS:

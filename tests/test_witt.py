@@ -3,13 +3,20 @@
 The ground truth is exact integer arithmetic: ghost components for the
 additive structure, and the closed multinomial/ghost formulas for Δ₁.  The
 W₂ arithmetic itself lives in `tests/oracles.py`, where folding Teichmüller
-lifts through it gives a third, independent route to Δ₁.
+lifts through it gives a third, independent route to Δ₁.  Δ₁(f^{p−1}) by the
+δ-ring product rule (`delta1_power`) is checked against the ghost route
+`delta1(f ** (p − 1))` and the fold, and the δ-ring sum and power rules
+themselves against the fold.
 """
+
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qfsplit import EXPONENT_LIMIT, ExponentOverflowError, RingError, delta1
+from qfsplit.witt import delta1_power
 
 import oracles as O
 from oracles import W2Element, teichmuller, w2_add, w2_mul, w2_neg, w2_sub, w2_zero
@@ -204,3 +211,123 @@ def test_delta1_vanishes_iff_no_carry_on_disjoint_vars(data):
     assert d.is_zero() == (cx * cy == 0)
     if cx and cy:
         assert d == ring.parse("x^3*y^3")
+
+
+# ---------------------------------------------------------------------------
+# Δ₁(f^{p−1}) by the δ-ring product rule
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+VARIABLES = ("x", "y", "z", "w")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data())
+def test_delta1_power_matches_ghost_route_and_fold(p, data):
+    """In one to four variables; the fold of f^{p−1} grows fast with p, so
+    the polynomials shrink as p grows."""
+    ring = ring_over(p, VARIABLES[: data.draw(st.integers(1, 4))])
+    f = data.draw(poly_strategy(ring, max_exp=2 if p > 3 else 3, max_terms=3 if p == 7 else 4))
+    fp1 = f ** (p - 1)
+    assert delta1_power(f) == delta1(fp1) == O.delta1_fold(fp1)
+
+
+@pytest.mark.parametrize("name", ["rdp-table", "sextic", "cy-graded", "strata-sweep"])
+def test_delta1_power_on_workload_equations(name):
+    """Every equation of the benchmark's workloads (strata-sweep: the 2,500
+    members of seed 1, draw 0), with f the product of the generators."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import workloads
+    problems = workloads.build(name, 1).problems
+    assert problems
+    for prob in problems:
+        f = prob.gens[0]
+        for g in prob.gens[1:]:
+            f = f * g
+        assert delta1_power(f) == delta1(f ** (f.ring.field.p - 1)), prob.pid
+
+
+def _boundary_exponents(p, k):
+    """2^k − 1 and 2^k, and the exponents M on either side of p(p−1)·M = 2^k,
+    where the packed field width of the rule steps up."""
+    below = (2**k - 1) // (p * (p - 1))
+    return sorted({2**k - 1, 2**k, below, below + 1} - {0})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+def test_delta1_power_at_packing_boundaries(p, k):
+    """x^M·y + x^M·z makes F^{p−1} non-Teichmüller at x^{(p−1)M}, so h^p
+    reaches the largest exponent p(p−1)·M, with fields on both sides."""
+    ring = ring_over(p)
+    for m in _boundary_exponents(p, k):
+        f = ring.parse(f"x^{m}*y + x^{m}*z + 2*y^{m}*z")
+        assert delta1_power(f) == delta1(f ** (p - 1)), m
+    assert delta1_power(ring.parse(f"x^{2**k}")).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_delta1_power_overflow_boundary(p):
+    """p(p−1)·M may reach EXPONENT_LIMIT but not pass it, as for the ghost
+    route delta1(f ** (p − 1))."""
+    ring = ring_over(p)
+    x, y = ring.parse("x"), ring.parse("y")
+    k = EXPONENT_LIMIT // (p * (p - 1))
+    f = x**k + y
+    assert delta1_power(f) == delta1(f ** (p - 1))
+    g = x ** (k + 1) + y
+    with pytest.raises(ExponentOverflowError):
+        delta1(g ** (p - 1))
+    with pytest.raises(ExponentOverflowError):
+        delta1_power(g)
+
+
+# ---------------------------------------------------------------------------
+# the δ-ring rules, against the fold
+# ---------------------------------------------------------------------------
+#
+# With φ(x_i) = x_i^p on ℤ/p²[x] and δ(A) = (φ(A) − A^p)/p, the carry with
+# respect to terms is Δ₁(g) = −δ(T(g)) mod p, T the Teichmüller lift of the
+# coefficients (c ↦ c^p mod p²).
+
+
+def _teichmuller_lift(g):
+    p = g.ring.field.p
+    return {e: c**p for e, c in O.zlift(g).items()}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data())
+def test_delta_sum_rule(p, data):
+    """δ(A + B) = δ(A) + δ(B) − Σ_{0<i<p} binom(p, i)/p·A^i·B^{p−i}: for a
+    and b with disjoint supports, Δ₁(a + b) = Δ₁(a) + Δ₁(b) + that sum, and
+    the carry of the split [a, b] alone is the sum."""
+    ring = ring_over(p)
+    f = data.draw(poly_strategy(ring, max_exp=2, max_terms=4))
+    terms = sorted(f.terms.items())
+    mask = data.draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+    a = ring.from_terms({e: c for (e, c), left in zip(terms, mask) if left})
+    b = f - a
+    mixed = ring.zero
+    for i in range(1, p):
+        mixed = mixed + (a**i * b ** (p - i)).scale(math.comb(p, i) // p)
+    assert O.delta1_fold(f) == O.delta1_fold(a) + O.delta1_fold(b) + mixed
+    assert O.delta1_fold(f, summands=[a, b]) == mixed
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@given(data=st.data())
+def test_delta_power_rule(p, k, data):
+    """δ(A^k) ≡ k·A^{p(k−1)}·δ(A), with A = T(a): since T(a)^k = T(a^k) + p·h
+    and δ(C + p·h) ≡ δ(C) − h^p, Δ₁(a^k) = k·a^{p(k−1)}·Δ₁(a) + h^p."""
+    ring = ring_over(p)
+    a = data.draw(poly_strategy(ring, max_exp=2, max_terms=3 if p == 5 else 4))
+    if a.is_zero():
+        return
+    ak = a**k
+    diff = O.zadd(O.zpow(_teichmuller_lift(a), k), O.zscale(_teichmuller_lift(ak), -1))
+    h = O.zreduce(O.zdiv_exact({e: c % (p * p) for e, c in diff.items()}, p), ring)
+    expected = (a ** (p * (k - 1)) * O.delta1_fold(a)).scale(k) + h.pth_power()
+    assert O.delta1_fold(ak) == expected
