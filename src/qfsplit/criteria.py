@@ -474,6 +474,18 @@ def height_local(
     return finish(LOWER_BOUND, n_max, None)
 
 
+def _integer_root(n: int, k: int) -> int:
+    """The largest r ≥ 0 with r^k ≤ n, for n ≥ 0 and k ≥ 1."""
+    lo, hi = 0, 2 ** (n.bit_length() // k + 1)  # hi^k > n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _strict_chain_search(
     sp: _Splitting,
     n: int,
@@ -495,7 +507,7 @@ def _strict_chain_search(
     nvars = sp.ring.nvars
     bound = sp.p ** (n - 1)  # exclusive per-variable multiplier bound
     if bound ** nvars * len(sp.i1) > max_candidates:
-        bound = max(sp.p, int(max_candidates ** (1.0 / nvars)))
+        bound = max(sp.p, _integer_root(max_candidates, nvars))
     mults = sorted(
         itertools.product(range(bound), repeat=nvars), key=sum
     )

@@ -6,11 +6,14 @@ tie-breaks), and reduced bases are returned sorted by leading term.  Long
 computations are guarded by a step budget (see `Budget`), overridable
 through the QFSPLIT_GB_BUDGET environment variable.
 
-The module layer orders terms position over term: the lowest position is on
-top, then grevlex within a position.  Every position is thereby an
-elimination block, so both kernels the criteria need come out of a module
-basis as syzygies: Fedder's colon (I : J) (`colon_ideal`) and F_*I ∩ Ker(u)
-(`frobenius_module_intersect_keru`).
+Both kernels the criteria need are syzygies.  F_*I ∩ Ker(u)
+(`frobenius_module_intersect_keru`) comes from the syzygies of the u-images
+of I's translates, which one Buchberger run on the images alone yields when
+each basis element carries its cofactors (Schreyer's theorem; `_syzygies`).
+The module layer, which orders terms position over term (the lowest
+position on top, then grevlex within it, so every position is an
+elimination block), serves only the colon ideal (I : J) (`colon_ideal`) of
+the regular-sequence check.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .rings import (
     EXPONENT_LIMIT,
@@ -63,15 +66,32 @@ class Budget:
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(int.__le__, a, b))
 
 
 def _sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(int.__sub__, a, b))
 
 
 def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+def _sub_multiple(
+    acc: dict[tuple[int, ...], int],
+    mult: int,
+    shift: tuple[int, ...],
+    terms: dict[tuple[int, ...], int],
+    p: int,
+) -> None:
+    """acc −= mult·x^shift·terms over F_p, in place."""
+    for eg, cg in terms.items():
+        ep = tuple(map(int.__add__, eg, shift))
+        s = (acc.get(ep, 0) - mult * cg) % p
+        if s:
+            acc[ep] = s
+        elif ep in acc:
+            del acc[ep]
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +155,7 @@ def normal_form(
         c = work[e]
         for le, inv_lc, g in basis:
             if _divides(le, e):
-                mult = (c * inv_lc) % p
-                shift = _sub(e, le)
-                for eg, cg in g.terms.items():
-                    ep = tuple(map(int.__add__, eg, shift))
-                    s = (work.get(ep, 0) - mult * cg) % p
-                    if s:
-                        work[ep] = s
-                    elif ep in work:
-                        del work[ep]
+                _sub_multiple(work, c * inv_lc % p, _sub(e, le), g.terms, p)
                 break
         else:
             rem[e] = c
@@ -157,6 +169,60 @@ def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     eg, cg = g.leading_term()
     m = _lcm(ef, eg)
     return f.mul_term(_sub(m, ef), field.inv(cf)) - g.mul_term(_sub(m, eg), field.inv(cg))
+
+
+def _pair_loop(
+    leads: list[tuple[int, ...]],
+    reduce_pair: Callable[[int, int], Optional[tuple[int, ...]]],
+    budget: Budget,
+    product_criterion: bool,
+) -> None:
+    """Work off the S-pairs of a basis in normal-selection order.
+
+    `leads` holds the leading exponents of the basis.  `reduce_pair(i, j)`
+    reduces the S-pair of elements i and j and returns the leading exponent
+    of the element it appended to the basis, or None; that exponent joins
+    `leads` and its pairs join the queue.  Each popped pair ticks the budget
+    once.  The chain criterion prunes a pair whose lcm is covered by the
+    leading term of a third element whose pairs with both are done; with
+    `product_criterion`, pairs with coprime leading monomials are skipped.
+    """
+    # heap of (key(lcm), i, j, lcm): (i, j) makes every key distinct, so pops
+    # come in the same order as a min() over the pending pairs would give
+    queue: list = []
+
+    def add_pairs(j: int) -> None:
+        for i in range(j):
+            m = _lcm(leads[i], leads[j])
+            heapq.heappush(queue, (grevlex_key(m), i, j, m))
+
+    for j in range(len(leads)):
+        add_pairs(j)
+    done: set[tuple[int, int]] = set()
+    while queue:
+        _, i, j, m = heapq.heappop(queue)
+        done.add((i, j))
+        budget.tick()
+        li, lj = leads[i], leads[j]
+        # product criterion
+        if product_criterion and all(a + b == c for a, b, c in zip(li, lj, m)):
+            continue
+        # chain criterion
+        skip = False
+        for k in range(len(leads)):
+            if k in (i, j) or not _divides(leads[k], m):
+                continue
+            a = (min(i, k), max(i, k))
+            b = (min(j, k), max(j, k))
+            if a in done and b in done:
+                skip = True
+                break
+        if skip:
+            continue
+        lead = reduce_pair(i, j)
+        if lead is not None:
+            leads.append(lead)
+            add_pairs(len(leads) - 1)
 
 
 def buchberger(
@@ -178,44 +244,15 @@ def buchberger(
             g = normal_form(g, basis, budget)
             if g:
                 basis.append(g)
-    leads = [g.leading_term()[0] for g in basis]
-    # heap of (key(lcm), i, j, lcm): (i, j) makes every key distinct, so pops
-    # come in the same order as a min() over the pending pairs would give
-    queue: list = []
 
-    def add_pairs(j: int) -> None:
-        for i in range(j):
-            m = _lcm(leads[i], leads[j])
-            heapq.heappush(queue, (grevlex_key(m), i, j, m))
-
-    for j in range(len(basis)):
-        add_pairs(j)
-    done: set[tuple[int, int]] = set()
-    while queue:
-        _, i, j, m = heapq.heappop(queue)
-        done.add((i, j))
-        budget.tick()
-        li, lj = leads[i], leads[j]
-        # product criterion
-        if all(a + b == c for a, b, c in zip(li, lj, m)):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(leads[k], m):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                skip = True
-                break
-        if skip:
-            continue
+    def reduce_pair(i: int, j: int) -> Optional[tuple[int, ...]]:
         s = normal_form(_s_poly(basis[i], basis[j]), basis, budget)
-        if s:
-            basis.append(s)
-            leads.append(s.leading_term()[0])
-            add_pairs(len(basis) - 1)
+        if not s:
+            return None
+        basis.append(s)
+        return s.leading_term()[0]
+
+    _pair_loop([g.leading_term()[0] for g in basis], reduce_pair, budget, True)
     return _reduce_basis(basis, budget)
 
 
@@ -353,13 +390,7 @@ def module_normal_form(
                 mult = (c * ginv) % p
                 for gpos, gpoly in comps.items():
                     comp = work.setdefault(gpos, {})
-                    for eg, cg in gpoly.terms.items():
-                        ep = tuple(map(int.__add__, eg, shift))
-                        s = (comp.get(ep, 0) - mult * cg) % p
-                        if s:
-                            comp[ep] = s
-                        elif ep in comp:
-                            del comp[ep]
+                    _sub_multiple(comp, mult, shift, gpoly.terms, p)
                     if not comp:
                         del work[gpos]
                 break
@@ -452,7 +483,7 @@ def _reduce_module_basis(
 
 
 # ---------------------------------------------------------------------------
-# kernels as syzygies: (I : J) and F_*I ∩ Ker(u)
+# kernels as syzygies: (I : J) on the module engine, F_*I ∩ Ker(u) by Schreyer
 # ---------------------------------------------------------------------------
 
 
@@ -491,6 +522,74 @@ def _translates(ring: PolynomialRing, gens: Sequence[Polynomial]):
     return out
 
 
+def _syzygies(
+    ring: PolynomialRing, images: Sequence[Polynomial], budget: Budget
+) -> list[dict[int, dict[tuple[int, ...], int]]]:
+    """Generators of the syzygies of `images` (Schreyer's theorem).
+
+    One Buchberger run on the images alone, each basis element g carrying
+    its cofactor vector {j: c_j} with g = Σ c_j·images[j].  Every image is
+    reduced against the basis so far: a nonzero remainder joins the basis,
+    a zero one leaves its cofactor vector as a syzygy.  Then every S-pair
+    whose lcm the chain criterion does not cover is reduced, coprime pairs
+    too (the product criterion does not hold for syzygies), and a reduction
+    to zero leaves a syzygy in the same way.  Syzygies are never paired or
+    inter-reduced.  The budget ticks once per pair and once per reduction
+    step.  Syzygies come back as {j: terms of c_j}.
+    """
+    p = ring.field.p
+    inv = ring.field.inv
+    # (leading exponent, inverse leading coefficient, terms, cofactor, largest
+    # exponent of terms and cofactor), one per basis element
+    basis: list[tuple] = []
+    syzygies: list[dict[int, dict[tuple[int, ...], int]]] = []
+
+    def subtract(work: dict, cof: dict, entry: tuple, mult: int, shift: tuple[int, ...]) -> None:
+        _, _, terms, cofactor, top = entry
+        if top + max(shift, default=0) > EXPONENT_LIMIT:
+            raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
+        _sub_multiple(work, mult, shift, terms, p)
+        for j, t in cofactor.items():
+            _sub_multiple(cof.setdefault(j, {}), mult, shift, t, p)
+
+    def reduce(work: dict, cof: dict) -> Optional[tuple[int, ...]]:
+        rem: dict[tuple[int, ...], int] = {}
+        while work:
+            budget.tick()
+            e = max(work, key=grevlex_key)
+            c = work[e]
+            for entry in basis:
+                le = entry[0]
+                if _divides(le, e):
+                    subtract(work, cof, entry, c * entry[1] % p, _sub(e, le))
+                    break
+            else:
+                rem[e] = c
+                del work[e]
+        cof = {j: t for j, t in cof.items() if t}
+        if not rem:
+            syzygies.append(cof)
+            return None
+        le = max(rem, key=grevlex_key)
+        top = max(max(e, default=0) for t in (rem, *cof.values()) for e in t)
+        basis.append((le, inv(rem[le]), rem, cof, top))
+        return le
+
+    def reduce_pair(i: int, j: int) -> Optional[tuple[int, ...]]:
+        work: dict[tuple[int, ...], int] = {}
+        cof: dict[int, dict[tuple[int, ...], int]] = {}
+        m = _lcm(basis[i][0], basis[j][0])
+        subtract(work, cof, basis[i], p - basis[i][1], _sub(m, basis[i][0]))
+        subtract(work, cof, basis[j], basis[j][1], _sub(m, basis[j][0]))
+        return reduce(work, cof)
+
+    one = (0,) * ring.nvars
+    for j, w in enumerate(images):
+        reduce(dict(w.terms), {j: {one: 1}})
+    _pair_loop([entry[0] for entry in basis], reduce_pair, budget, False)
+    return syzygies
+
+
 def frobenius_module_intersect_keru(
     I: Ideal, budget: Optional[Budget] = None
 ) -> list[Polynomial]:
@@ -498,46 +597,25 @@ def frobenius_module_intersect_keru(
 
     F_*I is generated over S by F_*(x^α·g) for generators g of I and residues
     α (since F_*(a^p·x^α·g) = a·F_*(x^α·g)).  An S-combination Σ c_j·F_*(t_j)
-    kills the u-coordinate iff (c_j) is a syzygy of (u(F_*t_j))_j, so the
-    intersection is computed as a syzygy module: run the position-over-term
-    engine on the vectors (u(F_*t_j), e_j) ⊂ S^(1+G) with position 0 on top,
-    and keep the basis members with vanishing position 0.  Each survivor
-    yields the ring element w = Σ c_j^p·t_j with F_*w in the intersection;
-    the elements w ∈ I are returned, without duplicates.
+    kills the u-coordinate iff (c_j) is a syzygy of the images
+    (u(F_*t_j))_j, so the intersection is generated by the translates with
+    u-image zero and, for each syzygy generator c of the nonzero images
+    (`_syzygies`), the element w = Σ c_j^p·t_j.  The elements w ∈ I are
+    returned, without duplicates.
     """
     ring = I.ring
     if budget is None:
         budget = Budget()
-    gens = [g for g in I.groebner(budget)]
-    pairs = _translates(ring, gens)
-    vectors = []
+    pairs = _translates(ring, I.groebner(budget))
+    direct = [tg for tg, w in pairs if not w]
+    moved = [(tg, w) for tg, w in pairs if w]
     elements: list[Polynomial] = []
-    direct: list[Polynomial] = []
-    for tg, w in pairs:
-        if w.is_zero():
-            # already in Ker(u); emit directly, no syzygy needed
-            direct.append(tg)
-        else:
-            vectors.append((w, tg))
-    mvecs = [
-        FreeModuleVector(ring, {0: w, j + 1: ring.one})
-        for j, (w, _) in enumerate(vectors)
-    ]
-    gb = module_buchberger(mvecs, budget=budget)
-    for v in gb:
-        if 0 in v.components:
-            continue
+    for cof in _syzygies(ring, [w for _, w in moved], budget):
         w_elem = ring.zero
-        for pos, c in v.components.items():
-            w_elem = w_elem + c.pth_power() * vectors[pos - 1][1]
+        for j, t in cof.items():
+            w_elem = w_elem + Polynomial(ring, t).pth_power() * moved[j][0]
         if w_elem:
             elements.append(w_elem)
-    out = []
-    seen: set[Polynomial] = set()
-    for w_elem in direct + elements:
-        if w_elem in seen:
-            continue
-        seen.add(w_elem)
-        assert u_map(w_elem).is_zero(), "intersection generator escaped Ker(u)"
-        out.append(w_elem)
+    out = list(dict.fromkeys(direct + elements))
+    assert not any(u_map(w) for w in out), "intersection generator escaped Ker(u)"
     return out

@@ -13,7 +13,8 @@ arithmetic paths:
 * capped products and the graded coefficient by full products truncated
   afterwards, and stratum polynomials at a point term by term,
 * F_*h in p-basis coordinates, and F_*I ∩ Ker(u) by the literal rank-p^N
-  module elimination,
+  module elimination and by the module engine on the syzygies of the
+  u-images (the package's route before the Schreyer run),
 * elliptic curves via the classical discriminant and brute-force point
   counts over the projective plane.
 
@@ -36,6 +37,7 @@ from typing import Iterable, Optional, Sequence, Union
 import sympy as sp
 
 from qfsplit import (
+    Budget,
     FreeModuleVector,
     Ideal,
     Polynomial,
@@ -509,6 +511,45 @@ def frobenius_module_intersect_keru_direct(I: Ideal) -> list[Polynomial]:
     return out
 
 
+def frobenius_module_intersect_keru_module(
+    I: Ideal, budget: Optional[Budget] = None
+) -> list[Polynomial]:
+    """F_*I ∩ Ker(u) as a syzygy module on the module engine.
+
+    Runs `module_buchberger` to a full reduced basis of the vectors
+    (u(F_*t_j), e_j) ⊂ S^(1+k), position 0 on top, for the nonzero images of
+    the translates t_j = x^α·g (g in the basis of I, α ∈ [0, p−1]^N), and
+    keeps the members with vanishing position 0; each gives
+    w = Σ c_j^p·t_j.  The translates with u-image zero are emitted directly.
+    The package's Schreyer route must give the same module.
+    """
+    ring = I.ring
+    p = ring.field.p
+    if budget is None:
+        budget = Budget()
+    direct: list[Polynomial] = []
+    moved: list[tuple[Polynomial, Polynomial]] = []
+    for g in I.groebner(budget):
+        for alpha in itertools.product(range(p), repeat=ring.nvars):
+            tg = g.mul_term(alpha)
+            w = u_map(tg)
+            if w:
+                moved.append((tg, w))
+            else:
+                direct.append(tg)
+    mvecs = [FreeModuleVector(ring, {0: w, j + 1: ring.one}) for j, (_, w) in enumerate(moved)]
+    elements = []
+    for v in module_buchberger(mvecs, budget=budget):
+        if 0 in v.components:
+            continue
+        w_elem = ring.zero
+        for pos, c in v.components.items():
+            w_elem = w_elem + c.pth_power() * moved[pos - 1][0]
+        if w_elem:
+            elements.append(w_elem)
+    return list(dict.fromkeys(direct + elements))
+
+
 # ---------------------------------------------------------------------------
 # reference routes built from the public maps
 # ---------------------------------------------------------------------------
@@ -544,12 +585,15 @@ def psi2_eval(
     return out
 
 
-def local_chain_ideals(I: Ideal, n_max: int) -> list[Ideal]:
+def local_chain_ideals(
+    I: Ideal, n_max: int, keru=frobenius_module_intersect_keru
+) -> list[Ideal]:
     """The ideals I_1, ..., I_k (k ≤ n_max) of the local engine, stopping at
     the first I_{k+1} = I_k.
 
     I_1 = (f^{p−1}) + ((f'_i)^p) for f = Π f'_i, and
-    I_{n+1} = θ(F_*I_n ∩ Ker u) + I_1 with θ's multiplier Δ₁(f^{p−1}).
+    I_{n+1} = θ(F_*I_n ∩ Ker u) + I_1 with θ's multiplier Δ₁(f^{p−1});
+    `keru` computes the generators of F_*I_n ∩ Ker u.
     """
     ring = I.ring
     f = ring.one
@@ -560,7 +604,7 @@ def local_chain_ideals(I: Ideal, n_max: int) -> list[Ideal]:
     i1 = [fp1] + [g.pth_power() for g in I.gens]
     out = [Ideal(ring, i1)]
     for _ in range(1, n_max):
-        images = [theta(w, delta) for w in frobenius_module_intersect_keru(out[-1])]
+        images = [theta(w, delta) for w in keru(out[-1])]
         nxt = Ideal(ring, i1 + images)
         if ideal_equal(out[-1], nxt):
             break

@@ -31,17 +31,23 @@ from qfsplit import (
 )
 from qfsplit.criteria import (
     CHAIN_WITNESS,
+    ChainStep,
     Certificate,
     COEFFICIENT_WITNESS,
     FINITE,
+    FIXED_POINT_ENCLOSURE,
+    I_INFTY_STABILIZED,
     INFINITE,
     LOWER_BOUND,
     NON_QFS,
     UNKNOWN,
+    _integer_root,
     _Splitting,
+    _strict_chain_search,
     _theta_closure,
     graded_cy_applicable,
     graded_cy_coefficient,
+    verify_witness_levels,
 )
 from qfsplit.groebner import colon_ideal, ideal_equal, ideal_membership
 from qfsplit.frobenius import in_max_ideal_frobenius_power, theta, u_map
@@ -363,7 +369,7 @@ def test_closure_carries_its_reduced_basis(monkeypatch):
     budget = Budget()
     assert verify_infinity_certificate(I, closure, budget)
     assert reduced == []
-    assert budget.steps == 19  # 24 when the closure's basis was reduced again
+    assert budget.steps == 9  # 14 when the closure's basis was reduced again
 
 
 def assert_i1_seed_matches_colon_seed(gens):
@@ -430,9 +436,9 @@ def test_qfs_decide_equals_closure_of_colon_seed_on_quadric_pairs(p):
 @pytest.mark.parametrize(
     "kind,p,text,steps",
     [
-        ("height", 2, "z^2 + x^3 + y^5", 457),  # E8^0, local chain to n = 4
-        ("height", 3, "z^2 + x^3 + y^5", 604),  # E8^0, local chain to n = 3
-        ("qfs_decide", 2, "x^3 + y^2*z", 27),  # the cusp's I_infinity
+        ("height", 2, "z^2 + x^3 + y^5", 187),  # E8^0, local chain to n = 4
+        ("height", 3, "z^2 + x^3 + y^5", 202),  # E8^0, local chain to n = 3
+        ("qfs_decide", 2, "x^3 + y^2*z", 17),  # the cusp's I_infinity
     ],
 )
 def test_chain_reduces_each_generator_set_once(monkeypatch, kind, p, text, steps):
@@ -589,6 +595,122 @@ def test_verify_infinity_rejects_fsplit_bracket():
     reasons = []
     assert not verify_infinity_certificate(Ideal(ring, [f]), bracket, reasons=reasons)
     assert reasons
+
+
+def test_integer_root_is_exact():
+    assert _integer_root(64, 3) == 4  # int(64 ** (1 / 3)) is 3
+    assert _integer_root(20000, 3) == 27
+    for n in range(200):
+        for k in (1, 2, 3, 5):
+            r = _integer_root(n, k)
+            assert r**k <= n < (r + 1) ** k
+
+
+def test_strict_chain_search_sizes_exact_powers_exactly():
+    """E8^0 at p = 2 has height 4, so no strict chain of length 3 exists and
+    the search tries every multiplier: 64 candidates allow [0, 4)^3 for each
+    of the two I_1 generators."""
+    ring = ring_over(2)
+    sp = _Splitting([ring.parse("z^2 + x^3 + y^5")])
+    budget = Budget()
+    assert _strict_chain_search(sp, 3, budget, max_candidates=64) is None
+    assert budget.steps == 4**3 * len(sp.i1)
+
+
+# ---------------------------------------------------------------------------
+# tampered certificates: one change the mathematics forbids, per kind
+# ---------------------------------------------------------------------------
+
+
+def bump_leading_coefficient(poly):
+    """poly with the coefficient of its leading term raised by one."""
+    lead, _ = poly.leading_term()
+    return poly + poly.ring.from_terms({lead: 1})
+
+
+# local-chain rows of the double-point table at p = 2, 3, 5, and a
+# hyperplane section of a sextic, whose certificate carries no strict chain
+LEVELLED_CASES = [
+    (2, ("x", "y", "z"), ["z^2 + x^2*y + x*y^4 + x*y^3*z"]),  # D8^1
+    (3, ("x", "y", "z"), ["z^2 + x^3 + y^5"]),  # E8^0
+    (5, ("x", "y", "z"), ["z^2 + x^3 + y^5"]),  # E8^0
+    (2, tuple("xyzwus"), ["x*y*s^2 + z*w*u^2 + y^3*w + x^3*z", "s"]),
+]
+
+
+def levelled_certificate(p, names, texts):
+    ring = ring_named(p, names)
+    I = Ideal(ring, [ring.parse(t) for t in texts])
+    res = height(I)
+    assert res.route == "local-chain" and res.certificate.kind == CHAIN_WITNESS
+    assert verify_certificate(I, res.certificate)
+    return I, res.certificate
+
+
+@pytest.mark.parametrize("p,names,texts", LEVELLED_CASES)
+def test_levels_reject_a_tampered_theta_image(p, names, texts):
+    """Through `verify_witness_levels`, since `verify_certificate` checks only
+    the strict chain when there is one."""
+    I, cert = levelled_certificate(p, names, texts)
+    levels = [list(records) for records in cert.data["levels"]]
+    l, k = next((l, k) for l, rs in enumerate(levels) for k, r in enumerate(rs) if r.image)
+    levels[l][k] = ChainStep(levels[l][k].element, bump_leading_coefficient(levels[l][k].image))
+    reasons = []
+    tampered = Certificate(CHAIN_WITNESS, dict(cert.data, levels=levels))
+    assert not verify_witness_levels(I, tampered, reasons=reasons)
+    assert reasons[0].startswith(f"level {l + 1}: theta image")
+
+
+@pytest.mark.parametrize("p,names,texts", LEVELLED_CASES[:3])
+def test_strict_chain_rejects_a_tampered_element(p, names, texts):
+    I, cert = levelled_certificate(p, names, texts)
+    chain = list(cert.data["chain"])
+    assert len(chain) >= 2
+    chain[-1] = bump_leading_coefficient(chain[-1])
+    reasons = []
+    assert not verify_certificate(I, Certificate(CHAIN_WITNESS, dict(cert.data, chain=chain)), reasons=reasons)
+    assert "theta image" in reasons[0]
+
+
+@pytest.mark.parametrize(
+    "p,names,text",
+    [
+        (5, "xyzw", "x^4 + y^4 + z^4 + w^4 + x*y*z*w + x^2*y*z"),
+        (7, "xyz", "y^2*z + 6*x^3 + 6*x*z^2"),
+        (5, "xyz", "x^3 + y^3 + z^3 + x*y*z"),
+    ],
+)
+def test_coefficient_witness_rejects_a_tampered_coefficient(p, names, text):
+    ring = ring_named(p, list(names))
+    I = Ideal(ring, [ring.parse(text)])
+    cert = height(I).certificate
+    assert cert.kind == COEFFICIENT_WITNESS and verify_certificate(I, cert)
+    data = dict(cert.data, coefficient=(cert.data["coefficient"] + 1) % p)
+    reasons = []
+    assert not verify_certificate(I, Certificate(COEFFICIENT_WITNESS, data), reasons=reasons)
+    assert "coefficient" in reasons[0]
+
+
+@pytest.mark.parametrize(
+    "kind,p,names,text,options",
+    [
+        (I_INFTY_STABILIZED, 2, tuple("xyzwus"), "x*y*s^2 + z*w*u^2 + y^3*w + x^3*z",
+         {"n_max": 4}),
+        (FIXED_POINT_ENCLOSURE, 2, ("x", "y", "z"), "x^3 + y^2*z", {"strategy": "local"}),
+    ],
+)
+def test_enclosures_reject_a_generator_outside_the_bracket_power(kind, p, names, text, options):
+    """The first generator gains the term (x_1⋯x_N)^{p−1}, which lies outside
+    m^{[p]}."""
+    ring = ring_named(p, names)
+    I = Ideal(ring, [ring.parse(text)])
+    cert = height(I, **options).certificate
+    assert cert.kind == kind and verify_certificate(I, cert)
+    gens = list(cert.data["generators"])
+    gens[0] = gens[0] + ring.monomial((p - 1,) * ring.nvars)
+    reasons = []
+    assert not verify_certificate(I, Certificate(kind, dict(cert.data, generators=gens)), reasons=reasons)
+    assert "escapes m^[p]" in reasons[0]
 
 
 # ---------------------------------------------------------------------------

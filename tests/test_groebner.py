@@ -27,7 +27,7 @@ from qfsplit import (
     normal_form,
     u_map,
 )
-from qfsplit.groebner import _module_lead, module_normal_form
+from qfsplit.groebner import _module_lead, _syzygies, module_normal_form
 from qfsplit.rings import EXPONENT_LIMIT, grevlex_key
 
 import oracles as O
@@ -302,18 +302,78 @@ def test_keru_syzygy_route_matches_direct(p, gens_text, vars):
     assert ideal_equal(Ideal(ring, fast), Ideal(ring, slow))
 
 
+def keru_ideal(p, gens_text, vars):
+    from qfsplit import PolynomialRing, PrimeField
+
+    ring = PolynomialRing(PrimeField(p), vars)
+    return Ideal(ring, [ring.parse(t) for t in gens_text])
+
+
 @pytest.mark.parametrize(
     "p,gens_text,vars,steps",
     [case + (steps,) for case, steps in zip(KERU_IDEALS, [35, 35, 13, 38])],
 )
 def test_keru_step_count_is_pinned(p, gens_text, vars, steps):
-    """Steps of F_*I ∩ Ker(u), ideal basis included, stay as they were."""
-    from qfsplit import PolynomialRing, PrimeField
-
-    ring = PolynomialRing(PrimeField(p), vars)
+    """Steps of the module-engine reference route, ideal basis included, stay
+    as they were."""
     budget = Budget(10**6)
-    frobenius_module_intersect_keru(Ideal(ring, [ring.parse(t) for t in gens_text]), budget)
+    O.frobenius_module_intersect_keru_module(keru_ideal(p, gens_text, vars), budget)
     assert budget.steps == steps
+
+
+@pytest.mark.parametrize(
+    "p,gens_text,vars,steps,count",
+    [case + pins for case, pins in zip(KERU_IDEALS, [(12, 8), (12, 8), (6, 26), (18, 21)])],
+)
+def test_schreyer_keru_steps_and_generators_are_pinned(p, gens_text, vars, steps, count):
+    """The Schreyer run takes about a third of the reference route's steps
+    (ideal basis included) and returns as many generators."""
+    I = keru_ideal(p, gens_text, vars)
+    budget = Budget(10**6)
+    assert len(frobenius_module_intersect_keru(I, budget)) == count
+    assert budget.steps == steps
+    assert len(O.frobenius_module_intersect_keru_module(I)) == count
+
+
+RDP_CHAIN_CASES = [
+    (2, "z^2 + x^2*y + x*y^4 + x*y^3*z", 3),  # D8^1
+    (2, "z^2 + x^2*y + y^3*z", 3),  # D7^0
+    (2, "z^2 + x^3 + x*y^3", 5),  # E7^0
+    (3, "z^2 + x^3 + y^5", 4),  # E8^0
+    (3, "z^2 + x^3 + x*y^3", 3),  # E7^0
+    (5, "z^2 + x^3 + y^5", 3),  # E8^0
+    (5, "z^2 + x^3 + y^5 + x*y^4", 2),  # E8^1
+]
+
+
+@pytest.mark.parametrize(
+    "p,gens_text,vars,n_max",
+    [case + (3,) for case in KERU_IDEALS]
+    + [(p, [f], ("x", "y", "z"), n) for p, f, n in RDP_CHAIN_CASES],
+)
+def test_schreyer_chain_matches_module_route_level_by_level(p, gens_text, vars, n_max):
+    """The I_n chain built on the Schreyer run equals, level by level, the
+    chain built on the module-engine reference route."""
+    I = keru_ideal(p, gens_text, vars)
+    fast = O.local_chain_ideals(I, n_max)
+    slow = O.local_chain_ideals(I, n_max, keru=O.frobenius_module_intersect_keru_module)
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        assert ideal_equal(a, b)
+
+
+@pytest.mark.parametrize("tail,raises", [("z", False), ("z^2", True)])
+def test_schreyer_cofactor_update_past_exponent_limit_raises(tail, raises):
+    """w_1 = x^L + y reduces by w_0 = x to y with cofactor e_1 − x^(L−1)·e_0,
+    so reducing y·tail by it shifts that cofactor: past the limit for y·z^2,
+    exactly to it for y·z, as the module engine's guard has it."""
+    ring = ring_over(2)
+    images = [ring.parse("x"), ring.parse(f"x^{EXPONENT_LIMIT} + y"), ring.parse(f"y*{tail}")]
+    if raises:
+        with pytest.raises(ExponentOverflowError):
+            _syzygies(ring, images, Budget())
+    else:
+        assert _syzygies(ring, images, Budget())
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -212,6 +212,55 @@ def test_traced_budgets_are_readable():
     assert wrong == []
 
 
+def reached_names(source: str, start: str) -> set[str]:
+    """Every name that the top-level definition `start` reads, directly or
+    through the other top-level definitions of the module that it reads."""
+    tree = ast.parse(source)
+    defs = {
+        n.name: n
+        for n in tree.body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    seen: set[str] = set()
+    todo = [start]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        if name in defs:
+            for node in ast.walk(defs[name]):
+                if isinstance(node, ast.Name):
+                    todo.append(node.id)
+                elif isinstance(node, ast.Attribute):
+                    todo.append(node.attr)
+    return seen
+
+
+def test_reached_names_detector():
+    src = (
+        "def a(): return b(1).c\n"
+        "def b(n): return _leaf\n"
+        "class C:\n"
+        "    def c(self): return d()\n"
+        "def d(): return e()\n"
+        "def e(): return 0\n"
+    )
+    assert reached_names(src, "a") == {"a", "b", "c", "_leaf"}
+    assert reached_names(src, "C") == {"C", "d", "e"}
+
+
+MODULE_ENGINE = {"module_buchberger", "module_normal_form", "FreeModuleVector"}
+
+
+def test_keru_stays_off_the_module_engine():
+    """F_*I ∩ Ker(u) is one Schreyer run on the u-images; the module engine
+    serves only the colon ideal, so the intersection must not reach it."""
+    source = (REPO / "src" / "qfsplit" / "groebner.py").read_text()
+    assert reached_names(source, "frobenius_module_intersect_keru") & MODULE_ENGINE == set()
+    assert reached_names(source, "colon_ideal") >= MODULE_ENGINE
+
+
 # where each attribute of a FreeModuleVector may be written: `components` only
 # when the vector is built, and the cached divisor entry, which holds on to
 # the components, only there (as None) and where module_normal_form fills it
