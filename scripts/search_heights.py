@@ -29,6 +29,12 @@ def main() -> int:
     ap.add_argument("--restrict", action="store_true", help="x1-subfamily only")
     ap.add_argument("--no-smoothness", action="store_true")
     args = ap.parse_args()
+    if args.h_max < 1:
+        print(f"error: --h-max must be a positive height, got {args.h_max}", file=sys.stderr)
+        return 1
+    if args.samples < 1:
+        print(f"error: --samples must be a positive count, got {args.samples}", file=sys.stderr)
+        return 1
 
     ctx = FamilyContext.create(args.p, args.nvars)
     found_all = True

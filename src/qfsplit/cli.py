@@ -35,6 +35,7 @@ from .criteria import (
     Certificate,
     FINITE,
     INFINITE,
+    LOWER_BOUND,
     UNKNOWN,
     certificate_to_json,
     enclosure_closure,
@@ -230,8 +231,17 @@ def _require_regular_sequence(
             )
 
 
-def _add_verification(payload: dict, I: Ideal, cert: Certificate) -> None:
-    """Re-verify ``cert`` against I and record the outcome in ``payload``."""
+def _add_verification(payload: dict, I: Ideal, cert: Certificate, qfs: bool) -> None:
+    """Re-verify ``cert`` against I and record the outcome in ``payload``.  A
+    quasi-F-split answer (``qfs``) records an I_∞ that escapes m^[p], and
+    nothing checks that it is the smallest fixed point: it is unverified."""
+    if qfs:
+        payload["verified"] = None
+        payload["verify_reasons"] = [
+            "no verifier for a quasi-F-split answer (its I_infinity escapes m^[p]); "
+            "`height --verify` checks a certificate of the finite height"
+        ]
+        return
     reasons: list[str] = []
     payload["verified"] = verify_certificate(I, cert, reasons=reasons)
     if reasons:
@@ -256,7 +266,9 @@ def _run_height(job: Job) -> tuple[dict, int]:
     payload = result_to_json(res)
     code = 2 if res.verdict == UNKNOWN else 0
     if job.options.get("verify") and res.certificate is not None and code == 0:
-        _add_verification(payload, Ideal(polys[0].ring, polys), res.certificate)
+        # only the I_∞ route gives a LowerBound a certificate, and its I_∞ escapes
+        qfs = res.verdict == LOWER_BOUND
+        _add_verification(payload, Ideal(polys[0].ring, polys), res.certificate, qfs)
     return payload, code
 
 
@@ -275,16 +287,7 @@ def _run_qfs(job: Job) -> tuple[dict, int]:
         "certificate": certificate_to_json(cert),
     }
     if job.options.get("verify"):
-        if is_qfs:
-            # the certificate records an I_∞ that escapes m^[p]; nothing
-            # checks that it is the smallest fixed point
-            payload["verified"] = None
-            payload["verify_reasons"] = [
-                "no verifier for a quasi-F-split answer (its I_infinity escapes m^[p]); "
-                "`height --verify` checks a certificate of the finite height"
-            ]
-        else:
-            _add_verification(payload, I, cert)
+        _add_verification(payload, I, cert, is_qfs)
     return payload, 0
 
 

@@ -90,7 +90,8 @@ class Certificate:
 
     Kinds and payloads:
       CoefficientWitness  {level, coefficient, grading}
-      ChainWitness        {chain} (strict θ-chain) and/or {levels, escape}
+      ChainWitness        {chain} (a strict θ-chain) or, when no strict
+                          chain was found, {levels, escape, escape_level}
       IInftyStabilized    {generators, iterations}
       NonQFS              {tag, ...containment details}
       FixedPointEnclosure {generators}
@@ -422,12 +423,13 @@ def height_local(
 ) -> HeightResult:
     """Height via the I_n chain; certificates as θ-chains.
 
-    Returns Finite(n) at the first I_n ⊄ m^{[p]} with a ChainWitness: a
-    strict chain g_1, ..., g_n (θ(F_*g_l) = g_{l+1}, found by orbit search)
-    when one exists, always the levelled transition records.  If the chain
-    stabilizes with every generator inside m^{[p]}, the stabilized ideal is a
-    fixed-point enclosure proving the height infinite.  Budget aborts return
-    Unknown with diagnostics.
+    Returns Finite(n) at the first I_n ⊄ m^{[p]} with a ChainWitness that
+    holds one proof: a strict chain g_1, ..., g_n (θ(F_*g_l) = g_{l+1}, found
+    by orbit search) when one exists, else the levelled transition records
+    and the escaping generator of I_n.  If the chain stabilizes with every
+    generator inside m^{[p]}, the stabilized ideal is a fixed-point enclosure
+    proving the height infinite.  Budget aborts return Unknown with
+    diagnostics.
     """
     if budget is None:
         budget = Budget()
@@ -444,15 +446,12 @@ def height_local(
         for n in range(1, n_max + 1):
             esc = _escapes(current.gens)
             if esc is not None:
-                cert_data: dict[str, Any] = {
-                    "levels": [list(lv) for lv in levels],
-                    "escape": esc,
-                    "escape_level": n,
-                }
                 chain = _strict_chain_search(sp, n, budget)
                 if chain is not None:
-                    cert_data["chain"] = chain
-                return finish(FINITE, n, Certificate(CHAIN_WITNESS, cert_data))
+                    data: dict[str, Any] = {"chain": chain}
+                else:
+                    data = {"levels": levels, "escape": esc, "escape_level": n}
+                return finish(FINITE, n, Certificate(CHAIN_WITNESS, data))
             if n == n_max:
                 break
             steps, nxt = _theta_step(sp, current, sp.i1, budget)
@@ -498,8 +497,8 @@ def _strict_chain_search(
     Monomial multipliers up to p^{n−1}−1 per exponent suffice to reach every
     chain whose level-l element is a monomial times a θ-orbit value (the
     multiplier's exponents divide by p along the orbit).  Returns None when
-    the search space is exhausted or too large; the levelled records in the
-    certificate still re-verify in that case.
+    the search space is exhausted or too large; the certificate then carries
+    the levelled records instead.
     """
     if n == 1:
         esc = _escapes(sp.i1)

@@ -299,18 +299,14 @@ def ideal_equal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> bool:
 class FreeModuleVector:
     """An element of a finite free module S^r, stored as position ↦ polynomial.
 
-    Zero components are never stored.  A vector is never mutated after
-    construction: `module_normal_form` caches its divisor entry in
-    `_divisor` on first use, and the entry is valid only as long as
-    `components` stays as built.
+    Zero components are never stored.
     """
 
-    __slots__ = ("ring", "components", "_divisor")
+    __slots__ = ("ring", "components")
 
     def __init__(self, ring: PolynomialRing, components: dict[int, Polynomial]):
         self.ring = ring
         self.components = {i: c for i, c in components.items() if c}
-        self._divisor = None
 
     def __bool__(self) -> bool:
         return bool(self.components)
@@ -361,18 +357,13 @@ def module_normal_form(
     p = ring.field.p
     field = ring.field
     # divisors grouped by the position of their leading term, in list order:
-    # (leading exponent, inverse leading coefficient, components, max exponent),
-    # built once per vector and kept on it, since a basis is reused across
-    # every normal form of a Buchberger run
+    # (leading exponent, inverse leading coefficient, components, max exponent)
     divisors: dict[int, list] = {}
     for g in G:
         if g:
-            if g._divisor is None:
-                pos, e, c = _module_lead(g)
-                top = max(poly.max_exponent() for poly in g.components.values())
-                g._divisor = (pos, (e, field.inv(c), g.components, top))
-            pos, entry = g._divisor
-            divisors.setdefault(pos, []).append(entry)
+            pos, e, c = _module_lead(g)
+            top = max(poly.max_exponent() for poly in g.components.values())
+            divisors.setdefault(pos, []).append((e, field.inv(c), g.components, top))
     work = {pos: dict(poly.terms) for pos, poly in v.components.items()}
     rem: dict[int, dict[tuple[int, ...], int]] = {}
     while work:

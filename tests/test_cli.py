@@ -90,6 +90,29 @@ def test_qfs_verify_on_a_quasi_f_split_answer_says_it_has_no_verifier(capsys):
     assert "height --verify" in payload["verify_reasons"][0]
 
 
+@pytest.mark.parametrize(
+    "poly,options",
+    [
+        ("z^2 + x^2*y + x*y^4 + x*y^3*z", ["--strategy", "qfs"]),  # D8^1
+        ("z^2 + x^3 + y^5", ["--n-max", "2"]),  # E8^0, height 4
+    ],
+    ids=["strategy-qfs", "n-max-below-height"],
+)
+def test_height_verify_on_a_lower_bound_matches_qfs_verify(capsys, poly, options):
+    """A LowerBound from the I_∞ route is a quasi-F-split answer; `height
+    --verify` reports it as unverified, with the reason `qfs --verify` gives,
+    not as a failed verification."""
+    common = ["--p", "2", "--vars", "x,y,z", "--poly", poly, "--format", "json", "--verify"]
+    code, out, _ = run_cli(capsys, ["height", *common, *options])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["route"]) == ("LowerBound", "i-infinity")
+    assert payload["verified"] is None
+    code, out, _ = run_cli(capsys, ["qfs", *common])
+    assert code == 0
+    assert payload["verify_reasons"] == json.loads(out)["verify_reasons"]
+
+
 def test_golden_verify_chain_conic(capsys):
     head = "x0*y0^3*y1*y2 + x1*y0*y1^3*y2 + x2*y0*y1*y2^3"
     code, out, _ = run_cli(

@@ -49,6 +49,8 @@ from qfsplit.criteria import (
     graded_cy_coefficient,
     verify_witness_levels,
 )
+from qfsplit import criteria
+from qfsplit.cli import rdp_rows
 from qfsplit.groebner import colon_ideal, ideal_equal, ideal_membership
 from qfsplit.frobenius import in_max_ideal_frobenius_power, theta, u_map
 
@@ -628,8 +630,9 @@ def bump_leading_coefficient(poly):
     return poly + poly.ring.from_terms({lead: 1})
 
 
-# local-chain rows of the double-point table at p = 2, 3, 5, and a
-# hyperplane section of a sextic, whose certificate carries no strict chain
+# local-chain rows of the double-point table at p = 2, 3, 5, whose
+# certificates carry a strict chain, and a hyperplane section of a sextic,
+# whose certificate carries the levelled records
 LEVELLED_CASES = [
     (2, ("x", "y", "z"), ["z^2 + x^2*y + x*y^4 + x*y^3*z"]),  # D8^1
     (3, ("x", "y", "z"), ["z^2 + x^3 + y^5"]),  # E8^0
@@ -648,17 +651,36 @@ def levelled_certificate(p, names, texts):
 
 
 @pytest.mark.parametrize("p,names,texts", LEVELLED_CASES)
-def test_levels_reject_a_tampered_theta_image(p, names, texts):
-    """Through `verify_witness_levels`, since `verify_certificate` checks only
-    the strict chain when there is one."""
+def test_levels_reject_a_tampered_theta_image(p, names, texts, monkeypatch):
+    """With the strict-chain search finding nothing, every case carries the
+    levelled records, and a changed θ image among them is rejected."""
+    monkeypatch.setattr(criteria, "_strict_chain_search", lambda *args, **kwargs: None)
     I, cert = levelled_certificate(p, names, texts)
+    assert "chain" not in cert.data
     levels = [list(records) for records in cert.data["levels"]]
     l, k = next((l, k) for l, rs in enumerate(levels) for k, r in enumerate(rs) if r.image)
     levels[l][k] = ChainStep(levels[l][k].element, bump_leading_coefficient(levels[l][k].image))
-    reasons = []
     tampered = Certificate(CHAIN_WITNESS, dict(cert.data, levels=levels))
-    assert not verify_witness_levels(I, tampered, reasons=reasons)
-    assert reasons[0].startswith(f"level {l + 1}: theta image")
+    for verify in (verify_witness_levels, verify_certificate):
+        reasons = []
+        assert not verify(I, tampered, reasons=reasons)
+        assert reasons[0].startswith(f"level {l + 1}: theta image")
+
+
+def test_rdp_chain_witnesses_hold_one_proof():
+    """Each local-chain certificate of the double-point table holds either a
+    strict chain or the levelled records with their escape, never both."""
+    forms = set()
+    for row in rdp_rows((2, 3, 5), 8):
+        ring = ring_over(row["p"])
+        I = Ideal(ring, [ring.parse(row["f"])])
+        res = height(I, n_max=max(10, row["expected"] + 2))
+        if res.route == "local-chain":
+            assert res.certificate.kind == CHAIN_WITNESS
+            keys = frozenset(res.certificate.data)
+            assert keys in ({"chain"}, {"levels", "escape", "escape_level"}), row
+            forms.add(keys)
+    assert frozenset({"chain"}) in forms
 
 
 @pytest.mark.parametrize("p,names,texts", LEVELLED_CASES[:3])
@@ -859,3 +881,71 @@ def test_height_lower_bound_when_qfs_suppressed():
     assert res.verdict in (LOWER_BOUND, INFINITE)
     if res.verdict == LOWER_BOUND:
         assert res.n == 2
+
+
+# ---------------------------------------------------------------------------
+# invariance under a linear change of coordinates
+# ---------------------------------------------------------------------------
+
+
+def random_invertible_matrix(rng, p, n):
+    """P·L·U over F_p, with L unit lower triangular, U upper triangular with
+    a nonzero diagonal and P a row permutation: every invertible matrix has
+    this form, and every matrix of this form is invertible."""
+    L = [[1 if i == j else rng.randrange(p) if j < i else 0 for j in range(n)] for i in range(n)]
+    U = [[rng.randrange(1, p) if i == j else rng.randrange(p) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    A = [[sum(L[i][k] * U[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
+    rng.shuffle(A)
+    return A
+
+
+def change_coordinates(f, A):
+    """f(A·x): each x_i becomes Σ_j A_ij·x_j."""
+    ring = f.ring
+    xs = [ring.variable(v) for v in ring.variables]
+    images = [sum((x.scale(a) for a, x in zip(row, xs)), ring.zero) for row in A]
+    out = ring.zero
+    for e, c in f.terms.items():
+        term = ring.constant(c)
+        for image, k in zip(images, e):
+            term = term * image**k
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize(
+    "strategy,p,text,expected",
+    [
+        # plane cubics: supersingular (2) and ordinary (1)
+        ("graded", 2, "x^3 + y^3 + z^3", 2),
+        ("graded", 2, "x^3 + x*y*z + y^2*z + z^3", 1),
+        ("graded", 3, "y^2*z + x^3 + 2*x*z^2", 2),
+        ("graded", 3, "x^3 + y^3 + z^3 + x*y*z", 1),
+        # double points of height at most 3
+        ("local", 2, "z^2 + x^2*y + x*y^2", 2),  # D4^0
+        ("local", 2, "z^2 + x^2*y + x*y^4", 3),  # D8^0
+        ("local", 2, "z^2 + x^2*y + y^4*z", 3),  # D9^0
+        ("local", 2, "z^2 + x^3 + y^2*z + x*y*z", 1),  # E6^1
+        ("local", 2, "z^2 + x^3 + x*y^3 + y^3*z", 2),  # E7^2
+        ("local", 2, "z^2 + x^3 + y^5 + x*y^2*z", 3),  # E8^2
+        ("local", 3, "z^2 + x^3 + y^4", 2),  # E6^0
+        ("local", 3, "z^2 + x^3 + y^4 + x^2*y^2", 1),  # E6^1
+        ("local", 3, "z^2 + x^3 + x*y^3", 2),  # E7^0
+        ("local", 3, "z^2 + x^3 + y^5", 3),  # E8^0
+        ("local", 3, "z^2 + x^3 + y^5 + x^2*y^3", 2),  # E8^1
+    ],
+)
+def test_height_is_invariant_under_a_linear_change_of_coordinates(strategy, p, text, expected):
+    """A linear change of coordinates fixes the origin and maps m^{[p]} onto
+    itself, so the height of the local ring there cannot change."""
+    ring = ring_over(p)
+    f = ring.parse(text)
+    A = random_invertible_matrix(random.Random(f"{p}:{text}"), p, ring.nvars)
+    g = change_coordinates(f, A)
+    assert g != f
+    route = {"graded": "graded-cy", "local": "local-chain"}[strategy]
+    for h in (f, g):
+        res = height(h, n_max=4, strategy=strategy)
+        assert (res.verdict, res.n, res.route) == (FINITE, expected, route)
+        assert verify_certificate(Ideal(ring, [h]), res.certificate)

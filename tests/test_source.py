@@ -261,94 +261,6 @@ def test_keru_stays_off_the_module_engine():
     assert reached_names(source, "colon_ideal") >= MODULE_ENGINE
 
 
-# where each attribute of a FreeModuleVector may be written: `components` only
-# when the vector is built, and the cached divisor entry, which holds on to
-# the components, only there (as None) and where module_normal_form fills it
-VECTOR_WRITERS = {
-    "components": {"FreeModuleVector.__init__"},
-    "_divisor": {"FreeModuleVector.__init__", "module_normal_form"},
-}
-DICT_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
-
-
-def vector_writes(source: str) -> list[str]:
-    """Writes to a `VECTOR_WRITERS` attribute outside the functions allowed
-    to make them: assignment or deletion of the attribute, of an item of
-    ``.components``, or a mutating dict method called on ``.components``."""
-
-    def is_components(node: ast.AST) -> bool:
-        return isinstance(node, ast.Attribute) and node.attr == "components"
-
-    def written(node: ast.AST) -> list[str]:
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            mutates = node.func.attr in DICT_MUTATORS and is_components(node.func.value)
-            return ["components"] if mutates else []
-        if isinstance(node, (ast.Assign, ast.Delete)):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        else:
-            return []
-        attrs = []
-        while targets:
-            t = targets.pop()
-            if isinstance(t, (ast.Tuple, ast.List)):
-                targets.extend(t.elts)
-            elif isinstance(t, ast.Subscript) and is_components(t.value):
-                attrs.append("components")
-            elif isinstance(t, ast.Attribute) and t.attr in VECTOR_WRITERS:
-                attrs.append(t.attr)
-        return attrs
-
-    out = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for attr in written(node):
-            if scope not in VECTOR_WRITERS[attr]:
-                out.append(f"{attr} written in {scope or '<module>'} (line {node.lineno})")
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-            else:
-                visit(child, scope)
-
-    visit(ast.parse(source), "")
-    return out
-
-
-def test_vector_write_detector():
-    src = (
-        "class FreeModuleVector:\n"
-        "    def __init__(self, c):\n"
-        "        self.components = c\n"
-        "        self._divisor = None\n"
-        "def module_normal_form(v, G):\n"
-        "    G[0]._divisor = 1\n"
-        "def grow(v, g):\n"
-        "    v.components[3] = g\n"
-        "    v.components.update({4: g})\n"
-        "    del v.components[0]\n"
-        "    v._divisor = None\n"
-        "    v.components, n = {}, 0\n"
-        "    w = dict(v.components)\n"
-        "    w[1] = g\n"
-    )
-    assert vector_writes(src) == [
-        "components written in grow (line 8)",
-        "components written in grow (line 9)",
-        "components written in grow (line 10)",
-        "_divisor written in grow (line 11)",
-        "components written in grow (line 12)",
-    ]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_module_vectors_are_not_mutated(path):
-    """`module_normal_form` caches each divisor's leading data on the vector,
-    which stays right only while the vector's components are never changed."""
-    assert vector_writes(path.read_text()) == []
-
-
 def packing_sites(source: str, codec: str = "") -> list[str]:
     """Exponent packing outside the class named `codec`: a bit shift by a
     computed amount, or a read of int's own shift methods.  Shifts by a
