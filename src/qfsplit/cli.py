@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -577,6 +578,8 @@ def run_batch_record(record: dict[str, Any]) -> tuple[dict, int]:
 
 
 def _run_batch(args) -> tuple[dict, int]:
+    if args.workers is not None and args.workers < 1:
+        raise InputError(f"--workers must be a positive count, got {args.workers}")
     try:
         with open(args.jobfile) as fh:
             records = json.load(fh)
@@ -589,7 +592,9 @@ def _run_batch(args) -> tuple[dict, int]:
     if args.serial or len(records) == 1:
         results = [run_batch_record(r) for r in records]
     else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # a forked pool starts every worker at once: never more than one per job
+        workers = min(args.workers or os.cpu_count() or 1, len(records))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_batch_record, records))
     reports = [
         {"index": i, "exit": code, "report": payload}

@@ -232,8 +232,6 @@ def certificate_to_json(cert: Optional[Certificate]) -> Optional[dict[str, Any]]
 def _jsonify(value: Any) -> Any:
     if isinstance(value, Polynomial):
         return str(value)
-    if isinstance(value, Ideal):
-        return [str(g) for g in value.gens]
     if isinstance(value, ChainStep):
         return {"element": str(value.element), "theta_image": str(value.image)}
     if isinstance(value, dict):
@@ -336,46 +334,48 @@ def height_graded_cy(
     return _stamped(res, budget, t0)
 
 
+def capped_delta_powers(
+    delta: Polynomial, levels: int, nx: int, budget: Optional[Budget] = None
+) -> list[Polynomial]:
+    """E_2, …, E_levels for E_n := Δ^{1+p+⋯+p^{n−2}} by E_{n+1} = E_n^p·Δ,
+    the first `nx` exponents of E_n capped at p^n−1.  Sound: a term over the
+    cap stays over it in E_n^p and in every later product.  Ticks len(E_n)
+    per level; shared by the coefficient verifier and the stratum polynomials."""
+    ring = delta.ring
+    p = ring.field.p
+    powers: list[Polynomial] = []
+    for n in range(2, levels + 1):
+        cap = (p**n - 1,) * nx + (None,) * (ring.nvars - nx)
+        base = powers[-1].pth_power() if powers else ring.one
+        powers.append(base.capped_mul(delta, cap))
+        if budget is not None:
+            budget.tick(len(powers[-1]))
+    return powers
+
+
 def graded_cy_coefficient(
     f_list: Sequence[Polynomial], n: int, budget: Optional[Budget] = None
 ) -> int:
     """The (x_1⋯x_N)^{p^n−1} coefficient of f_n, by capped multiplication.
 
-    Independent of the θ-orbit route: forms Δ₁(f^{p−1})^{p^{n−2}+⋯+1} by
-    binary powering with every exponent capped at p^n−1 (sound, since
-    exponents only grow and the target stays within the cap), then reads the
-    target coefficient of f^{p−1} times that power as Σ f^{p−1}[e]·acc[cap−e]
-    without forming the product.  Used to re-verify CoefficientWitness
-    certificates.
+    Independent of the θ-orbit route: reads the target coefficient of
+    f^{p−1}·E_n, E_n = Δ₁(f^{p−1})^{p^{n−2}+⋯+1} from `capped_delta_powers`,
+    as Σ f^{p−1}[e]·E_n[cap−e] without forming the product.  E_2 is Δ₁(f^{p−1})
+    uncapped: terms over the cap are never looked up.  Used to re-verify
+    CoefficientWitness certificates.
     """
     if n < 1:
         raise RingError("level must be >= 1")
     sp = _Splitting(f_list)
-    p = sp.p
-    cap = (p**n - 1,) * sp.ring.nvars
-    base = sp.fp1
+    cap = (sp.p**n - 1,) * sp.ring.nvars
     if n == 1:
-        return base.coefficient_of(cap)
-    exp = (p ** (n - 1) - 1) // (p - 1)  # p^{n−2} + ... + p + 1
-    acc = None
-    sq = sp.delta
-    e = exp
-    while True:
-        if budget is not None:
-            budget.tick()
-        if e & 1:
-            # the first factor is taken as it is: terms over the cap are
-            # never read, and every later product drops them
-            acc = sq if acc is None else acc.capped_mul(sq, cap)
-        e >>= 1
-        if not e:
-            break
-        sq = sq.capped_mul(sq, cap)
-    dual = acc.terms
+        return sp.fp1.coefficient_of(cap)
+    epow = sp.delta if n == 2 else capped_delta_powers(sp.delta, n, sp.ring.nvars, budget)[-1]
+    dual = epow.terms
     total = 0
-    for e, c in base.terms.items():
+    for e, c in sp.fp1.terms.items():
         total += c * dual.get(tuple([t - x for t, x in zip(cap, e)]), 0)
-    return total % p
+    return total % sp.p
 
 
 def verify_coefficient_witness(

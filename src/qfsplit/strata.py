@@ -9,7 +9,9 @@ degree p^i−1 in the a-variables; the locus of height ≥ h in the family is
 cut out by b_1 = ⋯ = b_{h−1} = 0.  Δ̃₁ is the Witt carry of G^{p−1} taken
 with respect to its decomposition grouped by x-monomial (each a-coefficient
 rides inside its group), which makes specialization of the a-variables
-commute with the construction.
+commute with the construction.  The power E_i = Δ̃₁(G^{p−1})^{1+p+⋯+p^{i−2}}
+comes from `criteria.capped_delta_powers`, the capped recursion
+E_{i+1} = E_i^p·Δ̃₁ that also re-verifies coefficient witnesses.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 from .rings import Grading, Polynomial, PolynomialRing, PrimeField, RingError
 from .witt import delta1
 from .groebner import Budget
-from .criteria import FINITE, height_graded_cy
+from .criteria import FINITE, capped_delta_powers, height_graded_cy
 
 
 def degree_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -175,13 +177,12 @@ def strata_polynomials(
 ) -> StrataPolynomials:
     """b_1, …, b_{h_max−1} by capped expansion.
 
-    The Δ̃-power factor E_i = Δ̃₁(G^{p−1})^{1+p+⋯+p^{i−2}} is built through
-    E_{i+1} = E_i^p·Δ̃ with every x-exponent capped at p^{i+1}−1: a term
-    capped away has some x-exponent ≥ p^{i+1} after the p-th-power scaling
-    and can never divide the extraction target (x_1⋯x_N)^{p^i−1} at any
-    later level either.  The a-variables are never capped.  Cost grows
-    roughly like the number of monomials below the cap; intended for small
-    h_max (every acceptance use is h_max ≤ 4).
+    The Δ̃-power factors E_2, …, E_{h_max−1} come from
+    `criteria.capped_delta_powers` with the x-exponents of E_i capped at
+    p^i−1 and the a-variables never capped; each b_i is then read off
+    G^{p−1}·E_i under the same cap.  Cost grows roughly like the number of
+    monomials below the cap; intended for small h_max (every acceptance use
+    is h_max ≤ 4).
     """
     if budget is None:
         budget = Budget()
@@ -193,23 +194,11 @@ def strata_polynomials(
     if h_max >= 2:
         out.append(_extract_target_coefficient(ctx, gp, 1))
     if h_max >= 3:
-        dtilde = delta1_tilde(ctx, gp)
-        cap_d = _cap_vector(ctx, 2)
-        epow = dtilde.capped_mul(ctx.ring.one, cap_d)
-        for i in range(2, h_max):
-            budget.tick(len(epow))
-            g_i = gp.capped_mul(epow, _cap_vector(ctx, i))
-            out.append(_extract_target_coefficient(ctx, g_i, i))
-            if i + 1 < h_max:
-                epow = epow.pth_power().capped_mul(dtilde, _cap_vector(ctx, i + 1))
+        powers = capped_delta_powers(delta1_tilde(ctx, gp), h_max - 1, ctx.nvars, budget)
+        for i, epow in enumerate(powers, start=2):
+            cap = (p**i - 1,) * ctx.nvars + (None,) * len(ctx.monomials)
+            out.append(_extract_target_coefficient(ctx, gp.capped_mul(epow, cap), i))
     return StrataPolynomials(ctx, tuple(out))
-
-
-def _cap_vector(ctx: FamilyContext, level: int) -> tuple[Optional[int], ...]:
-    cap = ctx.p**level - 1
-    return tuple(cap for _ in range(ctx.nvars)) + tuple(
-        None for _ in ctx.monomials
-    )
 
 
 def _extract_target_coefficient(

@@ -517,6 +517,20 @@ def test_product_command_verifies(capsys):
     assert data["n"] == 1 and data["verified"] is True
 
 
+def test_height_verify_on_a_height_four_k3_quartic(capsys):
+    """The verifier rebuilds Δ₁(f^{p−1})^{1+3+9} capped at 3^4−1 level by
+    level, so a height-4 quartic re-verifies in well under a second."""
+    quartic = "x*y^3 + x*y^2*z + 2*x*y*z^2 + z^4 + x*z^2*w + y*z^2*w + x^2*w^2 + y*w^3 + w^4"
+    code, out, _ = run_cli(
+        capsys,
+        ["height", "--p", "3", "--vars", "x,y,z,w", "--poly", quartic,
+         "--verify", "--format", "json"],
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["n"] == 4 and data["verified"] is True
+
+
 def test_product_rejects_collapsing_input(capsys):
     code, _, err = run_cli(
         capsys,
@@ -783,6 +797,50 @@ def test_batch_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["batch", str(tmp_path / "nope.json")])
     assert code == 1
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_batch_rejects_nonpositive_workers(capsys, tmp_path, workers):
+    path = write_jobs(tmp_path, [GOOD_RECORD, GOOD_RECORD])
+    code, out, err = run_cli(capsys, ["batch", path, "--workers", workers])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --workers must be")
+    assert "Traceback" not in err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and maps in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [(["--workers", "64"], 2), (["--workers", "1"], 1), ([], min(os.cpu_count() or 1, 2))],
+    ids=["many", "one", "default"],
+)
+def test_batch_pool_has_at_most_one_worker_per_job(capsys, tmp_path, monkeypatch, argv, size):
+    monkeypatch.setattr(qfsplit.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    path = write_jobs(tmp_path, [GOOD_RECORD, GOOD_RECORD])
+    code, out, _ = run_cli(capsys, ["batch", path, *argv])
+    assert code == 0
+    assert [job["exit"] for job in json.loads(out)["jobs"]] == [0, 0]
+    assert RecordingPool.sizes == [size]
 
 
 # ---------------------------------------------------------------------------

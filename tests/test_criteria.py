@@ -185,12 +185,11 @@ CUBICS = (
 
 @pytest.mark.parametrize("p,levels", [(2, 3), (3, 3), (5, 2), (2, 4), (3, 4)])
 def test_coefficient_matches_whole_capped_product(p, levels):
-    """The coefficient read as Σ f^{p−1}[e]·acc[cap−e] equals the one read off
+    """The coefficient read as Σ f^{p−1}[e]·E_n[cap−e] equals the one read off
     the whole product f^{p−1}·Δ₁(f^{p−1})^{p^{n−2}+⋯+1}, truncated at the
-    cap after each factor (zero and nonzero values both occur).  The powering
-    starts from the first factor, which at n = 2 is Δ₁(f^{p−1}) itself,
-    uncapped; levels 2–4 take the exponents 1, 3, 7 at p = 2 and 1, 4, 13
-    at p = 3."""
+    cap after each factor (zero and nonzero values both occur).  At n = 2,
+    E_2 is Δ₁(f^{p−1}) itself, uncapped; levels 2–4 take the exponents
+    1, 3, 7 at p = 2 and 1, 4, 13 at p = 3."""
     ring = ring_over(p)
     seen = set()
     for text in CUBICS:
@@ -200,6 +199,29 @@ def test_coefficient_matches_whole_capped_product(p, levels):
             assert c == O.graded_cy_coefficient_product([f], n)
             seen.add(c != 0)
     assert seen == {False, True}
+
+
+# K3 quartics at p = 3 by height, found by the θ-orbit route
+K3_QUARTICS = {
+    3: "2*x^3*y + x^2*y^2 + 2*x^3*z + 2*x*z^3 + 2*y^2*z*w + x*y*w^2 + 2*x*z*w^2 + 2*y*w^3 + w^4",
+    4: "x*y^3 + x*y^2*z + 2*x*y*z^2 + z^4 + x*z^2*w + y*z^2*w + x^2*w^2 + y*w^3 + w^4",
+    5: "2*x^4 + 2*x^3*y + y^4 + 2*x^2*y*z + 2*y^3*z + 2*y^2*z^2 + 2*x^2*z*w + 2*w^4",
+    8: "y^4 + 2*x^3*z + 2*x^2*z^2 + 2*y^2*z^2 + 2*z^4 + 2*x*y^2*w + x*y*z*w + 2*y^2*z*w"
+    " + 2*x^2*w^2 + z^2*w^2 + y*w^3",
+}
+
+
+@pytest.mark.parametrize("h", sorted(K3_QUARTICS))
+def test_coefficient_route_agrees_with_theta_orbit_on_k3_quartics(h):
+    """The capped Δ-power route reads zero below the θ-orbit height and a
+    nonzero coefficient at it, and the orbit's certificate re-verifies."""
+    ring = ring_named(3, ["x", "y", "z", "w"])
+    f = ring.parse(K3_QUARTICS[h])
+    res = height_graded_cy([f], Grading.standard(4))
+    assert (res.verdict, res.n) == (FINITE, h)
+    nonzero = [graded_cy_coefficient([f], n) != 0 for n in range(1, h + 1)]
+    assert nonzero == [False] * (h - 1) + [True]
+    assert verify_certificate(Ideal(ring, [f]), res.certificate)
 
 
 def test_coefficient_level_one_is_fedder():

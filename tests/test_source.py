@@ -261,6 +261,16 @@ def test_keru_stays_off_the_module_engine():
     assert reached_names(source, "colon_ideal") >= MODULE_ENGINE
 
 
+def test_capped_delta_power_is_built_in_one_place():
+    """The coefficient verifier and the stratum polynomials read their
+    Δ-power E_n from the one capped recursion in `criteria`."""
+    src = REPO / "src" / "qfsplit"
+    criteria_source = (src / "criteria.py").read_text()
+    assert "capped_delta_powers" in reached_names(criteria_source, "graded_cy_coefficient")
+    strata_source = (src / "strata.py").read_text()
+    assert "capped_delta_powers" in reached_names(strata_source, "strata_polynomials")
+
+
 def packing_sites(source: str, codec: str = "") -> list[str]:
     """Exponent packing outside the class named `codec`: a bit shift by a
     computed amount, or a read of int's own shift methods.  Shifts by a

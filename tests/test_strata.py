@@ -128,6 +128,15 @@ def test_second_stratum_against_uncapped_expansion(ctx2):
     assert strata_polynomials(ctx2, 3).polynomials[1] == raw_b2
 
 
+@pytest.mark.parametrize("p,h_max,steps", [(3, 3, 598), (2, 4, 366)])
+def test_strata_step_counts(p, h_max, steps):
+    """One tick per term of each capped Δ̃-power E_2, …, E_{h_max−1}; the
+    strata-sweep bench's step count rests on the figure at p = 3."""
+    budget = Budget()
+    strata_polynomials(FamilyContext.create(p, 3), h_max, budget)
+    assert budget.steps == steps
+
+
 def test_budget_abort_in_strata():
     ctx = FamilyContext.create(2, 3)
     with pytest.raises(BudgetExceededError):
