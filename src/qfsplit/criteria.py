@@ -32,6 +32,8 @@ from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from .rings import (
+    EXPONENT_LIMIT,
+    ExponentOverflowError,
     Grading,
     HomogeneityError,
     Polynomial,
@@ -773,7 +775,14 @@ def verify_certificate(
 ) -> bool:
     """Dispatch re-verification on the certificate kind."""
     if cert.kind == COEFFICIENT_WITNESS:
-        ok = verify_coefficient_witness(list(I.gens), cert, budget)
+        try:
+            ok = verify_coefficient_witness(list(I.gens), cert, budget)
+        except ExponentOverflowError as exc:
+            return _fail(
+                reasons,
+                f"level {cert.data['level']} cannot be re-verified within the exponent "
+                f"limit {EXPONENT_LIMIT}: {exc}",
+            )
         return ok or _fail(reasons, "recomputed coefficient disagrees with the certificate")
     if cert.kind == CHAIN_WITNESS:
         if "chain" in cert.data:

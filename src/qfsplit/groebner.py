@@ -2,9 +2,14 @@
 
 Grevlex is the only monomial order.  Everything is deterministic: the pair
 queue is processed in normal-selection order (smallest lcm first, index
-tie-breaks), and reduced bases are returned sorted by leading term.  Long
-computations are guarded by a step budget (see `Budget`), overridable
-through the QFSPLIT_GB_BUDGET environment variable.
+tie-breaks), and reduced bases are returned sorted by leading term.  Pairs
+are pruned by Gebauer–Möller updates as each element joins the basis
+(`_pair_loop`), so a pruned pair costs no reduction and no budget step.
+Every ideal-side reduction (`normal_form`, Buchberger's inter-reduction,
+S-pairs and final tail reduction, and the Schreyer run's cofactor-carrying
+reductions) runs one kernel, `_reduce`, on a divisor table that grows with
+the basis.  Long computations are guarded by a step budget (see `Budget`),
+overridable through the QFSPLIT_GB_BUDGET environment variable.
 
 Both kernels the criteria need are syzygies.  F_*I ∩ Ker(u)
 (`frobenius_module_intersect_keru`) comes from the syzygies of the u-images
@@ -95,6 +100,103 @@ def _sub_multiple(
 
 
 # ---------------------------------------------------------------------------
+# the reduction kernel
+# ---------------------------------------------------------------------------
+
+
+class _Divisors(list):
+    """The divisor table of a basis, one entry per element in basis order:
+    (leading exponent, inverse leading coefficient, terms, largest exponent,
+    cofactor).  The cofactor {j: terms of c_j} is carried by a Schreyer run
+    and is None elsewhere; the largest exponent covers it too.  An engine
+    appends to its table as the basis grows, and `normal_form` divides by a
+    table as it is, so the table is built once per run."""
+
+
+def _entry(terms: dict, inv: Callable[[int], int], cof: Optional[dict] = None) -> tuple:
+    """The table entry of a remainder as `_reduce` returns it, whose first
+    term is its leading one."""
+    le = next(iter(terms))
+    top = max(max(e, default=0) for t in (terms, *(cof or {}).values()) for e in t)
+    return le, inv(terms[le]), terms, top, cof
+
+
+def _subtract(
+    work: dict, entry: tuple, mult: int, shift: tuple[int, ...], p: int,
+    cof: Optional[dict], heap: Optional[list],
+) -> None:
+    """work −= mult·x^shift·(the entry's terms), and cof −= the same multiple
+    of its cofactor.  A term new to `work` is pushed onto `heap`, if given,
+    under its negated grevlex key."""
+    _, _, terms, top, gcof = entry
+    if top + max(shift, default=0) > EXPONENT_LIMIT:
+        raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
+    for eg, cg in terms.items():
+        ep = tuple(map(int.__add__, eg, shift))
+        old = work.get(ep)
+        if old is None:
+            work[ep] = -mult * cg % p
+            if heap is not None:
+                heapq.heappush(heap, (-sum(ep), ep[::-1]))
+        else:
+            s = (old - mult * cg) % p
+            if s:
+                work[ep] = s
+            else:
+                del work[ep]
+    if gcof:
+        for j, t in gcof.items():
+            _sub_multiple(cof.setdefault(j, {}), mult, shift, t, p)
+
+
+def _s_pair(a: tuple, b: tuple, p: int, cof: Optional[dict] = None) -> dict:
+    """The S-pair of table entries a and b as a new work dict; with `cof`, the
+    same combination of their cofactors is added to it."""
+    m = _lcm(a[0], b[0])
+    work: dict[tuple[int, ...], int] = {}
+    _subtract(work, a, p - a[1], _sub(m, a[0]), p, cof, None)
+    _subtract(work, b, b[1], _sub(m, b[0]), p, cof, None)
+    return work
+
+
+def _reduce(
+    work: dict, table: Sequence[tuple], p: int, budget: Optional[Budget],
+    cof: Optional[dict] = None,
+) -> dict[tuple[int, ...], int]:
+    """Full remainder of `work` (consumed) under division by `table`.
+
+    Each step takes the largest term left and ticks the budget once.  The
+    first entry whose leading exponent divides the term reduces it, carrying
+    its cofactor into `cof`; with none, the term moves to the remainder.  The
+    largest term comes off a heap of negated grevlex keys, so each term is
+    keyed once, when it enters `work`; a heap entry whose term has cancelled
+    since is dropped without a tick.  The remainder lists its terms in
+    descending grevlex order.
+    """
+    # (−deg e, e reversed) is grevlex_key(e) negated, so the heap's smallest
+    # entry is the grevlex-largest term
+    heap = [(-sum(e), e[::-1]) for e in work]
+    heapq.heapify(heap)
+    rem: dict[tuple[int, ...], int] = {}
+    while heap:
+        e = heapq.heappop(heap)[1][::-1]
+        c = work.get(e)
+        if c is None:
+            continue
+        if budget is not None:
+            budget.tick()
+        for entry in table:
+            le = entry[0]
+            if _divides(le, e):
+                _subtract(work, entry, c * entry[1] % p, _sub(e, le), p, cof, heap)
+                break
+        else:
+            rem[e] = c
+            del work[e]
+    return rem
+
+
+# ---------------------------------------------------------------------------
 # ideals
 # ---------------------------------------------------------------------------
 
@@ -137,38 +239,18 @@ class Ideal:
 def normal_form(
     a: Polynomial, G: Sequence[Polynomial], budget: Optional[Budget] = None
 ) -> Polynomial:
-    """Full remainder of a under multivariate division by G."""
+    """Full remainder of a under multivariate division by G, its terms in
+    descending grevlex order.  G is a sequence of polynomials, whose divisor
+    table is built once per call, or an engine's `_Divisors`."""
     ring = a.ring
-    p = ring.field.p
-    field = ring.field
-    basis = []
-    for g in G:
-        if g:
-            le, lc = g.leading_term()
-            basis.append((le, field.inv(lc), g))
-    work = dict(a.terms)
-    rem: dict[tuple[int, ...], int] = {}
-    while work:
-        if budget is not None:
-            budget.tick()
-        e = max(work, key=grevlex_key)
-        c = work[e]
-        for le, inv_lc, g in basis:
-            if _divides(le, e):
-                _sub_multiple(work, c * inv_lc % p, _sub(e, le), g.terms, p)
-                break
-        else:
-            rem[e] = c
-            del work[e]
-    return Polynomial(ring, rem)
-
-
-def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
-    field = f.ring.field
-    ef, cf = f.leading_term()
-    eg, cg = g.leading_term()
-    m = _lcm(ef, eg)
-    return f.mul_term(_sub(m, ef), field.inv(cf)) - g.mul_term(_sub(m, eg), field.inv(cg))
+    if not isinstance(G, _Divisors):
+        inv = ring.field.inv
+        G = [
+            (g.leading_term()[0], inv(g.leading_term()[1]), g.terms, g.max_exponent(), None)
+            for g in G
+            if g
+        ]
+    return Polynomial(ring, _reduce(dict(a.terms), G, ring.field.p, budget))
 
 
 def _pair_loop(
@@ -176,53 +258,67 @@ def _pair_loop(
     reduce_pair: Callable[[int, int], Optional[tuple[int, ...]]],
     budget: Budget,
     product_criterion: bool,
-) -> None:
+) -> list[int]:
     """Work off the S-pairs of a basis in normal-selection order.
 
-    `leads` holds the leading exponents of the basis.  `reduce_pair(i, j)`
-    reduces the S-pair of elements i and j and returns the leading exponent
-    of the element it appended to the basis, or None; that exponent joins
-    `leads` and its pairs join the queue.  Each popped pair ticks the budget
-    once.  The chain criterion prunes a pair whose lcm is covered by the
-    leading term of a third element whose pairs with both are done; with
-    `product_criterion`, pairs with coprime leading monomials are skipped.
+    `leads` holds the leading exponents of the basis, none divisible by an
+    earlier one.  `reduce_pair(i, j)` reduces the S-pair of elements i and j
+    and returns the leading exponent of the element it appended to the
+    basis, or None.  Each element, the given ones in order and then each
+    appended one, joins through the Gebauer–Möller update (Gebauer & Möller,
+    JSC 6, 1988), which prunes pairs when they are formed.  With t the new
+    leading exponent:
+    - B_k: a queued pair (i, j) whose lcm t divides is pruned, unless its lcm
+      equals lcm(leads[i], t) or lcm(leads[j], t);
+    - M and F: a new pair (i, new) is dropped when the lcm of another new pair,
+      not dropped before it, divides its lcm (of equal lcms one stays);
+    - with `product_criterion`, new pairs with coprime leading monomials take
+      part in M and F and are dropped afterwards;
+    - elements whose leading exponent t divides form no new pairs.
+    M, F and B_k are criteria on the syzygies of the leading terms, so they
+    hold in a Schreyer run too, which keeps its coprime pairs (Möller, Mora &
+    Traverso, ISSAC 1992).  A popped pair ticks the budget once; a pruned or
+    dropped pair never ticks.  Returns, in basis order, the elements whose
+    leading exponent no other one divides: a minimal basis once all pairs
+    are done.
     """
-    # heap of (key(lcm), i, j, lcm): (i, j) makes every key distinct, so pops
-    # come in the same order as a min() over the pending pairs would give
-    queue: list = []
+    queue: list = []  # heap of (key(lcm), i, j): pops in normal-selection order
+    pending: dict[tuple[int, int], tuple[int, ...]] = {}  # queued pair -> lcm
+    active: list[int] = []  # the elements that still form new pairs
 
-    def add_pairs(j: int) -> None:
-        for i in range(j):
-            m = _lcm(leads[i], leads[j])
-            heapq.heappush(queue, (grevlex_key(m), i, j, m))
+    def update(k: int) -> None:
+        t = leads[k]
+        for (i, j), m in list(pending.items()):
+            if _divides(t, m) and _lcm(leads[i], t) != m and _lcm(leads[j], t) != m:
+                del pending[i, j]
+        new = [
+            (i, _lcm(leads[i], t), product_criterion and not any(map(min, leads[i], t)))
+            for i in active
+        ]
+        kept: list[tuple[int, tuple[int, ...], bool]] = []
+        for n, (i, m, coprime) in enumerate(new):
+            if coprime or not any(
+                _divides(other[1], m) for other in itertools.chain(new[n + 1 :], kept)
+            ):
+                kept.append((i, m, coprime))
+        for i, m, coprime in kept:
+            if not coprime:
+                pending[i, k] = m
+                heapq.heappush(queue, (grevlex_key(m), i, k))
+        active[:] = [i for i in active if not _divides(t, leads[i])] + [k]
 
-    for j in range(len(leads)):
-        add_pairs(j)
-    done: set[tuple[int, int]] = set()
+    for k in range(len(leads)):
+        update(k)
     while queue:
-        _, i, j, m = heapq.heappop(queue)
-        done.add((i, j))
+        _, i, j = heapq.heappop(queue)
+        if pending.pop((i, j), None) is None:
+            continue
         budget.tick()
-        li, lj = leads[i], leads[j]
-        # product criterion
-        if product_criterion and all(a + b == c for a, b, c in zip(li, lj, m)):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(leads)):
-            if k in (i, j) or not _divides(leads[k], m):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                skip = True
-                break
-        if skip:
-            continue
         lead = reduce_pair(i, j)
         if lead is not None:
             leads.append(lead)
-            add_pairs(len(leads) - 1)
+            update(len(leads) - 1)
+    return active
 
 
 def buchberger(
@@ -230,56 +326,40 @@ def buchberger(
 ) -> list[Polynomial]:
     """Reduced Groebner basis of (gens), normal pair selection strategy.
 
-    Pairs with coprime leading monomials are skipped (product criterion), and
-    the chain criterion prunes pairs whose lcm is covered by an already
-    treated third element.  Output is inter-reduced, monic, sorted with the
-    largest leading term first — a canonical form suitable for equality
-    comparison.
+    Pairs are pruned by the Gebauer–Möller update, product criterion
+    included (`_pair_loop`).  Every reduction is a `normal_form` call by the
+    run's one divisor table, which grows with the basis.  Output is
+    inter-reduced, monic, sorted with the largest leading term first — a
+    canonical form suitable for equality comparison.
     """
     if budget is None:
         budget = Budget()
-    basis: list[Polynomial] = []
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    ring = gens[0].ring
+    p, inv = ring.field.p, ring.field.inv
+    basis = _Divisors()
     for g in gens:
-        if g:
-            g = normal_form(g, basis, budget)
-            if g:
-                basis.append(g)
+        r = normal_form(g, basis, budget)
+        if r:
+            basis.append(_entry(r.terms, inv))
 
     def reduce_pair(i: int, j: int) -> Optional[tuple[int, ...]]:
-        s = normal_form(_s_poly(basis[i], basis[j]), basis, budget)
-        if not s:
+        r = normal_form(Polynomial(ring, _s_pair(basis[i], basis[j], p)), basis, budget)
+        if not r:
             return None
-        basis.append(s)
-        return s.leading_term()[0]
+        basis.append(_entry(r.terms, inv))
+        return basis[-1][0]
 
-    _pair_loop([g.leading_term()[0] for g in basis], reduce_pair, budget, True)
-    return _reduce_basis(basis, budget)
-
-
-def _reduce_basis(basis: list[Polynomial], budget: Optional[Budget]) -> list[Polynomial]:
-    if not basis:
-        return []
-    field = basis[0].ring.field
-    leads = [g.leading_term()[0] for g in basis]
-    keep_mask = [True] * len(basis)
-    for idx in range(len(basis)):
-        e = leads[idx]
-        for k in range(len(basis)):
-            if k == idx or not keep_mask[k]:
-                continue
-            if _divides(leads[k], e) and (leads[k] != e or k < idx):
-                keep_mask[idx] = False
-                break
-    minimal = [g for g, m in zip(basis, keep_mask) if m]
-    # tail-reduce each element against the others and normalize to monic
+    minimal = [basis[i] for i in _pair_loop([e[0] for e in basis], reduce_pair, budget, True)]
+    # tail-reduce each element by the others and make it monic
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others, budget)
-        if r:
-            reduced.append(r.scale(field.inv(r.leading_term()[1])))
-    reduced.sort(key=lambda f: grevlex_key(f.leading_term()[0]), reverse=True)
-    return reduced
+    for i, (le, inv_lc, terms, _, _) in enumerate(minimal):
+        others = _Divisors(minimal[:i] + minimal[i + 1 :])
+        reduced.append((le, normal_form(Polynomial(ring, terms), others, budget).scale(inv_lc)))
+    reduced.sort(key=lambda r: grevlex_key(r[0]), reverse=True)
+    return [g for _, g in reduced]
 
 
 def ideal_membership(a: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
@@ -522,57 +602,30 @@ def _syzygies(
     its cofactor vector {j: c_j} with g = Σ c_j·images[j].  Every image is
     reduced against the basis so far: a nonzero remainder joins the basis,
     a zero one leaves its cofactor vector as a syzygy.  Then every S-pair
-    whose lcm the chain criterion does not cover is reduced, coprime pairs
-    too (the product criterion does not hold for syzygies), and a reduction
-    to zero leaves a syzygy in the same way.  Syzygies are never paired or
-    inter-reduced.  The budget ticks once per pair and once per reduction
-    step.  Syzygies come back as {j: terms of c_j}.
+    that the Gebauer–Möller update of `_pair_loop` keeps is reduced, coprime
+    pairs too (the product criterion does not hold for syzygies), and a
+    reduction to zero leaves a syzygy in the same way.  Both reductions run
+    on the shared kernel `_reduce`, which carries the cofactors along.
+    Syzygies are never paired or inter-reduced.  The budget ticks once per
+    popped pair and once per reduction step.  Syzygies come back as
+    {j: terms of c_j}.
     """
     p = ring.field.p
-    inv = ring.field.inv
-    # (leading exponent, inverse leading coefficient, terms, cofactor, largest
-    # exponent of terms and cofactor), one per basis element
-    basis: list[tuple] = []
+    basis = _Divisors()
     syzygies: list[dict[int, dict[tuple[int, ...], int]]] = []
 
-    def subtract(work: dict, cof: dict, entry: tuple, mult: int, shift: tuple[int, ...]) -> None:
-        _, _, terms, cofactor, top = entry
-        if top + max(shift, default=0) > EXPONENT_LIMIT:
-            raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
-        _sub_multiple(work, mult, shift, terms, p)
-        for j, t in cofactor.items():
-            _sub_multiple(cof.setdefault(j, {}), mult, shift, t, p)
-
     def reduce(work: dict, cof: dict) -> Optional[tuple[int, ...]]:
-        rem: dict[tuple[int, ...], int] = {}
-        while work:
-            budget.tick()
-            e = max(work, key=grevlex_key)
-            c = work[e]
-            for entry in basis:
-                le = entry[0]
-                if _divides(le, e):
-                    subtract(work, cof, entry, c * entry[1] % p, _sub(e, le))
-                    break
-            else:
-                rem[e] = c
-                del work[e]
+        rem = _reduce(work, basis, p, budget, cof)
         cof = {j: t for j, t in cof.items() if t}
         if not rem:
             syzygies.append(cof)
             return None
-        le = max(rem, key=grevlex_key)
-        top = max(max(e, default=0) for t in (rem, *cof.values()) for e in t)
-        basis.append((le, inv(rem[le]), rem, cof, top))
-        return le
+        basis.append(_entry(rem, ring.field.inv, cof))
+        return basis[-1][0]
 
     def reduce_pair(i: int, j: int) -> Optional[tuple[int, ...]]:
-        work: dict[tuple[int, ...], int] = {}
         cof: dict[int, dict[tuple[int, ...], int]] = {}
-        m = _lcm(basis[i][0], basis[j][0])
-        subtract(work, cof, basis[i], p - basis[i][1], _sub(m, basis[i][0]))
-        subtract(work, cof, basis[j], basis[j][1], _sub(m, basis[j][0]))
-        return reduce(work, cof)
+        return reduce(_s_pair(basis[i], basis[j], p, cof), cof)
 
     one = (0,) * ring.nvars
     for j, w in enumerate(images):

@@ -373,6 +373,8 @@ class Polynomial:
         above each field: the limit holds each cap with its guard bit set, and
         a packed exponent e stays within every cap iff (limit − e) keeps all
         guard bits.  Operand terms already over the cap are dropped first.
+        Raises ExponentOverflowError only where a kept exponent could pass
+        EXPONENT_LIMIT: on a variable with no cap, or a cap above the limit.
         """
         self._require_same_ring(other)
         caps = tuple(cap)
@@ -381,7 +383,7 @@ class Polynomial:
         if not self.terms or not other.terms:
             return self.ring.zero
         top = self.max_exponent() + other.max_exponent()
-        if top > EXPONENT_LIMIT:
+        if top > EXPONENT_LIMIT and any(c is None or c > EXPONENT_LIMIT for c in caps):
             raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
         if any(c is not None and c < 0 for c in caps):
             return self.ring.zero

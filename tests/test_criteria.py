@@ -10,6 +10,7 @@ from hypothesis import assume, given, strategies as st
 
 from qfsplit import (
     Budget,
+    ExponentOverflowError,
     Grading,
     Ideal,
     PolynomialRing,
@@ -228,6 +229,22 @@ def test_coefficient_level_one_is_fedder():
     ring = ring_over(2)
     f = ring.parse("x^3 + x*y*z + y^2*z + z^3")
     assert (graded_cy_coefficient([f], 1) != 0) == fedder_fsplit(f)
+
+
+def test_coefficient_levels_at_the_exponent_limit():
+    """At p = 2 the cap 2^n−1 of level 31 is the exponent limit itself, so
+    level 31 is read like any other; level 32's cap passes the limit, and
+    its witness is refused with a reason, not an exception."""
+    ring = ring_over(2)
+    f = ring.parse("x^3 + x*y*z + y^2*z + z^3")
+    assert graded_cy_coefficient([f], 30) == 0
+    assert graded_cy_coefficient([f], 31) == 0
+    with pytest.raises(ExponentOverflowError):
+        graded_cy_coefficient([f], 32)
+    cert = Certificate(COEFFICIENT_WITNESS, {"level": 32, "coefficient": 1, "grading": [[1, 1, 1]]})
+    reasons = []
+    assert not verify_certificate(Ideal(ring, [f]), cert, reasons=reasons)
+    assert "exponent limit" in reasons[0] and "level 32" in reasons[0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +477,8 @@ def test_qfs_decide_equals_closure_of_colon_seed_on_quadric_pairs(p):
 @pytest.mark.parametrize(
     "kind,p,text,steps",
     [
-        ("height", 2, "z^2 + x^3 + y^5", 187),  # E8^0, local chain to n = 4
-        ("height", 3, "z^2 + x^3 + y^5", 202),  # E8^0, local chain to n = 3
+        ("height", 2, "z^2 + x^3 + y^5", 135),  # E8^0, local chain to n = 4
+        ("height", 3, "z^2 + x^3 + y^5", 185),  # E8^0, local chain to n = 3
         ("qfs_decide", 2, "x^3 + y^2*z", 17),  # the cusp's I_infinity
     ],
 )

@@ -160,6 +160,22 @@ def test_capped_mul_at_packing_boundaries(p, k, offset):
         assert f.capped_mul(g, cap) == O.truncated_product(f, g, cap)
 
 
+def test_capped_mul_within_the_exponent_limit_does_not_overflow():
+    """Kept exponents stay within the caps, so caps at or below the limit
+    allow operands whose uncapped product would pass it; a variable with no
+    cap still raises."""
+    ring = ring_over(2)
+    L = EXPONENT_LIMIT
+    f = ring.from_terms({(L - 1, 0, 0): 1, (0, 1, 0): 1})
+    g = ring.from_terms({(1, 0, 0): 1, (0, L - 1, 0): 1})
+    expected = {(L, 0, 0): 1, (L - 1, L - 1, 0): 1, (1, 1, 0): 1, (0, L, 0): 1}
+    assert f.capped_mul(g, (L, L, L)) == ring.from_terms(expected)
+    del expected[L, 0, 0]
+    assert f.capped_mul(g, (L - 1, L, 0)) == ring.from_terms(expected)
+    with pytest.raises(ExponentOverflowError):
+        f.capped_mul(g, (L, L, None))
+
+
 def test_coefficient_of_reads_the_term_map():
     ring = ring_over(3)
     f = ring.parse("x^2 + y*z")

@@ -328,3 +328,13 @@ def test_exponent_packing_lives_in_the_codec(path):
     `rings.ExponentCodec`, so the packed layout is defined in one place."""
     codec = "ExponentCodec" if path.name == "rings.py" else ""
     assert packing_sites(path.read_text(), codec) == []
+
+
+def test_groebner_has_one_reduction_loop():
+    """Ideal normal forms, Buchberger's reductions and the Schreyer run's
+    cofactor-carrying reductions all divide through the one kernel
+    `_reduce`; no caller picks leading terms by its own scan."""
+    source = (REPO / "src" / "qfsplit" / "groebner.py").read_text()
+    assert "max(work, key=grevlex_key)" not in source
+    for caller in ("normal_form", "buchberger", "_syzygies"):
+        assert "_reduce" in reached_names(source, caller), caller
