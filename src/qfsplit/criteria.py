@@ -146,11 +146,13 @@ def _dedupe(polys: Iterable[Polynomial]) -> list[Polynomial]:
 
 
 class _Splitting:
-    """The derived data of one problem I = (f'_1, ..., f'_m): f = Π f'_i and
-    f^{p−1}, plus I_1's generators, f^{p−2} and Δ₁(f^{p−1}) computed on
-    first use.  Δ₁(f^{p−1}) comes from `witt.delta1_power` (the δ-ring
-    product rule), never from the p-th power of f^{p−1}; the graded engine,
-    the certificate verifier and the I_n chain all read it here."""
+    """The derived data of one problem I = (f'_1, ..., f'_m): f = Π f'_i, and
+    f^{p−1}, f^{p−2}, I_1's generators and Δ₁(f^{p−1}) computed on first use,
+    so a route forms only what it reads (the graded engine's level-1 reading
+    needs f^{p−2} but not f^{p−1}).  Δ₁(f^{p−1}) comes from
+    `witt.delta1_power` (the δ-ring product rule), never from the p-th power
+    of f^{p−1}; the graded engine, the certificate verifier and the I_n chain
+    all read it here."""
 
     def __init__(self, gens: Sequence[Polynomial]):
         self.gens = list(gens)
@@ -160,7 +162,11 @@ class _Splitting:
         for g in self.gens[1:]:
             f = f * g
         self.f = f
-        self.fp1 = f ** (self.p - 1)
+
+    @cached_property
+    def fp1(self) -> Polynomial:
+        """f^{p−1}, the generator of I_1 that decides F-splitting."""
+        return self.f ** (self.p - 1)
 
     @cached_property
     def i1(self) -> list[Polynomial]:
@@ -288,6 +294,18 @@ def graded_cy_applicable(f_list: Sequence[Polynomial], g: Grading) -> Optional[s
     return None
 
 
+def _pairing(a: Polynomial, b: Polynomial, cap: tuple[int, ...]) -> int:
+    """The x^cap coefficient of a·b, as Σ_e a[e]·b[cap−e] mod p, without
+    forming the product; the sum runs over the terms of the smaller factor."""
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    dual = b.terms
+    total = 0
+    for e, c in a.terms.items():
+        total += c * dual.get(tuple([t - x for t, x in zip(cap, e)]), 0)
+    return total % a.ring.field.p
+
+
 def height_graded_cy(
     f_list: Sequence[Polynomial],
     g: Grading,
@@ -298,10 +316,15 @@ def height_graded_cy(
 
     In that case f_n := f^{p−1}·Δ₁(f^{p−1})^{p^{n−2}+⋯+1} is homogeneous of
     the degree whose only monomial outside m^{[p^n]} is (x_1⋯x_N)^{p^n−1}, so
-    sht = first n with that coefficient nonzero.  The coefficient is read off
-    t_n := u^{n−1}(F^{n−1}_* f_n), computed by t_1 = f^{p−1} and
-    t_{n+1} = θ(F_* t_n): the (x_1⋯x_N)^{p−1} coefficient of t_n equals the
-    target coefficient of f_n, and deg t_n never exceeds (p−1)·N.
+    sht = first n with that coefficient c_n nonzero.  With t_1 = f^{p−1} and
+    t_{n+1} = θ(F_* t_n), c_n is the (x_1⋯x_N)^{p−1} coefficient of t_n, and
+    deg t_n never exceeds (p−1)·N.  Each c_n is read as a pairing, before t_n
+    is formed: c_1 = Σ_e f^{p−2}[e]·f[(p−1)𝟙 − e], and c_{n+1} =
+    Σ_e t_n[e]·Δ[(p²−1)𝟙 − e] with Δ = Δ₁(f^{p−1}), because u keeps exactly
+    the exponent (p²−1)𝟙 of Δ·t_n at the output (p−1)𝟙.  So t_n is formed
+    only when c_n = 0, for the vanishing check and the next level: a
+    Finite(1) run never forms f^{p−1}, and a Finite(h) run forms
+    max(h − 2, 0) θ images.
     """
     f_list = [f for f in f_list]
     reason = graded_cy_applicable(f_list, g)
@@ -312,24 +335,26 @@ def height_graded_cy(
     t0 = time.perf_counter()
     sp = _Splitting(f_list)
     top = _top_residue(sp.ring)
-    t = sp.fp1
+    lifted = (sp.p**2 - 1,) * sp.ring.nvars
+    c = _pairing(sp.fp2, sp.f, top)
+    t: Optional[Polynomial] = None
     diagnostics: list[str] = []
     for n in range(1, n_max + 1):
         budget.tick()
-        c = t.coefficient_of(top)
         if c:
             cert = Certificate(
                 COEFFICIENT_WITNESS,
                 {"level": n, "coefficient": c, "grading": [list(r) for r in g.rows]},
             )
             return _stamped(HeightResult(FINITE, n, cert, route="graded-cy"), budget, t0)
+        t = sp.fp1 if t is None else theta(t, sp.delta)
         if t.is_zero():
             diagnostics.append(
                 f"theta orbit vanished at level {n}; every later coefficient is zero"
             )
             break
         if n < n_max:
-            t = theta(t, sp.delta)
+            c = _pairing(t, sp.delta, lifted)
     res = HeightResult(
         LOWER_BOUND, n_max, None, route="graded-cy", diagnostics=tuple(diagnostics)
     )
@@ -360,7 +385,8 @@ def graded_cy_coefficient(
 ) -> int:
     """The (x_1⋯x_N)^{p^n−1} coefficient of f_n, by capped multiplication.
 
-    Independent of the θ-orbit route: reads the target coefficient of
+    Independent of the θ-orbit route from level 3 on (at level 2 both read
+    the same sum): reads the target coefficient of
     f^{p−1}·E_n, E_n = Δ₁(f^{p−1})^{p^{n−2}+⋯+1} from `capped_delta_powers`,
     as Σ f^{p−1}[e]·E_n[cap−e] without forming the product.  E_2 is Δ₁(f^{p−1})
     uncapped: terms over the cap are never looked up.  Used to re-verify
@@ -373,11 +399,7 @@ def graded_cy_coefficient(
     if n == 1:
         return sp.fp1.coefficient_of(cap)
     epow = sp.delta if n == 2 else capped_delta_powers(sp.delta, n, sp.ring.nvars, budget)[-1]
-    dual = epow.terms
-    total = 0
-    for e, c in sp.fp1.terms.items():
-        total += c * dual.get(tuple([t - x for t, x in zip(cap, e)]), 0)
-    return total % sp.p
+    return _pairing(sp.fp1, epow, cap)
 
 
 def verify_coefficient_witness(

@@ -479,17 +479,18 @@ def check_homogeneous(a: Polynomial, g: Grading) -> tuple[int, ...]:
     if not a.terms:
         # the zero polynomial is homogeneous of every degree; report the zero degree
         return (0,) * len(g.rows)
-    it = iter(a.sorted_terms())
-    e0, _ = next(it)
-    d0 = g.degree(e0)
-    for e, _ in it:
-        d = g.degree(e)
-        if d != d0:
-            raise HomogeneityError(
-                f"not homogeneous: term {_term_str(a.ring, e0, 1)} has degree {d0} "
-                f"but term {_term_str(a.ring, e, 1)} has degree {d}"
-            )
-    return d0
+    exps = iter(a.terms)
+    d = g.degree(next(exps))
+    if all(g.degree(e) == d for e in exps):
+        return d
+    # sorted only here, so the message names the same two terms every time
+    terms = [e for e, _ in a.sorted_terms()]
+    d0 = g.degree(terms[0])
+    e = next(e for e in terms if g.degree(e) != d0)
+    raise HomogeneityError(
+        f"not homogeneous: term {_term_str(a.ring, terms[0], 1)} has degree {d0} "
+        f"but term {_term_str(a.ring, e, 1)} has degree {g.degree(e)}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qfsplit import (
     Budget,
     ExponentOverflowError,
     Grading,
     Ideal,
+    Polynomial,
     PolynomialRing,
     PrimeField,
     RingError,
@@ -137,6 +138,72 @@ def test_lower_bound_run_forms_no_theta_past_the_cutoff(monkeypatch):
         assert all(calls)
 
 
+def test_vanishing_orbit_is_reported_at_its_level():
+    """The cusp y²z + x³ at p = 2: c_1 = 0 (no xyz term), and θ(F_*f) =
+    u(F_*(x³y²z·f)) = 0, so the orbit vanishes at level 2 and the run stops
+    there with LowerBound(n_max) and a diagnostic."""
+    ring = ring_over(2)
+    f = ring.parse("x^3 + y^2*z")
+    assert O.u_oracle(delta1(f) * f).is_zero()
+    res = height_graded_cy([f], Grading.standard(3), n_max=5)
+    assert (res.verdict, res.n, res.steps) == (LOWER_BOUND, 5, 2)
+    assert res.diagnostics == (
+        "theta orbit vanished at level 2; every later coefficient is zero",
+    )
+
+
+def test_delta_overflow_is_raised_where_the_second_level_needs_it():
+    """f = x^{K+1} under the weights (1, K), K = 2^31, at p = 2: c_1 = 0 and
+    t_1 = f ≠ 0, so level 2 needs Δ₁(f), whose exponents pass the limit.
+    The error comes after the first step and before the second one."""
+    ring = ring_named(2, ["x", "y"])
+    k = 2**31
+    f = ring.from_terms({(k + 1, 0): 1})
+    for limit in (1, 2):
+        budget = Budget(limit)
+        with pytest.raises(ExponentOverflowError):
+            height_graded_cy([f], Grading([[1, k]]), budget=budget)
+        assert budget.steps == 1
+
+
+@pytest.fixture
+def theta_images(monkeypatch):
+    """The arguments of every θ that `criteria` applies from here on."""
+    images = []
+
+    def counting_theta(a, delta):
+        images.append(a)
+        return theta(a, delta)
+
+    monkeypatch.setattr("qfsplit.criteria.theta", counting_theta)
+    return images
+
+
+def test_finite_one_run_forms_no_f_to_the_p_minus_one(monkeypatch, theta_images):
+    """Level 1 is read as Σ f^{p−2}[e]·f[(p−1)𝟙 − e], so a Finite(1) run
+    raises f to no power but p − 2, and forms no θ image."""
+    powers = []
+    real_pow = Polynomial.__pow__
+
+    def counting_pow(self, n):
+        powers.append(n)
+        return real_pow(self, n)
+
+    monkeypatch.setattr(Polynomial, "__pow__", counting_pow)
+    ordinary = [
+        (2, "x^3 + x*y*z + y^2*z + z^3"),
+        (3, "x^3 + y^3 + z^3 + x*y*z"),
+        (7, "x^3 + y^3 + z^3"),
+    ]
+    for p, text in ordinary:
+        f = ring_over(p).parse(text)
+        powers.clear()
+        res = height_graded_cy([f], Grading.standard(3))
+        assert (res.verdict, res.n) == (FINITE, 1)
+        assert powers == [p - 2]
+    assert theta_images == []
+
+
 def test_graded_cy_rejects_wrong_degree_sum():
     ring = ring_over(2)
     # quadric in three variables: degree 2 != 3
@@ -223,6 +290,24 @@ def test_coefficient_route_agrees_with_theta_orbit_on_k3_quartics(h):
     nonzero = [graded_cy_coefficient([f], n) != 0 for n in range(1, h + 1)]
     assert nonzero == [False] * (h - 1) + [True]
     assert verify_certificate(Ideal(ring, [f]), res.certificate)
+
+
+@pytest.mark.parametrize(
+    "p,names,text,h",
+    [
+        (2, "xyz", "x^3 + x*y*z + y^2*z + z^3", 1),
+        (2, "xyz", "x^3 + y^3 + z^3", 2),
+        (3, "xyz", "y^2*z + x^3 + x*z^2", 2),
+    ]
+    + [(3, "xyzw", text, h) for h, text in sorted(K3_QUARTICS.items())],
+)
+def test_finite_run_forms_theta_images_only_below_its_height(theta_images, p, names, text, h):
+    """A Finite(h) run reads c_h from t_{h−1} as a pairing with Δ, so it
+    forms the θ images t_2, …, t_{h−1}: max(h − 2, 0) of them."""
+    f = ring_named(p, list(names)).parse(text)
+    res = height_graded_cy([f], Grading.standard(len(names)))
+    assert (res.verdict, res.n, res.steps) == (FINITE, h, h)
+    assert len(theta_images) == max(h - 2, 0)
 
 
 def test_coefficient_level_one_is_fedder():
@@ -328,6 +413,50 @@ def test_graded_and_local_routes_agree_on_plane_cubics(p, data):
         assert (graded.verdict, graded.n) == (LOWER_BOUND, 4)
     else:
         assert (graded.verdict, graded.n) == (local.verdict, local.n)
+
+
+def _draw_cubic(data, ring, offset):
+    """A nonzero random cubic in the three variables from position `offset` on."""
+    p = ring.field.p
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=10, max_size=10))
+    pad = ring.nvars - offset - 3
+    f = ring.from_terms(
+        {(0,) * offset + e + (0,) * pad: c for e, c in zip(PLANE_CUBIC_MONOMIALS, coeffs)}
+    )
+    assume(not f.is_zero())
+    return f
+
+
+def _assert_engine_reads_first_oracle_level(f_list, levels):
+    """height_graded_cy's (verdict, n, certificate coefficient) is the first
+    level whose whole-product coefficient is nonzero, or LowerBound(levels)."""
+    expected = (LOWER_BOUND, levels, None)
+    for n in range(1, levels + 1):
+        c = O.graded_cy_coefficient_product(f_list, n)
+        if c:
+            expected = (FINITE, n, c)
+            break
+    res = height_graded_cy(f_list, Grading.standard(f_list[0].ring.nvars), n_max=levels)
+    coefficient = res.certificate.data["coefficient"] if res.certificate else None
+    assert (res.verdict, res.n, coefficient) == expected
+
+
+@pytest.mark.parametrize("p,levels", [(2, 3), (3, 3), (5, 2), (2, 4), (3, 4)])
+@given(data=st.data())
+def test_graded_engine_matches_whole_product_oracle_on_plane_cubics(p, levels, data):
+    _assert_engine_reads_first_oracle_level([_draw_cubic(data, ring_over(p), 0)], levels)
+
+
+@pytest.mark.parametrize("p,levels", [(2, 3), (2, 4), (3, 2)])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_graded_engine_matches_whole_product_oracle_on_fiber_products(p, levels, data):
+    """Two cubics in disjoint blocks of three variables.  In six variables
+    the whole-product oracle takes minutes from level 3 on at p = 3 and from
+    level 2 on at p = 5, so those pairs are left to the plane cubics."""
+    ring = ring_named(p, ["x0", "x1", "x2", "y0", "y1", "y2"])
+    f_list = [_draw_cubic(data, ring, 0), _draw_cubic(data, ring, 3)]
+    _assert_engine_reads_first_oracle_level(f_list, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -831,6 +960,30 @@ def test_product_witness_precondition_errors():
             ry.parse("y0^3 + y1^3 + y2^3"),
             2,
         )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fiber_product_rule_on_random_smooth_cubic_pairs(p):
+    """For smooth plane cubics E, E' (supersingularity by point counting):
+    E × E' has height 2 when exactly one is supersingular, found by the
+    two-generator graded route; ∞ when both are; 1 when neither is.  Every
+    ordered pair of two supersingular and two ordinary random curves."""
+    rng = random.Random(p)
+    ring = ring_over(p)
+    joint = ring_named(p, ["x0", "x1", "x2", "y0", "y1", "y2"])
+    curves = {True: [], False: []}
+    while min(len(c) for c in curves.values()) < 2:
+        coeffs, cubic = O.random_smooth_cubic(rng, ring)
+        curves[O.is_supersingular(coeffs, p, cubic)].append(cubic)
+    drawn = [(ss, c) for ss in (True, False) for c in curves[ss][:2]]
+    expected = {(True, True): (INFINITE, None), (False, False): (FINITE, 1)}
+    for (ss_x, fx), (ss_y, fy) in itertools.product(drawn, repeat=2):
+        gens = [criteria.embed_left(fx, joint), criteria.embed_right(fy, joint)]
+        res = height(gens, n_max=4)
+        assert (res.verdict, res.n) == expected.get((ss_x, ss_y), (FINITE, 2))
+        if ss_x != ss_y:
+            assert res.route == "graded-cy"
+        assert verify_certificate(Ideal(joint, gens), res.certificate)
 
 
 # ---------------------------------------------------------------------------

@@ -127,15 +127,30 @@ def test_theta_at_packing_boundaries(p, k, offset):
     assert not image.is_zero()
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 @given(data=st.data())
 def test_theta_is_frobenius_semilinear(p, data):
+    """θ is p^{−1}-linear: θ(F_*(Σ c_j^p·t_j)) = Σ c_j·θ(F_*t_j), over sums
+    of one to three terms."""
     ring = ring_over(p)
     f = data.draw(poly_strategy(ring, max_exp=2, max_terms=3))
-    a = data.draw(poly_strategy(ring, max_exp=3, max_terms=4))
-    b = data.draw(poly_strategy(ring, max_exp=2, max_terms=3))
     delta = delta1(f ** (p - 1))
-    assert theta(b.pth_power() * a, delta) == b * theta(a, delta)
+    pairs = data.draw(
+        st.lists(
+            st.tuples(
+                poly_strategy(ring, max_exp=2, max_terms=3),
+                poly_strategy(ring, max_exp=5, max_terms=4),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    combined = ring.zero
+    images = ring.zero
+    for c, t in pairs:
+        combined = combined + c.pth_power() * t
+        images = images + c * theta(t, delta)
+    assert theta(combined, delta) == images
 
 
 def test_theta_on_cusp_witness():

@@ -247,6 +247,31 @@ def test_check_homogeneous():
         check_homogeneous(ring.parse("x + y^2"), g)
 
 
+@pytest.mark.parametrize(
+    "text,rows,message",
+    [
+        ("x + y^2", [[1, 1, 1, 1]], "term y^2 has degree (2,) but term x has degree (1,)"),
+        (
+            "2*x^3*y + w^2 + x*y*z^2 + z",
+            [[1, 1, 1, 2]],
+            "term x^3*y has degree (4,) but term z has degree (1,)",
+        ),
+        (
+            "x*y + z^2 + w",
+            [[1, 1, 0, 0], [0, 0, 1, 1]],
+            "term x*y has degree (2, 0) but term z^2 has degree (0, 2)",
+        ),
+    ],
+)
+def test_check_homogeneous_names_the_grevlex_first_term_and_the_first_misfit(text, rows, message):
+    """The error names the grevlex-largest term and the first later term of
+    another degree, skipping terms that share the first one's degree."""
+    ring = PolynomialRing(PrimeField(3), ("x", "y", "z", "w"))
+    with pytest.raises(HomogeneityError) as exc:
+        check_homogeneous(ring.parse(text), Grading(rows))
+    assert str(exc.value) == "not homogeneous: " + message
+
+
 def test_check_homogeneous_weighted():
     ring = PolynomialRing(PrimeField(2), ("x", "y", "z", "w"))
     w = Grading([[1, 1, 1, 2]])
