@@ -17,6 +17,7 @@ from qfsplit import (
     PrimeField,
     enclosure_closure,
     height,
+    non_qfs_quick,
     qfs_decide,
     verify_certificate,
     verify_infinity_certificate,
@@ -53,9 +54,11 @@ def run_cusp():
         I = Ideal(R, [R.parse("x^3 + y^2*z")])
         is_qfs, cert = qfs_decide(I)
         ok = verify_infinity_certificate(I, Ideal(R, list(cert.data["generators"])))
+        quick = non_qfs_quick(list(I.gens))
         print(
             f"  p={p}: quasi-F-split={is_qfs}, fixed point after "
-            f"{cert.data['iterations']} iteration(s), re-verified={ok}"
+            f"{cert.data['iterations']} iteration(s), re-verified={ok}; "
+            f"quick test: {quick.data['tag'] if quick else 'inconclusive'}"
         )
 
 

@@ -13,14 +13,16 @@ Three engines compute it:
   anticanonical degree.  Tracks t_n := u^{n−1}(F^{n−1}_* f_n) for
   f_n := f^{p−1}·Δ₁(f^{p−1})^{p^{n−2}+⋯+1} through the one-step recursion
   t_{n+1} = θ(F_* t_n); the height is the first n whose t_n has a nonzero
-  (x_1⋯x_N)^{p−1} coefficient.  Degrees stay bounded, so this is fast.
+  (x_1⋯x_N)^{p−1} coefficient.  Degrees stay bounded, so this is fast,
+  and the whole run stays on packed exponents.
 * `height_local` — the I_n chain itself, via module syzygies for the kernel
   intersection.  Works for any input; extracts chain certificates.
 * `qfs_decide` — the fixed-point iteration for the smallest ideal I_∞ with
   I_∞ ⊇ θ(F_*I_∞ ∩ Ker u) + I_1; quasi-F-split iff I_∞ ⊄ m^{[p]}.  For a
   regular sequence I_1 = (I^{[p]} : I) (Fedder).
 
-`height` orchestrates all of them plus the quick non-splitting tests.
+`height` orchestrates all of them plus the quick non-splitting tests, on one
+`_Splitting` (f and its derived quantities) per call.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from .rings import (
     EXPONENT_LIMIT,
+    ExponentCodec,
     ExponentOverflowError,
     Grading,
     HomogeneityError,
@@ -41,10 +44,12 @@ from .rings import (
     RingError,
     check_homogeneous,
 )
-from .witt import delta1, delta1_power
+from .witt import delta1, delta1_power, packed_mul, packed_power, teichmuller_lift
 from .frobenius import (
     in_max_ideal_frobenius_power,
     iterated_u,
+    packed_theta,
+    residue_table,
     theta,
     u_map,
 )
@@ -145,14 +150,47 @@ def _dedupe(polys: Iterable[Polynomial]) -> list[Polynomial]:
     return out
 
 
+class _cached:
+    """`functools.cached_property` without the lock that it takes on every
+    first read before Python 3.12: a splitting is read by one thread, and
+    on small problems the lock costs more than the quantity it guards."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+# codecs hold no state, so problems of one shape share theirs
+_codec = lru_cache(maxsize=64)(ExponentCodec)
+
+
 class _Splitting:
     """The derived data of one problem I = (f'_1, ..., f'_m): f = Π f'_i, and
-    f^{p−1}, f^{p−2}, I_1's generators and Δ₁(f^{p−1}) computed on first use,
-    so a route forms only what it reads (the graded engine's level-1 reading
-    needs f^{p−2} but not f^{p−1}).  Δ₁(f^{p−1}) comes from
-    `witt.delta1_power` (the δ-ring product rule), never from the p-th power
-    of f^{p−1}; the graded engine, the certificate verifier and the I_n chain
-    all read it here."""
+    f^{p−2}, f^{p−1}, I_1's generators and Δ = Δ₁(f^{p−1}), each computed on
+    first use, so a route forms only what it reads (the graded engine's
+    level-1 reading needs f^{p−2} but not f^{p−1}).  `height` builds one per
+    call and hands it to every stage.
+
+    f, its Teichmüller lift F over ℤ/p², the powers and Δ live packed under
+    one `ExponentCodec` per problem, wide enough for p²·M (M the largest
+    exponent of f): Δ stays within p(p−1)·M and every graded θ image within
+    p·M (t_1 ≤ (p−1)·M, and t_{n+1} ≤ (t_n + p(p−1)·M)/p), so the fields of
+    θ's products and of the graded engine's pairings stay within p²·M, as
+    do its caps (p² − 1).  F^{p−2} and F^{p−1} reduce mod p to f^{p−2} and
+    f^{p−1} and feed Δ through `witt.delta1_power` (the δ-ring product
+    rule, never the p-th power of f^{p−1}).  `fp2`, `fp1` and `delta` are
+    their polynomial views, unpacked only for the readers that need
+    polynomials: the Fedder certificate, I_1, the quick tests and the chain
+    side's θ.  Exponent overflow is raised where the polynomial routes
+    raise it, at first use: f^{p−1} where `f ** (p − 1)` would, Δ where
+    `delta1(f ** (p − 1))` would."""
 
     def __init__(self, gens: Sequence[Polynomial]):
         self.gens = list(gens)
@@ -162,26 +200,79 @@ class _Splitting:
         for g in self.gens[1:]:
             f = f * g
         self.f = f
+        bound = self.p**2 * max(f.max_exponent(), 1)
+        self.codec = codec = _codec(self.ring.nvars, bound.bit_length())
+        self.packed_f = {codec.pack(e): c for e, c in f.terms.items()}
+        self._lift = teichmuller_lift(self.packed_f, self.p)
 
-    @cached_property
+    def _unpack(self, packed: dict[int, int]) -> Polynomial:
+        unpack = self.codec.unpack
+        return Polynomial(self.ring, {unpack(e): c for e, c in packed.items()})
+
+    def _check_power(self, n: int) -> None:
+        """Raise where `f ** n` raises: its last product has exponents n·M."""
+        if n >= 2 and n * self.f.max_exponent() > EXPONENT_LIMIT:
+            raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
+
+    @_cached
+    def _lift_low(self) -> dict[int, int]:
+        """F^{p−2} over ℤ/p², F the Teichmüller lift of f."""
+        return packed_power(self._lift, self.p - 2, self.p**2)
+
+    @_cached
+    def _lift_power(self) -> dict[int, int]:
+        """F^{p−1} over ℤ/p² (F itself at p = 2)."""
+        if self.p == 2:
+            return self._lift
+        return packed_mul(self._lift_low, self._lift, self.p**2)
+
+    @_cached
+    def packed_fp2(self) -> dict[int, int]:
+        self._check_power(self.p - 2)
+        p = self.p
+        return {e: r for e, c in self._lift_low.items() if (r := c % p)}
+
+    @_cached
+    def packed_fp1(self) -> dict[int, int]:
+        self._check_power(self.p - 1)
+        p = self.p
+        return {e: r for e, c in self._lift_power.items() if (r := c % p)}
+
+    @_cached
+    def packed_delta(self) -> dict[int, int]:
+        if self.p * (self.p - 1) * self.f.max_exponent() > EXPONENT_LIMIT:
+            raise ExponentOverflowError("Δ₁ would need exponents beyond the 32-bit budget")
+        return delta1_power(self._lift, self._lift_low, self._lift_power, self.p)
+
+    @_cached
+    def _theta_table(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+        return residue_table(self.packed_delta, self.codec, self.p)
+
+    def theta(self, t: dict[int, int]) -> dict[int, int]:
+        """θ(F_*t) for packed t, by `packed_theta` on Δ's residue table."""
+        residues, p = self.codec.residues, self.p
+        out = packed_theta([(e, residues(e, p), c) for e, c in t.items()], self._theta_table, p)
+        return {q: r for q, c in out.items() if (r := c % p)}
+
+    @_cached
     def fp1(self) -> Polynomial:
         """f^{p−1}, the generator of I_1 that decides F-splitting."""
-        return self.f ** (self.p - 1)
+        return self._unpack(self.packed_fp1)
 
-    @cached_property
+    @_cached
     def i1(self) -> list[Polynomial]:
         """Generators of I_1 = (f^{p−1}) + ((f'_i)^p)."""
         return _dedupe([self.fp1] + [g.pth_power() for g in self.gens])
 
-    @cached_property
+    @_cached
     def fp2(self) -> Polynomial:
         """f^{p−2}, read by the quick non-splitting tests and their verifier."""
-        return self.f ** (self.p - 2)
+        return self._unpack(self.packed_fp2)
 
-    @cached_property
+    @_cached
     def delta(self) -> Polynomial:
         """Δ₁(f^{p−1}), the multiplier of θ."""
-        return delta1_power(self.f)
+        return self._unpack(self.packed_delta)
 
 
 def _fail(reasons: Optional[list[str]], msg: str) -> bool:
@@ -204,10 +295,6 @@ def _unknown(exc: BudgetExceededError, route: str) -> HeightResult:
         UNKNOWN, None, None, route=route,
         diagnostics=(f"budget exhausted after {exc.steps} steps",),
     )
-
-
-def _top_residue(ring: PolynomialRing) -> tuple[int, ...]:
-    return (ring.field.p - 1,) * ring.nvars
 
 
 def _escapes(gens: Sequence[Polynomial]) -> Optional[Polynomial]:
@@ -294,16 +381,23 @@ def graded_cy_applicable(f_list: Sequence[Polynomial], g: Grading) -> Optional[s
     return None
 
 
-def _pairing(a: Polynomial, b: Polynomial, cap: tuple[int, ...]) -> int:
-    """The x^cap coefficient of a·b, as Σ_e a[e]·b[cap−e] mod p, without
-    forming the product; the sum runs over the terms of the smaller factor."""
-    if len(a.terms) > len(b.terms):
+def _require_graded(f_list: Sequence[Polynomial], g: Grading) -> None:
+    reason = graded_cy_applicable(f_list, g)
+    if reason is not None:
+        raise RingError(f"graded engine not applicable: {reason}")
+
+
+def _pairing(a: dict[int, int], b: dict[int, int], cap: int, p: int) -> int:
+    """The x^cap coefficient of a·b for packed a, b and cap, as
+    Σ_e a[e]·b[cap−e] mod p, without forming the product; the sum runs over
+    the terms of the smaller factor.  No per-field test is needed while the
+    codec holds every field of a·b: no field of e + e' then carries, so
+    e + e' = cap as ints only field by field, and a term over the cap in
+    some field looks up a key that no term of b has."""
+    if len(a) > len(b):
         a, b = b, a
-    dual = b.terms
-    total = 0
-    for e, c in a.terms.items():
-        total += c * dual.get(tuple([t - x for t, x in zip(cap, e)]), 0)
-    return total % a.ring.field.p
+    dual = b.get
+    return sum([c * dual(cap - e, 0) for e, c in a.items()]) % p
 
 
 def height_graded_cy(
@@ -324,20 +418,22 @@ def height_graded_cy(
     the exponent (p²−1)𝟙 of Δ·t_n at the output (p−1)𝟙.  So t_n is formed
     only when c_n = 0, for the vanishing check and the next level: a
     Finite(1) run never forms f^{p−1}, and a Finite(h) run forms
-    max(h − 2, 0) θ images.
+    max(h − 2, 0) θ images.  The whole run stays on the problem's packed
+    exponents (`_Splitting`): the pairings, t_n and θ (`packed_theta`)
+    never unpack, since a CoefficientWitness holds no polynomial.
     """
-    f_list = [f for f in f_list]
-    reason = graded_cy_applicable(f_list, g)
-    if reason is not None:
-        raise RingError(f"graded engine not applicable: {reason}")
-    if budget is None:
-        budget = Budget()
+    f_list = list(f_list)
+    _require_graded(f_list, g)
+    return _graded_cy(_Splitting(f_list), g, n_max, budget if budget is not None else Budget())
+
+
+def _graded_cy(sp: _Splitting, g: Grading, n_max: int, budget: Budget) -> HeightResult:
+    """`height_graded_cy` on a problem's `_Splitting`, applicability checked."""
     t0 = time.perf_counter()
-    sp = _Splitting(f_list)
-    top = _top_residue(sp.ring)
-    lifted = (sp.p**2 - 1,) * sp.ring.nvars
-    c = _pairing(sp.fp2, sp.f, top)
-    t: Optional[Polynomial] = None
+    p, codec, nvars = sp.p, sp.codec, sp.ring.nvars
+    c = _pairing(sp.packed_fp2, sp.packed_f, codec.pack([p - 1] * nvars), p)
+    lifted = 0  # (p²−1)𝟙, packed when level 2 is first read
+    t: Optional[dict[int, int]] = None
     diagnostics: list[str] = []
     for n in range(1, n_max + 1):
         budget.tick()
@@ -347,14 +443,15 @@ def height_graded_cy(
                 {"level": n, "coefficient": c, "grading": [list(r) for r in g.rows]},
             )
             return _stamped(HeightResult(FINITE, n, cert, route="graded-cy"), budget, t0)
-        t = sp.fp1 if t is None else theta(t, sp.delta)
-        if t.is_zero():
+        t = sp.packed_fp1 if t is None else sp.theta(t)
+        if not t:
             diagnostics.append(
                 f"theta orbit vanished at level {n}; every later coefficient is zero"
             )
             break
         if n < n_max:
-            c = _pairing(t, sp.delta, lifted)
+            lifted = lifted or codec.pack([p * p - 1] * nvars)
+            c = _pairing(t, sp.packed_delta, lifted, p)
     res = HeightResult(
         LOWER_BOUND, n_max, None, route="graded-cy", diagnostics=tuple(diagnostics)
     )
@@ -389,17 +486,28 @@ def graded_cy_coefficient(
     the same sum): reads the target coefficient of
     f^{p−1}·E_n, E_n = Δ₁(f^{p−1})^{p^{n−2}+⋯+1} from `capped_delta_powers`,
     as Σ f^{p−1}[e]·E_n[cap−e] without forming the product.  E_2 is Δ₁(f^{p−1})
-    uncapped: terms over the cap are never looked up.  Used to re-verify
-    CoefficientWitness certificates.
+    uncapped: terms over the cap are never looked up.  Levels 1 and 2 read
+    the problem's packed f^{p−1} and Δ, as the engine does.  Used to
+    re-verify CoefficientWitness certificates.
     """
     if n < 1:
         raise RingError("level must be >= 1")
     sp = _Splitting(f_list)
-    cap = (sp.p**n - 1,) * sp.ring.nvars
+    p, nvars, codec = sp.p, sp.ring.nvars, sp.codec
+    cap = [p**n - 1] * nvars
     if n == 1:
-        return sp.fp1.coefficient_of(cap)
-    epow = sp.delta if n == 2 else capped_delta_powers(sp.delta, n, sp.ring.nvars, budget)[-1]
-    return _pairing(sp.fp1, epow, cap)
+        return sp.packed_fp1.get(codec.pack(cap), 0)
+    if n == 2:
+        delta = sp.packed_delta  # before f^{p−1}, so Δ's overflow comes first
+        return _pairing(sp.packed_fp1, delta, codec.pack(cap), p)
+    epow = capped_delta_powers(sp.delta, n, nvars, budget)[-1]
+    # E_n's exponents reach p^n − 1, past the problem's packing: pack both
+    # factors at a width that holds the sum of their largest exponents
+    fp1 = sp.fp1
+    codec = ExponentCodec(nvars, max(cap[0], fp1.max_exponent()).bit_length() + 1)
+    pack = codec.pack
+    a, b = ({pack(e): c for e, c in q.terms.items()} for q in (fp1, epow))
+    return _pairing(a, b, pack(cap), p)
 
 
 def verify_coefficient_witness(
@@ -455,15 +563,17 @@ def height_local(
     proving the height infinite.  Budget aborts return Unknown with
     diagnostics.
     """
-    if budget is None:
-        budget = Budget()
+    return _height_local(_Splitting(I.gens), n_max, budget if budget is not None else Budget())
+
+
+def _height_local(sp: _Splitting, n_max: int, budget: Budget) -> HeightResult:
+    """`height_local` on a problem's `_Splitting`."""
     t0 = time.perf_counter()
 
     def finish(verdict, n, cert, diagnostics=()):
         res = HeightResult(verdict, n, cert, route="local-chain", diagnostics=diagnostics)
         return _stamped(res, budget, t0)
 
-    sp = _Splitting(I.gens)
     levels: list[list[ChainStep]] = []
     current = Ideal(sp.ring, sp.i1)
     try:
@@ -582,9 +692,11 @@ def qfs_decide(
     not contained in m^{[p]}.  Raises BudgetExceededError when the step
     budget runs out.
     """
-    if budget is None:
-        budget = Budget()
-    sp = _Splitting(I.gens)
+    return _qfs_decide(_Splitting(I.gens), budget if budget is not None else Budget())
+
+
+def _qfs_decide(sp: _Splitting, budget: Budget) -> tuple[bool, Certificate]:
+    """`qfs_decide` on a problem's `_Splitting`."""
     J, iterations = _theta_closure(sp, Ideal(sp.ring, sp.i1), budget)
     gens = list(J.gens)
     cert = Certificate(
@@ -616,10 +728,16 @@ def enclosure_closure(
 # ---------------------------------------------------------------------------
 
 
-def _product_generators(sp: _Splitting) -> list[Polynomial]:
-    """The generators (f^{p−2}, I^{[p]})·f^{p(p−2)}·Δ₁(f) of condition (2)."""
-    scale = sp.fp2.pth_power() * delta1(sp.f)  # f^{p(p−2)}: Frobenius fixes F_p coefficients
-    return [b * scale for b in [sp.fp2] + [g.pth_power() for g in sp.gens]]
+def _product_remainders(sp: _Splitting) -> list[Polynomial]:
+    """The parts below m^{[p²]} of the generators (f^{p−2}, I^{[p]})·
+    f^{p(p−2)}·Δ₁(f) of condition (2): each product by `capped_mul` with
+    every exponent capped at p²−1, so a generator lies in m^{[p²]} iff its
+    remainder is 0.  The scale f^{p(p−2)}·Δ₁(f) is capped first, which is
+    sound because a term over the cap stays over it in every product."""
+    cap = (sp.p**2 - 1,) * sp.ring.nvars
+    # f^{p(p−2)}: Frobenius fixes F_p coefficients
+    scale = sp.fp2.pth_power().capped_mul(delta1(sp.f), cap)
+    return [b.capped_mul(scale, cap) for b in [sp.fp2] + [g.pth_power() for g in sp.gens]]
 
 
 def non_qfs_quick(f_list: Sequence[Polynomial]) -> Optional[Certificate]:
@@ -629,19 +747,24 @@ def non_qfs_quick(f_list: Sequence[Polynomial]) -> Optional[Certificate]:
     (2) f^{p−1} ∈ m^{[p]} and every generator of
         (f^{p−2}, I^{[p]})·f^{p(p−2)}·Δ₁(f) lies in m^{[p²]}.
 
-    Returns the first satisfied condition's certificate, else None.
+    Returns the first satisfied condition's certificate, else None.  The
+    certificate of (2) records only its tag: the verifier recomputes the
+    capped products.
     """
     gens = _as_gen_list(f_list)
     if not gens:
         return None
-    sp = _Splitting(gens)
+    return _non_qfs_quick(_Splitting(gens))
+
+
+def _non_qfs_quick(sp: _Splitting) -> Optional[Certificate]:
+    """`non_qfs_quick` on a problem's `_Splitting`."""
     if sp.p >= 3 and in_max_ideal_frobenius_power(sp.fp2, 1):
         return Certificate(NON_QFS, {"tag": TAG_FPM2, "element": sp.fp2})
     if not in_max_ideal_frobenius_power(sp.fp1, 1):
         return None  # F-split, certainly not infinite
-    products = _product_generators(sp)
-    if all(in_max_ideal_frobenius_power(q, 2) for q in products if q):
-        return Certificate(NON_QFS, {"tag": TAG_PRODUCT, "generators": products})
+    if not any(_product_remainders(sp)):
+        return Certificate(NON_QFS, {"tag": TAG_PRODUCT})
     return None
 
 
@@ -761,11 +884,11 @@ def verify_infinity_certificate(
 def _verify_non_qfs(I: Ideal, cert: Certificate, reasons: Optional[list[str]]) -> bool:
     """Re-check a NonQFS certificate against its recorded data.
 
-    The recorded element f^{p−2} (tag TAG_FPM2) or the recorded products
-    (tag TAG_PRODUCT) are recomputed from f and must equal what the
-    certificate holds; then each containment is tested term by term:
-    f^{p−2} ∈ m^{[p]} (only for p ≥ 3), or f^{p−1} ∈ m^{[p]} and every
-    product in m^{[p²]}."""
+    The recorded element f^{p−2} (tag TAG_FPM2) is recomputed from f and
+    must equal what the certificate holds; then each containment is tested
+    term by term: f^{p−2} ∈ m^{[p]} (only for p ≥ 3), or f^{p−1} ∈ m^{[p]}
+    and every product of condition (2) in m^{[p²]}, recomputed by capped
+    products (tag TAG_PRODUCT records nothing else)."""
     sp = _Splitting(I.gens)
     tag = cert.data.get("tag")
     if tag == TAG_FPM2:
@@ -779,12 +902,9 @@ def _verify_non_qfs(I: Ideal, cert: Certificate, reasons: Optional[list[str]]) -
     if tag == TAG_PRODUCT:
         if not in_max_ideal_frobenius_power(sp.fp1, 1):
             return _fail(reasons, "f^(p-1) is not in m^[p]")
-        products = _product_generators(sp)
-        if list(cert.data.get("generators", ())) != products:
-            return _fail(reasons, "recorded generators differ from the recomputed products")
-        for q in products:
-            if q and not in_max_ideal_frobenius_power(q, 2):
-                return _fail(reasons, f"product {q} is not in m^[p^2]")
+        for k, rest in enumerate(_product_remainders(sp), start=1):
+            if rest:
+                return _fail(reasons, f"product {k} has terms outside m^[p^2]: {rest}")
         return True
     return _fail(reasons, f"unknown {NON_QFS} tag {tag!r}")
 
@@ -934,63 +1054,70 @@ def height(
 
     g = grading if grading is not None else Grading.standard(ring.nvars)
 
-    def graded() -> HeightResult:
+    def graded(sp: _Splitting) -> HeightResult:
         try:
-            return height_graded_cy(gens, g, n_max, budget)
+            return _graded_cy(sp, g, n_max, budget)
         except BudgetExceededError as exc:
             return _unknown(exc, "graded-cy")
 
     if strategy == "local":
         return finish(height_local(I, n_max, budget))
     if strategy == "graded":
-        return finish(graded())
+        _require_graded(gens, g)
+        return finish(graded(_Splitting(gens)))
     if strategy == "qfs":
         return finish(
-            _i_infinity(I, budget, 1, "quasi-F-split; height finite but not computed")
+            _i_infinity(
+                _Splitting(I.gens), budget, 1,
+                "quasi-F-split; height finite but not computed",
+            )
         )
     if strategy != "auto":
         raise RingError(f"unknown strategy {strategy!r}")
 
+    # one splitting serves every stage: a zero generator (which I drops)
+    # always ends at (c), so (d) and (e) see I's own generators
+    sp = _Splitting(gens)
+
     # (a) F-split?
-    fp1 = _Splitting(gens).fp1
-    if not in_max_ideal_frobenius_power(fp1, 1):
-        cert = Certificate(CHAIN_WITNESS, {"chain": [fp1]})
+    if not in_max_ideal_frobenius_power(sp.fp1, 1):
+        cert = Certificate(CHAIN_WITNESS, {"chain": [sp.fp1]})
         return finish(HeightResult(FINITE, 1, cert, route="fedder"))
 
     # (b) graded engine
     graded_result: Optional[HeightResult] = None
     if graded_cy_applicable(gens, g) is None:
-        graded_result = graded()
+        graded_result = graded(sp)
         if graded_result.verdict in (FINITE, UNKNOWN):
             return finish(graded_result)
 
     # (c) quick infinite-height tests
-    quick = non_qfs_quick(gens)
+    quick = _non_qfs_quick(sp)
     if quick is not None:
         return finish(HeightResult(INFINITE, None, quick, route="quick-tests"))
 
     # (d) the local chain — unless the graded engine already exhausted n_max,
     # in which case only the Infinite/LowerBound separation remains
     if graded_result is None:
-        local = height_local(I, n_max, budget)
+        local = _height_local(sp, n_max, budget)
         if local.verdict in (FINITE, INFINITE, UNKNOWN):
             return finish(local)
 
     # (e) I_∞ separates Infinite from LowerBound
     return finish(
         _i_infinity(
-            I, budget, n_max,
+            sp, budget, n_max,
             f"quasi-F-split (I_infinity escapes m^[p]) but no level <= {n_max} "
             "escaped; the height is finite and exceeds the cutoff",
         )
     )
 
 
-def _i_infinity(I: Ideal, budget: Budget, n: int, note: str) -> HeightResult:
+def _i_infinity(sp: _Splitting, budget: Budget, n: int, note: str) -> HeightResult:
     """The I_∞ route: Infinite when I_∞ ⊆ m^{[p]}, else LowerBound(n) with
     ``note`` (the height is finite but was not found)."""
     try:
-        qfs, cert = qfs_decide(I, budget)
+        qfs, cert = _qfs_decide(sp, budget)
     except BudgetExceededError as exc:
         return _unknown(exc, "i-infinity")
     if not qfs:

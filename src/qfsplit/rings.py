@@ -6,10 +6,13 @@ sparsely as a hash map from exponent vectors (tuples of machine ints) to
 nonzero coefficients in [1, p), with a lazily cached graded-reverse-lex
 sorted view used for display and leading-term scans.
 
-Inner loops that only add exponents and compare them to bounds (Δ₁, θ and
-capped products) work on packed exponents instead: `ExponentCodec` packs a
-tuple into one int with a fixed number of bits per variable, so a monomial
-product is one int addition.  It is the only place exponents are packed.
+Inner loops that only add exponents and compare them to bounds (Δ₁, θ, the
+graded engine's coefficient pairings and capped products) work on packed
+exponents instead: `ExponentCodec` packs a tuple into one int with a fixed
+number of bits per variable, so a monomial product is one int addition.  It
+is the only place exponents are packed, and it also holds the two per-field
+tests those loops need on packed ints: the guard-bit test of an exponent
+against a per-variable cap, and the residues mod p of its fields.
 
 Only prime coefficient fields are supported: every criterion implemented in
 this package reads or writes coefficients through the identity c^(1/p) = c,
@@ -104,14 +107,17 @@ class ExponentCodec:
 
     Sums of packed exponents are packed sums as long as every field of the
     sum stays in [0, 2^width); choosing a width that holds the largest
-    exponent sum is the caller's part.
+    exponent sum is the caller's part.  The top bit of each field is its
+    guard bit: for exponents whose fields stay below it, `within` compares
+    every field with a cap in one subtraction.
     """
 
-    __slots__ = ("shifts", "mask")
+    __slots__ = ("shifts", "mask", "guard")
 
     def __init__(self, nvars: int, width: int):
-        self.shifts = tuple(width * j for j in range(nvars))
+        self.shifts = tuple([width * j for j in range(nvars)])
         self.mask = (1 << width) - 1
+        self.guard = self.pack([(self.mask + 1) >> 1] * nvars)
 
     def pack(self, exps: Sequence[int]) -> int:
         return sum(map(int.__lshift__, exps, self.shifts))
@@ -119,6 +125,26 @@ class ExponentCodec:
     def unpack(self, key: int) -> tuple[int, ...]:
         mask = self.mask
         return tuple([(key >> s) & mask for s in self.shifts])
+
+    def ceiling(self, caps: Sequence[Optional[int]]) -> int:
+        """The limit that `within` tests against: each field holds its cap
+        (None: no cap), clipped to the room below the guard bit, with the
+        guard bit set."""
+        room = self.mask >> 1
+        return self.guard + self.pack([room if c is None else min(c, room) for c in caps])
+
+    def within(self, limit: int, key: int) -> bool:
+        """Whether every field of `key` is at most its cap in `limit` (from
+        `ceiling`).  A field over its cap clears its own guard bit and
+        borrows nothing from the next field, so (limit − key) keeps every
+        guard bit exactly when all fields fit."""
+        guard = self.guard
+        return (limit - key) & guard == guard
+
+    def residues(self, key: int, p: int) -> tuple[int, ...]:
+        """The fields of `key` mod p, the residue class that θ buckets by."""
+        mask = self.mask
+        return tuple([((key >> s) & mask) % p for s in self.shifts])
 
 
 class PolynomialRing:
@@ -253,9 +279,6 @@ class Polynomial:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def coefficient_of(self, mono: Sequence[int]) -> int:
-        return self.terms.get(tuple(mono), 0)
-
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         """Largest (exponent, coefficient) pair under grevlex; error on zero."""
         if not self.terms:
@@ -370,9 +393,9 @@ class Polynomial:
         cap[i] = None means variable i is unbounded.  Sound for any downstream
         query whose exponents all stay within the cap, because exponents only
         grow under multiplication.  Exponents are packed with one guard bit
-        above each field: the limit holds each cap with its guard bit set, and
-        a packed exponent e stays within every cap iff (limit − e) keeps all
-        guard bits.  Operand terms already over the cap are dropped first.
+        above each field, and `ExponentCodec.within` keeps exactly the terms
+        that stay within every cap.  Operand terms already over the cap are
+        dropped first.
         Raises ExponentOverflowError only where a kept exponent could pass
         EXPONENT_LIMIT: on a variable with no cap, or a cap above the limit.
         """
@@ -389,12 +412,10 @@ class Polynomial:
             return self.ring.zero
         p = self.ring.field.p
         codec = ExponentCodec(self.ring.nvars, top.bit_length() + 1)
-        pack = codec.pack
-        room = codec.mask >> 1
-        guard = pack((room + 1,) * self.ring.nvars)
-        limit = guard + pack([room if c is None else min(c, room) for c in caps])
+        pack, within = codec.pack, codec.within
+        limit = codec.ceiling(caps)
         a, b = (
-            [(k, c) for e, c in f.terms.items() if (limit - (k := pack(e))) & guard == guard]
+            [(k, c) for e, c in f.terms.items() if within(limit, k := pack(e))]
             for f in (self, other)
         )
         out: dict[int, int] = {}
@@ -402,7 +423,7 @@ class Polynomial:
         for ea, ca in a:
             for eb, cb in b:
                 e = ea + eb
-                if (limit - e) & guard == guard:
+                if within(limit, e):
                     out[e] = get(e, 0) + ca * cb
         unpack = codec.unpack
         return Polynomial(self.ring, {unpack(e): r for e, c in out.items() if (r := c % p)})
@@ -455,7 +476,7 @@ class Grading:
         return cls([(1,) * nvars])
 
     def degree(self, exps: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(w * e for w, e in zip(row, exps)) for row in self.rows)
+        return tuple([sum(map(int.__mul__, row, exps)) for row in self.rows])
 
     def total_of_variables(self) -> tuple[int, ...]:
         """Sum of the multidegrees of all variables (the anticanonical degree)."""

@@ -22,13 +22,17 @@ into the next.
 
 `delta1_power` forms Δ₁(f^{p−1}), the multiplier of θ, without the p-th
 power of f^{p−1} that the ghost route `delta1(f ** (p − 1))` takes: the
-δ-ring rules give it from one powering of f to the (p−1)-th power over ℤ/p²,
-Δ₁(f) and one product (Joyal, "δ-anneaux et vecteurs de Witt", 1985; Bhatt
-and Scholze, "Prisms and prismatic cohomology", §2).
+δ-ring rules give it from the (p−2)-th and (p−1)-th powers of the
+Teichmüller lift of f over ℤ/p², Δ₁(f) and one product (Joyal, "δ-anneaux et
+vecteurs de Witt", 1985; Bhatt and Scholze, "Prisms and prismatic
+cohomology", §2).  It is a kernel on packed polynomials (dicts from packed
+exponents to coefficients), like `packed_mul`, `packed_power` and
+`teichmuller_lift`: the caller packs f once, and reduced mod p the same
+powers are f^{p−2} and f^{p−1} (`criteria._Splitting` holds all of them).
 
 The test suite checks Δ₁ against the W₂ fold, the multinomial formula and
-exact integer ghost components, and `delta1_power` against the ghost route
-and the fold (`tests/oracles.py`).
+exact integer ghost components, and Δ₁(f^{p−1}) by the δ-ring rules against
+the ghost route and the fold (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Optional, Sequence
 from .rings import EXPONENT_LIMIT, ExponentCodec, ExponentOverflowError, Polynomial, RingError
 
 
-def _mul(f: dict[int, int], g: dict[int, int], q: int) -> dict[int, int]:
+def packed_mul(f: dict[int, int], g: dict[int, int], q: int) -> dict[int, int]:
     """Product of two packed polynomials, coefficients mod q."""
     out: dict[int, int] = {}
     get = out.get
@@ -47,17 +51,26 @@ def _mul(f: dict[int, int], g: dict[int, int], q: int) -> dict[int, int]:
         for eb, cb in gitems:
             e = ea + eb
             out[e] = get(e, 0) + ca * cb
-    return {e: c for e, c in ((e, c % q) for e, c in out.items()) if c}
+    return {e: r for e, c in out.items() if (r := c % q)}
 
 
-def _power(f: dict[int, int], n: int, q: int) -> dict[int, int]:
-    """f^n mod q for n ≥ 1 by left-to-right binary powering."""
+def packed_power(f: dict[int, int], n: int, q: int) -> dict[int, int]:
+    """f^n mod q for n ≥ 0 by left-to-right binary powering."""
+    if n == 0:
+        return {0: 1}
     out = f
     for bit in bin(n)[3:]:
-        out = _mul(out, out, q)
+        out = packed_mul(out, out, q)
         if bit == "1":
-            out = _mul(out, f, q)
+            out = packed_mul(out, f, q)
     return out
+
+
+def teichmuller_lift(f: dict[int, int], p: int) -> dict[int, int]:
+    """The Teichmüller lift of packed f to ℤ/p²: each coefficient c becomes
+    c^p mod p², the Teichmüller representative of c modulo p²."""
+    q = p * p
+    return {e: pow(c, p, q) for e, c in f.items()}
 
 
 def delta1(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) -> Polynomial:
@@ -83,13 +96,13 @@ def delta1(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) -> Po
     q = p * p
     pack = codec.pack
     packed = {pack(e): c for e, c in a.terms.items()}
-    acc = _power(packed, p, q)
+    acc = packed_power(packed, p, q)
     if summands is None:
         for e, c in packed.items():
             acc[p * e] = acc.get(p * e, 0) - pow(c, p, q)
     else:
         for s in summands:
-            for e, c in _power({pack(x): v for x, v in s.terms.items()}, p, q).items():
+            for e, c in packed_power({pack(x): v for x, v in s.terms.items()}, p, q).items():
                 acc[e] = acc.get(e, 0) - c
     unpack = codec.unpack
     out = {}
@@ -100,39 +113,32 @@ def delta1(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) -> Po
     return Polynomial(ring, out)
 
 
-def delta1_power(f: Polynomial) -> Polynomial:
+def delta1_power(
+    lift: dict[int, int], low: dict[int, int], power: dict[int, int], p: int
+) -> dict[int, int]:
     """Δ₁(f^{p−1}) by the δ-ring rules, without the p-th power of f^{p−1}.
 
-    With F the Teichmüller lift of f (each coefficient c becomes c^p mod p²)
-    and p·h = F^{p−1} − T(F^{p−1} mod p), where T is the same lift,
+    Takes, packed, F = `teichmuller_lift(f, p)`, `low` = F^{p−2} and
+    `power` = F^{p−1} over ℤ/p².  With p·h = F^{p−1} − T(F^{p−1} mod p),
+    where T is the same lift,
 
         Δ₁(f^{p−1}) = h^p − f^{p(p−2)}·Δ₁(f),
 
     from δ(A^k) ≡ k·A^{p(k−1)}·δ(A) and δ(A − p·h) ≡ δ(A) − h^p (mod p),
     since Δ₁(g) = −δ(T(g)) mod p for the Frobenius lift x_i ↦ x_i^p.  Every
-    exponent stays within p(p−1)·M, M the largest exponent of f, so one
-    packing serves the whole call.  Raises ExponentOverflowError exactly
-    when `delta1(f ** (p − 1))` does: when p(p−1)·M exceeds EXPONENT_LIMIT.
+    exponent stays within p(p−1)·M, M the largest exponent of f, so the
+    caller's packing must hold that; the ghost route `delta1(f ** (p − 1))`
+    raises ExponentOverflowError exactly when p(p−1)·M exceeds
+    EXPONENT_LIMIT, and that test is the caller's part too.
     """
-    ring = f.ring
-    p = ring.field.p
-    top = p * (p - 1) * f.max_exponent()
-    if top > EXPONENT_LIMIT:
-        raise ExponentOverflowError("Δ₁ would need exponents beyond the 32-bit budget")
-    codec = ExponentCodec(ring.nvars, top.bit_length())
     q = p * p
-    pack = codec.pack
-    lift = {pack(e): pow(c, p, q) for e, c in f.terms.items()}  # F
-    low = _power(lift, p - 2, q) if p > 2 else {0: 1}  # F^{p−2}
     scale = {p * e: r for e, c in low.items() if (r := c % p)}  # f^{p(p−2)}
-    power = _mul(low, lift, q)  # F^{p−1}
-    ghost = _mul(power, lift, q)  # F^p
+    ghost = packed_mul(power, lift, q)  # F^p
     for e, c in lift.items():  # minus Σ c^p·x^{pe}, which leaves p·Δ₁(f)
         ghost[p * e] = ghost.get(p * e, 0) - c
-    out = _mul(scale, {e: r // p for e, c in ghost.items() if (r := c % q)}, p)
+    out = packed_mul(scale, {e: r // p for e, c in ghost.items() if (r := c % q)}, p)
     for e, c in power.items():  # minus h^p, so out is −Δ₁(f^{p−1})
         h = (c - pow(c % p, p, q)) % q // p
         if h:
             out[p * e] = out.get(p * e, 0) - h
-    unpack = codec.unpack
-    return Polynomial(ring, {unpack(e): r for e, c in out.items() if (r := -c % p)})
+    return {e: r for e, c in out.items() if (r := -c % p)}

@@ -644,7 +644,7 @@ def graded_cy_coefficient_product(f_list: Sequence[Polynomial], n: int) -> int:
         delta = delta1(fp1)
         for _ in range((p ** (n - 1) - 1) // (p - 1)):
             acc = truncated_product(acc, delta, cap)
-    return truncated_product(fp1, acc, cap).coefficient_of(cap)
+    return truncated_product(fp1, acc, cap).terms.get(cap, 0)
 
 
 def evaluate_coefficients(nx: int, poly: Polynomial, values: Sequence[int]) -> int:

@@ -31,6 +31,7 @@ from qfsplit import (
     verify_infinity_certificate,
     verify_witness_chain,
 )
+from qfsplit.rings import ExponentCodec
 from qfsplit.criteria import (
     CHAIN_WITNESS,
     ChainStep,
@@ -54,10 +55,11 @@ from qfsplit.criteria import (
 from qfsplit import criteria
 from qfsplit.cli import rdp_rows
 from qfsplit.groebner import colon_ideal, ideal_equal, ideal_membership
-from qfsplit.frobenius import in_max_ideal_frobenius_power, theta, u_map
+from qfsplit.frobenius import in_max_ideal_frobenius_power, packed_theta, theta, u_map
+from qfsplit import witt
 
 import oracles as O
-from conftest import ring_over
+from conftest import poly_strategy, ring_over
 
 
 def ring_named(p, names):
@@ -117,25 +119,59 @@ def test_graded_cy_supersingular_cubic():
     assert res.certificate.kind == COEFFICIENT_WITNESS
 
 
-def test_lower_bound_run_forms_no_theta_past_the_cutoff(monkeypatch):
+@pytest.fixture
+def theta_images(monkeypatch):
+    """The arguments of every packed θ that `criteria` applies from here on
+    (the graded engine's orbit)."""
+    images = []
+
+    def counting_theta(a, table, p):
+        images.append(a)
+        return packed_theta(a, table, p)
+
+    monkeypatch.setattr("qfsplit.criteria.packed_theta", counting_theta)
+    return images
+
+
+LOWER_BOUND_CUBIC = (3, "x^3 + x^2*y + y^3 + x*y*z + y*z^2")
+
+
+def test_lower_bound_run_forms_no_theta_past_the_cutoff(theta_images):
     """A cubic at p = 3 whose target coefficient vanishes and whose θ orbit
     stays nonzero through level 5: a run to n_max reads n_max coefficients,
     so it forms n_max − 1 θ images."""
-    calls = []
-
-    def counting_theta(a, delta):
-        calls.append(a)
-        return theta(a, delta)
-
-    monkeypatch.setattr("qfsplit.criteria.theta", counting_theta)
-    f = ring_over(3).parse("x^3 + x^2*y + y^3 + x*y*z + y*z^2")
+    p, text = LOWER_BOUND_CUBIC
+    f = ring_over(p).parse(text)
     for n_max in range(1, 6):
-        calls.clear()
+        theta_images.clear()
         res = height_graded_cy([f], Grading.standard(3), n_max=n_max)
         assert (res.verdict, res.n, res.steps) == (LOWER_BOUND, n_max, n_max)
         assert res.diagnostics == ()
-        assert len(calls) == n_max - 1
-        assert all(calls)
+        assert len(theta_images) == n_max - 1
+        assert all(theta_images)
+
+
+def test_graded_run_stays_packed(monkeypatch, theta_images):
+    """The engine reads every level from packed exponents: a LowerBound(5)
+    run forms four packed θ images and calls neither the polynomial θ nor
+    `Polynomial.__pow__`."""
+    p, text = LOWER_BOUND_CUBIC
+    f = ring_over(p).parse(text)
+    calls = []
+
+    def refuse(name):
+        def call(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+
+    monkeypatch.setattr("qfsplit.frobenius.theta", refuse("frobenius.theta"))
+    monkeypatch.setattr("qfsplit.criteria.theta", refuse("criteria.theta"))
+    monkeypatch.setattr(Polynomial, "__pow__", refuse("Polynomial.__pow__"))
+    res = height_graded_cy([f], Grading.standard(3), n_max=5)
+    assert (res.verdict, res.n) == (LOWER_BOUND, 5)
+    assert calls == []
+    assert len(theta_images) == 4
 
 
 def test_vanishing_orbit_is_reported_at_its_level():
@@ -166,30 +202,70 @@ def test_delta_overflow_is_raised_where_the_second_level_needs_it():
         assert budget.steps == 1
 
 
-@pytest.fixture
-def theta_images(monkeypatch):
-    """The arguments of every θ that `criteria` applies from here on."""
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+def test_packed_pairing_is_the_coefficient_of_the_product(p, data):
+    """`_pairing` reads the x^cap coefficient of a·b from packed terms.  The
+    exponents run up to twice the cap, so many terms lie over it in some
+    field, and their lookup keys cap − e borrow across fields; while the
+    packing holds every field of a·b, none of them may pair with a term."""
+    nvars = data.draw(st.integers(1, 3))
+    ring = ring_over(p, ("x", "y", "z")[:nvars])
+    cap = data.draw(st.tuples(*[st.integers(0, 6)] * nvars))
+    top = 2 * max(cap) + 1
+    a, b = (data.draw(poly_strategy(ring, max_exp=top, max_terms=8)) for _ in range(2))
+    codec = ExponentCodec(nvars, top.bit_length() + 1)
+    packed = [{codec.pack(e): c for e, c in q.terms.items()} for q in (a, b)]
+    expected = (a * b).terms.get(cap, 0)
+    assert criteria._pairing(*packed, codec.pack(cap), p) == expected
+
+
+def test_weighted_orbit_near_its_exponent_bound():
+    """Under the weights (1, 1, 1, 2) at p = 5, this f has M = 3, and its θ
+    orbit climbs to a z-exponent of 13, near the bound t_n ≤ p·M = 15 that
+    sizes the packed fields, and stays nonzero through level 8.  The packed
+    orbit equals the polynomial one, whose Δ comes from the ghost route,
+    level by level."""
+    ring = ring_named(5, ["x", "y", "z", "w"])
+    f = ring.parse("3*x^2*y*z^2 + 4*y^2*z^3 + 2*x*z^2*w + 2*z^3*w + 3*z*w^2")
     images = []
+    unpack = _Splitting([f]).codec.unpack
 
-    def counting_theta(a, delta):
-        images.append(a)
-        return theta(a, delta)
+    def recording(a, table, p):
+        out = packed_theta(a, table, p)
+        images.append(ring.from_terms({unpack(e): c for e, c in out.items()}))
+        return out
 
-    monkeypatch.setattr("qfsplit.criteria.theta", counting_theta)
-    return images
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("qfsplit.criteria.packed_theta", recording)
+        res = height_graded_cy([f], Grading([[1, 1, 1, 2]]), n_max=8)
+    assert (res.verdict, res.n, res.diagnostics) == (LOWER_BOUND, 8, ())
+    assert f.max_exponent() == 3
+    t = f**4
+    delta = delta1(t)
+    for image in images:
+        t = theta(t, delta)
+        assert image == t
+    assert len(images) == 7
+    assert max(image.max_exponent() for image in images) == 13
 
 
 def test_finite_one_run_forms_no_f_to_the_p_minus_one(monkeypatch, theta_images):
     """Level 1 is read as Σ f^{p−2}[e]·f[(p−1)𝟙 − e], so a Finite(1) run
-    raises f to no power but p − 2, and forms no θ image."""
-    powers = []
-    real_pow = Polynomial.__pow__
+    raises f to no power but p − 2, and forms no θ image: the splitting
+    never multiplies F^{p−2} by F to form F^{p−1}."""
+    powers, products = [], []
 
-    def counting_pow(self, n):
+    def counting_power(f, n, q):
         powers.append(n)
-        return real_pow(self, n)
+        return witt.packed_power(f, n, q)
 
-    monkeypatch.setattr(Polynomial, "__pow__", counting_pow)
+    def counting_mul(f, g, q):
+        products.append(q)
+        return witt.packed_mul(f, g, q)
+
+    monkeypatch.setattr("qfsplit.criteria.packed_power", counting_power)
+    monkeypatch.setattr("qfsplit.criteria.packed_mul", counting_mul)
     ordinary = [
         (2, "x^3 + x*y*z + y^2*z + z^3"),
         (3, "x^3 + y^3 + z^3 + x*y*z"),
@@ -201,6 +277,7 @@ def test_finite_one_run_forms_no_f_to_the_p_minus_one(monkeypatch, theta_images)
         res = height_graded_cy([f], Grading.standard(3))
         assert (res.verdict, res.n) == (FINITE, 1)
         assert powers == [p - 2]
+    assert products == []
     assert theta_images == []
 
 
@@ -238,7 +315,7 @@ def test_coefficient_against_uncapped_expansion():
     ring = ring_over(2)
     for text in ("x^3 + y^3 + z^3", "x^3 + x*y*z + y^2*z + z^3", "x^2*y + y^2*z + z^2*x"):
         f = ring.parse(text)
-        raw = (f * delta1(f)).coefficient_of((3, 3, 3))
+        raw = (f * delta1(f)).terms.get((3, 3, 3), 0)
         assert graded_cy_coefficient([f], 2) == raw
 
 
@@ -653,6 +730,7 @@ def test_non_qfs_quick_cusp_p7():
     ring = ring_over(7)
     cert = non_qfs_quick([ring.parse("x^3 + y^2*z")])
     assert cert is not None
+    assert cert.data == {"tag": criteria.TAG_PRODUCT}
     assert "m^[p^2]" in cert.data["tag"]
 
 
@@ -663,29 +741,41 @@ def test_non_qfs_quick_negative_cases():
     assert non_qfs_quick([ring.parse("x^3 + x*y*z + y^3 + z^3")]) is None
 
 
+def _changed_element(ring, I, cert):
+    """The same f^{p−2} certificate over a changed coefficient."""
+    element = cert.data["element"]
+    lead, _ = element.leading_term()
+    return I, dict(cert.data, element=element + ring.from_terms({lead: 1}))
+
+
+def _height_two_cubic(ring, I, cert):
+    """The same certificate presented for y²z = x³ + xz² at p = 7, which is
+    supersingular (so f^{p−1} ∈ m^{[p]}) of height 2 (so condition (2)
+    fails)."""
+    return Ideal(ring, [ring.parse("y^2*z + 6*x^3 + 6*x*z^2")]), cert.data
+
+
 @pytest.mark.parametrize(
-    "p,names,text,key",
+    "p,names,text,forge,reason",
     [
-        (3, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4", "element"),
-        (7, ["x", "y", "z"], "x^3 + y^2*z", "generators"),
+        (3, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4", _changed_element, "recorded"),
+        (7, ["x", "y", "z"], "x^3 + y^2*z", _height_two_cubic, "outside m^[p^2]"),
     ],
     ids=["f^(p-2)", "products"],
 )
-def test_non_qfs_verifier_checks_the_recorded_data(p, names, text, key):
-    """The verifier recomputes what a NonQFS certificate records: the same
-    tag over a changed coefficient is rejected."""
+def test_non_qfs_verifier_checks_the_recorded_data(p, names, text, forge, reason):
+    """The verifier recomputes what a NonQFS certificate claims.  A changed
+    recorded f^{p−2} is rejected; the product certificate records only its
+    tag, so presented for an input where condition (2) fails it is rejected
+    by the recomputed capped products."""
     ring = ring_named(p, names)
     I = Ideal(ring, [ring.parse(text)])
     cert = non_qfs_quick(list(I.gens))
     assert verify_certificate(I, cert)
-    recorded = cert.data[key]
-    first = recorded if key == "element" else recorded[0]
-    lead, _ = first.leading_term()
-    changed = first + ring.from_terms({lead: 1})
-    data = dict(cert.data, **{key: changed if key == "element" else [changed] + recorded[1:]})
+    J, data = forge(ring, I, cert)
     reasons = []
-    assert not verify_certificate(I, Certificate(NON_QFS, data), reasons=reasons)
-    assert reasons and "recorded" in reasons[0]
+    assert not verify_certificate(J, Certificate(NON_QFS, data), reasons=reasons)
+    assert reasons and reason in reasons[0]
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +1052,7 @@ def test_product_witness_precondition_errors():
         )
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_fiber_product_rule_on_random_smooth_cubic_pairs(p):
     """For smooth plane cubics E, E' (supersingularity by point counting):
     E × E' has height 2 when exactly one is supersingular, found by the
@@ -989,6 +1079,39 @@ def test_fiber_product_rule_on_random_smooth_cubic_pairs(p):
 # ---------------------------------------------------------------------------
 # orchestrator
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p,names,texts,verdict",
+    [
+        (2, CUBIC_PAIR_VARS, ["x0^3 + x1^3 + x2^3", "y0^3 + y1^3 + y2^3"], (INFINITE, None)),
+        (3, ["x", "y", "z"], ["y^2*z + 2*x^3 + x*z^2"], (FINITE, 2)),
+    ],
+    ids=["ss-x-ss-p2", "supersingular-cubic-p3"],
+)
+def test_height_builds_one_splitting(p, names, texts, verdict):
+    """Step (a), the graded engine, the quick tests and the chain stages
+    share one `_Splitting`, so f^{p−1} is formed once per `height` call."""
+    ring = ring_named(p, names)
+    gens = [ring.parse(t) for t in texts]
+    built, products = [], []
+    real_init = _Splitting.__init__
+
+    def counting_init(self, gens):
+        built.append(gens)
+        real_init(self, gens)
+
+    def counting_mul(f, g, q):
+        products.append(q)
+        return witt.packed_mul(f, g, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Splitting, "__init__", counting_init)
+        mp.setattr("qfsplit.criteria.packed_mul", counting_mul)
+        res = height(gens, n_max=4)
+    assert (res.verdict, res.n) == verdict
+    assert len(built) == 1
+    assert len(products) == (p > 2)  # F^{p−1} = F^{p−2}·F, and F itself at p = 2
 
 
 @pytest.mark.parametrize(
@@ -1141,3 +1264,47 @@ def test_height_is_invariant_under_a_linear_change_of_coordinates(strategy, p, t
         res = height(h, n_max=4, strategy=strategy)
         assert (res.verdict, res.n, res.route) == (FINITE, expected, route)
         assert verify_certificate(Ideal(ring, [h]), res.certificate)
+
+
+CHAIN_MONOMIALS = [e for e in itertools.product(range(4), repeat=3) if 2 <= sum(e) <= 4]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_chain_ascends_and_theta_closure_levels_match_it(p, data):
+    """The premise of resuming I_∞ from the local chain: the chain ascends,
+    I_n ⊆ I_{n+1}, and the k-th step of `_theta_closure` from I_1, which
+    adds θ(F_*J ∩ Ker u) to all of J, gives the ideal I_{k+1} that
+    `height_local` builds from I_1's generators alone.  The closure runs
+    under a step budget; the levels it reached are compared."""
+    ring = ring_over(p)
+    terms = data.draw(
+        st.dictionaries(
+            st.sampled_from(CHAIN_MONOMIALS), st.integers(1, p - 1), min_size=1, max_size=4
+        )
+    )
+    f = ring.from_terms(terms)
+    assume(not fedder_fsplit(f))  # an F-split chain stops at I_1
+    levels = []
+    real_step = criteria._theta_step
+
+    def recording(sp, I, base, budget):
+        out = real_step(sp, I, base, budget)
+        levels.append(out[1])
+        return out
+
+    sp = _Splitting([f])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria, "_theta_step", recording)
+        height_local(Ideal(ring, [f]), n_max=4)
+        chain = [Ideal(ring, sp.i1)] + levels
+        levels = []
+        try:
+            _theta_closure(sp, Ideal(ring, sp.i1), Budget(4000))
+        except criteria.BudgetExceededError:
+            pass
+    for small, big in zip(chain, chain[1:]):
+        assert all(ideal_membership(g, big) for g in small.gens)
+    for k, (closure_level, chain_level) in enumerate(zip(levels, chain[1:]), start=1):
+        assert ideal_equal(closure_level, chain_level), k

@@ -176,13 +176,6 @@ def test_capped_mul_within_the_exponent_limit_does_not_overflow():
         f.capped_mul(g, (L, L, None))
 
 
-def test_coefficient_of_reads_the_term_map():
-    ring = ring_over(3)
-    f = ring.parse("x^2 + y*z")
-    assert f.coefficient_of((2, 0, 0)) == 1
-    assert f.coefficient_of((1, 1, 1)) == 0
-
-
 def test_grevlex_order_matches_sympy():
     """Sorted monomials agree with sympy's grevlex enumeration."""
     ring = ring_over(5)

@@ -4,7 +4,8 @@ The ground truth is exact integer arithmetic: ghost components for the
 additive structure, and the closed multinomial/ghost formulas for Δ₁.  The
 W₂ arithmetic itself lives in `tests/oracles.py`, where folding Teichmüller
 lifts through it gives a third, independent route to Δ₁.  Δ₁(f^{p−1}) by the
-δ-ring product rule (`delta1_power`) is checked against the ghost route
+δ-ring product rule (`witt.delta1_power`, read through the polynomial view
+of the packed splitting context) is checked against the ghost route
 `delta1(f ** (p − 1))` and the fold, and the δ-ring sum and power rules
 themselves against the fold.
 """
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qfsplit import EXPONENT_LIMIT, ExponentOverflowError, RingError, delta1
-from qfsplit.witt import delta1_power
+from qfsplit.criteria import _Splitting
 
 import oracles as O
 from oracles import W2Element, teichmuller, w2_add, w2_mul, w2_neg, w2_sub, w2_zero
@@ -218,6 +219,12 @@ def test_delta1_vanishes_iff_no_carry_on_disjoint_vars(data):
 # ---------------------------------------------------------------------------
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def delta1_power(f):
+    """Δ₁(f^{p−1}) as the engines read it: `witt.delta1_power` on the
+    splitting's packed Teichmüller powers, unpacked."""
+    return _Splitting([f]).delta
 VARIABLES = ("x", "y", "z", "w")
 
 
