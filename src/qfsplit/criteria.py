@@ -7,7 +7,7 @@ f := f'_1⋯f'_m and
     I_{n+1} := θ(F_*I_n ∩ Ker u) + I_1,       θ(F_*a) := u(F_*(Δ₁(f^{p−1})·a)).
 
 The height of S/(f'_i) is the first n with I_n ⊄ m^{[p]} (infinite if none).
-Three engines compute it:
+Two engines compute it:
 
 * `height_graded_cy` — for homogeneous systems whose degrees sum to the
   anticanonical degree.  Tracks t_n := u^{n−1}(F^{n−1}_* f_n) for
@@ -15,14 +15,14 @@ Three engines compute it:
   t_{n+1} = θ(F_* t_n); the height is the first n whose t_n has a nonzero
   (x_1⋯x_N)^{p−1} coefficient.  Degrees stay bounded, so this is fast,
   and the whole run stays on packed exponents.
-* `height_local` — the I_n chain itself, via module syzygies for the kernel
-  intersection.  Works for any input; extracts chain certificates.
-* `qfs_decide` — the fixed-point iteration for the smallest ideal I_∞ with
-  I_∞ ⊇ θ(F_*I_∞ ∩ Ker u) + I_1; quasi-F-split iff I_∞ ⊄ m^{[p]}.  For a
-  regular sequence I_1 = (I^{[p]} : I) (Fedder).
+* the I_n chain (`_Chain`), via syzygies of the u-images for the kernel
+  intersection.  Works for any input: `height_local` reads it to the first
+  escape and extracts chain certificates, `qfs_decide` to its limit, the
+  smallest I_∞ ⊇ θ(F_*I_∞ ∩ Ker u) + I_1; quasi-F-split iff I_∞ ⊄ m^{[p]}.
+  For a regular sequence I_1 = (I^{[p]} : I) (Fedder).
 
-`height` orchestrates all of them plus the quick non-splitting tests, on one
-`_Splitting` (f and its derived quantities) per call.
+`height` orchestrates both plus the quick non-splitting tests, on one
+`_Splitting` (f and its derived quantities) and one I_n chain per call.
 """
 
 from __future__ import annotations
@@ -540,12 +540,36 @@ def _theta_images(sp: _Splitting, I: Ideal, budget: Budget) -> list[ChainStep]:
     return [ChainStep(w, theta(w, sp.delta)) for w in inter]
 
 
-def _theta_step(
-    sp: _Splitting, I: Ideal, base: Sequence[Polynomial], budget: Budget
-) -> tuple[list[ChainStep], Ideal]:
-    """The records of θ(F_*(I ∩ Ker u)) and the ideal (base) + their images."""
-    steps = _theta_images(sp, I, budget)
-    return steps, Ideal(sp.ring, _dedupe(list(base) + [s.image for s in steps]))
+class _Chain:
+    """The ascending chain J_1 = (base), J_{n+1} = (base) + θ(F_*J_n ∩ Ker u),
+    by default on base = I_1: the I_n chain.  `ideal` is J_n, presented by
+    base and the images of step n − 1, and `levels` holds each step's records."""
+
+    def __init__(self, sp: _Splitting, budget: Optional[Budget], base=None):
+        self.sp, self.budget = sp, budget if budget is not None else Budget()
+        self.base = list(sp.i1 if base is None else base)
+        self.n = 1
+        self.ideal = Ideal(sp.ring, self.base)
+        self.levels: list[list[ChainStep]] = []
+
+    def advance(self) -> bool:
+        """Step to J_{n+1}, or return False and stay once J_{n+1} = J_n."""
+        steps = _theta_images(self.sp, self.ideal, self.budget)
+        nxt = Ideal(self.sp.ring, _dedupe(self.base + [s.image for s in steps]))
+        # J_n ⊆ J_{n+1}, and an ideal escapes m^{[p]} iff a generator does
+        can_equal = _escapes(nxt.gens) is None or _escapes(self.ideal.gens) is not None
+        if can_equal and ideal_equal(self.ideal, nxt, self.budget):
+            return False
+        self.n += 1
+        self.ideal = nxt
+        self.levels.append(steps)
+        return True
+
+    def close(self) -> Ideal:
+        """Advance to the fixed point, presented by its reduced Groebner basis."""
+        while self.advance():
+            pass
+        return Ideal.from_reduced_basis(self.sp.ring, self.ideal.groebner(self.budget))
 
 
 def height_local(
@@ -555,53 +579,47 @@ def height_local(
 ) -> HeightResult:
     """Height via the I_n chain; certificates as θ-chains.
 
-    Returns Finite(n) at the first I_n ⊄ m^{[p]} with a ChainWitness that
-    holds one proof: a strict chain g_1, ..., g_n (θ(F_*g_l) = g_{l+1}, found
-    by orbit search) when one exists, else the levelled transition records
-    and the escaping generator of I_n.  If the chain stabilizes with every
-    generator inside m^{[p]}, the stabilized ideal is a fixed-point enclosure
-    proving the height infinite.  Budget aborts return Unknown with
-    diagnostics.
+    Reads the I_n chain (`_Chain`) from I_1.  Returns Finite(n) at the first
+    I_n ⊄ m^{[p]} with a ChainWitness that holds one proof: a strict chain
+    g_1, ..., g_n (θ(F_*g_l) = g_{l+1}, found by orbit search) when one
+    exists, else the levelled transition records and the escaping generator
+    of I_n.  If the chain stabilizes with every generator inside m^{[p]},
+    the stabilized ideal is a fixed-point enclosure proving the height
+    infinite.  Budget aborts return Unknown with diagnostics.
     """
-    return _height_local(_Splitting(I.gens), n_max, budget if budget is not None else Budget())
+    return _height_local(_Chain(_Splitting(I.gens), budget), n_max)
 
 
-def _height_local(sp: _Splitting, n_max: int, budget: Budget) -> HeightResult:
-    """`height_local` on a problem's `_Splitting`."""
+def _height_local(chain: _Chain, n_max: int) -> HeightResult:
+    """`height_local` on a problem's chain; a LowerBound leaves it at I_{n_max}."""
     t0 = time.perf_counter()
+    budget = chain.budget
 
     def finish(verdict, n, cert, diagnostics=()):
         res = HeightResult(verdict, n, cert, route="local-chain", diagnostics=diagnostics)
         return _stamped(res, budget, t0)
 
-    levels: list[list[ChainStep]] = []
-    current = Ideal(sp.ring, sp.i1)
     try:
         for n in range(1, n_max + 1):
-            esc = _escapes(current.gens)
+            esc = _escapes(chain.ideal.gens)
             if esc is not None:
-                chain = _strict_chain_search(sp, n, budget)
-                if chain is not None:
-                    data: dict[str, Any] = {"chain": chain}
+                strict = _strict_chain_search(chain.sp, n, budget)
+                if strict is not None:
+                    data: dict[str, Any] = {"chain": strict}
                 else:
-                    data = {"levels": levels, "escape": esc, "escape_level": n}
+                    data = {"levels": chain.levels, "escape": esc, "escape_level": n}
                 return finish(FINITE, n, Certificate(CHAIN_WITNESS, data))
             if n == n_max:
                 break
-            steps, nxt = _theta_step(sp, current, sp.i1, budget)
-            # an escaping I_{n+1} cannot equal I_n ⊆ m^{[p]}, so only pay for
-            # the Groebner comparison when the next level stays inside
-            if _escapes(nxt.gens) is None and ideal_equal(current, nxt, budget):
+            if not chain.advance():
                 # I_{n+1} = I_n ⊆ m^{[p]}: the chain is stuck below m^{[p]} forever
                 cert = Certificate(
-                    FIXED_POINT_ENCLOSURE, {"generators": list(current.gens)}
+                    FIXED_POINT_ENCLOSURE, {"generators": list(chain.ideal.gens)}
                 )
                 return finish(
                     INFINITE, None, cert,
                     diagnostics=(f"I_n stabilized inside m^[p] at level {n}",),
                 )
-            levels.append(steps)
-            current = nxt
     except BudgetExceededError as exc:
         return _stamped(_unknown(exc, "local-chain"), budget, t0)
     return finish(LOWER_BOUND, n_max, None)
@@ -666,42 +684,24 @@ def _strict_chain_search(
 # ---------------------------------------------------------------------------
 
 
-def _theta_closure(sp: _Splitting, J: Ideal, budget: Budget) -> tuple[Ideal, int]:
-    """Iterate J ← J + θ(F_*J ∩ Ker u) until it stabilizes.
-
-    Returns the limit, presented by its reduced Groebner basis, and the number
-    of θ-steps taken (the last one adds nothing new)."""
-    iterations = 0
-    while True:
-        budget.tick()
-        _, nxt = _theta_step(sp, J, J.gens, budget)
-        iterations += 1
-        if ideal_equal(J, nxt, budget):
-            return Ideal.from_reduced_basis(sp.ring, J.groebner(budget)), iterations
-        J = nxt
-
-
 def qfs_decide(
     I: Ideal, budget: Optional[Budget] = None
 ) -> tuple[bool, Certificate]:
     """Quasi-F-splitness via the smallest fixed point I_∞.
 
-    Iterates J_0 = I_1, J_{k+1} = J_k + θ(F_*J_k ∩ Ker u) until the chain
-    stabilizes; the limit is the smallest ideal containing I_1 and closed
-    under θ(F_*· ∩ Ker u), and the ring is quasi-F-split exactly when it is
-    not contained in m^{[p]}.  Raises BudgetExceededError when the step
-    budget runs out.
+    Runs the I_n chain (`_Chain`) until I_{n+1} = I_n: the limit is the
+    smallest ideal containing I_1 and closed under θ(F_*· ∩ Ker u), and the
+    ring is quasi-F-split exactly when it is not contained in m^{[p]}.  The
+    certificate records that n as `iterations`.  Raises BudgetExceededError
+    when the step budget runs out.
     """
-    return _qfs_decide(_Splitting(I.gens), budget if budget is not None else Budget())
+    return _qfs_decide(_Chain(_Splitting(I.gens), budget))
 
 
-def _qfs_decide(sp: _Splitting, budget: Budget) -> tuple[bool, Certificate]:
-    """`qfs_decide` on a problem's `_Splitting`."""
-    J, iterations = _theta_closure(sp, Ideal(sp.ring, sp.i1), budget)
-    gens = list(J.gens)
-    cert = Certificate(
-        I_INFTY_STABILIZED, {"generators": gens, "iterations": iterations}
-    )
+def _qfs_decide(chain: _Chain) -> tuple[bool, Certificate]:
+    """`qfs_decide` on a problem's chain, closed from the level it stands at."""
+    gens = list(chain.close().gens)
+    cert = Certificate(I_INFTY_STABILIZED, {"generators": gens, "iterations": chain.n})
     return _escapes(gens) is not None, cert
 
 
@@ -717,10 +717,8 @@ def enclosure_closure(
     containment conditions, so the only remaining question is whether it
     stays inside m^{[p]}.  With an empty seed this is the I_∞ of qfs_decide.
     """
-    if budget is None:
-        budget = Budget()
     sp = _Splitting(I.gens)
-    return _theta_closure(sp, Ideal(sp.ring, _dedupe(list(seed) + sp.i1)), budget)[0]
+    return _Chain(sp, budget, _dedupe(list(seed) + sp.i1)).close()
 
 
 # ---------------------------------------------------------------------------
@@ -1037,8 +1035,8 @@ def height(
     auto strategy: (a) the F-split monomial test; (b) the graded engine when
     its degree conditions hold (with the given grading, else the standard
     one); (c) the quick infinite-height tests; (d) the I_n chain up to n_max;
-    (e) the I_∞ fixed point to separate Infinite from LowerBound.  Forced
-    strategies: "graded", "local", "qfs".
+    (e) its limit I_∞, run on from where (d) stopped, to separate Infinite
+    from LowerBound.  Forced strategies: "graded", "local", "qfs".
     """
     gens = _as_gen_list(system)
     if not gens:
@@ -1068,7 +1066,7 @@ def height(
     if strategy == "qfs":
         return finish(
             _i_infinity(
-                _Splitting(I.gens), budget, 1,
+                _Chain(_Splitting(I.gens), budget), 1,
                 "quasi-F-split; height finite but not computed",
             )
         )
@@ -1098,26 +1096,27 @@ def height(
 
     # (d) the local chain — unless the graded engine already exhausted n_max,
     # in which case only the Infinite/LowerBound separation remains
+    chain = _Chain(sp, budget)
     if graded_result is None:
-        local = _height_local(sp, n_max, budget)
+        local = _height_local(chain, n_max)
         if local.verdict in (FINITE, INFINITE, UNKNOWN):
             return finish(local)
 
-    # (e) I_∞ separates Infinite from LowerBound
+    # (e) I_∞, run on from (d)'s last level, separates Infinite from LowerBound
     return finish(
         _i_infinity(
-            sp, budget, n_max,
+            chain, n_max,
             f"quasi-F-split (I_infinity escapes m^[p]) but no level <= {n_max} "
             "escaped; the height is finite and exceeds the cutoff",
         )
     )
 
 
-def _i_infinity(sp: _Splitting, budget: Budget, n: int, note: str) -> HeightResult:
+def _i_infinity(chain: _Chain, n: int, note: str) -> HeightResult:
     """The I_∞ route: Infinite when I_∞ ⊆ m^{[p]}, else LowerBound(n) with
     ``note`` (the height is finite but was not found)."""
     try:
-        qfs, cert = _qfs_decide(sp, budget)
+        qfs, cert = _qfs_decide(chain)
     except BudgetExceededError as exc:
         return _unknown(exc, "i-infinity")
     if not qfs:

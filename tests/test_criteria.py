@@ -44,10 +44,10 @@ from qfsplit.criteria import (
     LOWER_BOUND,
     NON_QFS,
     UNKNOWN,
+    _Chain,
     _integer_root,
     _Splitting,
     _strict_chain_search,
-    _theta_closure,
     graded_cy_applicable,
     graded_cy_coefficient,
     verify_witness_levels,
@@ -621,15 +621,18 @@ def test_closure_carries_its_reduced_basis(monkeypatch):
 
 def assert_i1_seed_matches_colon_seed(gens):
     """Fedder: for a regular sequence (I^[p] : I) = I_1, so qfs_decide's I_∞,
-    seeded with I_1, is the θ-closure of the colon seed, step for step."""
+    seeded with I_1, is the limit of the chain on the colon's generators,
+    level for level."""
     ring = gens[0].ring
     I = Ideal(ring, gens)
     seed = colon_ideal(O.bracket_power(I, 1), I)
-    assert ideal_equal(seed, Ideal(ring, _Splitting(gens).i1))
-    closure, iterations = _theta_closure(_Splitting(gens), seed, Budget())
+    sp = _Splitting(gens)
+    assert ideal_equal(seed, Ideal(ring, sp.i1))
+    chain = _Chain(sp, Budget(), seed.gens)
+    closure = chain.close()
     _, cert = qfs_decide(I)
     assert cert.data["generators"] == list(closure.gens)
-    assert cert.data["iterations"] == iterations
+    assert cert.data["iterations"] == chain.n
 
 
 SEXTIC_VARS = ["x", "y", "z", "w", "u", "s"]
@@ -680,18 +683,24 @@ def test_qfs_decide_equals_closure_of_colon_seed_on_quadric_pairs(p):
         assert_i1_seed_matches_colon_seed(gens)
 
 
+SEXTIC_G1 = "x*y*s^2 + z*w*u^2 + y^3*w + x^3*z"
+
+
 @pytest.mark.parametrize(
     "kind,p,text,steps",
     [
         ("height", 2, "z^2 + x^3 + y^5", 135),  # E8^0, local chain to n = 4
         ("height", 3, "z^2 + x^3 + y^5", 185),  # E8^0, local chain to n = 3
-        ("qfs_decide", 2, "x^3 + y^2*z", 17),  # the cusp's I_infinity
+        ("qfs_decide", 2, "x^3 + y^2*z", 16),  # the cusp's I_infinity
+        # sextic g1: I_∞ resumes from the local chain's I_4, not from I_1
+        ("height", 2, SEXTIC_G1, 753),
     ],
 )
 def test_chain_reduces_each_generator_set_once(monkeypatch, kind, p, text, steps):
     """Each level's Groebner basis is computed once and then read from the
     `Ideal` that carries it: no generator set reaches `buchberger` twice
-    within one call, and the steps stay as measured."""
+    within one call, not even across the hand-over from the local chain to
+    I_∞, and the steps stay as measured."""
     from qfsplit import groebner
 
     reduced = []
@@ -702,10 +711,10 @@ def test_chain_reduces_each_generator_set_once(monkeypatch, kind, p, text, steps
         return real(gens, budget=budget)
 
     monkeypatch.setattr(groebner, "buchberger", recording)
-    ring = ring_over(p)
+    ring = ring_named(p, SEXTIC_VARS) if "s" in text else ring_over(p)
     f = ring.parse(text)
     if kind == "height":
-        taken = height(f).steps
+        taken = height(f, n_max=4).steps
     else:
         budget = Budget()
         qfs_decide(Ideal(ring, [f]), budget)
@@ -1272,12 +1281,11 @@ CHAIN_MONOMIALS = [e for e in itertools.product(range(4), repeat=3) if 2 <= sum(
 @pytest.mark.parametrize("p", [2, 3])
 @settings(max_examples=20)
 @given(data=st.data())
-def test_chain_ascends_and_theta_closure_levels_match_it(p, data):
-    """The premise of resuming I_∞ from the local chain: the chain ascends,
-    I_n ⊆ I_{n+1}, and the k-th step of `_theta_closure` from I_1, which
-    adds θ(F_*J ∩ Ker u) to all of J, gives the ideal I_{k+1} that
-    `height_local` builds from I_1's generators alone.  The closure runs
-    under a step budget; the levels it reached are compared."""
+def test_chain_ascends_and_its_limit_matches_the_oracle_chain(p, data):
+    """The premise of resuming I_∞ from the local chain: the one chain
+    ascends, I_n ⊆ I_{n+1}, so its fixed point is where the I_n chain of the
+    public maps stops.  qfs_decide (under a step budget) must return the
+    last ideal of `oracles.local_chain_ideals`, stabilized at the same level."""
     ring = ring_over(p)
     terms = data.draw(
         st.dictionaries(
@@ -1286,25 +1294,51 @@ def test_chain_ascends_and_theta_closure_levels_match_it(p, data):
     )
     f = ring.from_terms(terms)
     assume(not fedder_fsplit(f))  # an F-split chain stops at I_1
-    levels = []
-    real_step = criteria._theta_step
-
-    def recording(sp, I, base, budget):
-        out = real_step(sp, I, base, budget)
-        levels.append(out[1])
-        return out
-
-    sp = _Splitting([f])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(criteria, "_theta_step", recording)
-        height_local(Ideal(ring, [f]), n_max=4)
-        chain = [Ideal(ring, sp.i1)] + levels
-        levels = []
-        try:
-            _theta_closure(sp, Ideal(ring, sp.i1), Budget(4000))
-        except criteria.BudgetExceededError:
-            pass
-    for small, big in zip(chain, chain[1:]):
+    I = Ideal(ring, [f])
+    chain = _Chain(_Splitting([f]), Budget())
+    levels = [chain.ideal]
+    while chain.n < 4 and chain.advance():
+        levels.append(chain.ideal)
+    for small, big in zip(levels, levels[1:]):
         assert all(ideal_membership(g, big) for g in small.gens)
-    for k, (closure_level, chain_level) in enumerate(zip(levels, chain[1:]), start=1):
-        assert ideal_equal(closure_level, chain_level), k
+    try:
+        _, cert = qfs_decide(I, Budget(4000))
+    except criteria.BudgetExceededError:
+        return
+    iterations = cert.data["iterations"]
+    oracle = O.local_chain_ideals(I, iterations + 1)
+    assert ideal_equal(Ideal(ring, cert.data["generators"]), oracle[-1])
+    assert len(oracle) == iterations
+
+
+@pytest.mark.parametrize(
+    "p,names,text,n_max",
+    [
+        (2, "xyz", "z^2 + x^3 + y^5", 2),  # E8^0: the local chain stops at I_2
+        (2, "xyzwus", SEXTIC_G1, 4),  # sextic g1: the local chain stops at I_4
+        (2, "xyz", "x^3 + y^2*z", 3),  # the cusp: graded, so I_∞ starts at I_1
+    ],
+)
+def test_height_resumes_i_infinity_from_the_local_chain(p, names, text, n_max):
+    """The I_∞ certificate that `height` returns after its local chain equals
+    the one a fresh qfs_decide returns from I_1, `iterations` included."""
+    ring = ring_named(p, list(names))
+    f = ring.parse(text)
+    res = height(f, n_max=n_max)
+    assert res.route == "i-infinity"
+    _, cert = qfs_decide(Ideal(ring, [f]))
+    as_json = criteria.certificate_to_json
+    assert as_json(res.certificate) == as_json(cert)
+    if res.verdict == INFINITE:  # an escaping I_∞ is no trap ideal
+        assert verify_certificate(Ideal(ring, [f]), res.certificate)
+
+
+@pytest.mark.parametrize("steps,route", [(600, "i-infinity"), (500, "local-chain")])
+def test_budget_abort_after_the_hand_over_is_unknown(steps, route):
+    """sextic g1's local chain to I_4 takes 524 steps: a budget that outlasts
+    it but not I_∞ aborts on the i-infinity route, a smaller one on the
+    local chain, and both give Unknown."""
+    f = ring_named(2, SEXTIC_VARS).parse(SEXTIC_G1)
+    res = height(f, n_max=4, budget=Budget(steps))
+    assert (res.verdict, res.route) == (UNKNOWN, route)
+    assert res.diagnostics == (f"budget exhausted after {steps + 1} steps",)

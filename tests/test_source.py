@@ -338,3 +338,47 @@ def test_groebner_has_one_reduction_loop():
     assert "max(work, key=grevlex_key)" not in source
     for caller in ("normal_form", "buchberger", "_syzygies"):
         assert "_reduce" in reached_names(source, caller), caller
+
+
+def call_sites(source: str, name: str) -> list[str]:
+    """The definitions, as dotted scopes, that hold a call of `name`, once
+    per call."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+            out.append(scope)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_call_sites_detector():
+    src = (
+        "def a(): return f(f(1))\n"
+        "class C:\n"
+        "    def m(self): return f(2) + self.f(3)\n"
+        "def b(): return g(f)\n"
+    )
+    assert call_sites(src, "f") == ["a", "a", "C.m"]
+
+
+def test_criteria_has_one_chain_loop():
+    """The local engine, the I_∞ decision and `enclosure_closure` read the
+    one I_n chain, `_Chain`: θ(F_*· ∩ Ker u) is formed only by its step and
+    by the trap-ideal verifier, which none of the three reaches."""
+    source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
+    defined = {n.name for n in ast.parse(source).body if hasattr(n, "name")}
+    assert defined & {"_theta_closure", "_theta_step"} == set()
+    assert sorted(call_sites(source, "_theta_images")) == [
+        "_Chain.advance", "verify_infinity_certificate",
+    ]
+    for caller in ("height_local", "qfs_decide", "enclosure_closure"):
+        reached = reached_names(source, caller)
+        assert "_Chain" in reached, caller
+        assert "verify_infinity_certificate" not in reached, caller
