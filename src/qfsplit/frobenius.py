@@ -8,12 +8,16 @@ u is the projection onto the top basis vector F_*((x_1⋯x_N)^{p−1}),
 normalized by u(F_*((x_1⋯x_N)^{p−1})) = 1: the Cartier-type generator of
 Hom_S(F_*S, S).  θ twists u by a fixed multiplier δ: θ(F_*a) = u(F_*(δ·a));
 with δ = Δ₁(f^{p−1}) this is the transition operator of the splitting-height
-chains computed in `criteria`.  θ runs on exponents packed by
+chains computed in `criteria`.  u and θ run on exponents packed by
 `rings.ExponentCodec`: `packed_theta` reads δ from a table of its packed
-terms grouped by residue class (`residue_table`), so u's output exponent is
-one int addition and one exact division by p.  The graded engine keeps its
-θ orbit packed and calls that kernel directly; `theta` is its edge for
-polynomials, which packs, caches the table per δ, and unpacks.
+terms grouped by residue class (`residue_table`), so the output exponent is
+one int addition and one exact division by p, and `packed_u` is the same
+division for the terms in the top residue class.  The graded engine keeps
+its θ orbit packed under its problem's codec and the I_n chain under the
+ring layout, and both call the kernels directly.  `theta`, `u_map` and
+`iterated_u` are their edges for polynomials: they pack under the ring
+layout, whose fields hold any exponent sum that θ forms, so the residue
+table is cached per δ alone, never re-keyed for a wider input.
 """
 
 from __future__ import annotations
@@ -35,22 +39,26 @@ def u_map(h: Polynomial) -> Polynomial:
 
 
 def iterated_u(h: Polynomial, r: int) -> Polynomial:
-    """u^r(F^r_* h).  Single pass: keeps terms with e ≡ p^r − 1 (mod p^r)."""
+    """u^r(F^r_* h) by `packed_u` with q = p^r, packing at the edge."""
     if r < 0:
         raise RingError("negative iteration count")
     if r == 0:
         return h
     ring = h.ring
-    q = ring.field.p**r
-    top, n = q - 1, ring.nvars
+    codec = ring.codec
     return Polynomial(
-        ring,
-        {
-            tuple([x // q for x in e]): c
-            for e, c in h.terms.items()
-            if [x % q for x in e].count(top) == n
-        },
+        ring, codec.unpack_terms(packed_u(codec.pack_terms(h.terms), codec, ring.field.p**r))
     )
+
+
+def packed_u(h: dict[int, int], codec: ExponentCodec, q: int) -> dict[int, int]:
+    """u^r(F^r_* h) for packed h and q = p^r: the terms whose every field is
+    ≡ q − 1 (mod q), each exponent e sent to (e − (q−1)·𝟙) / q, which is
+    exact field by field (and on the degree field of the ring layout)."""
+    top = (q - 1,) * len(codec.shifts)
+    shift = codec.pack(top)
+    residues = codec.residues
+    return {(k - shift) // q: c for k, c in h.items() if residues(k, q) == top}
 
 
 def residue_table(
@@ -84,7 +92,8 @@ def packed_theta(
     delta.  For such a pair every field of pa + pd (packed a-exponent plus
     packed delta-exponent minus (p−1)·𝟙) is a nonnegative multiple of p, so
     the packed exponent of u's output is (pa + pd) // p.  The packing must
-    hold every field of a·delta."""
+    hold every field of a·delta: the ring layout holds any two exponents
+    within EXPONENT_LIMIT."""
     out: dict[int, int] = {}
     get = out.get
     for pa, residues, ca in a:
@@ -98,35 +107,25 @@ def packed_theta(
 
 
 @lru_cache(maxsize=32)
-def _residue_table(delta: Polynomial, width: int):
-    """The codec of `width` bits and delta's `residue_table` under it."""
-    codec = ExponentCodec(delta.ring.nvars, width)
-    pack = codec.pack
-    return codec, residue_table(
-        {pack(e): c for e, c in delta.terms.items()}, codec, delta.ring.field.p
-    )
+def _residue_table(delta: Polynomial):
+    """delta's `residue_table` on the ring layout."""
+    ring = delta.ring
+    return residue_table(ring.codec.pack_terms(delta.terms), ring.codec, ring.field.p)
 
 
 def theta(a: Polynomial, delta: Polynomial) -> Polynomial:
-    """θ(F_*a) = u(F_*(delta·a)) by `packed_theta`, packing at the edge.
-
-    The residue table is cached per delta and field width; it is keyed at
-    the width that holds 2·max(delta) and re-keyed wider for an `a` whose
-    exponents need more.
-    """
+    """θ(F_*a) = u(F_*(delta·a)) by `packed_theta` on the ring layout,
+    packing at the edge; the residue table is cached per delta."""
     ring = a.ring
     if delta.ring != ring:
         raise RingError("theta arguments must share a ring")
-    top = delta.max_exponent()
-    width = max(2 * top, a.max_exponent() + top).bit_length()
-    codec, table = _residue_table(delta, width)
-    pack, unpack, p = codec.pack, codec.unpack, ring.field.p
+    table = _residue_table(delta)
+    codec, p = ring.codec, ring.field.p
     # only terms with a compatible residue class are packed
-    terms = [
-        (pack(e), r, c) for e, c in a.terms.items() if (r := tuple([x % p for x in e])) in table
-    ]
-    out = packed_theta(terms, table, p)
-    return Polynomial(ring, {unpack(q): r for q, c in out.items() if (r := c % p)})
+    residues = {e: r for e in a.terms if (r := tuple([x % p for x in e])) in table}
+    packed = codec.pack_terms({e: a.terms[e] for e in residues})
+    out = packed_theta(zip(packed, residues.values(), packed.values()), table, p)
+    return Polynomial(ring, codec.unpack_terms({q: r for q, c in out.items() if (r := c % p)}))
 
 
 # ---------------------------------------------------------------------------

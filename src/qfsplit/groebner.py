@@ -11,14 +11,26 @@ reductions) runs one kernel, `_reduce`, on a divisor table that grows with
 the basis.  Long computations are guarded by a step budget (see `Budget`),
 overridable through the QFSPLIT_GB_BUDGET environment variable.
 
+The ideal side is one kernel on packed exponents in the ring layout
+(`PolynomialRing.codec`): polynomials are dicts from packed ints to
+coefficients, a heap of negated grevlex keys orders each reduction, the
+pair queue is keyed by packed lcms, and a translate x^α·g is g's keys plus
+one int.  The I_n chain calls the kernel (`_reduced_basis`,
+`_intersect_keru`) directly; `buchberger`, `normal_form`, `ideal_membership`,
+`Ideal.groebner` and `frobenius_module_intersect_keru` are its polynomial
+edges, which pack their input once and unpack their output once.  Exponent
+overflow is raised where the tuple engine raised it: a product whose
+largest exponent could pass EXPONENT_LIMIT, by the same bound on the
+largest exponents of the factors, tested first by degrees alone.
+
 Both kernels the criteria need are syzygies.  F_*I ∩ Ker(u)
 (`frobenius_module_intersect_keru`) comes from the syzygies of the u-images
 of I's translates, which one Buchberger run on the images alone yields when
 each basis element carries its cofactors (Schreyer's theorem; `_syzygies`).
 The module layer, which orders terms position over term (the lowest
 position on top, then grevlex within it, so every position is an
-elimination block), serves only the colon ideal (I : J) (`colon_ideal`) of
-the regular-sequence check.
+elimination block) and keeps exponent tuples, serves only the colon ideal
+(I : J) (`colon_ideal`) of the regular-sequence check.
 """
 
 from __future__ import annotations
@@ -26,17 +38,20 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from typing import Callable, Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .rings import (
     EXPONENT_LIMIT,
+    ExponentCodec,
     ExponentOverflowError,
     Polynomial,
     PolynomialRing,
     RingError,
     grevlex_key,
+    ring_codec,
 )
-from .frobenius import u_map
+from .frobenius import packed_u
 
 DEFAULT_GB_BUDGET = 2_000_000
 
@@ -100,44 +115,59 @@ def _sub_multiple(
 
 
 # ---------------------------------------------------------------------------
-# the reduction kernel
+# the reduction kernel, on the ring layout
 # ---------------------------------------------------------------------------
 
 
-class _Divisors(list):
-    """The divisor table of a basis, one entry per element in basis order:
-    (leading exponent, inverse leading coefficient, terms, largest exponent,
-    cofactor).  The cofactor {j: terms of c_j} is carried by a Schreyer run
-    and is None elsewhere; the largest exponent covers it too.  An engine
-    appends to its table as the basis grows, and `normal_form` divides by a
-    table as it is, so the table is built once per run."""
-
-
-def _entry(terms: dict, inv: Callable[[int], int], cof: Optional[dict] = None) -> tuple:
-    """The table entry of a remainder as `_reduce` returns it, whose first
-    term is its leading one."""
+def _entry(ring: PolynomialRing, terms: dict, cof: Optional[dict] = None) -> tuple:
+    """The divisor-table entry of packed `terms`, whose first term is their
+    leading one, as `_reduce` returns them (and of their cofactor {j: packed
+    terms of c_j}, which a Schreyer run carries): (leading exponent, inverse
+    leading coefficient, terms, room, cofactor).  A shift below `room` keeps
+    every product with the entry's terms and cofactor within EXPONENT_LIMIT
+    by a degree bound alone; only a larger shift needs the exact test of
+    `_check_shift`."""
+    codec = ring.codec
     le = next(iter(terms))
-    top = max(max(e, default=0) for t in (terms, *(cof or {}).values()) for e in t)
-    return le, inv(terms[le]), terms, top, cof
+    deg = codec.degree(max(max(t) for t in (terms, *(cof or {}).values())))
+    return le, ring.field.inv(terms[le]), terms, codec.of_degree(EXPONENT_LIMIT - deg + 1), cof
+
+
+def _table(ring: PolynomialRing, basis: Iterable[dict]) -> list[tuple]:
+    """The divisor table of packed polynomials, in their order, each with
+    its leading term moved to the front."""
+    key = ring.codec.key
+    return [_entry(ring, {(le := max(g, key=key)): g[le], **g}) for g in basis if g]
+
+
+def _check_shift(ring: PolynomialRing, entry: tuple, shift: int) -> None:
+    """Raise where the tuple engine raises: when the largest exponent of the
+    entry's terms and cofactor plus the largest field of the shift passes
+    EXPONENT_LIMIT."""
+    largest = ring.codec.largest
+    terms, cof = entry[2], entry[4] or {}
+    if largest([shift]) + max(largest(t) for t in (terms, *cof.values())) > EXPONENT_LIMIT:
+        raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
 
 
 def _subtract(
-    work: dict, entry: tuple, mult: int, shift: tuple[int, ...], p: int,
+    ring: PolynomialRing, work: dict, entry: tuple, mult: int, shift: int,
     cof: Optional[dict], heap: Optional[list],
 ) -> None:
     """work −= mult·x^shift·(the entry's terms), and cof −= the same multiple
     of its cofactor.  A term new to `work` is pushed onto `heap`, if given,
     under its negated grevlex key."""
-    _, _, terms, top, gcof = entry
-    if top + max(shift, default=0) > EXPONENT_LIMIT:
-        raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
+    _, _, terms, room, gcof = entry
+    if shift >= room:
+        _check_shift(ring, entry, shift)
+    p, low = ring.field.p, ring.codec.low
     for eg, cg in terms.items():
-        ep = tuple(map(int.__add__, eg, shift))
+        ep = eg + shift
         old = work.get(ep)
         if old is None:
             work[ep] = -mult * cg % p
             if heap is not None:
-                heapq.heappush(heap, (-sum(ep), ep[::-1]))
+                heapq.heappush(heap, 2 * (ep & low) - ep)
         else:
             s = (old - mult * cg) % p
             if s:
@@ -146,49 +176,57 @@ def _subtract(
                 del work[ep]
     if gcof:
         for j, t in gcof.items():
-            _sub_multiple(cof.setdefault(j, {}), mult, shift, t, p)
+            acc = cof.setdefault(j, {})
+            for eg, cg in t.items():
+                ep = eg + shift
+                s = (acc.get(ep, 0) - mult * cg) % p
+                if s:
+                    acc[ep] = s
+                elif ep in acc:
+                    del acc[ep]
 
 
-def _s_pair(a: tuple, b: tuple, p: int, cof: Optional[dict] = None) -> dict:
+def _s_pair(ring: PolynomialRing, a: tuple, b: tuple, cof: Optional[dict] = None) -> dict:
     """The S-pair of table entries a and b as a new work dict; with `cof`, the
     same combination of their cofactors is added to it."""
-    m = _lcm(a[0], b[0])
-    work: dict[tuple[int, ...], int] = {}
-    _subtract(work, a, p - a[1], _sub(m, a[0]), p, cof, None)
-    _subtract(work, b, b[1], _sub(m, b[0]), p, cof, None)
+    m = ring.codec.lcm(a[0], b[0])
+    work: dict[int, int] = {}
+    _subtract(ring, work, a, ring.field.p - a[1], m - a[0], cof, None)
+    _subtract(ring, work, b, b[1], m - b[0], cof, None)
     return work
 
 
 def _reduce(
-    work: dict, table: Sequence[tuple], p: int, budget: Optional[Budget],
+    ring: PolynomialRing, work: dict, table: Sequence[tuple], budget: Optional[Budget],
     cof: Optional[dict] = None,
-) -> dict[tuple[int, ...], int]:
-    """Full remainder of `work` (consumed) under division by `table`.
+) -> dict[int, int]:
+    """Full remainder of packed `work` (consumed) under division by `table`.
 
     Each step takes the largest term left and ticks the budget once.  The
     first entry whose leading exponent divides the term reduces it, carrying
     its cofactor into `cof`; with none, the term moves to the remainder.  The
-    largest term comes off a heap of negated grevlex keys, so each term is
-    keyed once, when it enters `work`; a heap entry whose term has cancelled
-    since is dropped without a tick.  The remainder lists its terms in
-    descending grevlex order.
+    largest term comes off a heap of negated grevlex keys (`ExponentCodec.key`,
+    its own inverse), so each term is keyed once, when it enters `work`; a
+    heap entry whose term has cancelled since is dropped without a tick.  The
+    remainder lists its terms in descending grevlex order.
     """
-    # (−deg e, e reversed) is grevlex_key(e) negated, so the heap's smallest
-    # entry is the grevlex-largest term
-    heap = [(-sum(e), e[::-1]) for e in work]
+    p, low, guard = ring.field.p, ring.codec.low, ring.codec.guard
+    heap = [2 * (e & low) - e for e in work]
     heapq.heapify(heap)
-    rem: dict[tuple[int, ...], int] = {}
+    rem: dict[int, int] = {}
     while heap:
-        e = heapq.heappop(heap)[1][::-1]
+        h = heapq.heappop(heap)
+        e = 2 * (h & low) - h
         c = work.get(e)
         if c is None:
             continue
         if budget is not None:
             budget.tick()
+        up = e + guard  # `ExponentCodec.divides` against every leading exponent
         for entry in table:
             le = entry[0]
-            if _divides(le, e):
-                _subtract(work, entry, c * entry[1] % p, _sub(e, le), p, cof, heap)
+            if (up - le) & guard == guard:
+                _subtract(ring, work, entry, c * entry[1] % p, e - le, cof, heap)
                 break
         else:
             rem[e] = c
@@ -205,7 +243,7 @@ class Ideal:
     """An ideal of F_p[x] presented by generators, with a cached reduced
     grevlex Groebner basis."""
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_table")
 
     def __init__(self, ring: PolynomialRing, gens: Iterable[Polynomial]):
         self.ring = ring
@@ -214,6 +252,7 @@ class Ideal:
             if g.ring != ring:
                 raise RingError("ideal generator from a different ring")
         self._gb: Optional[tuple[Polynomial, ...]] = None
+        self._table: Optional[list[tuple]] = None
 
     @classmethod
     def from_reduced_basis(cls, ring: PolynomialRing, basis: Sequence[Polynomial]) -> "Ideal":
@@ -223,11 +262,20 @@ class Ideal:
         ideal._gb = ideal.gens
         return ideal
 
+    def _divisors(self, budget: Optional[Budget]) -> list[tuple]:
+        """The divisor table of the reduced basis, packed once and cached."""
+        if self._table is None:
+            pack = self.ring.codec.pack_terms
+            self._table = _table(self.ring, [pack(g.terms) for g in self.groebner(budget)])
+        return self._table
+
+    def _contains(self, terms: dict[int, int], budget: Optional[Budget]) -> bool:
+        """Whether the packed polynomial `terms` lies in this ideal."""
+        return not _reduce(self.ring, dict(terms), self._divisors(budget), budget)
+
     def groebner(self, budget: Optional[Budget] = None) -> tuple[Polynomial, ...]:
         """The reduced Groebner basis, computed on first call (its steps tick
-        that call's budget) and cached on this object.  The I_n chain relies
-        on the cache: pass the same `Ideal` on, rather than a new one built
-        from its generators, and each level's basis is computed once."""
+        that call's budget) and cached on this object."""
         if self._gb is None:
             self._gb = tuple(buchberger(list(self.gens), budget=budget))
         return self._gb
@@ -240,30 +288,25 @@ def normal_form(
     a: Polynomial, G: Sequence[Polynomial], budget: Optional[Budget] = None
 ) -> Polynomial:
     """Full remainder of a under multivariate division by G, its terms in
-    descending grevlex order.  G is a sequence of polynomials, whose divisor
-    table is built once per call, or an engine's `_Divisors`."""
+    descending grevlex order: `_reduce` on a divisor table packed per call."""
     ring = a.ring
-    if not isinstance(G, _Divisors):
-        inv = ring.field.inv
-        G = [
-            (g.leading_term()[0], inv(g.leading_term()[1]), g.terms, g.max_exponent(), None)
-            for g in G
-            if g
-        ]
-    return Polynomial(ring, _reduce(dict(a.terms), G, ring.field.p, budget))
+    pack = ring.codec.pack_terms
+    rem = _reduce(ring, pack(a.terms), _table(ring, [pack(g.terms) for g in G]), budget)
+    return Polynomial(ring, ring.codec.unpack_terms(rem))
 
 
 def _pair_loop(
-    leads: list[tuple[int, ...]],
-    reduce_pair: Callable[[int, int], Optional[tuple[int, ...]]],
+    ring: PolynomialRing,
+    leads: list[int],
+    reduce_pair: Callable[[int, int], Optional[int]],
     budget: Budget,
     product_criterion: bool,
 ) -> list[int]:
     """Work off the S-pairs of a basis in normal-selection order.
 
-    `leads` holds the leading exponents of the basis, none divisible by an
-    earlier one.  `reduce_pair(i, j)` reduces the S-pair of elements i and j
-    and returns the leading exponent of the element it appended to the
+    `leads` holds the packed leading exponents of the basis, none divisible
+    by an earlier one.  `reduce_pair(i, j)` reduces the S-pair of elements i
+    and j and returns the leading exponent of the element it appended to the
     basis, or None.  Each element, the given ones in order and then each
     appended one, joins through the Gebauer–Möller update (Gebauer & Möller,
     JSC 6, 1988), which prunes pairs when they are formed.  With t the new
@@ -272,8 +315,9 @@ def _pair_loop(
       equals lcm(leads[i], t) or lcm(leads[j], t);
     - M and F: a new pair (i, new) is dropped when the lcm of another new pair,
       not dropped before it, divides its lcm (of equal lcms one stays);
-    - with `product_criterion`, new pairs with coprime leading monomials take
-      part in M and F and are dropped afterwards;
+    - with `product_criterion`, new pairs with coprime leading monomials
+      (whose lcm is their product) take part in M and F and are dropped
+      afterwards;
     - elements whose leading exponent t divides form no new pairs.
     M, F and B_k are criteria on the syzygies of the leading terms, so they
     hold in a Schreyer run too, which keeps its coprime pairs (Möller, Mora &
@@ -282,30 +326,32 @@ def _pair_loop(
     leading exponent no other one divides: a minimal basis once all pairs
     are done.
     """
+    codec = ring.codec
+    divides, lcm, key = codec.divides, codec.lcm, codec.key
     queue: list = []  # heap of (key(lcm), i, j): pops in normal-selection order
-    pending: dict[tuple[int, int], tuple[int, ...]] = {}  # queued pair -> lcm
+    pending: dict[tuple[int, int], int] = {}  # queued pair -> lcm
     active: list[int] = []  # the elements that still form new pairs
 
     def update(k: int) -> None:
         t = leads[k]
         for (i, j), m in list(pending.items()):
-            if _divides(t, m) and _lcm(leads[i], t) != m and _lcm(leads[j], t) != m:
+            if divides(t, m) and lcm(leads[i], t) != m and lcm(leads[j], t) != m:
                 del pending[i, j]
-        new = [
-            (i, _lcm(leads[i], t), product_criterion and not any(map(min, leads[i], t)))
-            for i in active
-        ]
-        kept: list[tuple[int, tuple[int, ...], bool]] = []
+        new = []
+        for i in active:
+            m = lcm(leads[i], t)
+            new.append((i, m, product_criterion and m == leads[i] + t))
+        kept: list[tuple[int, int, bool]] = []
         for n, (i, m, coprime) in enumerate(new):
             if coprime or not any(
-                _divides(other[1], m) for other in itertools.chain(new[n + 1 :], kept)
+                divides(other[1], m) for other in itertools.chain(new[n + 1 :], kept)
             ):
                 kept.append((i, m, coprime))
         for i, m, coprime in kept:
             if not coprime:
                 pending[i, k] = m
-                heapq.heappush(queue, (grevlex_key(m), i, k))
-        active[:] = [i for i in active if not _divides(t, leads[i])] + [k]
+                heapq.heappush(queue, (key(m), i, k))
+        active[:] = [i for i in active if not divides(t, leads[i])] + [k]
 
     for k in range(len(leads)):
         update(k)
@@ -321,49 +367,62 @@ def _pair_loop(
     return active
 
 
-def buchberger(
-    gens: Sequence[Polynomial], budget: Optional[Budget] = None
-) -> list[Polynomial]:
-    """Reduced Groebner basis of (gens), normal pair selection strategy.
+def _reduced_basis(
+    ring: PolynomialRing, gens: Sequence[dict[int, int]], budget: Optional[Budget] = None
+) -> list[dict[int, int]]:
+    """Reduced Groebner basis of packed generators, normal pair selection.
 
     Pairs are pruned by the Gebauer–Möller update, product criterion
-    included (`_pair_loop`).  Every reduction is a `normal_form` call by the
-    run's one divisor table, which grows with the basis.  Output is
-    inter-reduced, monic, sorted with the largest leading term first — a
-    canonical form suitable for equality comparison.
+    included (`_pair_loop`).  Every reduction runs `_reduce` on the run's one
+    divisor table, which grows with the basis.  Output is inter-reduced,
+    monic, each element's terms in descending grevlex order and the elements
+    sorted with the largest leading term first: a canonical form, so two
+    ideals are equal iff their bases compare equal.
     """
     if budget is None:
         budget = Budget()
+    p = ring.field.p
+    basis: list[tuple] = []
+    for g in gens:
+        r = _reduce(ring, dict(g), basis, budget)
+        if r:
+            basis.append(_entry(ring, r))
+
+    def reduce_pair(i: int, j: int) -> Optional[int]:
+        r = _reduce(ring, _s_pair(ring, basis[i], basis[j]), basis, budget)
+        if not r:
+            return None
+        basis.append(_entry(ring, r))
+        return basis[-1][0]
+
+    minimal = [basis[i] for i in _pair_loop(ring, [e[0] for e in basis], reduce_pair, budget, True)]
+    # tail-reduce each element by the others and make it monic
+    reduced = []
+    for i, (le, inv_lc, terms, _, _) in enumerate(minimal):
+        r = _reduce(ring, dict(terms), minimal[:i] + minimal[i + 1 :], budget)
+        reduced.append((le, {e: c * inv_lc % p for e, c in r.items()}))
+    reduced.sort(key=lambda r: ring.codec.key(r[0]), reverse=True)
+    return [g for _, g in reduced]
+
+
+def buchberger(
+    gens: Sequence[Polynomial], budget: Optional[Budget] = None
+) -> list[Polynomial]:
+    """Reduced Groebner basis of (gens): `_reduced_basis` on the packed
+    generators.  Output is inter-reduced, monic, sorted with the largest
+    leading term first — a canonical form suitable for equality comparison.
+    """
     gens = [g for g in gens if g]
     if not gens:
         return []
     ring = gens[0].ring
-    p, inv = ring.field.p, ring.field.inv
-    basis = _Divisors()
-    for g in gens:
-        r = normal_form(g, basis, budget)
-        if r:
-            basis.append(_entry(r.terms, inv))
-
-    def reduce_pair(i: int, j: int) -> Optional[tuple[int, ...]]:
-        r = normal_form(Polynomial(ring, _s_pair(basis[i], basis[j], p)), basis, budget)
-        if not r:
-            return None
-        basis.append(_entry(r.terms, inv))
-        return basis[-1][0]
-
-    minimal = [basis[i] for i in _pair_loop([e[0] for e in basis], reduce_pair, budget, True)]
-    # tail-reduce each element by the others and make it monic
-    reduced = []
-    for i, (le, inv_lc, terms, _, _) in enumerate(minimal):
-        others = _Divisors(minimal[:i] + minimal[i + 1 :])
-        reduced.append((le, normal_form(Polynomial(ring, terms), others, budget).scale(inv_lc)))
-    reduced.sort(key=lambda r: grevlex_key(r[0]), reverse=True)
-    return [g for _, g in reduced]
+    codec = ring.codec
+    basis = _reduced_basis(ring, [codec.pack_terms(g.terms) for g in gens], budget=budget)
+    return [Polynomial(ring, codec.unpack_terms(g)) for g in basis]
 
 
 def ideal_membership(a: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
-    return normal_form(a, I.groebner(budget), budget).is_zero()
+    return I._contains(a.ring.codec.pack_terms(a.terms), budget)
 
 
 def ideal_equal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> bool:
@@ -477,7 +536,8 @@ def _module_s_vector(f: FreeModuleVector, g: FreeModuleVector) -> FreeModuleVect
     field = f.ring.field
     pf, ef, cf = _module_lead(f)
     pg, eg, cg = _module_lead(g)
-    assert pf == pg
+    if pf != pg:
+        raise RingError(f"S-vector of leading terms in positions {pf} and {pg}")
     m = _lcm(ef, eg)
     return f.scale_term(_sub(m, ef), field.inv(cf)) - g.scale_term(_sub(m, eg), field.inv(cg))
 
@@ -582,21 +642,42 @@ def colon_ideal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     return Ideal(ring, quot.groebner(budget))
 
 
-def _translates(ring: PolynomialRing, gens: Sequence[Polynomial]):
-    """All x^α·g for α ∈ [0, p−1]^N and g a generator, with their u-images."""
-    p = ring.field.p
+@lru_cache(maxsize=None)
+def _shifts(nvars: int, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """For each α ∈ [0, p−1]^N, in `itertools.product` order: the residue
+    class mod p of the exponents that x^α moves onto (p−1)·𝟙, and x^α packed."""
+    pack = ring_codec(nvars).pack
+    return [
+        (tuple([p - 1 - a for a in alpha]), pack(alpha))
+        for alpha in itertools.product(range(p), repeat=nvars)
+    ]
+
+
+def _translates(ring: PolynomialRing, g: dict[int, int]) -> list[tuple[int, dict[int, int]]]:
+    """(x^α packed, u(F_*(x^α·g)) packed) for every α ∈ [0, p−1]^N, for packed
+    g.  Each term of g lands in the top residue class under exactly one α,
+    so g's terms are bucketed by residue once; the image exponent is
+    (e + α − (p−1)·𝟙) / p, exact field by field."""
+    codec, p = ring.codec, ring.field.p
+    if codec.degree(max(g)) + p > EXPONENT_LIMIT + 1 and codec.largest(g) + p > EXPONENT_LIMIT + 1:
+        raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
+    residues = codec.residues
+    buckets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for k, c in g.items():
+        buckets.setdefault(residues(k, p), []).append((k, c))
+    one = codec.pack([p - 1] * ring.nvars)
     out = []
-    for g in gens:
-        for alpha in itertools.product(range(p), repeat=ring.nvars):
-            tg = g.mul_term(alpha)
-            out.append((tg, u_map(tg)))
+    for r, shift in _shifts(ring.nvars, p):
+        bucket = buckets.get(r, ())
+        out.append((shift, {(k + shift - one) // p: c for k, c in bucket}))
     return out
 
 
 def _syzygies(
-    ring: PolynomialRing, images: Sequence[Polynomial], budget: Budget
-) -> list[dict[int, dict[tuple[int, ...], int]]]:
-    """Generators of the syzygies of `images` (Schreyer's theorem).
+    ring: PolynomialRing, images: Sequence[Union[Polynomial, dict[int, int]]], budget: Budget
+) -> list[dict[int, dict[int, int]]]:
+    """Generators of the syzygies of `images` (Schreyer's theorem); each image
+    is a polynomial or its packed terms.
 
     One Buchberger run on the images alone, each basis element g carrying
     its cofactor vector {j: c_j} with g = Σ c_j·images[j].  Every image is
@@ -608,30 +689,84 @@ def _syzygies(
     on the shared kernel `_reduce`, which carries the cofactors along.
     Syzygies are never paired or inter-reduced.  The budget ticks once per
     popped pair and once per reduction step.  Syzygies come back as
-    {j: terms of c_j}.
+    {j: packed terms of c_j}.
     """
-    p = ring.field.p
-    basis = _Divisors()
-    syzygies: list[dict[int, dict[tuple[int, ...], int]]] = []
+    basis: list[tuple] = []
+    syzygies: list[dict[int, dict[int, int]]] = []
 
-    def reduce(work: dict, cof: dict) -> Optional[tuple[int, ...]]:
-        rem = _reduce(work, basis, p, budget, cof)
+    def reduce(work: dict, cof: dict) -> Optional[int]:
+        rem = _reduce(ring, work, basis, budget, cof)
         cof = {j: t for j, t in cof.items() if t}
         if not rem:
             syzygies.append(cof)
             return None
-        basis.append(_entry(rem, ring.field.inv, cof))
+        basis.append(_entry(ring, rem, cof))
         return basis[-1][0]
 
-    def reduce_pair(i: int, j: int) -> Optional[tuple[int, ...]]:
-        cof: dict[int, dict[tuple[int, ...], int]] = {}
-        return reduce(_s_pair(basis[i], basis[j], p, cof), cof)
+    def reduce_pair(i: int, j: int) -> Optional[int]:
+        cof: dict[int, dict[int, int]] = {}
+        return reduce(_s_pair(ring, basis[i], basis[j], cof), cof)
 
-    one = (0,) * ring.nvars
+    pack = ring.codec.pack_terms
     for j, w in enumerate(images):
-        reduce(dict(w.terms), {j: {one: 1}})
-    _pair_loop([entry[0] for entry in basis], reduce_pair, budget, False)
+        reduce(pack(w.terms) if isinstance(w, Polynomial) else dict(w), {j: {0: 1}})
+    _pair_loop(ring, [entry[0] for entry in basis], reduce_pair, budget, False)
     return syzygies
+
+
+def _intersect_keru(
+    ring: PolynomialRing, basis: Sequence[dict[int, int]], budget: Budget
+) -> list[dict[int, int]]:
+    """Packed generators of F_*I ∩ Ker(u), I given by its packed reduced
+    basis: see `frobenius_module_intersect_keru`.  Each translate x^α·g is
+    kept as (g, x^α) and multiplied out only where a syzygy uses it."""
+    codec, p = ring.codec, ring.field.p
+    direct: list[dict[int, int]] = []
+    moved: list[tuple[dict[int, int], int, int]] = []  # (g, x^α, degree bound of x^α·g)
+    images: list[dict[int, int]] = []
+    for g in basis:
+        top = codec.degree(max(g))
+        for shift, w in _translates(ring, g):
+            if w:
+                moved.append((g, shift, top + codec.degree(shift)))
+                images.append(w)
+            else:
+                direct.append({k + shift: c for k, c in g.items()})
+    elements: list[dict[int, int]] = []
+    for cof in _syzygies(ring, images, budget):
+        acc: dict[int, int] = {}
+        for j, t in cof.items():
+            g, shift, top = moved[j]
+            if p * codec.degree(max(t)) + top > EXPONENT_LIMIT:
+                _check_frobenius_product(codec, t, p, g, shift)
+            for kt, ct in t.items():
+                base = p * kt + shift  # c_j^p·x^α: Frobenius fixes F_p coefficients
+                for kg, cg in g.items():
+                    e = base + kg
+                    acc[e] = acc.get(e, 0) + ct * cg
+        w = {e: r for e, c in acc.items() if (r := c % p)}
+        if packed_u(w, codec, p):  # the translates in `direct` have u-image 0 as formed
+            raise RuntimeError("intersection generator escaped Ker(u)")
+        if w:
+            elements.append(w)
+    seen: set[frozenset] = set()
+    out = []
+    for w in direct + elements:
+        if (key := frozenset(w.items())) not in seen:
+            seen.add(key)
+            out.append(w)
+    return out
+
+
+def _check_frobenius_product(
+    codec: ExponentCodec, t: dict[int, int], p: int, g: dict[int, int], shift: int
+) -> None:
+    """Raise where the tuple engine raises on c^p·(x^α·g): when p times the
+    largest exponent of c, or that plus the largest exponent of x^α·g,
+    passes EXPONENT_LIMIT."""
+    top = p * codec.largest(t)
+    if top > EXPONENT_LIMIT or top + codec.largest(k + shift for k in g) > EXPONENT_LIMIT:
+        raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
 
 
 def frobenius_module_intersect_keru(
@@ -645,21 +780,12 @@ def frobenius_module_intersect_keru(
     (u(F_*t_j))_j, so the intersection is generated by the translates with
     u-image zero and, for each syzygy generator c of the nonzero images
     (`_syzygies`), the element w = Σ c_j^p·t_j.  The elements w ∈ I are
-    returned, without duplicates.
+    returned, without duplicates; a generator with a nonzero u-image raises
+    RuntimeError.  Runs `_intersect_keru` on I's packed basis.
     """
     ring = I.ring
     if budget is None:
         budget = Budget()
-    pairs = _translates(ring, I.groebner(budget))
-    direct = [tg for tg, w in pairs if not w]
-    moved = [(tg, w) for tg, w in pairs if w]
-    elements: list[Polynomial] = []
-    for cof in _syzygies(ring, [w for _, w in moved], budget):
-        w_elem = ring.zero
-        for j, t in cof.items():
-            w_elem = w_elem + Polynomial(ring, t).pth_power() * moved[j][0]
-        if w_elem:
-            elements.append(w_elem)
-    out = list(dict.fromkeys(direct + elements))
-    assert not any(u_map(w) for w in out), "intersection generator escaped Ker(u)"
-    return out
+    basis = [e[2] for e in I._divisors(budget)]
+    unpack = ring.codec.unpack_terms
+    return [Polynomial(ring, unpack(w)) for w in _intersect_keru(ring, basis, budget)]

@@ -6,13 +6,19 @@ sparsely as a hash map from exponent vectors (tuples of machine ints) to
 nonzero coefficients in [1, p), with a lazily cached graded-reverse-lex
 sorted view used for display and leading-term scans.
 
-Inner loops that only add exponents and compare them to bounds (Δ₁, θ, the
-graded engine's coefficient pairings and capped products) work on packed
-exponents instead: `ExponentCodec` packs a tuple into one int with a fixed
-number of bits per variable, so a monomial product is one int addition.  It
-is the only place exponents are packed, and it also holds the two per-field
-tests those loops need on packed ints: the guard-bit test of an exponent
-against a per-variable cap, and the residues mod p of its fields.
+Inner loops work on packed exponents instead: `ExponentCodec` packs a tuple
+into one int with a fixed number of bits per variable, so a monomial product
+is one int addition.  It is the only place exponents are packed, and it
+holds the per-field tests those loops need on packed ints: the guard-bit
+test of an exponent against a per-variable cap, and the residues mod p of
+its fields.  It comes in two layouts.  Δ₁, the graded engine's θ orbit and
+pairings, and capped products pack under a narrow codec per problem or per
+call, whose fields are just wide enough for the exponents at hand: small
+ints are what keeps those loops fast.  The Groebner kernel and the I_n chain
+pack under the ring layout (`PolynomialRing.codec`, one per variable count):
+32-bit fields that hold exactly 0..EXPONENT_LIMIT below a guard bit, under
+an unbounded field for the total degree, on which divisibility is one
+guard-bit subtraction and `ExponentCodec.key` sorts like `grevlex_key`.
 
 Only prime coefficient fields are supported: every criterion implemented in
 this package reads or writes coefficients through the identity c^(1/p) = c,
@@ -22,11 +28,16 @@ which is special to F_p.
 from __future__ import annotations
 
 import re
-from typing import Mapping, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, Mapping, Optional, Sequence
 
 # Exponents are stored as plain ints but kept below 2^31 so that exponent
 # arithmetic stays within machine-word range on every platform we target.
 EXPONENT_LIMIT = 2**31 - 1
+# the ring layout's field: EXPONENT_LIMIT and a guard bit above it
+FIELD_WIDTH = 32
+# how many residue classes the ring layout remembers per prime
+RESIDUE_MEMO = 4096
 
 
 class RingError(ValueError):
@@ -110,28 +121,63 @@ class ExponentCodec:
     exponent sum is the caller's part.  The top bit of each field is its
     guard bit: for exponents whose fields stay below it, `within` compares
     every field with a cap in one subtraction.
+
+    With `degree`, the fields sit under one more, unbounded top field that
+    holds the total degree: the ring layout (`ring_codec`), whose fields of
+    32 bits hold exactly 0..EXPONENT_LIMIT below their guard bits.  On it a
+    monomial product is one int addition, x^a | x^b is one guard-bit
+    subtraction (`divides`), and `key` sorts exactly like `grevlex_key`.
     """
 
-    __slots__ = ("shifts", "mask", "guard")
+    __slots__ = (
+        "shifts", "mask", "guard", "top", "low",
+        "_weights", "_values", "_guard_bit", "_fold", "_memo",
+    )
 
-    def __init__(self, nvars: int, width: int):
+    def __init__(self, nvars: int, width: int, degree: bool = False):
         self.shifts = tuple([width * j for j in range(nvars)])
         self.mask = (1 << width) - 1
-        self.guard = self.pack([(self.mask + 1) >> 1] * nvars)
+        self._guard_bit = width - 1
+        self.guard = sum([1 << (s + self._guard_bit) for s in self.shifts])
+        # the degree field's shift, and the mask of everything below it
+        self.top = width * nvars if degree else None
+        self.low = (1 << (width * nvars)) - 1
+        # an exponent e_j adds e_j to its own field and, with `degree`, to
+        # the degree field
+        above = 1 << self.top if degree else 0
+        self._weights = tuple([(1 << s) + above for s in self.shifts])
+        self._values = self.low ^ self.guard
+        # 2^width ≡ 1 mod 2^width − 1, so a packed int is its field sum mod that
+        self._fold = self.mask
+        # the ring layout's residues, per p (see `residues`)
+        self._memo: Optional[dict[int, dict[int, tuple[int, ...]]]] = {} if degree else None
 
     def pack(self, exps: Sequence[int]) -> int:
-        return sum(map(int.__lshift__, exps, self.shifts))
+        return sum(map(int.__mul__, exps, self._weights))
 
     def unpack(self, key: int) -> tuple[int, ...]:
         mask = self.mask
         return tuple([(key >> s) & mask for s in self.shifts])
+
+    def pack_terms(self, terms: Mapping[tuple[int, ...], int]) -> dict[int, int]:
+        """A term map with its exponents packed; raises ExponentOverflowError
+        for an exponent that no field holds, rather than let it carry."""
+        if terms and max(map(max, terms)) > self.mask >> 1:
+            raise ExponentOverflowError("exponent beyond the 32-bit budget")
+        pack = self.pack
+        return {pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, terms: Mapping[int, int]) -> dict[tuple[int, ...], int]:
+        unpack = self.unpack
+        return {unpack(k): c for k, c in terms.items()}
 
     def ceiling(self, caps: Sequence[Optional[int]]) -> int:
         """The limit that `within` tests against: each field holds its cap
         (None: no cap), clipped to the room below the guard bit, with the
         guard bit set."""
         room = self.mask >> 1
-        return self.guard + self.pack([room if c is None else min(c, room) for c in caps])
+        caps = [room if c is None else min(c, room) for c in caps]
+        return self.guard + sum(map(int.__lshift__, caps, self.shifts))
 
     def within(self, limit: int, key: int) -> bool:
         """Whether every field of `key` is at most its cap in `limit` (from
@@ -142,15 +188,70 @@ class ExponentCodec:
         return (limit - key) & guard == guard
 
     def residues(self, key: int, p: int) -> tuple[int, ...]:
-        """The fields of `key` mod p, the residue class that θ buckets by."""
+        """The fields of `key` mod p, the residue class that θ buckets by.
+        The ring layout remembers up to RESIDUE_MEMO of them per p: the I_n
+        chain's θ, u and translates read the same exponents over and over."""
+        memo = self._memo
+        if memo is not None:
+            memo = memo.setdefault(p, {})
+            out = memo.get(key)
+            if out is not None:
+                return out
+            if len(memo) >= RESIDUE_MEMO:
+                memo.clear()
         mask = self.mask
-        return tuple([((key >> s) & mask) % p for s in self.shifts])
+        out = tuple([((key >> s) & mask) % p for s in self.shifts])
+        if memo is not None:
+            memo[key] = out
+        return out
+
+    # -- the ring layout ----------------------------------------------
+
+    def key(self, key: int) -> int:
+        """A grevlex sort key: the degree field first, then the fields
+        negated, the last variable's most significant.  It is its own
+        inverse, so a heap of negated keys, 2·(k & low) − k, gives back k."""
+        return key - 2 * (key & self.low)
+
+    def divides(self, a: int, b: int) -> bool:
+        """x^a | x^b: each field of (b + guard − a) keeps its guard bit iff
+        a's field is at most b's, and none borrows from the next."""
+        guard = self.guard
+        return (b + guard - a) & guard == guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The field-wise maximum, its degree field included."""
+        ge = ((a | self.guard) - b) & self.guard  # guard bits where a ≥ b
+        ge -= ge >> self._guard_bit  # widened to the whole field
+        low = (a & ge) | (b & (self._values ^ ge))
+        if (a >> self.top) + (b >> self.top) < self._fold:
+            return low + (low % self._fold << self.top)
+        return low + (sum(self.unpack(low)) << self.top)
+
+    def degree(self, key: int) -> int:
+        return key >> self.top
+
+    def of_degree(self, d: int) -> int:
+        """The smallest key of total degree d: key < of_degree(d) iff its
+        degree is below d."""
+        return d << self.top
+
+    def largest(self, keys: Iterable[int]) -> int:
+        """The largest single exponent among `keys` (0 for none)."""
+        return max((max(self.unpack(k)) for k in keys), default=0)
+
+
+@lru_cache(maxsize=None)
+def ring_codec(nvars: int) -> ExponentCodec:
+    """The ring layout of `nvars` variables: 32-bit fields under a degree
+    field, shared by every ring of that many variables."""
+    return ExponentCodec(nvars, FIELD_WIDTH, degree=True)
 
 
 class PolynomialRing:
     """S = F_p[x_1, ..., x_N] with a fixed variable naming."""
 
-    __slots__ = ("field", "variables", "nvars", "_var_index", "_zero", "_one")
+    __slots__ = ("field", "variables", "nvars", "codec", "_var_index", "_zero", "_one")
 
     def __init__(self, field: PrimeField, variables: Sequence[str]):
         names = tuple(variables)
@@ -164,6 +265,8 @@ class PolynomialRing:
         self.field = field
         self.variables = names
         self.nvars = len(names)
+        # the ring layout that the Groebner kernel and the I_n chain pack by
+        self.codec = ring_codec(self.nvars)
         self._var_index = {nm: i for i, nm in enumerate(names)}
         self._zero = None
         self._one = None

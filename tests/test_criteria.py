@@ -595,7 +595,26 @@ def test_enclosure_closure_is_theta_closed():
     assert ideal_membership(g, closure)
 
 
-def test_closure_carries_its_reduced_basis(monkeypatch):
+@pytest.fixture
+def reduced_bases(monkeypatch):
+    """The generator sets, each as a set of packed polynomials, of every
+    reduced basis that the packed kernel `_reduced_basis` forms from here on,
+    whether the chain calls it or an `Ideal` does."""
+    from qfsplit import groebner
+
+    reduced = []
+    real = groebner._reduced_basis
+
+    def recording(ring, gens, budget=None):
+        reduced.append(frozenset(frozenset(g.items()) for g in gens))
+        return real(ring, gens, budget=budget)
+
+    monkeypatch.setattr(groebner, "_reduced_basis", recording)
+    monkeypatch.setattr(criteria, "_reduced_basis", recording)
+    return reduced
+
+
+def test_closure_carries_its_reduced_basis(reduced_bases):
     """The θ-closure comes back presented by its reduced Groebner basis and
     holding it as its cache, so verifying it as a trap ideal reduces no basis
     again (cusp at p = 2 with trap x^2, as `verify-infty --close` runs it)."""
@@ -605,14 +624,8 @@ def test_closure_carries_its_reduced_basis(monkeypatch):
     I = Ideal(ring, [ring.parse("x^3 + y^2*z")])
     closure = enclosure_closure(I, seed=[ring.parse("x^2")])
     assert list(closure.gens) == groebner.buchberger(list(closure.gens))
-    reduced = []
-    real = groebner.buchberger
-
-    def recording(gens, budget=None):
-        reduced.append(gens)
-        return real(gens, budget=budget)
-
-    monkeypatch.setattr(groebner, "buchberger", recording)
+    reduced = reduced_bases
+    reduced.clear()
     budget = Budget()
     assert verify_infinity_certificate(I, closure, budget)
     assert reduced == []
@@ -686,6 +699,22 @@ def test_qfs_decide_equals_closure_of_colon_seed_on_quadric_pairs(p):
 SEXTIC_G1 = "x*y*s^2 + z*w*u^2 + y^3*w + x^3*z"
 
 
+def test_e8_under_a_linear_change_of_coordinates():
+    """E8^0 z^2 + x^3 + y^5 at p = 3 has height 3, and a linear change of
+    coordinates keeps the height: under x ↦ 2x+2y, y ↦ 2x+z, z ↦ x+z it has
+    11 terms and takes the local chain 5,907 steps, against 185 as written."""
+    ring = ring_over(3)
+    f = ring.parse("z^2 + x^3 + y^5")
+    x, y, z = (ring.parse(t) for t in ("2*x + 2*y", "2*x + z", "x + z"))
+    moved = z**2 + x**3 + y**5
+    assert len(moved) == 11
+    plain, res = height(f), height(moved)
+    assert (plain.verdict, plain.n, plain.route, plain.steps) == (FINITE, 3, "local-chain", 185)
+    assert (res.verdict, res.n, res.route, res.steps) == (FINITE, 3, "local-chain", 5907)
+    assert verify_certificate(Ideal(ring, [moved]), res.certificate)
+
+
+
 @pytest.mark.parametrize(
     "kind,p,text,steps",
     [
@@ -696,21 +725,12 @@ SEXTIC_G1 = "x*y*s^2 + z*w*u^2 + y^3*w + x^3*z"
         ("height", 2, SEXTIC_G1, 753),
     ],
 )
-def test_chain_reduces_each_generator_set_once(monkeypatch, kind, p, text, steps):
+def test_chain_reduces_each_generator_set_once(reduced_bases, kind, p, text, steps):
     """Each level's Groebner basis is computed once and then read from the
-    `Ideal` that carries it: no generator set reaches `buchberger` twice
-    within one call, not even across the hand-over from the local chain to
-    I_∞, and the steps stay as measured."""
-    from qfsplit import groebner
-
-    reduced = []
-    real = groebner.buchberger
-
-    def recording(gens, budget=None):
-        reduced.append(frozenset(gens))
-        return real(gens, budget=budget)
-
-    monkeypatch.setattr(groebner, "buchberger", recording)
+    chain that carries it: no generator set reaches the packed kernel
+    `_reduced_basis` twice within one call, not even across the hand-over
+    from the local chain to I_∞, and the steps stay as measured."""
+    reduced = reduced_bases
     ring = ring_named(p, SEXTIC_VARS) if "s" in text else ring_over(p)
     f = ring.parse(text)
     if kind == "height":

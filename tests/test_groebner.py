@@ -6,12 +6,18 @@ rank-p^N reference route in `oracles`.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+import qfsplit
 from qfsplit import (
     Budget,
     BudgetExceededError,
@@ -29,7 +35,7 @@ from qfsplit import (
     normal_form,
     u_map,
 )
-from qfsplit.groebner import _module_lead, _syzygies, _translates, module_normal_form
+from qfsplit.groebner import _module_lead, _syzygies, module_normal_form
 from qfsplit.rings import EXPONENT_LIMIT, grevlex_key
 
 import oracles as O
@@ -416,14 +422,14 @@ def test_schreyer_cofactor_update_past_exponent_limit_raises(tail, raises):
 
 
 def assert_syzygies(ring, images):
-    """Every cofactor vector c that `_syzygies` returns is nonzero and has
-    Σ c_j·images[j] = 0."""
+    """Every cofactor vector c that `_syzygies` returns (on packed exponents)
+    is nonzero and has Σ c_j·images[j] = 0."""
     syzygies = _syzygies(ring, images, Budget())
     for cof in syzygies:
         assert cof
         total = ring.zero
         for j, t in cof.items():
-            total = total + Polynomial(ring, t) * images[j]
+            total = total + Polynomial(ring, ring.codec.unpack_terms(t)) * images[j]
         assert total.is_zero()
     return syzygies
 
@@ -442,8 +448,61 @@ def test_schreyer_cofactors_are_syzygies_of_random_images(p, seed):
 def test_schreyer_cofactors_are_syzygies_of_u_images(p, gens_text, vars):
     """The images of the Ker(u) run: u-images of the translates x^α·g."""
     I = keru_ideal(p, gens_text, vars)
-    images = [w for _, w in _translates(I.ring, I.groebner()) if w]
+    alphas = itertools.product(range(p), repeat=I.ring.nvars)
+    translates = [g.mul_term(alpha) for alpha in alphas for g in I.groebner()]
+    images = [w for w in map(u_map, translates) if w]
     assert assert_syzygies(I.ring, images)
+
+
+def _corrupted_syzygies(ring, images, budget):
+    """A "syzygy" e_0 that is none: the first translate whose u-image is
+    nonzero, taken alone."""
+    return [{0: {0: 1}}]
+
+
+def test_keru_refuses_an_element_outside_ker_u(monkeypatch):
+    """The Ker(u) check is an explicit raise on the packed route, so a
+    corrupted syzygy stops the public intersection and the I_n chain alike."""
+    from qfsplit import groebner, height_local
+
+    monkeypatch.setattr(groebner, "_syzygies", _corrupted_syzygies)
+    I = keru_ideal(*KERU_IDEALS[0])
+    with pytest.raises(RuntimeError, match="escaped Ker"):
+        frobenius_module_intersect_keru(I)
+    with pytest.raises(RuntimeError, match="escaped Ker"):
+        height_local(I)
+
+
+def test_keru_check_holds_under_python_O():
+    """`python -O` strips assert statements; the Ker(u) check is not one."""
+    code = textwrap.dedent(
+        """
+        import qfsplit.groebner as groebner
+        from qfsplit import Ideal, PolynomialRing, PrimeField, frobenius_module_intersect_keru
+
+        groebner._syzygies = lambda ring, images, budget: [{0: {0: 1}}]
+        ring = PolynomialRing(PrimeField(2), ("x", "y", "z"))
+        try:
+            frobenius_module_intersect_keru(Ideal(ring, [ring.parse("z^2 + x^2*y + x*y^2")]))
+        except RuntimeError as exc:
+            print(exc)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qfsplit.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "intersection generator escaped Ker(u)"
+
+
+def test_module_s_vector_needs_one_position():
+    """S-vectors pair leading terms in one position; an explicit raise, not
+    an assert, guards it."""
+    from qfsplit.groebner import _module_s_vector
+
+    ring = ring_over(2)
+    with pytest.raises(RingError, match="positions 0 and 1"):
+        _module_s_vector(_vec(ring, {0: ring.parse("x")}), _vec(ring, {1: ring.parse("y")}))
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -17,7 +17,7 @@ from qfsplit import (
     parse_polynomial,
     serialize_polynomial,
 )
-from qfsplit.rings import grevlex_key
+from qfsplit.rings import grevlex_key, ring_codec
 
 import oracles as O
 from conftest import poly_strategy, ring_over
@@ -283,3 +283,108 @@ def test_str_round_trips_through_parse():
     ring = ring_over(7)
     f = ring.parse("x^2*y + 6*z^3 + 2")
     assert ring.parse(str(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# the ring layout of packed exponents against tuple arithmetic
+# ---------------------------------------------------------------------------
+
+FIELD = st.one_of(
+    st.integers(0, 9),
+    st.integers(0, EXPONENT_LIMIT),
+    st.sampled_from([EXPONENT_LIMIT, EXPONENT_LIMIT - 1, 2**30, 2**30 - 1]),
+)
+
+
+def exponents(nvars, field=FIELD):
+    return st.tuples(*[field] * nvars)
+
+
+@given(data=st.data(), nvars=st.integers(1, 6))
+def test_ring_layout_round_trips(data, nvars):
+    codec = ring_codec(nvars)
+    e = data.draw(exponents(nvars))
+    assert codec.unpack(codec.pack(e)) == e
+    assert codec.degree(codec.pack(e)) == sum(e)
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+@pytest.mark.parametrize("big", [EXPONENT_LIMIT + 1, 2**32, 2**40])
+def test_ring_layout_refuses_what_no_field_holds(nvars, big):
+    """An exponent past the limit would carry into its neighbour, so packing
+    a term map refuses it."""
+    ring = PolynomialRing(PrimeField(2), [f"x{i}" for i in range(nvars)])
+    e = (0,) * (nvars - 1) + (big,)
+    with pytest.raises(ExponentOverflowError):
+        ring.codec.pack_terms({e: 1})
+    assert ring.codec.pack_terms({(EXPONENT_LIMIT,) * nvars: 1})
+
+
+@given(data=st.data(), nvars=st.integers(1, 6))
+def test_ring_layout_key_sorts_like_grevlex(data, nvars):
+    codec = ring_codec(nvars)
+    a, b = data.draw(exponents(nvars)), data.draw(exponents(nvars))
+    ka, kb = codec.key(codec.pack(a)), codec.key(codec.pack(b))
+    assert (ka < kb) == (grevlex_key(a) < grevlex_key(b))
+    assert (ka == kb) == (a == b)
+
+
+@given(data=st.data(), nvars=st.integers(1, 6))
+def test_ring_layout_products_quotients_lcms_and_divisibility(data, nvars):
+    codec = ring_codec(nvars)
+    a = data.draw(exponents(nvars))
+    b = data.draw(exponents(nvars))
+    pa, pb = codec.pack(a), codec.pack(b)
+    assert codec.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert codec.lcm(pa, pb) == codec.pack(tuple(map(max, a, b)))
+    if codec.divides(pa, pb):
+        assert codec.unpack(pb - pa) == tuple(y - x for x, y in zip(a, b))
+        assert pb - pa == codec.pack(tuple(y - x for x, y in zip(a, b)))
+    # a factor that keeps the product within the limit, field by field
+    c = tuple(data.draw(st.integers(0, EXPONENT_LIMIT - x)) for x in a)
+    product = tuple(x + y for x, y in zip(a, c))
+    assert codec.unpack(pa + codec.pack(c)) == product
+    assert pa + codec.pack(c) == codec.pack(product)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@given(data=st.data(), nvars=st.integers(1, 6))
+def test_ring_layout_u_and_theta_exponent(p, data, nvars):
+    """For e + d ≡ p − 1 field by field, (pack(e) + pack(d) − pack((p−1)·𝟙)) // p
+    is the packed (e + d − (p−1))/p, and θ's residue buckets find exactly
+    that pairing; u keeps e iff every field is ≡ p − 1."""
+    from qfsplit.frobenius import packed_theta, packed_u, residue_table
+
+    codec = ring_codec(nvars)
+    e = data.draw(exponents(nvars))
+    d = tuple(
+        (p - 1 - x) % p + p * data.draw(st.integers(0, (EXPONENT_LIMIT - p) // p)) for x in e
+    )
+    out = tuple((x + y - (p - 1)) // p for x, y in zip(e, d))
+    one = codec.pack((p - 1,) * nvars)
+    assert (codec.pack(e) + codec.pack(d) - one) // p == codec.pack(out)
+    table = residue_table({codec.pack(d): 1}, codec, p)
+    term = [(codec.pack(e), codec.residues(codec.pack(e), p), 1)]
+    assert packed_theta(term, table, p) == {codec.pack(out): 1}
+    top = all(x % p == p - 1 for x in e)
+    expected = {codec.pack(tuple((x - (p - 1)) // p for x in e)): 1} if top else {}
+    assert packed_u({codec.pack(e): 1}, codec, p) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data(), nvars=st.integers(1, 6), n=st.integers(1, 3))
+def test_ring_layout_escape_test(p, data, nvars, n):
+    """A term escapes m^[q] iff every field is below q: one guard-bit test
+    against the ceiling (q−1)·𝟙, as `in_max_ideal_frobenius_power` decides
+    on tuples."""
+    from qfsplit.frobenius import in_max_ideal_frobenius_power
+
+    ring = PolynomialRing(PrimeField(p), [f"x{i}" for i in range(nvars)])
+    q = p**n
+    field = st.one_of(st.integers(0, 2 * q), st.sampled_from([EXPONENT_LIMIT, q - 1, q]))
+    terms = data.draw(st.dictionaries(exponents(nvars, field), st.integers(1, p - 1), max_size=4))
+    a = ring.from_terms(terms)
+    codec = ring.codec
+    limit = codec.ceiling([q - 1] * nvars)
+    escapes = any(codec.within(limit, k) for k in codec.pack_terms(a.terms))
+    assert escapes == (not in_max_ideal_frobenius_power(a, n))

@@ -37,6 +37,16 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+@pytest.mark.parametrize(
+    "path", sorted(Path(qfsplit.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_assert_statements(path):
+    """`python -O` strips assert statements, so a check the package relies
+    on must be an explicit raise."""
+    tree = ast.parse(path.read_text())
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
+
+
 def test_unused_import_detector():
     src = "import os\nfrom typing import Any, Optional\nx: Optional[int] = os.sep\n"
     assert unused_imports(src) == ["Any (line 2)"]
