@@ -13,8 +13,10 @@ Two engines compute it:
   anticanonical degree.  Tracks t_n := u^{n−1}(F^{n−1}_* f_n) for
   f_n := f^{p−1}·Δ₁(f^{p−1})^{p^{n−2}+⋯+1} through the one-step recursion
   t_{n+1} = θ(F_* t_n); the height is the first n whose t_n has a nonzero
-  (x_1⋯x_N)^{p−1} coefficient.  Degrees stay bounded, so this is fast,
-  and the whole run stays on packed exponents.
+  (x_1⋯x_N)^{p−1} coefficient.  Degrees stay bounded, and where the orbit
+  goes on u(F_*t_n) = 0, so θ needs only Δ₁(f), not Δ₁(f^{p−1}), by the
+  projection formula: this is fast, and the whole run stays on packed
+  exponents.
 * the I_n chain (`_Chain`), via syzygies of the u-images for the kernel
   intersection.  Works for any input: `height_local` reads it to the first
   escape and extracts chain certificates, `qfs_decide` to its limit, the
@@ -47,7 +49,14 @@ from .rings import (
     RingError,
     check_homogeneous,
 )
-from .witt import delta1, delta1_power, packed_mul, packed_power, teichmuller_lift
+from .witt import (
+    delta1,
+    delta1_power,
+    packed_delta1,
+    packed_mul,
+    packed_power,
+    teichmuller_lift,
+)
 from .frobenius import (
     in_max_ideal_frobenius_power,
     iterated_u,
@@ -184,24 +193,28 @@ _codec = lru_cache(maxsize=64)(ExponentCodec)
 
 class _Splitting:
     """The derived data of one problem I = (f'_1, ..., f'_m): f = Π f'_i, and
-    f^{p−2}, f^{p−1}, I_1's generators and Δ = Δ₁(f^{p−1}), each computed on
-    first use, so a route forms only what it reads (the graded engine's
-    level-1 reading needs f^{p−2} but not f^{p−1}).  `height` builds one per
-    call and hands it to every stage.
+    f^{p−2}, f^{p−1}, Δ₁(f), I_1's generators and Δ = Δ₁(f^{p−1}), each
+    computed on first use, so a route forms only what it reads (the graded
+    engine's level-1 reading needs f^{p−2} but not f^{p−1}, and the graded
+    engine never reads Δ).  `height` builds one per call and hands it to
+    every stage.
 
-    f, its Teichmüller lift F over ℤ/p², the powers and Δ live packed under
-    one `ExponentCodec` per problem, wide enough for p²·M (M the largest
-    exponent of f): Δ stays within p(p−1)·M and every graded θ image within
-    p·M (t_1 ≤ (p−1)·M, and t_{n+1} ≤ (t_n + p(p−1)·M)/p), so the fields of
-    θ's products and of the graded engine's pairings stay within p²·M, as
-    do its caps (p² − 1).  F^{p−2} and F^{p−1} reduce mod p to f^{p−2} and
-    f^{p−1} and feed Δ through `witt.delta1_power` (the δ-ring product
-    rule, never the p-th power of f^{p−1}).  `fp2`, `fp1` and `delta` are
-    their polynomial views, unpacked only for the readers that need
-    polynomials: the Fedder certificate, I_1, the quick tests and the
-    verifiers.  Exponent overflow is raised where the polynomial routes
-    raise it, at first use: f^{p−1} where `f ** (p − 1)` would, Δ where
-    `delta1(f ** (p − 1))` would.
+    f, its Teichmüller lift F over ℤ/p², the powers, Δ₁(f) and Δ live packed
+    under one `ExponentCodec` per problem, wide enough for p²·M (M the
+    largest exponent of f): Δ stays within p(p−1)·M, Δ₁(f) within p·M and
+    every graded orbit term t_n within p·M (t_1 ≤ (p−1)·M, θ_f(F_*t_n) ≤
+    (t_n + p·M)/p and t_{n+1} ≤ (p−2)·M + θ_f(F_*t_n)), so the fields of θ's
+    products and of the graded engine's pairings stay within p²·M, as do
+    its caps (p² − 1).  F^{p−2} and F^{p−1} reduce mod p to f^{p−2} and
+    f^{p−1}; Δ₁(f) comes from the product F·F^{p−1} (`witt.packed_delta1`)
+    and is the only place it is formed; Δ comes from Δ₁(f) through
+    `witt.delta1_power` (the δ-ring product rule, never the p-th power of
+    f^{p−1}).  `fp2`, `fp1` and `delta` are their polynomial views, unpacked
+    only for the readers that need polynomials: the Fedder certificate,
+    I_1, the quick tests and the verifiers.  Exponent overflow is raised
+    where the polynomial routes raise it, at first use: f^{p−1} where
+    `f ** (p − 1)` would, Δ₁(f) where `delta1(f)` would, Δ where
+    `delta1(f ** (p − 1))` would (`check_delta`).
 
     The I_n chain runs on the ring layout (`PolynomialRing.codec`) instead:
     `packed_i1` holds I_1's generators on it, and `chain_theta` reads Δ's
@@ -254,18 +267,32 @@ class _Splitting:
         return {e: r for e, c in self._lift_power.items() if (r := c % p)}
 
     @_cached
-    def packed_delta(self) -> dict[int, int]:
+    def packed_delta1(self) -> dict[int, int]:
+        """Δ₁(f), from the product F·F^{p−1}."""
+        if self.p * self.f.max_exponent() > EXPONENT_LIMIT:
+            raise ExponentOverflowError("Δ₁ would need exponents beyond the 32-bit budget")
+        return packed_delta1(self._lift, self._lift_power, self.p)
+
+    def check_delta(self) -> None:
+        """Raise where Δ = Δ₁(f^{p−1}) would pass the exponent limit."""
         if self.p * (self.p - 1) * self.f.max_exponent() > EXPONENT_LIMIT:
             raise ExponentOverflowError("Δ₁ would need exponents beyond the 32-bit budget")
-        return delta1_power(self._lift, self._lift_low, self._lift_power, self.p)
 
     @_cached
-    def _theta_table(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-        return residue_table(self.packed_delta, self.codec, self.p)
+    def packed_delta(self) -> dict[int, int]:
+        self.check_delta()
+        return delta1_power(self.packed_delta1, self._lift_low, self._lift_power, self.p)
 
-    def theta(self, t: dict[int, int]) -> dict[int, int]:
-        """θ(F_*t) for packed t, by `packed_theta` on Δ's residue table."""
-        return _theta(t, self.codec, self._theta_table, self.p)
+    @_cached
+    def _twist_table(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+        p = self.p
+        return residue_table({e: p - c for e, c in self.packed_delta1.items()}, self.codec, p)
+
+    def twist(self, t: dict[int, int]) -> dict[int, int]:
+        """−θ_f(F_*t) = u(F_*(−Δ₁(f)·t)) for packed t, by `packed_theta` on
+        the residue table of −Δ₁(f).  By the projection formula,
+        θ(F_*t) = f^{p−2}·twist(t) wherever u(F_*t) = 0 (`witt`)."""
+        return _theta(t, self.codec, self._twist_table, self.p)
 
     @_cached
     def packed_i1(self) -> list[dict[int, int]]:
@@ -331,8 +358,8 @@ def _repacked_residue_table(codec: ExponentCodec, ring: ExponentCodec, p: int, d
 
 
 def _theta(t: dict[int, int], codec: ExponentCodec, table, p: int) -> dict[int, int]:
-    """θ(F_*t) for t packed by `codec`, by `packed_theta` on Δ's residue
-    table under that codec, coefficients reduced."""
+    """u(F_*(δ·t)) for t packed by `codec`, by `packed_theta` on the residue
+    table of a multiplier δ under that codec, coefficients reduced."""
     residues = codec.residues
     out = packed_theta([(e, residues(e, p), c) for e, c in t.items()], table, p)
     return {q: r for q, c in out.items() if (r := c % p)}
@@ -467,15 +494,23 @@ def height_graded_cy(
     the degree whose only monomial outside m^{[p^n]} is (x_1⋯x_N)^{p^n−1}, so
     sht = first n with that coefficient c_n nonzero.  With t_1 = f^{p−1} and
     t_{n+1} = θ(F_* t_n), c_n is the (x_1⋯x_N)^{p−1} coefficient of t_n, and
-    deg t_n never exceeds (p−1)·N.  Each c_n is read as a pairing, before t_n
-    is formed: c_1 = Σ_e f^{p−2}[e]·f[(p−1)𝟙 − e], and c_{n+1} =
-    Σ_e t_n[e]·Δ[(p²−1)𝟙 − e] with Δ = Δ₁(f^{p−1}), because u keeps exactly
-    the exponent (p²−1)𝟙 of Δ·t_n at the output (p−1)𝟙.  So t_n is formed
-    only when c_n = 0, for the vanishing check and the next level: a
-    Finite(1) run never forms f^{p−1}, and a Finite(h) run forms
-    max(h − 2, 0) θ images.  The whole run stays on the problem's packed
-    exponents (`_Splitting`): the pairings, t_n and θ (`packed_theta`)
-    never unpack, since a CoefficientWitness holds no polynomial.
+    every t_n is homogeneous of degree (p−1)·deg(x_1⋯x_N).  The grading's
+    columns are nonnegative and nonzero, so u(F_*t_n) has degree 0: it is
+    the constant c_n, and the orbit continues only where it is 0.  There
+    the projection formula (`witt`) gives t_{n+1} = f^{p−2}·s_n with
+    s_n = −u(F_*(Δ₁(f)·t_n)) (`_Splitting.twist`), so the run multiplies by
+    Δ₁(f), of degree p·deg f, and never forms Δ₁(f^{p−1}), of degree
+    p(p−1)·deg f.  Each c_n is read as a pairing, before t_n is formed:
+    c_1 = Σ_e f^{p−2}[e]·f[(p−1)𝟙 − e] and
+    c_{n+1} = Σ_e f^{p−2}[e]·s_n[(p−1)𝟙 − e].  So t_n is formed only when
+    c_n = 0 and the run goes on to level n + 1, and t_n vanishes iff s_{n−1}
+    does: a Finite(1) run never forms f^{p−1}, and a Finite(h) run forms
+    max(h − 2, 0) images t_n.  The whole run
+    stays on the problem's packed exponents (`_Splitting`): the pairings,
+    t_n, s_n and θ (`packed_theta`) never unpack, since a CoefficientWitness
+    holds no polynomial.  Δ₁(f^{p−1}) is still where the level-2 verifier
+    (`graded_cy_coefficient`) reads, so the run raises its
+    ExponentOverflowError where it first reaches level 2.
     """
     f_list = list(f_list)
     _require_graded(f_list, g)
@@ -485,10 +520,10 @@ def height_graded_cy(
 def _graded_cy(sp: _Splitting, g: Grading, n_max: int, budget: Budget) -> HeightResult:
     """`height_graded_cy` on a problem's `_Splitting`, applicability checked."""
     t0 = time.perf_counter()
-    p, codec, nvars = sp.p, sp.codec, sp.ring.nvars
-    c = _pairing(sp.packed_fp2, sp.packed_f, codec.pack([p - 1] * nvars), p)
-    lifted = 0  # (p²−1)𝟙, packed when level 2 is first read
-    t: Optional[dict[int, int]] = None
+    p, fp2 = sp.p, sp.packed_fp2
+    cap = sp.codec.pack([p - 1] * sp.ring.nvars)
+    c = _pairing(fp2, sp.packed_f, cap, p)
+    s: Optional[dict[int, int]] = None  # s_{n−1}, once level 2 is reached
     diagnostics: list[str] = []
     for n in range(1, n_max + 1):
         budget.tick()
@@ -498,15 +533,19 @@ def _graded_cy(sp: _Splitting, g: Grading, n_max: int, budget: Budget) -> Height
                 {"level": n, "coefficient": c, "grading": [list(r) for r in g.rows]},
             )
             return _stamped(HeightResult(FINITE, n, cert, route="graded-cy"), budget, t0)
-        t = sp.packed_fp1 if t is None else sp.theta(t)
-        if not t:
+        if not (sp.packed_fp1 if s is None else s):
             diagnostics.append(
                 f"theta orbit vanished at level {n}; every later coefficient is zero"
             )
             break
         if n < n_max:
-            lifted = lifted or codec.pack([p * p - 1] * nvars)
-            c = _pairing(t, sp.packed_delta, lifted, p)
+            if s is None:
+                sp.check_delta()  # the level-2 verifier forms Δ₁(f^{p−1})
+                t = sp.packed_fp1
+            else:
+                t = packed_mul(fp2, s, p)
+            s = sp.twist(t)
+            c = _pairing(fp2, s, cap, p)
     res = HeightResult(
         LOWER_BOUND, n_max, None, route="graded-cy", diagnostics=tuple(diagnostics)
     )
@@ -537,12 +576,12 @@ def graded_cy_coefficient(
 ) -> int:
     """The (x_1⋯x_N)^{p^n−1} coefficient of f_n, by capped multiplication.
 
-    Independent of the θ-orbit route from level 3 on (at level 2 both read
-    the same sum): reads the target coefficient of
-    f^{p−1}·E_n, E_n = Δ₁(f^{p−1})^{p^{n−2}+⋯+1} from `capped_delta_powers`,
-    as Σ f^{p−1}[e]·E_n[cap−e] without forming the product.  E_2 is Δ₁(f^{p−1})
-    uncapped: terms over the cap are never looked up.  Levels 1 and 2 read
-    the problem's packed f^{p−1} and Δ, as the engine does.  Used to
+    Independent of the θ-orbit route from level 2 on: reads the target
+    coefficient of f^{p−1}·E_n, E_n = Δ₁(f^{p−1})^{p^{n−2}+⋯+1} from
+    `capped_delta_powers`, as Σ f^{p−1}[e]·E_n[cap−e] without forming the
+    product, while the engine multiplies by Δ₁(f) and pairs with f^{p−2}.
+    E_2 is Δ₁(f^{p−1}) uncapped: terms over the cap are never looked up.
+    Levels 1 and 2 read the problem's packed f^{p−1} and Δ.  Used to
     re-verify CoefficientWitness certificates.
     """
     if n < 1:
@@ -636,8 +675,7 @@ class _Chain:
         """Advance to the fixed point, presented by its reduced Groebner basis."""
         while self.advance():
             pass
-        basis = [self.sp.polynomial(g) for g in self._reduced()]
-        return Ideal.from_reduced_basis(self.sp.ring, basis)
+        return Ideal.from_reduced_basis(self.sp.ring, self._reduced())
 
     @property
     def ideal(self) -> Ideal:
@@ -812,15 +850,16 @@ def enclosure_closure(
 # ---------------------------------------------------------------------------
 
 
-def _product_remainders(sp: _Splitting) -> list[Polynomial]:
+def _product_remainders(sp: _Splitting, d1: Polynomial) -> list[Polynomial]:
     """The parts below m^{[p²]} of the generators (f^{p−2}, I^{[p]})·
-    f^{p(p−2)}·Δ₁(f) of condition (2): each product by `capped_mul` with
-    every exponent capped at p²−1, so a generator lies in m^{[p²]} iff its
-    remainder is 0.  The scale f^{p(p−2)}·Δ₁(f) is capped first, which is
-    sound because a term over the cap stays over it in every product."""
+    f^{p(p−2)}·Δ₁(f) of condition (2), given d1 = Δ₁(f): each product by
+    `capped_mul` with every exponent capped at p²−1, so a generator lies in
+    m^{[p²]} iff its remainder is 0.  The scale f^{p(p−2)}·Δ₁(f) is capped
+    first, which is sound because a term over the cap stays over it in
+    every product."""
     cap = (sp.p**2 - 1,) * sp.ring.nvars
     # f^{p(p−2)}: Frobenius fixes F_p coefficients
-    scale = sp.fp2.pth_power().capped_mul(delta1(sp.f), cap)
+    scale = sp.fp2.pth_power().capped_mul(d1, cap)
     return [b.capped_mul(scale, cap) for b in [sp.fp2] + [g.pth_power() for g in sp.gens]]
 
 
@@ -847,7 +886,7 @@ def _non_qfs_quick(sp: _Splitting) -> Optional[Certificate]:
         return Certificate(NON_QFS, {"tag": TAG_FPM2, "element": sp.fp2})
     if not in_max_ideal_frobenius_power(sp.fp1, 1):
         return None  # F-split, certainly not infinite
-    if not any(_product_remainders(sp)):
+    if not any(_product_remainders(sp, sp._unpack(sp.packed_delta1))):
         return Certificate(NON_QFS, {"tag": TAG_PRODUCT})
     return None
 
@@ -980,7 +1019,8 @@ def _verify_non_qfs(I: Ideal, cert: Certificate, reasons: Optional[list[str]]) -
     must equal what the certificate holds; then each containment is tested
     term by term: f^{p−2} ∈ m^{[p]} (only for p ≥ 3), or f^{p−1} ∈ m^{[p]}
     and every product of condition (2) in m^{[p²]}, recomputed by capped
-    products (tag TAG_PRODUCT records nothing else)."""
+    products (tag TAG_PRODUCT records nothing else) on Δ₁(f) by the ghost
+    route `delta1`, not on the solver's product F·F^{p−1}."""
     sp = _Splitting(I.gens)
     tag = cert.data.get("tag")
     if tag == TAG_FPM2:
@@ -994,7 +1034,7 @@ def _verify_non_qfs(I: Ideal, cert: Certificate, reasons: Optional[list[str]]) -
     if tag == TAG_PRODUCT:
         if not in_max_ideal_frobenius_power(sp.fp1, 1):
             return _fail(reasons, "f^(p-1) is not in m^[p]")
-        for k, rest in enumerate(_product_remainders(sp), start=1):
+        for k, rest in enumerate(_product_remainders(sp, delta1(sp.f)), start=1):
             if rest:
                 return _fail(reasons, f"product {k} has terms outside m^[p^2]: {rest}")
         return True

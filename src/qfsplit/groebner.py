@@ -18,7 +18,9 @@ pair queue is keyed by packed lcms, and a translate x^α·g is g's keys plus
 one int.  The I_n chain calls the kernel (`_reduced_basis`,
 `_intersect_keru`) directly; `buchberger`, `normal_form`, `ideal_membership`,
 `Ideal.groebner` and `frobenius_module_intersect_keru` are its polynomial
-edges, which pack their input once and unpack their output once.  Exponent
+edges, which pack their input once and unpack their output once.  An
+`Ideal` keeps the kernel's packed reduced basis, so its membership tests and
+Ker(u) read the basis without a round trip through polynomials.  Exponent
 overflow is raised where the tuple engine raised it: a product whose
 largest exponent could pass EXPONENT_LIMIT, by the same bound on the
 largest exponents of the factors, tested first by degrees alone.
@@ -241,9 +243,10 @@ def _reduce(
 
 class Ideal:
     """An ideal of F_p[x] presented by generators, with a cached reduced
-    grevlex Groebner basis."""
+    grevlex Groebner basis: packed, as `_reduced_basis` returns it, and its
+    polynomial view."""
 
-    __slots__ = ("ring", "gens", "_gb", "_table")
+    __slots__ = ("ring", "gens", "_basis", "_gb", "_table")
 
     def __init__(self, ring: PolynomialRing, gens: Iterable[Polynomial]):
         self.ring = ring
@@ -251,22 +254,33 @@ class Ideal:
         for g in self.gens:
             if g.ring != ring:
                 raise RingError("ideal generator from a different ring")
+        self._basis: Optional[list[dict[int, int]]] = None
         self._gb: Optional[tuple[Polynomial, ...]] = None
         self._table: Optional[list[tuple]] = None
 
     @classmethod
-    def from_reduced_basis(cls, ring: PolynomialRing, basis: Sequence[Polynomial]) -> "Ideal":
-        """The ideal presented by `basis`, a reduced Groebner basis as
-        `groebner()` returns it, which it keeps as its cached basis."""
-        ideal = cls(ring, basis)
-        ideal._gb = ideal.gens
+    def from_reduced_basis(cls, ring: PolynomialRing, basis: list[dict[int, int]]) -> "Ideal":
+        """The ideal presented by `basis`, a packed reduced Groebner basis as
+        `_reduced_basis` returns it, which it keeps as its cached basis."""
+        unpack = ring.codec.unpack_terms
+        ideal = cls(ring, [Polynomial(ring, unpack(g)) for g in basis])
+        ideal._basis, ideal._gb = basis, ideal.gens
         return ideal
 
-    def _divisors(self, budget: Optional[Budget]) -> list[tuple]:
-        """The divisor table of the reduced basis, packed once and cached."""
-        if self._table is None:
+    def _reduced(self, budget: Optional[Budget]) -> list[dict[int, int]]:
+        """The packed reduced basis, computed on first call (its steps tick
+        that call's budget) and cached."""
+        if self._basis is None:
             pack = self.ring.codec.pack_terms
-            self._table = _table(self.ring, [pack(g.terms) for g in self.groebner(budget)])
+            self._basis = _reduced_basis(
+                self.ring, [pack(g.terms) for g in self.gens], budget=budget
+            )
+        return self._basis
+
+    def _divisors(self, budget: Optional[Budget]) -> list[tuple]:
+        """The divisor table of the reduced basis, cached."""
+        if self._table is None:
+            self._table = _table(self.ring, self._reduced(budget))
         return self._table
 
     def _contains(self, terms: dict[int, int], budget: Optional[Budget]) -> bool:
@@ -274,10 +288,10 @@ class Ideal:
         return not _reduce(self.ring, dict(terms), self._divisors(budget), budget)
 
     def groebner(self, budget: Optional[Budget] = None) -> tuple[Polynomial, ...]:
-        """The reduced Groebner basis, computed on first call (its steps tick
-        that call's budget) and cached on this object."""
+        """The reduced Groebner basis, unpacked once from the packed one."""
         if self._gb is None:
-            self._gb = tuple(buchberger(list(self.gens), budget=budget))
+            unpack = self.ring.codec.unpack_terms
+            self._gb = tuple(Polynomial(self.ring, unpack(g)) for g in self._reduced(budget))
         return self._gb
 
     def __repr__(self) -> str:
@@ -786,6 +800,6 @@ def frobenius_module_intersect_keru(
     ring = I.ring
     if budget is None:
         budget = Budget()
-    basis = [e[2] for e in I._divisors(budget)]
+    basis = I._reduced(budget)
     unpack = ring.codec.unpack_terms
     return [Polynomial(ring, unpack(w)) for w in _intersect_keru(ring, basis, budget)]

@@ -20,15 +20,21 @@ enough for every exponent up to p·M, M the largest exponent of a and the
 summands, so monomial products are single int additions and no field carries
 into the next.
 
-`delta1_power` forms Δ₁(f^{p−1}), the multiplier of θ, without the p-th
-power of f^{p−1} that the ghost route `delta1(f ** (p − 1))` takes: the
-δ-ring rules give it from the (p−2)-th and (p−1)-th powers of the
-Teichmüller lift of f over ℤ/p², Δ₁(f) and one product (Joyal, "δ-anneaux et
-vecteurs de Witt", 1985; Bhatt and Scholze, "Prisms and prismatic
-cohomology", §2).  It is a kernel on packed polynomials (dicts from packed
-exponents to coefficients), like `packed_mul`, `packed_power` and
-`teichmuller_lift`: the caller packs f once, and reduced mod p the same
-powers are f^{p−2} and f^{p−1} (`criteria._Splitting` holds all of them).
+`packed_delta1` forms Δ₁(f) from the Teichmüller lift F of f and F^{p−1}
+over ℤ/p², by the one product F·F^{p−1} = F^p, so a caller that holds
+F^{p−1} for f^{p−1} pays one product for Δ₁(f).  `delta1_power` forms
+Δ₁(f^{p−1}), the multiplier of θ on the I_n chain, from Δ₁(f) without the
+p-th power of f^{p−1} that the ghost route `delta1(f ** (p − 1))` takes:
+the δ-ring rules give it from F^{p−2}, F^{p−1}, Δ₁(f) and one product
+(Joyal, "δ-anneaux et vecteurs de Witt", 1985; Bhatt and Scholze, "Prisms
+and prismatic cohomology", §2).  Both are kernels on packed polynomials
+(dicts from packed exponents to coefficients), like `packed_mul`,
+`packed_power` and `teichmuller_lift`: the caller packs f once, and reduced
+mod p the same powers are f^{p−2} and f^{p−1} (`criteria._Splitting` holds
+all of them).  By the projection formula u(F_*(b^p·c)) = b·u(F_*c), the
+same rule gives θ(F_*t) = h·u(F_*t) − f^{p−2}·u(F_*(Δ₁(f)·t)), so the graded
+engine, whose orbit continues only where u(F_*t) = 0, multiplies by Δ₁(f)
+and never forms Δ₁(f^{p−1}).
 
 The test suite checks Δ₁ against the W₂ fold, the multinomial formula and
 exact integer ghost components, and Δ₁(f^{p−1}) by the δ-ring rules against
@@ -113,14 +119,28 @@ def delta1(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) -> Po
     return Polynomial(ring, out)
 
 
+def packed_delta1(lift: dict[int, int], power: dict[int, int], p: int) -> dict[int, int]:
+    """Δ₁(f), packed, from F = `teichmuller_lift(f, p)` and `power` = F^{p−1}
+    over ℤ/p²: (F^p − Σ c·x^{pe})/p mod p over the terms c·x^e of F, the
+    ghost route of `delta1` on the Teichmüller lift, whose coefficients
+    satisfy c^p ≡ c mod p².  Every exponent stays within p·M, M the largest
+    exponent of f; the packing and the EXPONENT_LIMIT test are the caller's.
+    """
+    q = p * p
+    ghost = packed_mul(power, lift, q)  # F^p
+    for e, c in lift.items():  # minus Σ c^p·x^{pe}, which leaves p·Δ₁(f)
+        ghost[p * e] = ghost.get(p * e, 0) - c
+    return {e: r // p for e, c in ghost.items() if (r := c % q)}
+
+
 def delta1_power(
-    lift: dict[int, int], low: dict[int, int], power: dict[int, int], p: int
+    d1: dict[int, int], low: dict[int, int], power: dict[int, int], p: int
 ) -> dict[int, int]:
     """Δ₁(f^{p−1}) by the δ-ring rules, without the p-th power of f^{p−1}.
 
-    Takes, packed, F = `teichmuller_lift(f, p)`, `low` = F^{p−2} and
-    `power` = F^{p−1} over ℤ/p².  With p·h = F^{p−1} − T(F^{p−1} mod p),
-    where T is the same lift,
+    Takes, packed, `d1` = Δ₁(f) (`packed_delta1`), and `low` = F^{p−2} and
+    `power` = F^{p−1} over ℤ/p², F the Teichmüller lift of f.  With
+    p·h = F^{p−1} − T(F^{p−1} mod p), where T is the same lift,
 
         Δ₁(f^{p−1}) = h^p − f^{p(p−2)}·Δ₁(f),
 
@@ -133,10 +153,7 @@ def delta1_power(
     """
     q = p * p
     scale = {p * e: r for e, c in low.items() if (r := c % p)}  # f^{p(p−2)}
-    ghost = packed_mul(power, lift, q)  # F^p
-    for e, c in lift.items():  # minus Σ c^p·x^{pe}, which leaves p·Δ₁(f)
-        ghost[p * e] = ghost.get(p * e, 0) - c
-    out = packed_mul(scale, {e: r // p for e, c in ghost.items() if (r := c % q)}, p)
+    out = packed_mul(scale, d1, p)
     for e, c in power.items():  # minus h^p, so out is −Δ₁(f^{p−1})
         h = (c - pow(c % p, p, q)) % q // p
         if h:

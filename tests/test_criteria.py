@@ -31,7 +31,7 @@ from qfsplit import (
     verify_infinity_certificate,
     verify_witness_chain,
 )
-from qfsplit.rings import ExponentCodec
+from qfsplit.rings import EXPONENT_LIMIT, ExponentCodec
 from qfsplit.criteria import (
     CHAIN_WITNESS,
     ChainStep,
@@ -133,6 +133,23 @@ def theta_images(monkeypatch):
     return images
 
 
+@pytest.fixture
+def orbit_images(monkeypatch):
+    """The orbit terms t_n = f^{p−2}·s_{n−1} that the graded engine forms from
+    here on: its products over F_p (the splitting's powers of the
+    Teichmüller lift are products over ℤ/p²)."""
+    images = []
+
+    def counting_mul(f, g, q):
+        out = witt.packed_mul(f, g, q)
+        if math.isqrt(q) ** 2 != q:
+            images.append(out)
+        return out
+
+    monkeypatch.setattr("qfsplit.criteria.packed_mul", counting_mul)
+    return images
+
+
 LOWER_BOUND_CUBIC = (3, "x^3 + x^2*y + y^3 + x*y*z + y*z^2")
 
 
@@ -202,6 +219,29 @@ def test_delta_overflow_is_raised_where_the_second_level_needs_it():
         assert budget.steps == 1
 
 
+def test_delta_overflow_is_raised_where_delta1_of_f_still_fits():
+    """The engine multiplies by Δ₁(f), whose exponents stay within p·M, but
+    the level-2 verifier forms Δ = Δ₁(f^{p−1}), within p(p−1)·M, so the run
+    raises where it first reaches level 2 on that bound.  At p = 3,
+    f = x^M under the weights (1, M − 1) with p·M ≤ EXPONENT_LIMIT <
+    p(p−1)·M: c_1 = 0 and t_1 = f² ≠ 0."""
+    ring = ring_named(3, ["x", "y"])
+    m = EXPONENT_LIMIT // 3
+    assert 3 * m <= EXPONENT_LIMIT < 6 * m
+    f = ring.from_terms({(m, 0): 1})
+    grading = Grading([[1, m - 1]])
+    assert _Splitting([f]).packed_delta1 == {} and delta1(f).is_zero()
+    res = height_graded_cy([f], grading, n_max=1)
+    assert (res.verdict, res.n, res.steps) == (LOWER_BOUND, 1, 1)
+    for limit in (1, 2):
+        budget = Budget(limit)
+        with pytest.raises(ExponentOverflowError):
+            height_graded_cy([f], grading, budget=budget)
+        assert budget.steps == 1
+    with pytest.raises(ExponentOverflowError):
+        graded_cy_coefficient([f], 2)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @given(data=st.data())
 def test_packed_pairing_is_the_coefficient_of_the_product(p, data):
@@ -223,17 +263,23 @@ def test_packed_pairing_is_the_coefficient_of_the_product(p, data):
 def test_weighted_orbit_near_its_exponent_bound():
     """Under the weights (1, 1, 1, 2) at p = 5, this f has M = 3, and its θ
     orbit climbs to a z-exponent of 13, near the bound t_n ≤ p·M = 15 that
-    sizes the packed fields, and stays nonzero through level 8.  The packed
-    orbit equals the polynomial one, whose Δ comes from the ghost route,
-    level by level."""
+    sizes the packed fields, and stays nonzero through level 8.  The orbit
+    terms t_1, …, t_7 that the engine twists, and the next terms
+    f^{p−2}·s_n that it reads c_{n+1} from, equal the polynomial orbit,
+    whose Δ comes from the ghost route, level by level."""
     ring = ring_named(5, ["x", "y", "z", "w"])
     f = ring.parse("3*x^2*y*z^2 + 4*y^2*z^3 + 2*x*z^2*w + 2*z^3*w + 3*z*w^2")
-    images = []
+    terms, twists = [], []
     unpack = _Splitting([f]).codec.unpack
 
+    def polynomial(packed):
+        return ring.from_terms({unpack(e): c % 5 for e, c in packed if c % 5})
+
     def recording(a, table, p):
+        a = list(a)
         out = packed_theta(a, table, p)
-        images.append(ring.from_terms({unpack(e): c for e, c in out.items()}))
+        terms.append(polynomial((e, c) for e, _, c in a))
+        twists.append(polynomial(out.items()))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -241,13 +287,116 @@ def test_weighted_orbit_near_its_exponent_bound():
         res = height_graded_cy([f], Grading([[1, 1, 1, 2]]), n_max=8)
     assert (res.verdict, res.n, res.diagnostics) == (LOWER_BOUND, 8, ())
     assert f.max_exponent() == 3
-    t = f**4
-    delta = delta1(t)
-    for image in images:
-        t = theta(t, delta)
-        assert image == t
-    assert len(images) == 7
-    assert max(image.max_exponent() for image in images) == 13
+    orbit = [f**4]
+    delta = delta1(orbit[0])
+    for _ in range(7):
+        orbit.append(theta(orbit[-1], delta))
+    assert terms == orbit[:7]
+    assert [f**3 * s for s in twists] == orbit[1:]
+    assert len(terms) == 7
+    assert max(t.max_exponent() for t in orbit[1:]) == 13
+
+
+def weighted_monomials(weights, degree):
+    """The exponent vectors of the given weighted degree."""
+    if len(weights) == 1:
+        return [] if degree % weights[0] else [(degree // weights[0],)]
+    return [
+        (k,) + rest
+        for k in range(degree // weights[0] + 1)
+        for rest in weighted_monomials(weights[1:], degree - k * weights[0])
+    ]
+
+
+def random_form(rng, ring, weights, degree, size, skip=()):
+    """A sum of `size` random monomials of the weighted degree (fewer if
+    there are fewer), other than `skip`, with random nonzero coefficients."""
+    monomials = [e for e in weighted_monomials(weights, degree) if e not in skip]
+    chosen = rng.sample(monomials, min(size, len(monomials)))
+    return ring.from_terms({e: rng.randrange(1, ring.field.p) for e in chosen})
+
+
+# (p, weights, degrees of the generators, terms per generator): random
+# hypersurfaces and complete intersections whose degrees sum to the weight sum
+CY_SHAPES = [
+    (2, (1, 1, 1), (3,), 6),
+    (3, (1, 1, 1), (3,), 10),
+    (5, (1, 1, 1), (3,), 6),
+    (7, (1, 1, 1), (3,), 4),
+    (2, (1, 1, 1, 1), (4,), 9),
+    (3, (1, 1, 1, 1), (4,), 10),
+    (5, (1, 1, 1, 1), (4,), 5),
+    (2, (1, 1, 1, 1, 1), (5,), 10),
+    (2, (1, 2, 3), (6,), 5),
+    (3, (1, 2, 3), (6,), 7),
+    (5, (1, 2, 3), (6,), 5),
+    (7, (1, 2, 3), (6,), 4),
+    (2, (1, 1, 2), (4,), 6),
+    (3, (1, 1, 2), (4,), 9),
+    (5, (1, 1, 2), (4,), 5),
+    (2, (1, 1, 1, 1), (2, 2), 6),
+    (3, (1, 1, 1, 1), (2, 2), 5),
+    (5, (1, 1, 1, 1), (2, 2), 2),
+    (7, (1, 1, 1, 1), (2, 2), 2),
+    (2, (1, 1, 1, 1, 1), (2, 3), 5),
+    (3, (1, 1, 1, 1, 1), (2, 3), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "p,weights,degrees,size",
+    [
+        pytest.param(p, w, d, size, id=f"p{p}-w{''.join(map(str, w))}-d{'+'.join(map(str, d))}")
+        for p, w, d, size in CY_SHAPES
+    ],
+)
+def test_graded_orbit_is_the_theta_orbit_of_the_public_maps(theta_images, p, weights, degrees, size):
+    """On random homogeneous systems whose degrees sum to the weight sum,
+    the orbit terms that the engine twists are t_1 = f^{p−1},
+    t_{n+1} = theta(t_n, delta1(f^{p−1})) of the public maps, level by
+    level, and the run stops where that orbit's c_n is first nonzero or
+    its t_n vanishes.  On every level u(F_*t_n) is the constant c_n: that
+    is why the engine may drop the h·u(F_*t) term of θ.  On a random t of
+    the orbit's degree without the (x_1⋯x_N)^{p−1} term, so u(F_*t) = 0,
+    θ(F_*t) = f^{p−2}·s for the engine's twist s of t.  After the first
+    draw, only systems that are not F-split (c_1 = 0) are run, so that the
+    orbits go past level 1."""
+    rng = random.Random(f"{p}:{weights}:{degrees}")
+    ring = ring_named(p, ["x", "y", "z", "w", "v"][: len(weights)])
+    grading = Grading([weights])
+    top = (p - 1,) * len(weights)
+    n_max = 4
+    levels = []
+    for _ in range(40):
+        gens = [random_form(rng, ring, weights, d, size) for d in degrees]
+        f = math.prod(gens[1:], start=gens[0])
+        orbit = [f ** (p - 1)]
+        if levels and orbit[0].terms.get(top):
+            continue
+        delta = delta1(orbit[0])
+        while len(orbit) < n_max:
+            orbit.append(theta(orbit[-1], delta))
+        coefficients = [t.terms.get(top, 0) for t in orbit]
+        assert [u_map(t) for t in orbit] == [ring.constant(c) for c in coefficients]
+        stop = next((n for n, t in enumerate(orbit, 1) if t.terms.get(top) or not t), n_max)
+        levels.append(stop)
+
+        sp = _Splitting(gens)
+        unpack = sp.codec.unpack
+        theta_images.clear()
+        res = height_graded_cy(gens, grading, n_max=n_max)
+        expected = (FINITE, stop) if coefficients[stop - 1] else (LOWER_BOUND, n_max)
+        assert (res.verdict, res.n, res.steps) == expected + (stop,)
+        terms = [ring.from_terms({unpack(e): c for e, _, c in a}) for a in theta_images]
+        assert terms == orbit[: stop - 1]
+
+        t = random_form(rng, ring, weights, (p - 1) * sum(weights), 8, skip={top})
+        s = sp.twist({sp.codec.pack(e): c for e, c in t.terms.items()})
+        s = ring.from_terms({unpack(e): c for e, c in s.items()})
+        assert theta(t, delta) == f ** (p - 2) * s
+        if len(levels) == 4:
+            break
+    assert len(levels) == 4 and max(levels) >= 2
 
 
 def test_finite_one_run_forms_no_f_to_the_p_minus_one(monkeypatch, theta_images):
@@ -378,13 +527,13 @@ def test_coefficient_route_agrees_with_theta_orbit_on_k3_quartics(h):
     ]
     + [(3, "xyzw", text, h) for h, text in sorted(K3_QUARTICS.items())],
 )
-def test_finite_run_forms_theta_images_only_below_its_height(theta_images, p, names, text, h):
-    """A Finite(h) run reads c_h from t_{h−1} as a pairing with Δ, so it
+def test_finite_run_forms_theta_images_only_below_its_height(orbit_images, p, names, text, h):
+    """A Finite(h) run reads c_h as Σ f^{p−2}[e]·s_{h−1}[(p−1)𝟙 − e], so it
     forms the θ images t_2, …, t_{h−1}: max(h − 2, 0) of them."""
     f = ring_named(p, list(names)).parse(text)
     res = height_graded_cy([f], Grading.standard(len(names)))
     assert (res.verdict, res.n, res.steps) == (FINITE, h, h)
-    assert len(theta_images) == max(h - 2, 0)
+    assert len(orbit_images) == max(h - 2, 0)
 
 
 def test_coefficient_level_one_is_fedder():
@@ -1120,7 +1269,8 @@ def test_fiber_product_rule_on_random_smooth_cubic_pairs(p):
 )
 def test_height_builds_one_splitting(p, names, texts, verdict):
     """Step (a), the graded engine, the quick tests and the chain stages
-    share one `_Splitting`, so f^{p−1} is formed once per `height` call."""
+    share one `_Splitting`, so f^{p−1} is formed once per `height` call:
+    the one product over ℤ/p² in `criteria` is F^{p−1} = F^{p−2}·F."""
     ring = ring_named(p, names)
     gens = [ring.parse(t) for t in texts]
     built, products = [], []
@@ -1140,7 +1290,8 @@ def test_height_builds_one_splitting(p, names, texts, verdict):
         res = height(gens, n_max=4)
     assert (res.verdict, res.n) == verdict
     assert len(built) == 1
-    assert len(products) == (p > 2)  # F^{p−1} = F^{p−2}·F, and F itself at p = 2
+    # F^{p−1} = F^{p−2}·F, and F itself at p = 2; products over F_p are orbit terms
+    assert products.count(p * p) == (p > 2)
 
 
 @pytest.mark.parametrize(
@@ -1278,19 +1429,23 @@ def change_coordinates(f, A):
         ("local", 3, "z^2 + x^3 + x*y^3", 2),  # E7^0
         ("local", 3, "z^2 + x^3 + y^5", 3),  # E8^0
         ("local", 3, "z^2 + x^3 + y^5 + x^2*y^3", 2),  # E8^1
+        # levels 3–5 of the graded engine: K3 quartics at p = 3, and a
+        # supersingular plane cubic at p = 5
+        *[("graded", 3, K3_QUARTICS[h], h) for h in (3, 4, 5)],
+        ("graded", 5, "x^3 + y^3 + z^3", 2),
     ],
 )
 def test_height_is_invariant_under_a_linear_change_of_coordinates(strategy, p, text, expected):
     """A linear change of coordinates fixes the origin and maps m^{[p]} onto
     itself, so the height of the local ring there cannot change."""
-    ring = ring_over(p)
+    ring = ring_named(p, list("xyzw" if "w" in text else "xyz"))
     f = ring.parse(text)
     A = random_invertible_matrix(random.Random(f"{p}:{text}"), p, ring.nvars)
     g = change_coordinates(f, A)
     assert g != f
     route = {"graded": "graded-cy", "local": "local-chain"}[strategy]
     for h in (f, g):
-        res = height(h, n_max=4, strategy=strategy)
+        res = height(h, n_max=5, strategy=strategy)
         assert (res.verdict, res.n, res.route) == (FINITE, expected, route)
         assert verify_certificate(Ideal(ring, [h]), res.certificate)
 

@@ -281,6 +281,71 @@ def test_capped_delta_power_is_built_in_one_place():
     assert "capped_delta_powers" in reached_names(strata_source, "strata_polynomials")
 
 
+def reached_through(source: str, start: str, cls: str) -> set[str]:
+    """Every name that the top-level function `start` reads, directly or
+    through the module's other top-level definitions and the methods of the
+    class `cls`: a method is reached where its name is read as an attribute,
+    and reading `cls` by name reaches only its ``__init__``.  Annotations
+    are not reads."""
+    tree = ast.parse(source)
+    defs = {}
+    for n in tree.body:
+        if isinstance(n, ast.ClassDef) and n.name == cls:
+            for m in n.body:
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs[m.name] = m
+            defs[cls] = defs.get("__init__")
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.setdefault(n.name, n)
+    seen: set[str] = set()
+    todo = [start]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        stack = [defs[name]] if defs.get(name) is not None else []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Name):
+                todo.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                todo.append(node.attr)
+            for field, value in ast.iter_fields(node):
+                if field in ("annotation", "returns"):
+                    continue
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, ast.AST):
+                        stack.append(child)
+    return seen
+
+
+def test_reached_through_detector():
+    src = (
+        "class S:\n"
+        "    def __init__(self): self.a = 1\n"
+        "    def near(self): return far()\n"
+        "    def heavy(self): return costly()\n"
+        "def far(): return 0\n"
+        "def costly(): return 1\n"
+        "def light(s: S) -> S: return s.near()\n"
+        "def full(): return S().heavy()\n"
+    )
+    assert reached_through(src, "light", "S") == {"light", "s", "near", "far"}
+    assert {"S", "a", "heavy", "costly"} <= reached_through(src, "full", "S")
+
+
+def test_graded_engine_never_forms_delta1_of_f_to_the_p_minus_one():
+    """The graded engine multiplies by Δ₁(f) and pairs with f^{p−2}, so
+    neither the splitting's Δ₁(f^{p−1}) nor the δ-ring rule that forms it
+    is on its path; the coefficient verifier reads Δ₁(f^{p−1}) at level 2."""
+    source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
+    delta = {"packed_delta", "delta1_power"}
+    assert reached_through(source, "_graded_cy", "_Splitting") & delta == set()
+    assert "twist" in reached_through(source, "_graded_cy", "_Splitting")
+    assert reached_through(source, "graded_cy_coefficient", "_Splitting") >= delta
+
+
 def packing_sites(source: str, codec: str = "") -> list[str]:
     """Exponent packing outside the class named `codec`: a bit shift by a
     computed amount, or a read of int's own shift methods.  Shifts by a
