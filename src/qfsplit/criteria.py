@@ -52,6 +52,7 @@ from .rings import (
 from .witt import (
     delta1,
     delta1_power,
+    delta1_power_parts,
     packed_delta1,
     packed_mul,
     packed_power,
@@ -209,12 +210,14 @@ class _Splitting:
     f^{p−1}; Δ₁(f) comes from the product F·F^{p−1} (`witt.packed_delta1`)
     and is the only place it is formed; Δ comes from Δ₁(f) through
     `witt.delta1_power` (the δ-ring product rule, never the p-th power of
-    f^{p−1}).  `fp2`, `fp1` and `delta` are their polynomial views, unpacked
-    only for the readers that need polynomials: the Fedder certificate,
-    I_1, the quick tests and the verifiers.  Exponent overflow is raised
-    where the polynomial routes raise it, at first use: f^{p−1} where
-    `f ** (p − 1)` would, Δ₁(f) where `delta1(f)` would, Δ where
-    `delta1(f ** (p − 1))` would (`check_delta`).
+    f^{p−1}), for the I_n chain and the `delta` view only: the level-2
+    coefficient verifier reads the coefficients of Δ that it needs from
+    Δ₁(f) by the same rule (`_delta_pairing`).  `fp2`, `fp1` and `delta`
+    are their polynomial views, unpacked only for the readers that need
+    polynomials: the Fedder certificate, I_1, the quick tests and the
+    verifiers.  Exponent overflow is raised where the polynomial routes
+    raise it, at first use: f^{p−1} where `f ** (p − 1)` would, Δ₁(f) where
+    `delta1(f)` would, Δ where `delta1(f ** (p − 1))` would (`check_delta`).
 
     The I_n chain runs on the ring layout (`PolynomialRing.codec`) instead:
     `packed_i1` holds I_1's generators on it, and `chain_theta` reads Δ's
@@ -508,9 +511,10 @@ def height_graded_cy(
     max(h − 2, 0) images t_n.  The whole run
     stays on the problem's packed exponents (`_Splitting`): the pairings,
     t_n, s_n and θ (`packed_theta`) never unpack, since a CoefficientWitness
-    holds no polynomial.  Δ₁(f^{p−1}) is still where the level-2 verifier
-    (`graded_cy_coefficient`) reads, so the run raises its
-    ExponentOverflowError where it first reaches level 2.
+    holds no polynomial.  The level-2 verifier (`graded_cy_coefficient`)
+    pairs f^{p−1} with Δ₁(f^{p−1}); it reads only the coefficients it needs,
+    from Δ₁(f), but keeps Δ₁(f^{p−1})'s exponent bound p(p−1)·M, so the run
+    raises its ExponentOverflowError where it first reaches level 2.
     """
     f_list = list(f_list)
     _require_graded(f_list, g)
@@ -540,7 +544,7 @@ def _graded_cy(sp: _Splitting, g: Grading, n_max: int, budget: Budget) -> Height
             break
         if n < n_max:
             if s is None:
-                sp.check_delta()  # the level-2 verifier forms Δ₁(f^{p−1})
+                sp.check_delta()  # the level-2 verifier keeps Δ₁(f^{p−1})'s bound
                 t = sp.packed_fp1
             else:
                 t = packed_mul(fp2, s, p)
@@ -577,12 +581,14 @@ def graded_cy_coefficient(
     """The (x_1⋯x_N)^{p^n−1} coefficient of f_n, by capped multiplication.
 
     Independent of the θ-orbit route from level 2 on: reads the target
-    coefficient of f^{p−1}·E_n, E_n = Δ₁(f^{p−1})^{p^{n−2}+⋯+1} from
-    `capped_delta_powers`, as Σ f^{p−1}[e]·E_n[cap−e] without forming the
-    product, while the engine multiplies by Δ₁(f) and pairs with f^{p−2}.
-    E_2 is Δ₁(f^{p−1}) uncapped: terms over the cap are never looked up.
-    Levels 1 and 2 read the problem's packed f^{p−1} and Δ.  Used to
-    re-verify CoefficientWitness certificates.
+    coefficient of f^{p−1}·E_n, E_n = Δ₁(f^{p−1})^{p^{n−2}+⋯+1}, as
+    Σ f^{p−1}[e]·E_n[cap−e] without forming the product, while the engine
+    multiplies by Δ₁(f) and pairs with f^{p−2}.  Level 1 reads the
+    problem's packed f^{p−1}; level 2 pairs it with Δ₁(f^{p−1}) without
+    forming Δ₁(f^{p−1}), each coefficient it reads taken from Δ₁(f) by the
+    δ-ring rule (`_delta_pairing`); from level 3 on, E_n comes from
+    `capped_delta_powers`.  Used to re-verify CoefficientWitness
+    certificates.
     """
     if n < 1:
         raise RingError("level must be >= 1")
@@ -592,8 +598,7 @@ def graded_cy_coefficient(
     if n == 1:
         return sp.packed_fp1.get(codec.pack(cap), 0)
     if n == 2:
-        delta = sp.packed_delta  # before f^{p−1}, so Δ's overflow comes first
-        return _pairing(sp.packed_fp1, delta, codec.pack(cap), p)
+        return _delta_pairing(sp, codec.pack(cap))
     epow = capped_delta_powers(sp.delta, n, nvars, budget)[-1]
     # E_n's exponents reach p^n − 1, past the problem's packing: pack both
     # factors at a width that holds the sum of their largest exponents
@@ -604,19 +609,54 @@ def graded_cy_coefficient(
     return _pairing(a, b, pack(cap), p)
 
 
+def _delta_pairing(sp: _Splitting, cap: int) -> int:
+    """Σ_e f^{p−1}[e]·Δ[cap − e] for Δ = Δ₁(f^{p−1}) and packed cap, without
+    forming Δ: by the δ-ring rule Δ = h^p − f^{p(p−2)}·Δ₁(f)
+    (`witt.delta1_power`) it is the pairing of f^{p−1} with h^p at cap,
+    minus Σ_s f^{p(p−2)}[s] times its pairing with Δ₁(f) at cap − s.
+    Raises ExponentOverflowError where Δ would pass the exponent limit
+    (`_Splitting.check_delta`), before f^{p−1} is formed.
+
+    `_pairing`'s borrowed-key argument covers every lookup: e ≤ (p−1)·M,
+    and a term k of h^p has k ≤ p(p−1)·M, a term s of f^{p(p−2)} and k of
+    Δ₁(f) have s + k ≤ p(p−1)·M, so every field of e + k (+ s) stays
+    within (p² − 1)·M, which the problem's codec holds.  A key over the cap
+    in some field, cap − s included, borrows across fields but matches no
+    term."""
+    sp.check_delta()
+    p, fp1, d1 = sp.p, sp.packed_fp1, sp.packed_delta1
+    hp, scale = delta1_power_parts(sp._lift_low, sp._lift_power, p)
+    rest = sum([v * _pairing(fp1, d1, cap - s, p) for s, v in scale.items()])
+    return (_pairing(fp1, hp, cap, p) - rest) % p
+
+
 def verify_coefficient_witness(
     f_list: Sequence[Polynomial],
     cert: Certificate,
     budget: Optional[Budget] = None,
+    reasons: Optional[list[str]] = None,
 ) -> bool:
-    """Recompute the witnessed coefficient by the capped route and compare."""
+    """Recompute the witnessed coefficient by the capped route and compare.
+    A level that is not a positive int, a coefficient that is not an int or
+    is 0 (which witnesses no level), and a level past the exponent limit
+    fail with their reasons."""
     if cert.kind != COEFFICIENT_WITNESS:
-        return False
-    n = cert.data["level"]
-    claimed = cert.data["coefficient"]
+        return _fail(reasons, f"expected a {COEFFICIENT_WITNESS} certificate, got {cert.kind}")
+    n, claimed = cert.data.get("level"), cert.data.get("coefficient")
+    if type(n) is not int or n < 1:
+        return _fail(reasons, f"level {n!r} is not a positive integer")
+    if type(claimed) is not int:
+        return _fail(reasons, f"coefficient {claimed!r} is not an integer")
     if claimed == 0:
-        return False
-    return graded_cy_coefficient(f_list, n, budget) == claimed
+        return _fail(reasons, f"claimed coefficient at level {n} is 0, which witnesses no level")
+    try:
+        ok = graded_cy_coefficient(f_list, n, budget) == claimed
+    except ExponentOverflowError as exc:
+        return _fail(
+            reasons,
+            f"level {n} cannot be re-verified within the exponent limit {EXPONENT_LIMIT}: {exc}",
+        )
+    return ok or _fail(reasons, "recomputed coefficient disagrees with the certificate")
 
 
 # ---------------------------------------------------------------------------
@@ -1047,22 +1087,18 @@ def verify_certificate(
     budget: Optional[Budget] = None,
     reasons: Optional[list[str]] = None,
 ) -> bool:
-    """Dispatch re-verification on the certificate kind."""
+    """Dispatch re-verification on the certificate kind.  A certificate that
+    fails, malformed ones included, gives False and, when `reasons` is
+    given, the first violated condition."""
     if cert.kind == COEFFICIENT_WITNESS:
-        try:
-            ok = verify_coefficient_witness(list(I.gens), cert, budget)
-        except ExponentOverflowError as exc:
-            return _fail(
-                reasons,
-                f"level {cert.data['level']} cannot be re-verified within the exponent "
-                f"limit {EXPONENT_LIMIT}: {exc}",
-            )
-        return ok or _fail(reasons, "recomputed coefficient disagrees with the certificate")
+        return verify_coefficient_witness(list(I.gens), cert, budget, reasons)
     if cert.kind == CHAIN_WITNESS:
         if "chain" in cert.data:
             return verify_witness_chain(I, cert.data["chain"], budget, reasons)
         return verify_witness_levels(I, cert, budget, reasons)
     if cert.kind in (I_INFTY_STABILIZED, FIXED_POINT_ENCLOSURE):
+        if "generators" not in cert.data:
+            return _fail(reasons, f"{cert.kind} certificate has no generators")
         J = Ideal(I.ring, cert.data["generators"])
         return verify_infinity_certificate(I, J, budget, reasons)
     if cert.kind == NON_QFS:

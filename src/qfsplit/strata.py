@@ -78,7 +78,9 @@ class FamilyContext:
     def coefficient_names(self) -> tuple[str, ...]:
         return self.ring.variables[self.nvars:]
 
+    @cached_property
     def x_ring(self) -> PolynomialRing:
+        """F_p[x_1..x_N], the ring of the family's members; one per context."""
         return PolynomialRing(self.ring.field, self.ring.variables[: self.nvars])
 
     def specialize_generic(
@@ -88,12 +90,7 @@ class FamilyContext:
         the x-variables only.  `point` is a mapping from a-variable names, or
         a sequence aligned with `monomials`."""
         values = self._point_values(point)
-        small = self.x_ring()
-        out = small.zero
-        for m, v in zip(self.monomials, values):
-            if v % self.p:
-                out = out + small.monomial(m, v)
-        return out
+        return self.x_ring.from_terms(dict(zip(self.monomials, values)))
 
     def _point_values(
         self, point: Union[Mapping[str, int], Sequence[int]]

@@ -25,9 +25,12 @@ over ℤ/p², by the one product F·F^{p−1} = F^p, so a caller that holds
 F^{p−1} for f^{p−1} pays one product for Δ₁(f).  `delta1_power` forms
 Δ₁(f^{p−1}), the multiplier of θ on the I_n chain, from Δ₁(f) without the
 p-th power of f^{p−1} that the ghost route `delta1(f ** (p − 1))` takes:
-the δ-ring rules give it from F^{p−2}, F^{p−1}, Δ₁(f) and one product
-(Joyal, "δ-anneaux et vecteurs de Witt", 1985; Bhatt and Scholze, "Prisms
-and prismatic cohomology", §2).  Both are kernels on packed polynomials
+the δ-ring rules give it as h^p − f^{p(p−2)}·Δ₁(f), its parts h^p and
+f^{p(p−2)} read off F^{p−2} and F^{p−1} (`delta1_power_parts`), and one
+product (Joyal, "δ-anneaux et vecteurs de Witt", 1985; Bhatt and Scholze,
+"Prisms and prismatic cohomology", §2).  A reader of a few coefficients of
+Δ₁(f^{p−1}) can take them from the parts and Δ₁(f) without the product, as
+the level-2 coefficient verifier does.  All are kernels on packed polynomials
 (dicts from packed exponents to coefficients), like `packed_mul`,
 `packed_power` and `teichmuller_lift`: the caller packs f once, and reduced
 mod p the same powers are f^{p−2} and f^{p−1} (`criteria._Splitting` holds
@@ -133,6 +136,20 @@ def packed_delta1(lift: dict[int, int], power: dict[int, int], p: int) -> dict[i
     return {e: r // p for e, c in ghost.items() if (r := c % q)}
 
 
+def delta1_power_parts(
+    low: dict[int, int], power: dict[int, int], p: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """h^p and f^{p(p−2)} mod p, packed, the parts of `delta1_power`'s
+    h^p − f^{p(p−2)}·Δ₁(f) besides Δ₁(f), from its `low` and `power`.  Over
+    F_p both are p-th powers, so each is keyed p·e by the exponents e of h
+    and of f^{p−2}: h^p has the coefficient h_e at x^{pe}, and f^{p(p−2)}
+    the coefficient of f^{p−2} at x^e."""
+    q = p * p
+    hp = {p * e: h for e, c in power.items() if (h := (c - pow(c % p, p, q)) % q // p)}
+    scale = {p * e: r for e, c in low.items() if (r := c % p)}
+    return hp, scale
+
+
 def delta1_power(
     d1: dict[int, int], low: dict[int, int], power: dict[int, int], p: int
 ) -> dict[int, int]:
@@ -151,11 +168,8 @@ def delta1_power(
     raises ExponentOverflowError exactly when p(p−1)·M exceeds
     EXPONENT_LIMIT, and that test is the caller's part too.
     """
-    q = p * p
-    scale = {p * e: r for e, c in low.items() if (r := c % p)}  # f^{p(p−2)}
+    hp, scale = delta1_power_parts(low, power, p)
     out = packed_mul(scale, d1, p)
-    for e, c in power.items():  # minus h^p, so out is −Δ₁(f^{p−1})
-        h = (c - pow(c % p, p, q)) % q // p
-        if h:
-            out[p * e] = out.get(p * e, 0) - h
+    for e, h in hp.items():  # minus h^p, so out is −Δ₁(f^{p−1})
+        out[e] = out.get(e, 0) - h
     return {e: r for e, c in out.items() if (r := -c % p)}

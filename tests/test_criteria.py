@@ -221,8 +221,10 @@ def test_delta_overflow_is_raised_where_the_second_level_needs_it():
 
 def test_delta_overflow_is_raised_where_delta1_of_f_still_fits():
     """The engine multiplies by Δ₁(f), whose exponents stay within p·M, but
-    the level-2 verifier forms Δ = Δ₁(f^{p−1}), within p(p−1)·M, so the run
-    raises where it first reaches level 2 on that bound.  At p = 3,
+    the level-2 verifier pairs f^{p−1} with Δ = Δ₁(f^{p−1}) and keeps Δ's
+    bound p(p−1)·M, though it reads Δ's coefficients from Δ₁(f) without
+    forming Δ, so the run raises where it first reaches level 2 on that
+    bound, and so does the verifier.  At p = 3,
     f = x^M under the weights (1, M − 1) with p·M ≤ EXPONENT_LIMIT <
     p(p−1)·M: c_1 = 0 and t_1 = f² ≠ 0."""
     ring = ring_named(3, ["x", "y"])
@@ -258,6 +260,36 @@ def test_packed_pairing_is_the_coefficient_of_the_product(p, data):
     packed = [{codec.pack(e): c for e, c in q.terms.items()} for q in (a, b)]
     expected = (a * b).terms.get(cap, 0)
     assert criteria._pairing(*packed, codec.pack(cap), p) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=50)
+@given(data=st.data())
+def test_level_two_reading_equals_the_pairing_with_the_formed_delta(p, data):
+    """At level 2 the verifier reads Σ_e f^{p−1}[e]·Δ[(p²−1)𝟙 − e] without
+    forming Δ = Δ₁(f^{p−1}): each Δ coefficient it reads comes from Δ₁(f) by
+    the δ-ring rule.  It must equal the pairing with the formed Δ and the
+    coefficient read off the whole product, on forms of degree N − 1 to
+    N + 1 in N variables.  Half the draws gain the term x^{p+2}, so that
+    (p−1)·M > p² − 1: f^{p−1} then has terms over the cap, whose lookup
+    keys borrow across fields and must match nothing."""
+    nvars = data.draw(st.integers(2, 4))
+    ring = ring_over(p, ("x", "y", "z", "w")[:nvars])
+    degree = nvars + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+    terms = data.draw(
+        st.dictionaries(
+            st.sampled_from(monomials), st.integers(1, p - 1), min_size=2, max_size=8 if p < 5 else 5
+        )
+    )
+    if data.draw(st.booleans()):
+        terms[(p + 2,) + (0,) * (nvars - 1)] = 1
+    f = ring.from_terms(terms)
+    sp = _Splitting([f])
+    cap = sp.codec.pack([p * p - 1] * nvars)
+    c = graded_cy_coefficient([f], 2)
+    assert c == criteria._pairing(sp.packed_fp1, sp.packed_delta, cap, p)
+    assert c == O.graded_cy_coefficient_product([f], 2)
 
 
 def test_weighted_orbit_near_its_exponent_bound():
@@ -1133,20 +1165,49 @@ def test_strict_chain_rejects_a_tampered_element(p, names, texts):
 @pytest.mark.parametrize(
     "p,names,text",
     [
-        (5, "xyzw", "x^4 + y^4 + z^4 + w^4 + x*y*z*w + x^2*y*z"),
-        (7, "xyz", "y^2*z + 6*x^3 + 6*x*z^2"),
+        (5, "xyzw", "x^4 + y^4 + z^4 + w^4 + x*y*z*w + x^2*y*z"),  # cy-graded quartic@p5
+        (7, "xyz", "y^2*z + 6*x^3 + 6*x*z^2"),  # cy-graded cubic-a@p7
         (5, "xyz", "x^3 + y^3 + z^3 + x*y*z"),
     ],
 )
 def test_coefficient_witness_rejects_a_tampered_coefficient(p, names, text):
+    """Each witness sits at level 2, where the verifier reads Δ₁(f^{p−1})'s
+    coefficients from Δ₁(f): a coefficient off by one either way is refused."""
     ring = ring_named(p, list(names))
     I = Ideal(ring, [ring.parse(text)])
     cert = height(I).certificate
     assert cert.kind == COEFFICIENT_WITNESS and verify_certificate(I, cert)
-    data = dict(cert.data, coefficient=(cert.data["coefficient"] + 1) % p)
+    assert cert.data["level"] == 2
+    for shift in (1, -1):
+        data = dict(cert.data, coefficient=(cert.data["coefficient"] + shift) % p)
+        reasons = []
+        assert not verify_certificate(I, Certificate(COEFFICIENT_WITNESS, data), reasons=reasons)
+        assert "coefficient" in reasons[0]
+
+
+@pytest.mark.parametrize(
+    "kind,data,reason",
+    [
+        (COEFFICIENT_WITNESS, {}, "level None is not a positive integer"),
+        (COEFFICIENT_WITNESS, {"level": 1}, "coefficient None is not an integer"),
+        (COEFFICIENT_WITNESS, {"level": 0, "coefficient": 1}, "level 0 is not"),
+        (COEFFICIENT_WITNESS, {"level": -1, "coefficient": 1}, "level -1 is not"),
+        (COEFFICIENT_WITNESS, {"level": "2", "coefficient": 1}, "level '2' is not"),
+        (COEFFICIENT_WITNESS, {"level": 1.0, "coefficient": 1}, "level 1.0 is not"),
+        (COEFFICIENT_WITNESS, {"level": 2, "coefficient": "1"}, "coefficient '1' is not"),
+        (COEFFICIENT_WITNESS, {"level": 2, "coefficient": 0}, "witnesses no level"),
+        (I_INFTY_STABILIZED, {"iterations": 1}, "has no generators"),
+        (FIXED_POINT_ENCLOSURE, {}, "has no generators"),
+    ],
+)
+def test_malformed_certificates_are_refused_with_a_reason(kind, data, reason):
+    """x^3 + y^3 + z^3 at p = 2 has height 2 with c_2 = 1, so each of these
+    certificates fails on its form alone, with a reason and no exception."""
+    ring = ring_over(2)
+    I = Ideal(ring, [ring.parse("x^3 + y^3 + z^3")])
     reasons = []
-    assert not verify_certificate(I, Certificate(COEFFICIENT_WITNESS, data), reasons=reasons)
-    assert "coefficient" in reasons[0]
+    assert verify_certificate(I, Certificate(kind, data), reasons=reasons) is False
+    assert reason in reasons[0]
 
 
 @pytest.mark.parametrize(
@@ -1429,6 +1490,13 @@ def change_coordinates(f, A):
         ("local", 3, "z^2 + x^3 + x*y^3", 2),  # E7^0
         ("local", 3, "z^2 + x^3 + y^5", 3),  # E8^0
         ("local", 3, "z^2 + x^3 + y^5 + x^2*y^3", 2),  # E8^1
+        # the chain route at p = 5 and in 4 variables
+        ("local", 5, "x^3 + y^3 + z^3", 2),  # cone over a supersingular cubic
+        ("local", 5, "x^2*y + y^2*z + z^2*x", 2),
+        ("local", 5, "x^4 + y^4 + z^4 + w^4", 1),
+        ("local", 3, "w^2 + z^3 + x^3 + y^4", 2),
+        ("local", 2, "w^2 + x^3 + y^5 + z^3", 2),
+        ("local", 2, "w^2 + z^2*x + x^2*y + y^5", 2),
         # levels 3–5 of the graded engine: K3 quartics at p = 3, and a
         # supersingular plane cubic at p = 5
         *[("graded", 3, K3_QUARTICS[h], h) for h in (3, 4, 5)],

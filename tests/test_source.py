@@ -338,12 +338,26 @@ def test_reached_through_detector():
 def test_graded_engine_never_forms_delta1_of_f_to_the_p_minus_one():
     """The graded engine multiplies by Δ₁(f) and pairs with f^{p−2}, so
     neither the splitting's Δ₁(f^{p−1}) nor the δ-ring rule that forms it
-    is on its path; the coefficient verifier reads Δ₁(f^{p−1}) at level 2."""
+    is on its path; the coefficient verifier forms Δ₁(f^{p−1}) from level 3
+    on."""
     source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
     delta = {"packed_delta", "delta1_power"}
     assert reached_through(source, "_graded_cy", "_Splitting") & delta == set()
     assert "twist" in reached_through(source, "_graded_cy", "_Splitting")
     assert reached_through(source, "graded_cy_coefficient", "_Splitting") >= delta
+
+
+def test_level_two_verifier_never_forms_delta1_of_f_to_the_p_minus_one():
+    """At level 2 the coefficient verifier reads each coefficient of
+    Δ₁(f^{p−1}) that its pairing needs from Δ₁(f) and the δ-ring rule's
+    parts: it forms no Δ₁(f^{p−1}), and it stays off the solver's twist
+    route (the residue table of −Δ₁(f) and packed θ)."""
+    source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
+    reached = reached_through(source, "_delta_pairing", "_Splitting")
+    avoided = {"packed_delta", "delta1_power", "twist", "_twist_table", "residue_table", "packed_theta"}
+    assert reached & avoided == set()
+    assert {"check_delta", "delta1_power_parts", "packed_delta1", "packed_fp1"} <= reached
+    assert "_delta_pairing" in reached_through(source, "graded_cy_coefficient", "_Splitting")
 
 
 def packing_sites(source: str, codec: str = "") -> list[str]:

@@ -84,6 +84,25 @@ def test_specialize_generic_by_name_and_position(ctx2):
         ctx2.specialize_generic({"a300": 1})
 
 
+def test_specialize_generic_is_the_sum_of_its_monomials(ctx3):
+    """A member is Σ v·m over the family's monomials, built on the context's
+    one x-ring: equal, term order included, to the sum of one-term
+    polynomials, by position and by name, at points with zero coefficients,
+    negative ones and ones divisible by p."""
+    rng = random.Random(7)
+    small = ctx3.x_ring
+    assert small is ctx3.x_ring and small.variables == ctx3.ring.variables[:3]
+    for _ in range(50):
+        values = [rng.choice([0, 0, rng.randrange(-7, 8)]) for _ in ctx3.monomials]
+        expected = small.zero
+        for m, v in zip(ctx3.monomials, values):
+            expected = expected + small.monomial(m, v)
+        for point in (values, dict(zip(ctx3.coefficient_names, values))):
+            g = ctx3.specialize_generic(point)
+            assert g == expected and list(g.terms) == list(expected.terms)
+            assert g.ring is small
+
+
 # ---------------------------------------------------------------------------
 # stratum polynomials
 # ---------------------------------------------------------------------------
