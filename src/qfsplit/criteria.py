@@ -7,24 +7,23 @@ f := f'_1⋯f'_m and
     I_{n+1} := θ(F_*I_n ∩ Ker u) + I_1,       θ(F_*a) := u(F_*(Δ₁(f^{p−1})·a)).
 
 The height of S/(f'_i) is the first n with I_n ⊄ m^{[p]} (infinite if none).
-Two engines compute it:
+Both engines apply θ only where u(F_*a) = 0, and there the projection
+formula gives θ(F_*a) = f^{p−2}·u(F_*(−Δ₁(f)·a)) (`witt`), so no solver
+path forms Δ₁(f^{p−1}):
 
 * `height_graded_cy` — for homogeneous systems whose degrees sum to the
   anticanonical degree.  Tracks t_n := u^{n−1}(F^{n−1}_* f_n) for
-  f_n := f^{p−1}·Δ₁(f^{p−1})^{p^{n−2}+⋯+1} through the one-step recursion
-  t_{n+1} = θ(F_* t_n); the height is the first n whose t_n has a nonzero
-  (x_1⋯x_N)^{p−1} coefficient.  Degrees stay bounded, and where the orbit
-  goes on u(F_*t_n) = 0, so θ needs only Δ₁(f), not Δ₁(f^{p−1}), by the
-  projection formula: this is fast, and the whole run stays on packed
-  exponents.
+  f_n := f^{p−1}·Δ₁(f^{p−1})^{p^{n−2}+⋯+1} through t_{n+1} = θ(F_* t_n);
+  the height is the first n whose t_n has a nonzero (x_1⋯x_N)^{p−1}
+  coefficient.  Degrees stay bounded, and the run stays packed.
 * the I_n chain (`_Chain`), via syzygies of the u-images for the kernel
   intersection.  Works for any input: `height_local` reads it to the first
   escape and extracts chain certificates, `qfs_decide` to its limit, the
   smallest I_∞ ⊇ θ(F_*I_∞ ∩ Ker u) + I_1; quasi-F-split iff I_∞ ⊄ m^{[p]}.
-  For a regular sequence I_1 = (I^{[p]} : I) (Fedder).  The chain, its
-  Groebner bases, θ and the strict-chain search run on packed exponents in
-  the ring layout (`PolynomialRing.codec`); polynomials are built only for
-  a certificate.
+  For a regular sequence I_1 = (I^{[p]} : I) (Fedder).  The chain and its
+  verifiers share θ (`_Splitting.chain_theta`) and run on packed exponents
+  in the ring layout (`PolynomialRing.codec`); polynomials are built only
+  for a certificate.
 
 `height` orchestrates both plus the quick non-splitting tests, on one
 `_Splitting` (f and its derived quantities) and one I_n chain per call.
@@ -59,6 +58,7 @@ from .witt import (
     teichmuller_lift,
 )
 from .frobenius import (
+    _residue_table,
     in_max_ideal_frobenius_power,
     iterated_u,
     packed_theta,
@@ -195,10 +195,8 @@ _codec = lru_cache(maxsize=64)(ExponentCodec)
 class _Splitting:
     """The derived data of one problem I = (f'_1, ..., f'_m): f = Π f'_i, and
     f^{p−2}, f^{p−1}, Δ₁(f), I_1's generators and Δ = Δ₁(f^{p−1}), each
-    computed on first use, so a route forms only what it reads (the graded
-    engine's level-1 reading needs f^{p−2} but not f^{p−1}, and the graded
-    engine never reads Δ).  `height` builds one per call and hands it to
-    every stage.
+    computed on first use, so a route forms only what it reads.  `height`
+    builds one per call and hands it to every stage.
 
     f, its Teichmüller lift F over ℤ/p², the powers, Δ₁(f) and Δ live packed
     under one `ExponentCodec` per problem, wide enough for p²·M (M the
@@ -207,21 +205,19 @@ class _Splitting:
     (t_n + p·M)/p and t_{n+1} ≤ (p−2)·M + θ_f(F_*t_n)), so the fields of θ's
     products and of the graded engine's pairings stay within p²·M, as do
     its caps (p² − 1).  F^{p−2} and F^{p−1} reduce mod p to f^{p−2} and
-    f^{p−1}; Δ₁(f) comes from the product F·F^{p−1} (`witt.packed_delta1`)
-    and is the only place it is formed; Δ comes from Δ₁(f) through
-    `witt.delta1_power` (the δ-ring product rule, never the p-th power of
-    f^{p−1}), for the I_n chain and the `delta` view only: the level-2
-    coefficient verifier reads the coefficients of Δ that it needs from
-    Δ₁(f) by the same rule (`_delta_pairing`).  `fp2`, `fp1` and `delta`
-    are their polynomial views, unpacked only for the readers that need
-    polynomials: the Fedder certificate, I_1, the quick tests and the
-    verifiers.  Exponent overflow is raised where the polynomial routes
-    raise it, at first use: f^{p−1} where `f ** (p − 1)` would, Δ₁(f) where
-    `delta1(f)` would, Δ where `delta1(f ** (p − 1))` would (`check_delta`).
+    f^{p−1}; Δ₁(f) comes from F·F^{p−1} (`witt.packed_delta1`) and nowhere
+    else, Δ from Δ₁(f) by `witt.delta1_power`, for the coefficient verifier
+    from level 3 on and the `delta` view only.  `fp2`, `fp1` and `delta` are
+    their polynomial views.  Exponent overflow is raised where the
+    polynomial routes raise it, at first use: f^{p−1} where `f ** (p − 1)`
+    would, Δ₁(f) where `delta1(f)` would, Δ where `delta1(f ** (p − 1))`
+    would (`check_delta`).
 
     The I_n chain runs on the ring layout (`PolynomialRing.codec`) instead:
-    `packed_i1` holds I_1's generators on it, and `chain_theta` reads Δ's
-    residue table repacked onto it once per problem."""
+    `packed_i1` holds I_1's generators on it, and `chain_theta` needs only
+    p·M ≤ EXPONENT_LIMIT: for w within the limit, the fields of Δ₁(f)·w
+    stay within p·M + EXPONENT_LIMIT, which 32 bits hold, and those of the
+    image within (p − 1)·M + EXPONENT_LIMIT/p ≤ EXPONENT_LIMIT."""
 
     def __init__(self, gens: Sequence[Polynomial]):
         self.gens = list(gens)
@@ -292,9 +288,7 @@ class _Splitting:
         return residue_table({e: p - c for e, c in self.packed_delta1.items()}, self.codec, p)
 
     def twist(self, t: dict[int, int]) -> dict[int, int]:
-        """−θ_f(F_*t) = u(F_*(−Δ₁(f)·t)) for packed t, by `packed_theta` on
-        the residue table of −Δ₁(f).  By the projection formula,
-        θ(F_*t) = f^{p−2}·twist(t) wherever u(F_*t) = 0 (`witt`)."""
+        """u(F_*(−Δ₁(f)·t)), the twist of `chain_theta`, on the problem's codec."""
         return _theta(t, self.codec, self._twist_table, self.p)
 
     @_cached
@@ -304,13 +298,17 @@ class _Splitting:
         return [pack(g.terms) for g in self.i1]
 
     @_cached
-    def _chain_table(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-        delta = frozenset(self.packed_delta.items())
-        return _repacked_residue_table(self.codec, self.ring.codec, self.p, delta)
+    def _chain_twist(self) -> tuple[dict, Optional[dict[int, int]]]:
+        """−Δ₁(f)'s residue table (`theta`'s cache) and f^{p−2} (None at p = 2), packed."""
+        fp2 = self.ring.codec.pack_terms(self.fp2.terms) if self.p > 2 else None
+        return _residue_table(-self._unpack(self.packed_delta1)), fp2
 
-    def chain_theta(self, t: dict[int, int]) -> dict[int, int]:
-        """θ(F_*t) for t on the ring layout."""
-        return _theta(t, self.ring.codec, self._chain_table, self.p)
+    def chain_theta(self, w: dict[int, int]) -> dict[int, int]:
+        """θ(F_*w) = f^{p−2}·u(F_*(−Δ₁(f)·w)) for w ∈ Ker u on the ring layout:
+        the chain maps F_*I ∩ Ker u, and the other callers test u first."""
+        table, fp2 = self._chain_twist
+        s = _theta(w, self.ring.codec, table, self.p)
+        return s if fp2 is None else packed_mul(fp2, s, self.p)
 
     @_cached
     def _escape_limit(self) -> int:
@@ -342,22 +340,13 @@ class _Splitting:
 
     @_cached
     def fp2(self) -> Polynomial:
-        """f^{p−2}, read by the quick non-splitting tests and their verifier."""
+        """f^{p−2}, read by the quick tests, their verifier and `chain_theta`."""
         return self._unpack(self.packed_fp2)
 
     @_cached
     def delta(self) -> Polynomial:
         """Δ₁(f^{p−1}), the multiplier of θ."""
         return self._unpack(self.packed_delta)
-
-
-@lru_cache(maxsize=32)
-def _repacked_residue_table(codec: ExponentCodec, ring: ExponentCodec, p: int, delta: frozenset):
-    """The `residue_table` of Δ, given as its terms packed by the problem's
-    `codec`, on the ring layout.  Cached, so that a certificate's verifier
-    reads the table that its solver built."""
-    unpack, pack = codec.unpack, ring.pack
-    return residue_table({pack(unpack(e)): c for e, c in delta}, ring, p)
 
 
 def _theta(t: dict[int, int], codec: ExponentCodec, table, p: int) -> dict[int, int]:
@@ -373,6 +362,16 @@ def _fail(reasons: Optional[list[str]], msg: str) -> bool:
     if reasons is not None:
         reasons.append(msg)
     return False
+
+
+def _polynomials_fault(ring: PolynomialRing, polys: Any, what: str) -> Optional[str]:
+    """Why `polys`, read from a certificate, is not a list of polynomials of `ring`."""
+    if not isinstance(polys, (list, tuple)):
+        return f"expected a list of {what}s, got {polys!r}"
+    for g in polys:
+        if not (isinstance(g, Polynomial) and (g.ring is ring or g.ring == ring)):
+            return f"{what} {g!r} is not a polynomial of {ring!r}"
+    return None
 
 
 def _stamped(res: HeightResult, budget: Budget, t0: float) -> HeightResult:
@@ -499,22 +498,19 @@ def height_graded_cy(
     t_{n+1} = θ(F_* t_n), c_n is the (x_1⋯x_N)^{p−1} coefficient of t_n, and
     every t_n is homogeneous of degree (p−1)·deg(x_1⋯x_N).  The grading's
     columns are nonnegative and nonzero, so u(F_*t_n) has degree 0: it is
-    the constant c_n, and the orbit continues only where it is 0.  There
-    the projection formula (`witt`) gives t_{n+1} = f^{p−2}·s_n with
-    s_n = −u(F_*(Δ₁(f)·t_n)) (`_Splitting.twist`), so the run multiplies by
-    Δ₁(f), of degree p·deg f, and never forms Δ₁(f^{p−1}), of degree
-    p(p−1)·deg f.  Each c_n is read as a pairing, before t_n is formed:
-    c_1 = Σ_e f^{p−2}[e]·f[(p−1)𝟙 − e] and
+    the constant c_n, and the orbit continues only where it is 0, so
+    t_{n+1} = f^{p−2}·s_n with s_n = −u(F_*(Δ₁(f)·t_n)) (`_Splitting.twist`;
+    see the module docstring).  Each c_n is read as a pairing, before t_n is
+    formed: c_1 = Σ_e f^{p−2}[e]·f[(p−1)𝟙 − e] and
     c_{n+1} = Σ_e f^{p−2}[e]·s_n[(p−1)𝟙 − e].  So t_n is formed only when
     c_n = 0 and the run goes on to level n + 1, and t_n vanishes iff s_{n−1}
     does: a Finite(1) run never forms f^{p−1}, and a Finite(h) run forms
-    max(h − 2, 0) images t_n.  The whole run
-    stays on the problem's packed exponents (`_Splitting`): the pairings,
-    t_n, s_n and θ (`packed_theta`) never unpack, since a CoefficientWitness
-    holds no polynomial.  The level-2 verifier (`graded_cy_coefficient`)
-    pairs f^{p−1} with Δ₁(f^{p−1}); it reads only the coefficients it needs,
-    from Δ₁(f), but keeps Δ₁(f^{p−1})'s exponent bound p(p−1)·M, so the run
-    raises its ExponentOverflowError where it first reaches level 2.
+    max(h − 2, 0) images t_n.  The pairings, t_n, s_n and θ never unpack,
+    since a CoefficientWitness holds no polynomial.  The level-2 verifier
+    (`graded_cy_coefficient`) pairs f^{p−1} with Δ₁(f^{p−1}); it reads only
+    the coefficients it needs, from Δ₁(f), but keeps Δ₁(f^{p−1})'s exponent
+    bound p(p−1)·M, so the run raises its ExponentOverflowError where it
+    first reaches level 2.
     """
     f_list = list(f_list)
     _require_graded(f_list, g)
@@ -831,14 +827,9 @@ def _strict_chain_search(
             ):
                 raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
             chain = [{k + shift: c for k, c in g.items()}]
-            ok = True
-            for _ in range(n - 1):
-                cur = chain[-1]
-                if packed_u(cur, codec, p):
-                    ok = False
-                    break
-                chain.append(sp.chain_theta(cur))
-            if ok and len(chain) == n and sp.escapes(chain[-1:]) is not None:
+            while len(chain) < n and not packed_u(chain[-1], codec, p):
+                chain.append(sp.chain_theta(chain[-1]))
+            if len(chain) == n and sp.escapes(chain[-1:]) is not None:
                 return [sp.polynomial(g) for g in chain]
     return None
 
@@ -950,6 +941,8 @@ def verify_witness_chain(
     follows inductively from I_{l+1} = θ(F_*I_l ∩ Ker u) + I_1."""
     if not chain:
         return _fail(reasons, "empty chain")
+    if fault := _polynomials_fault(I.ring, chain, "chain element"):
+        return _fail(reasons, fault)
     if budget is None:
         budget = Budget()
     sp = _Splitting(I.gens)
@@ -999,9 +992,14 @@ def verify_witness_levels(
     pack = sp.ring.codec.pack_terms
     pool = list(sp.i1)
     levels: Sequence[Sequence[ChainStep]] = cert.data.get("levels", ())
+    if not isinstance(levels, (list, tuple)) or not all(type(r) in (list, tuple) for r in levels):
+        return _fail(reasons, f"levels {levels!r} is not a list of record lists")
     for l, records in enumerate(levels, start=1):
         pool_ideal = Ideal(sp.ring, pool)
         for rec in records:
+            entries = [rec.element, rec.image] if isinstance(rec, ChainStep) else [rec]
+            if fault := _polynomials_fault(sp.ring, entries, f"level {l}: record entry"):
+                return _fail(reasons, fault)
             w, image = pack(rec.element.terms), pack(rec.image.terms)
             if not pool_ideal._contains(w, budget):
                 return _fail(reasons, f"level {l}: {rec.element} is not in I_{l}")
@@ -1009,8 +1007,8 @@ def verify_witness_levels(
                 return _fail(reasons, f"level {l}: {fault}")
         pool = _dedupe(sp.i1 + [rec.image for rec in records])
     esc = cert.data.get("escape")
-    if esc is None:
-        return _fail(reasons, "certificate has no escape element")
+    if fault := _polynomials_fault(sp.ring, [esc], "escape element"):
+        return _fail(reasons, fault)
     if not ideal_membership(esc, Ideal(sp.ring, pool), budget):
         return _fail(reasons, f"escape element {esc} is not in the final level's ideal")
     if in_max_ideal_frobenius_power(esc, 1):
@@ -1099,8 +1097,10 @@ def verify_certificate(
     if cert.kind in (I_INFTY_STABILIZED, FIXED_POINT_ENCLOSURE):
         if "generators" not in cert.data:
             return _fail(reasons, f"{cert.kind} certificate has no generators")
-        J = Ideal(I.ring, cert.data["generators"])
-        return verify_infinity_certificate(I, J, budget, reasons)
+        gens = cert.data["generators"]
+        if fault := _polynomials_fault(I.ring, gens, "generator"):
+            return _fail(reasons, fault)
+        return verify_infinity_certificate(I, Ideal(I.ring, gens), budget, reasons)
     if cert.kind == NON_QFS:
         return _verify_non_qfs(I, cert, reasons)
     return _fail(reasons, f"unknown certificate kind {cert.kind}")
@@ -1147,8 +1147,9 @@ def product_witness(
 
     With the factor equations fx, fy supplied the result is the strict
     θ-chain of the joint hypersurface: w₁ = g₁·h and w_{l+1} = θ(F_*w_l),
-    which verify_witness_chain accepts against (fx, fy).  The driving
-    identity (blocks disjoint, u(F_*g_l) = 0) is
+    which verify_witness_chain accepts against (fx, fy); θ is the chain's
+    f^{p−2}·u(F_*(−Δ₁(f)·w)), so a w_l outside Ker u raises RingError.
+    The driving identity (blocks disjoint, u(F_*g_l) = 0) is
 
         θ(F_*(g ⊗ b)) = θ_X(F_*g) ⊗ f_Y^{p−1}·u_Y(F_*b),
 
@@ -1172,10 +1173,13 @@ def product_witness(
             "choose h with a surviving Frobenius iterate"
         )
     if fx is not None and fy is not None:
-        delta = _Splitting([embed_left(fx, joint), embed_right(fy, joint)]).delta
+        sp = _Splitting([embed_left(fx, joint), embed_right(fy, joint)])
+        multiplier = -delta1(sp.f)
         out = [embed_left(gs[0], joint) * embed_right(h, joint)]
-        for _ in range(n - 1):
-            out.append(theta(out[-1], delta))
+        for l in range(1, n):
+            if u_map(out[-1]):
+                raise RingError(f"product chain element {l} has nonzero u-image")
+            out.append(sp.fp2 * theta(out[-1], multiplier))
         if in_max_ideal_frobenius_power(out[-1], 1):
             raise RingError(
                 f"product chain collapses: final element {out[-1]} lies in m^[p]"

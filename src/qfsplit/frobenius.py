@@ -8,16 +8,15 @@ u is the projection onto the top basis vector F_*((x_1⋯x_N)^{p−1}),
 normalized by u(F_*((x_1⋯x_N)^{p−1})) = 1: the Cartier-type generator of
 Hom_S(F_*S, S).  θ twists u by a fixed multiplier δ: θ(F_*a) = u(F_*(δ·a));
 with δ = Δ₁(f^{p−1}) this is the transition operator of the splitting-height
-chains computed in `criteria`.  u and θ run on exponents packed by
-`rings.ExponentCodec`: `packed_theta` reads δ from a table of its packed
-terms grouped by residue class (`residue_table`), so the output exponent is
-one int addition and one exact division by p, and `packed_u` is the same
-division for the terms in the top residue class.  The graded engine keeps
-its θ orbit packed under its problem's codec and the I_n chain under the
-ring layout, and both call the kernels directly.  `theta`, `u_map` and
-`iterated_u` are their edges for polynomials: they pack under the ring
-layout, whose fields hold any exponent sum that θ forms, so the residue
-table is cached per δ alone, never re-keyed for a wider input.
+chains of `criteria`, which apply it only on Ker u, as f^{p−2} times the
+twist by δ = −Δ₁(f).  `packed_theta` reads δ from a table of its packed
+terms grouped by residue class (`residue_table`), so the output exponent
+is one int addition and one exact division by p, and `packed_u` is the
+same division for the terms in the top residue class.  `theta`, `u_map`
+and `iterated_u` are their edges for polynomials on the ring layout, whose
+fields hold any exponent sum that θ forms, so the residue table is cached
+per δ alone (`_residue_table`); the I_n chain reads its table of −Δ₁(f)
+from that cache, so a certificate's verifier reads its solver's table.
 """
 
 from __future__ import annotations

@@ -20,24 +20,20 @@ enough for every exponent up to p·M, M the largest exponent of a and the
 summands, so monomial products are single int additions and no field carries
 into the next.
 
+The kernels on packed polynomials (dicts from packed exponents to
+coefficients; `criteria._Splitting` packs f once and holds every result):
 `packed_delta1` forms Δ₁(f) from the Teichmüller lift F of f and F^{p−1}
-over ℤ/p², by the one product F·F^{p−1} = F^p, so a caller that holds
-F^{p−1} for f^{p−1} pays one product for Δ₁(f).  `delta1_power` forms
-Δ₁(f^{p−1}), the multiplier of θ on the I_n chain, from Δ₁(f) without the
-p-th power of f^{p−1} that the ghost route `delta1(f ** (p − 1))` takes:
-the δ-ring rules give it as h^p − f^{p(p−2)}·Δ₁(f), its parts h^p and
-f^{p(p−2)} read off F^{p−2} and F^{p−1} (`delta1_power_parts`), and one
-product (Joyal, "δ-anneaux et vecteurs de Witt", 1985; Bhatt and Scholze,
-"Prisms and prismatic cohomology", §2).  A reader of a few coefficients of
-Δ₁(f^{p−1}) can take them from the parts and Δ₁(f) without the product, as
-the level-2 coefficient verifier does.  All are kernels on packed polynomials
-(dicts from packed exponents to coefficients), like `packed_mul`,
-`packed_power` and `teichmuller_lift`: the caller packs f once, and reduced
-mod p the same powers are f^{p−2} and f^{p−1} (`criteria._Splitting` holds
-all of them).  By the projection formula u(F_*(b^p·c)) = b·u(F_*c), the
-same rule gives θ(F_*t) = h·u(F_*t) − f^{p−2}·u(F_*(Δ₁(f)·t)), so the graded
-engine, whose orbit continues only where u(F_*t) = 0, multiplies by Δ₁(f)
-and never forms Δ₁(f^{p−1}).
+over ℤ/p² by the one product F·F^{p−1} = F^p, and `delta1_power` forms
+Δ₁(f^{p−1}), the multiplier of θ, as h^p − f^{p(p−2)}·Δ₁(f) by the δ-ring
+rules, its parts read off F^{p−2} and F^{p−1} (`delta1_power_parts`), not
+by the p-th power of f^{p−1} that `delta1(f ** (p − 1))` takes (Joyal,
+"δ-anneaux et vecteurs de Witt", 1985; Bhatt and Scholze, "Prisms and
+prismatic cohomology", §2).  By the projection formula
+u(F_*(b^p·c)) = b·u(F_*c) the rule gives
+θ(F_*t) = h·u(F_*t) − f^{p−2}·u(F_*(Δ₁(f)·t)), so the graded engine and
+the I_n chain, which apply θ only where u(F_*t) = 0, multiply by Δ₁(f).
+Only the coefficient verifier forms Δ₁(f^{p−1}), from level 3 on; at
+level 2 it reads the coefficients it needs from the parts and Δ₁(f).
 
 The test suite checks Δ₁ against the W₂ fold, the multinomial formula and
 exact integer ghost components, and Δ₁(f^{p−1}) by the δ-ring rules against

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from qfsplit import PolynomialRing, PrimeField
+from qfsplit import EXPONENT_LIMIT, Ideal, PolynomialRing, PrimeField, criteria
+
+import oracles
 
 settings.register_profile(
     "qfsplit",
@@ -30,3 +33,39 @@ def poly_strategy(ring: PolynomialRing, max_exp: int = 4, max_terms: int = 6):
 
 def nonzero_poly_strategy(ring: PolynomialRing, max_exp: int = 4, max_terms: int = 6):
     return poly_strategy(ring, max_exp, max_terms).filter(lambda f: not f.is_zero())
+
+
+@pytest.fixture(autouse=True)
+def trap_certificates_hold_on_the_oracle_route(monkeypatch):
+    """Every trap certificate that a test makes in this process, the
+    FixedPointEnclosure of an Infinite local chain and the IInftyStabilized
+    of an I_∞ inside m^{[p]}, is re-verified after the test by
+    `oracles.trap_fault`, which shares neither the Schreyer run nor the θ
+    formula of the solver and its verifier.  A trap whose Δ₁(f^{p−1}) would
+    pass EXPONENT_LIMIT is left out, since the Δ route cannot form it."""
+    made = []
+    local, decide = criteria._height_local, criteria._qfs_decide
+
+    def record(chain, cert):
+        f = chain.sp.f
+        p = f.ring.field.p
+        if p * (p - 1) * f.max_exponent() <= EXPONENT_LIMIT:
+            made.append((Ideal(f.ring, chain.sp.gens), Ideal(f.ring, cert.data["generators"])))
+
+    def height_local(chain, n_max):
+        res = local(chain, n_max)
+        if res.verdict == criteria.INFINITE:
+            record(chain, res.certificate)
+        return res
+
+    def qfs_decide(chain):
+        qfs, cert = decide(chain)
+        if not qfs:
+            record(chain, cert)
+        return qfs, cert
+
+    monkeypatch.setattr(criteria, "_height_local", height_local)
+    monkeypatch.setattr(criteria, "_qfs_decide", qfs_decide)
+    yield
+    faults = [(I.gens, fault) for I, J in made if (fault := oracles.trap_fault(I, J))]
+    assert faults == []

@@ -19,8 +19,9 @@ arithmetic paths:
   counts over the projective plane.
 
 The reference routes built from the package's public maps sit beside them:
-the height-2 splitting section ψ₂, the I_n chain of the local engine, and the
-bracket power I^{[p^n]} that forms Fedder's colon (I^{[p]} : I).
+the height-2 splitting section ψ₂, the I_n chain of the local engine, the
+trap-ideal check of FixedPointEnclosure and IInftyStabilized certificates,
+and the bracket power I^{[p^n]} that forms Fedder's colon (I^{[p]} : I).
 
 Test modules freeze expected values against these, never the other way
 around.
@@ -46,6 +47,7 @@ from qfsplit import (
     delta1,
     frobenius_module_intersect_keru,
     ideal_equal,
+    ideal_membership,
     iterated_u,
     theta,
     u_map,
@@ -610,6 +612,29 @@ def local_chain_ideals(
             break
         out.append(nxt)
     return out
+
+
+def trap_fault(I: Ideal, J: Ideal) -> Optional[str]:
+    """Why J does not trap the I_n chain of I, if it does not: J ⊆ m^{[p]}
+    term by term, I_1 ⊆ J, and θ(F_*w) ∈ J for every w of F_*J ∩ Ker u.
+    The intersection comes from the module engine
+    (`frobenius_module_intersect_keru_module`) and θ by the Δ route
+    theta(w, delta1(f^{p−1})), so neither the solver's Schreyer run nor its
+    θ through Δ₁(f) is read; membership uses `ideal_membership`."""
+    ring = I.ring
+    f = math.prod(I.gens[1:], start=I.gens[0])
+    fp1 = f ** (ring.field.p - 1)
+    for g in J.gens:
+        if not in_bracket_m_oracle(g, 1):
+            return f"generator {g} of J escapes m^[p]"
+    for g in [fp1] + [g.pth_power() for g in I.gens]:
+        if not ideal_membership(g, J):
+            return f"I_1 generator {g} is not in J"
+    delta = delta1(fp1)
+    for w in frobenius_module_intersect_keru_module(J):
+        if not ideal_membership(image := theta(w, delta), J):
+            return f"theta image {image} (of {w}) is not in J"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,28 @@ def test_delta_overflow_is_raised_where_delta1_of_f_still_fits():
         graded_cy_coefficient([f], 2)
 
 
+def test_the_chain_needs_only_delta1_of_f_within_the_exponent_limit():
+    """The I_n chain applies θ only on Ker u, as f^{p−2}·u(F_*(−Δ₁(f)·w)),
+    so it needs p·M ≤ EXPONENT_LIMIT, not Δ₁(f^{p−1})'s p(p−1)·M.  At
+    p = 3, z² + x³ + y^M with M = EXPONENT_LIMIT // 4 lies in between: the
+    local chain reaches its cutoff, I_∞ decides Infinite with a certificate
+    that verifies, and the quick tests agree."""
+    ring = ring_over(3)
+    m = EXPONENT_LIMIT // 4
+    assert 3 * m <= EXPONENT_LIMIT < 6 * m
+    f = ring.parse("z^2 + x^3") + ring.monomial((0, m, 0))
+    I = Ideal(ring, [f])
+    with pytest.raises(ExponentOverflowError):
+        _Splitting([f]).check_delta()
+    local = height(I, n_max=4, strategy="local")
+    assert (local.verdict, local.n) == (LOWER_BOUND, 4)
+    res = height(I, strategy="qfs")
+    assert (res.verdict, res.route) == (INFINITE, "i-infinity")
+    assert res.certificate.kind == I_INFTY_STABILIZED and verify_certificate(I, res.certificate)
+    quick = height(I)
+    assert (quick.verdict, quick.route) == (INFINITE, "quick-tests")
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @given(data=st.data())
 def test_packed_pairing_is_the_coefficient_of_the_product(p, data):
@@ -1087,6 +1109,30 @@ def test_strict_chain_search_sizes_exact_powers_exactly():
     assert budget.steps == 4**3 * len(sp.i1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+def test_chain_theta_is_the_theta_of_the_public_maps_on_ker_u(p, data):
+    """The chain's θ, f^{p−2}·u(F_*(−Δ₁(f)·w)), equals the public Δ route
+    theta(w, delta1(f^{p−1})) on random w ∈ Ker u in 3–5 variables:
+    w = t − x^{(p−1)𝟙}·u(F_*t)^p, which u kills by the projection formula.
+    Most terms of t pair with a term d of Δ₁(f) under u, e ≡ (p−1)𝟙 − d
+    mod p, since Δ₁(f^{p−1}) ≡ −f^{p(p−2)}·Δ₁(f) modulo p-th powers; with
+    random terms alone, θ would nearly always vanish at p = 5."""
+    ring = ring_over(p, ("x", "y", "z", "w", "v")[: data.draw(st.integers(3, 5))])
+    f = data.draw(poly_strategy(ring, max_exp=2, max_terms=4 if p < 5 else 3))
+    assume(f)
+    pairs = sorted(delta1(f).terms) or [(0,) * ring.nvars]
+    quotients = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    lifts = data.draw(st.lists(st.tuples(st.sampled_from(pairs), quotients), max_size=6))
+    paired = {tuple([p - 1 - d % p + p * q for d, q in zip(*pair)]): 1 for pair in lifts}
+    t = ring.from_terms(paired) + data.draw(poly_strategy(ring, max_exp=6, max_terms=3))
+    w = t - ring.monomial((p - 1,) * ring.nvars) * u_map(t).pth_power()
+    assert u_map(w).is_zero()
+    sp = _Splitting([f])
+    image = sp.polynomial(sp.chain_theta(ring.codec.pack_terms(w.terms)))
+    assert image == theta(w, delta1(f ** (p - 1)))
+
+
 # ---------------------------------------------------------------------------
 # tampered certificates: one change the mathematics forbids, per kind
 # ---------------------------------------------------------------------------
@@ -1185,6 +1231,10 @@ def test_coefficient_witness_rejects_a_tampered_coefficient(p, names, text):
         assert "coefficient" in reasons[0]
 
 
+# a polynomial of another ring over the same field
+FOREIGN = ring_named(2, ["a", "b", "c"]).parse("a")
+
+
 @pytest.mark.parametrize(
     "kind,data,reason",
     [
@@ -1198,6 +1248,14 @@ def test_coefficient_witness_rejects_a_tampered_coefficient(p, names, text):
         (COEFFICIENT_WITNESS, {"level": 2, "coefficient": 0}, "witnesses no level"),
         (I_INFTY_STABILIZED, {"iterations": 1}, "has no generators"),
         (FIXED_POINT_ENCLOSURE, {}, "has no generators"),
+        (CHAIN_WITNESS, {"chain": ["x"]}, "chain element 'x' is not a polynomial of"),
+        (CHAIN_WITNESS, {"chain": [FOREIGN]}, "chain element <a over F_2> is not a polynomial of"),
+        (CHAIN_WITNESS, {"levels": [[1]]}, "level 1: record entry 1 is not a polynomial of"),
+        (CHAIN_WITNESS, {"levels": [[ChainStep(FOREIGN, FOREIGN)]]}, "level 1: record entry"),
+        (CHAIN_WITNESS, {"levels": [], "escape": "x", "escape_level": 1}, "escape element 'x'"),
+        (I_INFTY_STABILIZED, {"generators": "x", "iterations": 1}, "expected a list of generators"),
+        (I_INFTY_STABILIZED, {"generators": [FOREIGN], "iterations": 1}, "generator <a over F_2>"),
+        (FIXED_POINT_ENCLOSURE, {"generators": [FOREIGN]}, "is not a polynomial of"),
     ],
 )
 def test_malformed_certificates_are_refused_with_a_reason(kind, data, reason):
@@ -1289,6 +1347,32 @@ def test_product_witness_precondition_errors():
             ry.parse("y0^3 + y1^3 + y2^3"),
             2,
         )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_product_witness_chain_is_the_delta_route_chain(p):
+    """The joint θ-chain of `product_witness`, formed through Δ₁(f), is
+    w_{l+1} = theta(w_l, delta1(f^{p−1})) of the public maps for f the
+    product of the factor equations: a supersingular random cubic with its
+    strict chain, times an ordinary one with h = f_Y^{p−1}."""
+    rng = random.Random(p)
+    rx, ry = ring_over(p), ring_named(p, ["a", "b", "c"])
+    ss = ordinary = None
+    while ss is None or ordinary is None:
+        coeffs, cubic = O.random_smooth_cubic(rng, rx)
+        if not O.is_supersingular(coeffs, p, cubic):
+            ordinary = ordinary or ry.from_terms(cubic.terms)
+        elif ss is None:
+            cert = height_local(Ideal(rx, [cubic]), 4).certificate
+            ss, chain = (cubic, cert.data["chain"]) if "chain" in cert.data else (None, None)
+    ws = product_witness(chain, ordinary ** (p - 1), len(chain), fx=ss, fy=ordinary)
+    joint = ws[0].ring
+    f = criteria.embed_left(ss, joint) * criteria.embed_right(ordinary, joint)
+    delta = delta1(f ** (p - 1))
+    expected = ws[:1]
+    while len(expected) < len(chain):
+        expected.append(theta(expected[-1], delta))
+    assert len(ws) >= 2 and ws == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

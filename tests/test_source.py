@@ -360,6 +360,24 @@ def test_level_two_verifier_never_forms_delta1_of_f_to_the_p_minus_one():
     assert "_delta_pairing" in reached_through(source, "graded_cy_coefficient", "_Splitting")
 
 
+def test_the_chain_and_its_verifiers_never_form_delta1_of_f_to_the_p_minus_one():
+    """The I_n chain, the strict-chain search, the step and trap-ideal
+    verifiers apply θ only on Ker u, through Δ₁(f) (`_Splitting.chain_theta`),
+    and `product_witness` by the same formula on polynomials: none of them
+    reaches the splitting's Δ₁(f^{p−1}) or the δ-ring rule that forms it.
+    The coefficient verifier still does, from level 3 on."""
+    source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
+    delta = {"packed_delta", "delta1_power"}
+    for start in ("_Chain", "_strict_chain_search", "_step_fault", "verify_infinity_certificate"):
+        reached = reached_through(source, start, "_Splitting")
+        assert reached & delta == set(), start
+        assert {"chain_theta", "packed_delta1", "fp2"} <= reached, start
+    reached = reached_through(source, "product_witness", "_Splitting")
+    assert reached & (delta | {"delta"}) == set()
+    assert {"theta", "delta1", "fp2"} <= reached
+    assert reached_through(source, "graded_cy_coefficient", "_Splitting") >= delta
+
+
 def packing_sites(source: str, codec: str = "") -> list[str]:
     """Exponent packing outside the class named `codec`: a bit shift by a
     computed amount, or a read of int's own shift methods.  Shifts by a
