@@ -36,7 +36,6 @@ from .criteria import (
     Certificate,
     FINITE,
     INFINITE,
-    LOWER_BOUND,
     UNKNOWN,
     certificate_to_json,
     enclosure_closure,
@@ -232,17 +231,8 @@ def _require_regular_sequence(
             )
 
 
-def _add_verification(payload: dict, I: Ideal, cert: Certificate, qfs: bool) -> None:
-    """Re-verify ``cert`` against I and record the outcome in ``payload``.  A
-    quasi-F-split answer (``qfs``) records an I_∞ that escapes m^[p], and
-    nothing checks that it is the smallest fixed point: it is unverified."""
-    if qfs:
-        payload["verified"] = None
-        payload["verify_reasons"] = [
-            "no verifier for a quasi-F-split answer (its I_infinity escapes m^[p]); "
-            "`height --verify` checks a certificate of the finite height"
-        ]
-        return
+def _add_verification(payload: dict, I: Ideal, cert: Certificate) -> None:
+    """Re-verify ``cert`` against I and record the outcome in ``payload``."""
     reasons: list[str] = []
     payload["verified"] = verify_certificate(I, cert, reasons=reasons)
     if reasons:
@@ -267,9 +257,7 @@ def _run_height(job: Job) -> tuple[dict, int]:
     payload = result_to_json(res)
     code = 2 if res.verdict == UNKNOWN else 0
     if job.options.get("verify") and res.certificate is not None and code == 0:
-        # only the I_∞ route gives a LowerBound a certificate, and its I_∞ escapes
-        qfs = res.verdict == LOWER_BOUND
-        _add_verification(payload, Ideal(polys[0].ring, polys), res.certificate, qfs)
+        _add_verification(payload, Ideal(polys[0].ring, polys), res.certificate)
     return payload, code
 
 
@@ -288,7 +276,7 @@ def _run_qfs(job: Job) -> tuple[dict, int]:
         "certificate": certificate_to_json(cert),
     }
     if job.options.get("verify"):
-        _add_verification(payload, I, cert, is_qfs)
+        _add_verification(payload, I, cert)
     return payload, 0
 
 
@@ -654,7 +642,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("height", help="compute the quasi-F-split height")
     _add_common(sp)
-    sp.add_argument("--n-max", dest="n_max", type=int, help="chain length cutoff")
+    sp.add_argument(
+        "--n-max",
+        dest="n_max",
+        type=int,
+        help="cutoff of the graded engine and --strategy local; auto reads the chain past it",
+    )
     sp.add_argument("--budget", type=int, help="Groebner step budget")
     sp.add_argument("--verify", action="store_true", help="re-verify certificates before printing")
     sp.add_argument(
@@ -667,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("fsplit", help="Fedder F-splitting test")
     _add_common(sp)
 
-    sp = subs.add_parser("qfs", help="decide quasi-F-splitness via the fixed point")
+    sp = subs.add_parser("qfs", help="decide quasi-F-splitness via the I_n chain")
     _add_common(sp)
     sp.add_argument("--budget", type=int, help="Groebner step budget")
     sp.add_argument("--verify", action="store_true", help="re-verify certificates before printing")

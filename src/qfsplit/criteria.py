@@ -17,13 +17,16 @@ path forms Δ₁(f^{p−1}):
   the height is the first n whose t_n has a nonzero (x_1⋯x_N)^{p−1}
   coefficient.  Degrees stay bounded, and the run stays packed.
 * the I_n chain (`_Chain`), via syzygies of the u-images for the kernel
-  intersection.  Works for any input: `height_local` reads it to the first
-  escape and extracts chain certificates, `qfs_decide` to its limit, the
-  smallest I_∞ ⊇ θ(F_*I_∞ ∩ Ker u) + I_1; quasi-F-split iff I_∞ ⊄ m^{[p]}.
-  For a regular sequence I_1 = (I^{[p]} : I) (Fedder).  The chain and its
-  verifiers share θ (`_Splitting.chain_theta`) and run on packed exponents
-  in the ring layout (`PolynomialRing.codec`); polynomials are built only
-  for a certificate.
+  intersection.  Works for any input.  Its limit I_∞ is the smallest ideal
+  ⊇ θ(F_*I_∞ ∩ Ker u) + I_1, and the ring is quasi-F-split iff
+  I_∞ ⊄ m^{[p]}; as I_∞ ⊇ I_n, the first escaping level decides that too.
+  One reader (`_read_chain`) serves `height_local`, `qfs_decide` and
+  `height`: it stops at the first escape with a chain certificate, or at a
+  fixed point inside m^{[p]} with I_∞ as a trap ideal.  For a regular
+  sequence I_1 = (I^{[p]} : I) (Fedder).  The chain and its verifiers
+  share θ (`_Splitting.chain_theta`) and run on packed exponents in the
+  ring layout (`PolynomialRing.codec`); polynomials are built only for a
+  certificate.
 
 `height` orchestrates both plus the quick non-splitting tests, on one
 `_Splitting` (f and its derived quantities) and one I_n chain per call.
@@ -90,7 +93,6 @@ COEFFICIENT_WITNESS = "CoefficientWitness"
 CHAIN_WITNESS = "ChainWitness"
 I_INFTY_STABILIZED = "IInftyStabilized"
 NON_QFS = "NonQFS"
-FIXED_POINT_ENCLOSURE = "FixedPointEnclosure"
 
 # NonQFS tags (each names the verified containment)
 TAG_FPM2 = "f^(p-2) in m^[p]"
@@ -116,7 +118,6 @@ class Certificate:
                           chain was found, {levels, escape, escape_level}
       IInftyStabilized    {generators, iterations}
       NonQFS              {tag, ...containment details}
-      FixedPointEnclosure {generators}
     """
 
     kind: str
@@ -130,7 +131,9 @@ class HeightResult:
     verdict: Finite | Infinite | LowerBound | Unknown.  `n` is the height for
     Finite, the exhausted cutoff for LowerBound, None otherwise.  LowerBound
     means every test up to the cutoff stayed inside m^{[p]} (resp. m^{[p^n]});
-    Unknown records a budget abort in `diagnostics`.
+    it carries no certificate, and only the graded engine and the local
+    chain, which honour n_max, give it.  Unknown records a budget abort in
+    `diagnostics`.
     """
 
     verdict: str
@@ -673,8 +676,8 @@ class _Chain:
     by default on base = I_1: the I_n chain.  It runs on the ring layout:
     `gens` presents J_n by base and the images of step n − 1, `basis` is
     J_n's reduced Groebner basis once formed, and `steps` holds each step's
-    (w, θ(F_*w)) pairs.  `ideal` and `levels` are their polynomial views,
-    built only when read."""
+    (w, θ(F_*w)) pairs.  `levels` is their polynomial view, built only when
+    read."""
 
     def __init__(self, sp: _Splitting, budget: Optional[Budget], base=None):
         self.sp, self.budget = sp, budget if budget is not None else Budget()
@@ -714,11 +717,6 @@ class _Chain:
         return Ideal.from_reduced_basis(self.sp.ring, self._reduced())
 
     @property
-    def ideal(self) -> Ideal:
-        """J_n, presented by `gens`."""
-        return Ideal(self.sp.ring, [self.sp.polynomial(g) for g in self.gens])
-
-    @property
     def levels(self) -> list[list[ChainStep]]:
         """Each step's records."""
         poly = self.sp.polynomial
@@ -730,53 +728,56 @@ def height_local(
     n_max: int = DEFAULT_N_MAX,
     budget: Optional[Budget] = None,
 ) -> HeightResult:
-    """Height via the I_n chain; certificates as θ-chains.
-
-    Reads the I_n chain (`_Chain`) from I_1.  Returns Finite(n) at the first
-    I_n ⊄ m^{[p]} with a ChainWitness that holds one proof: a strict chain
-    g_1, ..., g_n (θ(F_*g_l) = g_{l+1}, found by orbit search) when one
-    exists, else the levelled transition records and the escaping generator
-    of I_n.  If the chain stabilizes with every generator inside m^{[p]},
-    the stabilized ideal is a fixed-point enclosure proving the height
-    infinite.  Budget aborts return Unknown with diagnostics.
+    """Height via the I_n chain, read from I_1 by `_read_chain` up to
+    I_{n_max}: Finite(n) at the first I_n ⊄ m^{[p]} with a ChainWitness,
+    Infinite at a fixed point inside m^{[p]} with its IInftyStabilized trap,
+    else LowerBound(n_max).  Budget aborts return Unknown with diagnostics.
     """
-    return _height_local(_Chain(_Splitting(I.gens), budget), n_max)
+    return _chain_result(_Chain(_Splitting(I.gens), budget), n_max, "local-chain")
 
 
-def _height_local(chain: _Chain, n_max: int) -> HeightResult:
-    """`height_local` on a problem's chain; a LowerBound leaves it at I_{n_max}."""
+def _read_chain(
+    chain: _Chain, n_max: Optional[int]
+) -> tuple[str, Optional[int], Optional[Certificate]]:
+    """Read the I_n chain on from the level where it stands, to the first of:
+
+    * a level I_n ⊄ m^{[p]}: (Finite, n, ChainWitness).  The witness holds one
+      proof: a strict chain g_1, ..., g_n (θ(F_*g_l) = g_{l+1}, found by orbit
+      search) when one exists, else the levelled transition records and the
+      escaping generator of I_n.  I_∞ ⊇ I_n, so the ring is quasi-F-split;
+    * a fixed point I_{n+1} = I_n ⊆ m^{[p]}: (Infinite, None,
+      IInftyStabilized), the reduced basis of I_∞ = I_n with `iterations` n,
+      a trap ideal for `verify_infinity_certificate`;
+    * the cutoff I_{n_max} (None reads on): (LowerBound, n_max, None).
+
+    Raises BudgetExceededError when the chain's step budget runs out."""
+    sp = chain.sp
+    while (esc := sp.escapes(chain.gens)) is None:
+        if n_max is not None and chain.n >= n_max:
+            return LOWER_BOUND, n_max, None
+        if not chain.advance():
+            gens = [sp.polynomial(g) for g in chain.basis]
+            return INFINITE, None, Certificate(
+                I_INFTY_STABILIZED, {"generators": gens, "iterations": chain.n}
+            )
+    n = chain.n
+    strict = _strict_chain_search(sp, n, chain.budget)
+    if strict is not None:
+        data: dict[str, Any] = {"chain": strict}
+    else:
+        escape = sp.polynomial(chain.gens[esc])
+        data = {"levels": chain.levels, "escape": escape, "escape_level": n}
+    return FINITE, n, Certificate(CHAIN_WITNESS, data)
+
+
+def _chain_result(chain: _Chain, n_max: Optional[int], route: str) -> HeightResult:
+    """`_read_chain` as a HeightResult on `route`; a budget abort is Unknown."""
     t0 = time.perf_counter()
-    budget = chain.budget
-
-    def finish(verdict, n, cert, diagnostics=()):
-        res = HeightResult(verdict, n, cert, route="local-chain", diagnostics=diagnostics)
-        return _stamped(res, budget, t0)
-
     try:
-        for n in range(1, n_max + 1):
-            esc = chain.sp.escapes(chain.gens)
-            if esc is not None:
-                strict = _strict_chain_search(chain.sp, n, budget)
-                if strict is not None:
-                    data: dict[str, Any] = {"chain": strict}
-                else:
-                    escape = chain.sp.polynomial(chain.gens[esc])
-                    data = {"levels": chain.levels, "escape": escape, "escape_level": n}
-                return finish(FINITE, n, Certificate(CHAIN_WITNESS, data))
-            if n == n_max:
-                break
-            if not chain.advance():
-                # I_{n+1} = I_n ⊆ m^{[p]}: the chain is stuck below m^{[p]} forever
-                cert = Certificate(
-                    FIXED_POINT_ENCLOSURE, {"generators": list(chain.ideal.gens)}
-                )
-                return finish(
-                    INFINITE, None, cert,
-                    diagnostics=(f"I_n stabilized inside m^[p] at level {n}",),
-                )
+        res = HeightResult(*_read_chain(chain, n_max), route=route)
     except BudgetExceededError as exc:
-        return _stamped(_unknown(exc, "local-chain"), budget, t0)
-    return finish(LOWER_BOUND, n_max, None)
+        res = _unknown(exc, route)
+    return _stamped(res, chain.budget, t0)
 
 
 def _integer_root(n: int, k: int) -> int:
@@ -842,22 +843,15 @@ def _strict_chain_search(
 def qfs_decide(
     I: Ideal, budget: Optional[Budget] = None
 ) -> tuple[bool, Certificate]:
-    """Quasi-F-splitness via the smallest fixed point I_∞.
-
-    Runs the I_n chain (`_Chain`) until I_{n+1} = I_n: the limit is the
-    smallest ideal containing I_1 and closed under θ(F_*· ∩ Ker u), and the
-    ring is quasi-F-split exactly when it is not contained in m^{[p]}.  The
-    certificate records that n as `iterations`.  Raises BudgetExceededError
-    when the step budget runs out.
+    """Quasi-F-splitness via I_∞, the limit of the I_n chain: the ring is
+    quasi-F-split exactly when I_∞ ⊄ m^{[p]}, and I_∞ ⊇ I_n, so the chain is
+    read (`_read_chain`, no cutoff) to its first escaping level or to its
+    fixed point.  Returns (True, the ChainWitness of the height) or (False,
+    IInftyStabilized: I_∞ and the `iterations` that reached it).  Raises
+    BudgetExceededError when the step budget runs out.
     """
-    return _qfs_decide(_Chain(_Splitting(I.gens), budget))
-
-
-def _qfs_decide(chain: _Chain) -> tuple[bool, Certificate]:
-    """`qfs_decide` on a problem's chain, closed from the level it stands at."""
-    gens = list(chain.close().gens)
-    cert = Certificate(I_INFTY_STABILIZED, {"generators": gens, "iterations": chain.n})
-    return chain.sp.escapes(chain.basis) is not None, cert
+    verdict, _, cert = _read_chain(_Chain(_Splitting(I.gens), budget), None)
+    return verdict == FINITE, cert
 
 
 def enclosure_closure(
@@ -870,7 +864,9 @@ def enclosure_closure(
     Useful for completing a hand-guessed trap ideal into one that
     verify_infinity_certificate accepts: the closure always satisfies the
     containment conditions, so the only remaining question is whether it
-    stays inside m^{[p]}.  With an empty seed this is the I_∞ of qfs_decide.
+    stays inside m^{[p]}.  With an empty seed this is the whole I_∞, run to
+    its fixed point (`_Chain.close`) even where a level escapes m^{[p]},
+    at which `qfs_decide` stops.
     """
     sp = _Splitting(I.gens)
     return _Chain(sp, budget, _dedupe(list(seed) + sp.i1)).close()
@@ -1087,22 +1083,29 @@ def verify_certificate(
 ) -> bool:
     """Dispatch re-verification on the certificate kind.  A certificate that
     fails, malformed ones included, gives False and, when `reasons` is
-    given, the first violated condition."""
-    if cert.kind == COEFFICIENT_WITNESS:
-        return verify_coefficient_witness(list(I.gens), cert, budget, reasons)
-    if cert.kind == CHAIN_WITNESS:
-        if "chain" in cert.data:
-            return verify_witness_chain(I, cert.data["chain"], budget, reasons)
-        return verify_witness_levels(I, cert, budget, reasons)
-    if cert.kind in (I_INFTY_STABILIZED, FIXED_POINT_ENCLOSURE):
-        if "generators" not in cert.data:
-            return _fail(reasons, f"{cert.kind} certificate has no generators")
-        gens = cert.data["generators"]
-        if fault := _polynomials_fault(I.ring, gens, "generator"):
-            return _fail(reasons, fault)
-        return verify_infinity_certificate(I, Ideal(I.ring, gens), budget, reasons)
-    if cert.kind == NON_QFS:
-        return _verify_non_qfs(I, cert, reasons)
+    given, the first violated condition; so does one whose input passes the
+    exponent limit, which no verifier can re-check."""
+    try:
+        if cert.kind == COEFFICIENT_WITNESS:
+            return verify_coefficient_witness(list(I.gens), cert, budget, reasons)
+        if cert.kind == CHAIN_WITNESS:
+            if "chain" in cert.data:
+                return verify_witness_chain(I, cert.data["chain"], budget, reasons)
+            return verify_witness_levels(I, cert, budget, reasons)
+        if cert.kind == I_INFTY_STABILIZED:
+            if "generators" not in cert.data:
+                return _fail(reasons, f"{cert.kind} certificate has no generators")
+            gens = cert.data["generators"]
+            if fault := _polynomials_fault(I.ring, gens, "generator"):
+                return _fail(reasons, fault)
+            return verify_infinity_certificate(I, Ideal(I.ring, gens), budget, reasons)
+        if cert.kind == NON_QFS:
+            return _verify_non_qfs(I, cert, reasons)
+    except ExponentOverflowError as exc:
+        return _fail(
+            reasons,
+            f"{cert.kind} cannot be re-verified within the exponent limit {EXPONENT_LIMIT}: {exc}",
+        )
     return _fail(reasons, f"unknown certificate kind {cert.kind}")
 
 
@@ -1209,8 +1212,12 @@ def height(
     auto strategy: (a) the F-split monomial test; (b) the graded engine when
     its degree conditions hold (with the given grading, else the standard
     one); (c) the quick infinite-height tests; (d) the I_n chain up to n_max;
-    (e) its limit I_∞, run on from where (d) stopped, to separate Infinite
-    from LowerBound.  Forced strategies: "graded", "local", "qfs".
+    (e) the chain read on past n_max from where (d) stopped (from I_1 after
+    (b)), to its first escape, Finite(h) with h > n_max, or to its fixed
+    point I_∞ inside m^{[p]}, Infinite; so auto never returns LowerBound,
+    and n_max bounds only (b) and (d).  Forced strategies: "graded" and
+    "local" stop at n_max; "qfs" reads the chain from I_1 with no cutoff,
+    as (e) does.
     """
     gens = _as_gen_list(system)
     if not gens:
@@ -1238,12 +1245,7 @@ def height(
         _require_graded(gens, g)
         return finish(graded(_Splitting(gens)))
     if strategy == "qfs":
-        return finish(
-            _i_infinity(
-                _Chain(_Splitting(I.gens), budget), 1,
-                "quasi-F-split; height finite but not computed",
-            )
-        )
+        return finish(_chain_result(_Chain(_Splitting(I.gens), budget), None, "i-infinity"))
     if strategy != "auto":
         raise RingError(f"unknown strategy {strategy!r}")
 
@@ -1268,32 +1270,13 @@ def height(
     if quick is not None:
         return finish(HeightResult(INFINITE, None, quick, route="quick-tests"))
 
-    # (d) the local chain — unless the graded engine already exhausted n_max,
-    # in which case only the Infinite/LowerBound separation remains
+    # (d) the local chain — unless the graded engine already exhausted n_max
     chain = _Chain(sp, budget)
     if graded_result is None:
-        local = _height_local(chain, n_max)
-        if local.verdict in (FINITE, INFINITE, UNKNOWN):
+        local = _chain_result(chain, n_max, "local-chain")
+        if local.verdict != LOWER_BOUND:
             return finish(local)
 
-    # (e) I_∞, run on from (d)'s last level, separates Infinite from LowerBound
-    return finish(
-        _i_infinity(
-            chain, n_max,
-            f"quasi-F-split (I_infinity escapes m^[p]) but no level <= {n_max} "
-            "escaped; the height is finite and exceeds the cutoff",
-        )
-    )
-
-
-def _i_infinity(chain: _Chain, n: int, note: str) -> HeightResult:
-    """The I_∞ route: Infinite when I_∞ ⊆ m^{[p]}, else LowerBound(n) with
-    ``note`` (the height is finite but was not found)."""
-    try:
-        qfs, cert = _qfs_decide(chain)
-    except BudgetExceededError as exc:
-        return _unknown(exc, "i-infinity")
-    if not qfs:
-        return HeightResult(INFINITE, None, cert, route="i-infinity")
-    return HeightResult(LOWER_BOUND, n, cert, route="i-infinity", diagnostics=(note,))
-
+    # (e) the chain read on with no cutoff, from (d)'s last level, to its
+    # first escape (a height past n_max) or its fixed point inside m^[p]
+    return finish(_chain_result(chain, None, "i-infinity"))

@@ -38,34 +38,24 @@ def nonzero_poly_strategy(ring: PolynomialRing, max_exp: int = 4, max_terms: int
 @pytest.fixture(autouse=True)
 def trap_certificates_hold_on_the_oracle_route(monkeypatch):
     """Every trap certificate that a test makes in this process, the
-    FixedPointEnclosure of an Infinite local chain and the IInftyStabilized
-    of an I_∞ inside m^{[p]}, is re-verified after the test by
-    `oracles.trap_fault`, which shares neither the Schreyer run nor the θ
-    formula of the solver and its verifier.  A trap whose Δ₁(f^{p−1}) would
-    pass EXPONENT_LIMIT is left out, since the Δ route cannot form it."""
+    IInftyStabilized of an Infinite answer of the one chain reader
+    (`height_local`, `qfs_decide` and `height`'s I_∞ stage), is re-verified
+    after the test by `oracles.trap_fault`, which shares neither the
+    Schreyer run nor the θ formula of the solver and its verifier.  A trap
+    whose Δ₁(f^{p−1}) would pass EXPONENT_LIMIT is left out, since the Δ
+    route cannot form it."""
     made = []
-    local, decide = criteria._height_local, criteria._qfs_decide
+    read = criteria._read_chain
 
-    def record(chain, cert):
+    def read_chain(chain, n_max):
+        verdict, n, cert = read(chain, n_max)
         f = chain.sp.f
         p = f.ring.field.p
-        if p * (p - 1) * f.max_exponent() <= EXPONENT_LIMIT:
+        if verdict == criteria.INFINITE and p * (p - 1) * f.max_exponent() <= EXPONENT_LIMIT:
             made.append((Ideal(f.ring, chain.sp.gens), Ideal(f.ring, cert.data["generators"])))
+        return verdict, n, cert
 
-    def height_local(chain, n_max):
-        res = local(chain, n_max)
-        if res.verdict == criteria.INFINITE:
-            record(chain, res.certificate)
-        return res
-
-    def qfs_decide(chain):
-        qfs, cert = decide(chain)
-        if not qfs:
-            record(chain, cert)
-        return qfs, cert
-
-    monkeypatch.setattr(criteria, "_height_local", height_local)
-    monkeypatch.setattr(criteria, "_qfs_decide", qfs_decide)
+    monkeypatch.setattr(criteria, "_read_chain", read_chain)
     yield
     faults = [(I.gens, fault) for I, J in made if (fault := oracles.trap_fault(I, J))]
     assert faults == []

@@ -20,7 +20,7 @@ arithmetic paths:
 
 The reference routes built from the package's public maps sit beside them:
 the height-2 splitting section ψ₂, the I_n chain of the local engine, the
-trap-ideal check of FixedPointEnclosure and IInftyStabilized certificates,
+trap-ideal check of IInftyStabilized certificates,
 and the bracket power I^{[p^n]} that forms Fedder's colon (I^{[p]} : I).
 
 Test modules freeze expected values against these, never the other way

@@ -72,9 +72,10 @@ def test_golden_qfs_cusp(capsys):
     assert json.loads(out) == json.loads((GOLDEN / "qfs_cusp.json").read_text())
 
 
-def test_qfs_verify_on_a_quasi_f_split_answer_says_it_has_no_verifier(capsys):
-    """D4 at p = 2 is quasi-F-split: its I_∞ escapes m^[p], and no verifier
-    checks that, so the answer says so and points to `height --verify`."""
+def test_qfs_verify_on_a_quasi_f_split_answer_verifies_its_chain_witness(capsys):
+    """D4 at p = 2 is quasi-F-split: `qfs` stops at the first level that
+    escapes m^[p] and answers with the ChainWitness of that height, which
+    `--verify` accepts."""
     code, out, _ = run_cli(
         capsys,
         [
@@ -85,32 +86,34 @@ def test_qfs_verify_on_a_quasi_f_split_answer_says_it_has_no_verifier(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["qfs"] is True
-    assert payload["verified"] is None
-    assert len(payload["verify_reasons"]) == 1
-    assert "height --verify" in payload["verify_reasons"][0]
+    assert payload["certificate"]["kind"] == "ChainWitness"
+    assert payload["verified"] is True
+    assert "verify_reasons" not in payload
 
 
 @pytest.mark.parametrize(
-    "poly,options",
+    "poly,options,expected",
     [
-        ("z^2 + x^2*y + x*y^4 + x*y^3*z", ["--strategy", "qfs"]),  # D8^1
-        ("z^2 + x^3 + y^5", ["--n-max", "2"]),  # E8^0, height 4
+        ("z^2 + x^2*y + x*y^4 + x*y^3*z", ["--strategy", "qfs"], 3),  # D8^1
+        ("z^2 + x^3 + y^5", ["--n-max", "2"], 4),  # E8^0
     ],
     ids=["strategy-qfs", "n-max-below-height"],
 )
-def test_height_verify_on_a_lower_bound_matches_qfs_verify(capsys, poly, options):
-    """A LowerBound from the I_∞ route is a quasi-F-split answer; `height
-    --verify` reports it as unverified, with the reason `qfs --verify` gives,
-    not as a failed verification."""
+def test_height_verify_on_a_lower_bound_matches_qfs_verify(capsys, poly, options, expected):
+    """The I_∞ route, which used to answer these with a LowerBound, reads
+    the chain to its first escape: `height --verify` gives the height past
+    the cutoff, and both it and `qfs --verify` verify the same ChainWitness."""
     common = ["--p", "2", "--vars", "x,y,z", "--poly", poly, "--format", "json", "--verify"]
     code, out, _ = run_cli(capsys, ["height", *common, *options])
     assert code == 0
     payload = json.loads(out)
-    assert (payload["verdict"], payload["route"]) == ("LowerBound", "i-infinity")
-    assert payload["verified"] is None
+    assert (payload["verdict"], payload["n"], payload["route"]) == ("Finite", expected, "i-infinity")
+    assert payload["verified"] is True
     code, out, _ = run_cli(capsys, ["qfs", *common])
     assert code == 0
-    assert payload["verify_reasons"] == json.loads(out)["verify_reasons"]
+    qfs = json.loads(out)
+    assert (qfs["qfs"], qfs["verified"]) == (True, True)
+    assert qfs["certificate"] == payload["certificate"]
 
 
 def test_golden_verify_chain_conic(capsys):

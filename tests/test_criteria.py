@@ -38,7 +38,6 @@ from qfsplit.criteria import (
     Certificate,
     COEFFICIENT_WITNESS,
     FINITE,
-    FIXED_POINT_ENCLOSURE,
     I_INFTY_STABILIZED,
     INFINITE,
     LOWER_BOUND,
@@ -264,6 +263,31 @@ def test_the_chain_needs_only_delta1_of_f_within_the_exponent_limit():
     assert res.certificate.kind == I_INFTY_STABILIZED and verify_certificate(I, res.certificate)
     quick = height(I)
     assert (quick.verdict, quick.route) == (INFINITE, "quick-tests")
+
+
+OVERFLOW_X = ring_over(3).parse("x")
+PAST_THE_LIMIT = "cannot be re-verified within the exponent limit"
+
+
+@pytest.mark.parametrize(
+    "kind,data,reason",
+    [
+        (CHAIN_WITNESS, {"chain": [OVERFLOW_X, ring_over(3).parse("y")]}, PAST_THE_LIMIT),
+        (CHAIN_WITNESS, {"chain": [OVERFLOW_X]}, PAST_THE_LIMIT),
+        (CHAIN_WITNESS, {"levels": [], "escape": OVERFLOW_X, "escape_level": 1}, PAST_THE_LIMIT),
+        ("FixedPointEnclosure", {"generators": [OVERFLOW_X**3]}, "unknown certificate kind"),
+        (I_INFTY_STABILIZED, {"generators": [OVERFLOW_X**3], "iterations": 1}, PAST_THE_LIMIT),
+    ],
+)
+def test_certificates_past_the_exponent_limit_are_refused_with_a_reason(kind, data, reason):
+    """At p = 3, z² + x³ + y^M with M = EXPONENT_LIMIT // 2 has no I_1 within
+    the exponent limit (f^{p−1} needs 2M), so no chain or trap certificate
+    can be re-verified: each is refused with a reason, not an exception."""
+    ring = ring_over(3)
+    f = ring.parse("z^2 + x^3") + ring.monomial((0, EXPONENT_LIMIT // 2, 0))
+    reasons = []
+    assert verify_certificate(Ideal(ring, [f]), Certificate(kind, data), reasons=reasons) is False
+    assert reason in reasons[0]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -754,10 +778,14 @@ def test_qfs_decide_cusp_not_qfs(p):
 
 
 def test_qfs_decide_hyperplane_trivially_qfs():
+    """x is F-split: I_1 escapes at once, so the answer is the one-element
+    chain f^{p−1} = x^2, which the verifier accepts."""
     ring = ring_over(3)
-    verdict, cert = qfs_decide(Ideal(ring, [ring.variable("x")]))
+    I = Ideal(ring, [ring.variable("x")])
+    verdict, cert = qfs_decide(I)
     assert verdict is True
-    assert cert.data["iterations"] >= 1
+    assert (cert.kind, cert.data) == (CHAIN_WITNESS, {"chain": [ring.parse("x^2")]})
+    assert verify_certificate(I, cert)
 
 
 def test_qfs_decide_iteration_is_monotone():
@@ -798,6 +826,120 @@ def test_enclosure_closure_is_theta_closed():
     assert ideal_membership(g, closure)
 
 
+def random_hypersurfaces(p, nvars, count):
+    """``count`` hypersurfaces z^2 + g over F_p in ``nvars`` variables, g of
+    2–4 terms of degree 3–6 free of z, drawn from a fixed seed: double
+    points of every height up to 4 and non-quasi-F-split ones."""
+    ring = ring_named(p, list("xyzw"[:nvars]))
+    monomials = [
+        e for e in itertools.product(range(7), repeat=nvars) if 3 <= sum(e) <= 6 and e[2] == 0
+    ]
+    rng = random.Random(f"{p}/{nvars}")
+    z2 = ring.parse("z^2")
+    return [
+        z2 + ring.from_terms({m: rng.randrange(1, p) for m in rng.sample(monomials, rng.randint(2, 4))})
+        for _ in range(count)
+    ]
+
+
+HYPERSURFACE_DRAWS = [(p, nvars) for p in (2, 3) for nvars in (3, 4)]
+
+
+@pytest.mark.parametrize("p,nvars", HYPERSURFACE_DRAWS)
+def test_qfs_decide_agrees_with_the_whole_closure(p, nvars):
+    """The ring is quasi-F-split iff I_∞ ⊄ m^{[p]}: qfs_decide, which stops
+    at the first escaping level, must say so exactly when the whole closure
+    I_∞ (`enclosure_closure`, run to its fixed point) has a generator
+    outside m^{[p]}, and its certificate must verify either way."""
+    for f in random_hypersurfaces(p, nvars, 25):
+        I = Ideal(f.ring, [f])
+        try:
+            qfs, cert = qfs_decide(I, Budget(3000))
+            closure = enclosure_closure(I, budget=Budget(3000))
+        except criteria.BudgetExceededError:
+            continue
+        escapes = any(not in_max_ideal_frobenius_power(g, 1) for g in closure.gens)
+        assert qfs == escapes, f
+        assert cert.kind == (CHAIN_WITNESS if qfs else I_INFTY_STABILIZED), f
+        assert verify_certificate(I, cert), f
+
+
+@pytest.mark.parametrize("p,nvars", HYPERSURFACE_DRAWS)
+def test_strategy_qfs_gives_the_height_of_the_local_chain(p, nvars):
+    """`strategy="qfs"` reads the chain with no cutoff, so wherever the
+    local chain finds a Finite height under a large n_max, it finds the same
+    height, and wherever it finds Infinite, so does the local chain."""
+    for f in random_hypersurfaces(p, nvars, 25):
+        local = height(f, n_max=64, strategy="local", budget=Budget(3000))
+        qfs = height(f, strategy="qfs", budget=Budget(3000))
+        if UNKNOWN in (local.verdict, qfs.verdict):
+            continue
+        assert (qfs.verdict, qfs.n) == (local.verdict, local.n), f
+        assert qfs.route == "i-infinity"
+        assert verify_certificate(Ideal(f.ring, [f]), qfs.certificate), f
+
+
+def test_quasi_f_split_witnesses_of_the_i_infinity_route_reject_tampering(monkeypatch):
+    """qfs_decide's ChainWitness, in both forms, is refused once tampered.
+    Strict (D8^1 at p = 2, height 3): a changed last element, a first element
+    outside I_1, and a chain cut short.  Levelled (the strict search patched
+    off): a changed θ image, an escape moved into m^{[p]} (times x^2, so
+    still in I_3), a wrong escape level."""
+    ring = ring_over(2)
+    I = Ideal(ring, [ring.parse("z^2 + x^2*y + x*y^4 + x*y^3*z")])
+    qfs, cert = qfs_decide(I)
+    chain = cert.data["chain"]
+    assert qfs and len(chain) == 3 and verify_certificate(I, cert)
+    x = ring.variable("x")
+    for bad, reason in [
+        (chain[:-1] + [bump_leading_coefficient(chain[-1])], "step 2: theta image"),
+        ([x] + chain[1:], "is not in I_1"),
+        (chain[:-1], "lies in m^[p]"),
+    ]:
+        reasons = []
+        assert not verify_certificate(I, Certificate(CHAIN_WITNESS, {"chain": bad}), reasons=reasons)
+        assert reason in reasons[0]
+
+    monkeypatch.setattr(criteria, "_strict_chain_search", lambda *args, **kwargs: None)
+    qfs, cert = qfs_decide(I)
+    data = cert.data
+    assert qfs and "chain" not in data and data["escape_level"] == 3
+    assert verify_certificate(I, cert)
+    levels = [list(records) for records in data["levels"]]
+    l, k = next((l, k) for l, rs in enumerate(levels) for k, r in enumerate(rs) if r.image)
+    levels[l][k] = ChainStep(levels[l][k].element, bump_leading_coefficient(levels[l][k].image))
+    for bad, reason in [
+        (dict(data, levels=levels), f"level {l + 1}: theta image"),
+        (dict(data, escape=x**2 * data["escape"]), "lies in m^[p]"),
+        (dict(data, escape_level=2), "escape level disagrees"),
+    ]:
+        reasons = []
+        assert not verify_certificate(I, Certificate(CHAIN_WITNESS, bad), reasons=reasons)
+        assert reason in reasons[0]
+
+
+@pytest.mark.parametrize(
+    "p,names,text,options",
+    [
+        (3, "xyz", LOWER_BOUND_CUBIC[1], {"n_max": 3, "strategy": "graded"}),
+        (2, "xyz", "z^2 + x^3 + y^5", {"n_max": 2, "strategy": "local"}),
+        (2, "xyzwus", "x*y*s^2 + z*w*u^2 + y^3*w + x^3*z", {"n_max": 2, "strategy": "local"}),
+        (2, "xyz", "z^2 + x^3 + y^5", {"n_max": 2}),
+        (3, "xyz", LOWER_BOUND_CUBIC[1], {"n_max": 3}),
+    ],
+)
+def test_no_lower_bound_carries_a_certificate(p, names, text, options):
+    """A LowerBound proves nothing past its cutoff, so it carries no
+    certificate on any route; and auto, whose I_∞ stage reads on past the
+    cutoff, never returns one."""
+    f = ring_named(p, list(names)).parse(text)
+    res = height(f, **options)
+    if "strategy" in options:
+        assert (res.verdict, res.n) == (LOWER_BOUND, options["n_max"])
+    assert res.verdict != LOWER_BOUND or res.certificate is None
+    assert res.verdict == LOWER_BOUND or res.certificate is not None
+
+
 @pytest.fixture
 def reduced_bases(monkeypatch):
     """The generator sets, each as a set of packed polynomials, of every
@@ -836,19 +978,23 @@ def test_closure_carries_its_reduced_basis(reduced_bases):
 
 
 def assert_i1_seed_matches_colon_seed(gens):
-    """Fedder: for a regular sequence (I^[p] : I) = I_1, so qfs_decide's I_∞,
-    seeded with I_1, is the limit of the chain on the colon's generators,
-    level for level."""
+    """Fedder: for a regular sequence (I^[p] : I) = I_1, so the chain seeded
+    with I_1 and the chain on the colon's generators have equal reduced
+    bases level for level, and close to the same I_∞ at the same level."""
     ring = gens[0].ring
     I = Ideal(ring, gens)
     seed = colon_ideal(O.bracket_power(I, 1), I)
     sp = _Splitting(gens)
     assert ideal_equal(seed, Ideal(ring, sp.i1))
-    chain = _Chain(sp, Budget(), seed.gens)
-    closure = chain.close()
-    _, cert = qfs_decide(I)
-    assert cert.data["generators"] == list(closure.gens)
-    assert cert.data["iterations"] == chain.n
+    i1, colon = _Chain(sp, Budget()), _Chain(sp, Budget(), seed.gens)
+    while True:
+        assert i1._reduced() == colon._reduced()
+        moved = i1.advance()
+        assert colon.advance() == moved
+        if not moved:
+            break
+    assert i1.n == colon.n
+    assert list(i1.close().gens) == list(colon.close().gens)
 
 
 SEXTIC_VARS = ["x", "y", "z", "w", "u", "s"]
@@ -1247,7 +1393,7 @@ FOREIGN = ring_named(2, ["a", "b", "c"]).parse("a")
         (COEFFICIENT_WITNESS, {"level": 2, "coefficient": "1"}, "coefficient '1' is not"),
         (COEFFICIENT_WITNESS, {"level": 2, "coefficient": 0}, "witnesses no level"),
         (I_INFTY_STABILIZED, {"iterations": 1}, "has no generators"),
-        (FIXED_POINT_ENCLOSURE, {}, "has no generators"),
+        ("FixedPointEnclosure", {"generators": []}, "unknown certificate kind FixedPointEnclosure"),
         (CHAIN_WITNESS, {"chain": ["x"]}, "chain element 'x' is not a polynomial of"),
         (CHAIN_WITNESS, {"chain": [FOREIGN]}, "chain element <a over F_2> is not a polynomial of"),
         (CHAIN_WITNESS, {"levels": [[1]]}, "level 1: record entry 1 is not a polynomial of"),
@@ -1255,7 +1401,6 @@ FOREIGN = ring_named(2, ["a", "b", "c"]).parse("a")
         (CHAIN_WITNESS, {"levels": [], "escape": "x", "escape_level": 1}, "escape element 'x'"),
         (I_INFTY_STABILIZED, {"generators": "x", "iterations": 1}, "expected a list of generators"),
         (I_INFTY_STABILIZED, {"generators": [FOREIGN], "iterations": 1}, "generator <a over F_2>"),
-        (FIXED_POINT_ENCLOSURE, {"generators": [FOREIGN]}, "is not a polynomial of"),
     ],
 )
 def test_malformed_certificates_are_refused_with_a_reason(kind, data, reason):
@@ -1273,12 +1418,13 @@ def test_malformed_certificates_are_refused_with_a_reason(kind, data, reason):
     [
         (I_INFTY_STABILIZED, 2, tuple("xyzwus"), "x*y*s^2 + z*w*u^2 + y^3*w + x^3*z",
          {"n_max": 4}),
-        (FIXED_POINT_ENCLOSURE, 2, ("x", "y", "z"), "x^3 + y^2*z", {"strategy": "local"}),
+        (I_INFTY_STABILIZED, 2, ("x", "y", "z"), "x^3 + y^2*z", {"strategy": "local"}),
     ],
 )
 def test_enclosures_reject_a_generator_outside_the_bracket_power(kind, p, names, text, options):
-    """The first generator gains the term (x_1⋯x_N)^{p−1}, which lies outside
-    m^{[p]}."""
+    """The trap of an Infinite answer, from the I_∞ stage (sextic g1) or from
+    the local chain (the cusp), is refused once its first generator gains
+    the term (x_1⋯x_N)^{p−1}, which lies outside m^{[p]}."""
     ring = ring_named(p, names)
     I = Ideal(ring, [ring.parse(text)])
     cert = height(I, **options).certificate
@@ -1611,8 +1757,9 @@ CHAIN_MONOMIALS = [e for e in itertools.product(range(4), repeat=3) if 2 <= sum(
 def test_chain_ascends_and_its_limit_matches_the_oracle_chain(p, data):
     """The premise of resuming I_∞ from the local chain: the one chain
     ascends, I_n ⊆ I_{n+1}, so its fixed point is where the I_n chain of the
-    public maps stops.  qfs_decide (under a step budget) must return the
-    last ideal of `oracles.local_chain_ideals`, stabilized at the same level."""
+    public maps stops.  The chain closed to its fixed point (under a step
+    budget) must be the last ideal of `oracles.local_chain_ideals`,
+    stabilized at the same level."""
     ring = ring_over(p)
     terms = data.draw(
         st.dictionaries(
@@ -1623,19 +1770,23 @@ def test_chain_ascends_and_its_limit_matches_the_oracle_chain(p, data):
     assume(not fedder_fsplit(f))  # an F-split chain stops at I_1
     I = Ideal(ring, [f])
     chain = _Chain(_Splitting([f]), Budget())
-    levels = [chain.ideal]
+
+    def level():
+        return Ideal(ring, [chain.sp.polynomial(g) for g in chain.gens])
+
+    levels = [level()]
     while chain.n < 4 and chain.advance():
-        levels.append(chain.ideal)
+        levels.append(level())
     for small, big in zip(levels, levels[1:]):
         assert all(ideal_membership(g, big) for g in small.gens)
+    closing = _Chain(_Splitting([f]), Budget(4000))
     try:
-        _, cert = qfs_decide(I, Budget(4000))
+        limit = closing.close()
     except criteria.BudgetExceededError:
         return
-    iterations = cert.data["iterations"]
-    oracle = O.local_chain_ideals(I, iterations + 1)
-    assert ideal_equal(Ideal(ring, cert.data["generators"]), oracle[-1])
-    assert len(oracle) == iterations
+    oracle = O.local_chain_ideals(I, closing.n + 1)
+    assert ideal_equal(limit, oracle[-1])
+    assert len(oracle) == closing.n
 
 
 @pytest.mark.parametrize(
@@ -1647,8 +1798,10 @@ def test_chain_ascends_and_its_limit_matches_the_oracle_chain(p, data):
     ],
 )
 def test_height_resumes_i_infinity_from_the_local_chain(p, names, text, n_max):
-    """The I_∞ certificate that `height` returns after its local chain equals
-    the one a fresh qfs_decide returns from I_1, `iterations` included."""
+    """The certificate that `height`'s I_∞ stage returns, read on from where
+    the local chain stopped, equals the one a fresh qfs_decide reads from
+    I_1 (`iterations` included), and the verifier accepts it: a ChainWitness
+    of a height past n_max, or the trap I_∞."""
     ring = ring_named(p, list(names))
     f = ring.parse(text)
     res = height(f, n_max=n_max)
@@ -1656,8 +1809,7 @@ def test_height_resumes_i_infinity_from_the_local_chain(p, names, text, n_max):
     _, cert = qfs_decide(Ideal(ring, [f]))
     as_json = criteria.certificate_to_json
     assert as_json(res.certificate) == as_json(cert)
-    if res.verdict == INFINITE:  # an escaping I_∞ is no trap ideal
-        assert verify_certificate(Ideal(ring, [f]), res.certificate)
+    assert verify_certificate(Ideal(ring, [f]), res.certificate)
 
 
 @pytest.mark.parametrize("steps,route", [(600, "i-infinity"), (500, "local-chain")])

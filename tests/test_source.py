@@ -447,13 +447,14 @@ def test_groebner_has_one_reduction_loop():
         assert "_reduce" in reached_names(source, caller), caller
 
 
-def call_sites(source: str, name: str) -> list[str]:
-    """The definitions, as dotted scopes, that hold a call of `name`, once
-    per call."""
+def call_sites(source: str, name: str, method: bool = False) -> list[str]:
+    """The definitions, as dotted scopes, that hold a call of `name` (with
+    `method`, a method call `x.name(...)`), once per call."""
     out = []
+    field = "attr" if method else "id"
 
     def visit(node: ast.AST, scope: str) -> None:
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+        if isinstance(node, ast.Call) and getattr(node.func, field, None) == name:
             out.append(scope)
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -473,15 +474,20 @@ def test_call_sites_detector():
         "def b(): return g(f)\n"
     )
     assert call_sites(src, "f") == ["a", "a", "C.m"]
+    assert call_sites(src, "f", method=True) == ["C.m"]
 
 
 def test_criteria_has_one_chain_loop():
     """The local engine, the I_∞ decision and `enclosure_closure` read the
     one I_n chain, `_Chain`: θ(F_*· ∩ Ker u) is formed only by its step and
-    by the trap-ideal verifier, which none of the three reaches."""
+    by the trap-ideal verifier, which none of the three reaches.  One reader,
+    `_read_chain`, serves `height_local`, `qfs_decide` and `height`; only
+    `enclosure_closure` closes the chain past a level that escapes."""
     source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
     defined = {n.name for n in ast.parse(source).body if hasattr(n, "name")}
     assert defined & {"_theta_closure", "_theta_step"} == set()
+    assert defined & {"_height_local", "_qfs_decide", "_i_infinity"} == set()
+    assert "FIXED_POINT_ENCLOSURE" not in source and "FixedPointEnclosure" not in source
     assert sorted(call_sites(source, "_theta_images")) == [
         "_Chain.advance", "verify_infinity_certificate",
     ]
@@ -489,3 +495,6 @@ def test_criteria_has_one_chain_loop():
         reached = reached_names(source, caller)
         assert "_Chain" in reached, caller
         assert "verify_infinity_certificate" not in reached, caller
+    for caller in ("height_local", "qfs_decide", "height"):
+        assert "_read_chain" in reached_names(source, caller), caller
+    assert call_sites(source, "close", method=True) == ["enclosure_closure"]
