@@ -1418,7 +1418,8 @@ def test_malformed_certificates_are_refused_with_a_reason(kind, data, reason):
     [
         (I_INFTY_STABILIZED, 2, tuple("xyzwus"), "x*y*s^2 + z*w*u^2 + y^3*w + x^3*z",
          {"n_max": 4}),
-        (I_INFTY_STABILIZED, 2, ("x", "y", "z"), "x^3 + y^2*z", {"strategy": "local"}),
+        pytest.param(I_INFTY_STABILIZED, 2, ("x", "y", "z"), "x^3 + y^2*z",
+                     {"strategy": "local"}, id="local-cusp"),
     ],
 )
 def test_enclosures_reject_a_generator_outside_the_bracket_power(kind, p, names, text, options):
