@@ -4,7 +4,8 @@
 For every target h in 1..h-max, samples the family (optionally restricted to
 the sub-family spanned by x_1^N and the monomials prime to x_1, where the
 reachable heights are forced upward), confirms each hit with the exact
-graded computation, and re-verifies its certificate:
+graded computation, and re-verifies its certificate; a hit that the exact
+computation or its certificate does not confirm exits 1:
 
     python3 scripts/search_heights.py --p 2 --nvars 3 --h-max 3
     python3 scripts/search_heights.py --p 2 --nvars 3 --h-max 2 --restrict
@@ -56,9 +57,14 @@ def main() -> int:
         res = height_graded_cy(
             [witness], Grading.standard(args.nvars), n_max=target
         )
-        assert res.verdict == FINITE and res.n == target
+        if res.verdict != FINITE or res.n != target:
+            print(f"error: h={target}: {witness} has height {res.verdict} {res.n}", file=sys.stderr)
+            return 1
         verified = verify_certificate(Ideal(witness.ring, [witness]), res.certificate)
         print(f"h={target}: {witness}   (certificate re-verified={verified})  [{took:.1f}s]")
+        if not verified:
+            print(f"error: h={target}: the certificate of {witness} fails", file=sys.stderr)
+            return 1
     return 0 if found_all else 1
 
 

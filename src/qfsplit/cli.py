@@ -183,10 +183,13 @@ def _job_from_args(args, command: str) -> Job:
 
 
 def _polynomials(job: Job) -> list[Polynomial]:
-    """The job's parsed polynomials; at least one."""
+    """The job's parsed polynomials: at least one, and none zero, since no
+    regular sequence has a zero element."""
     polys = job.parsed()
     if not polys:
         raise InputError(f"{job.command} needs at least one polynomial")
+    if not all(polys):
+        raise InputError("a zero generator is not part of a regular sequence")
     return polys
 
 

@@ -28,8 +28,14 @@ path forms Δ₁(f^{p−1}):
   ring layout (`PolynomialRing.codec`); polynomials are built only for a
   certificate.
 
-`height` orchestrates both plus the quick non-splitting tests, on one
-`_Splitting` (f and its derived quantities) and one I_n chain per call.
+The (x_1⋯x_N)^{p^n−1} coefficient of f^{p−1}·Δ₁(f^{p−1})^{1+p+⋯+p^{n−2}}
+has one capped reader, `capped_coefficients`, for the coefficient verifier
+from level 3 on and for the stratum polynomials of `strata`.
+
+`height` orchestrates both engines plus the quick non-splitting tests, on
+one `_Splitting` (f and its derived quantities) and one I_n chain per call.
+Every entry point builds a `_Splitting`, which refuses a system with no
+generator or a zero one.
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from .rings import (
     EXPONENT_LIMIT,
@@ -50,14 +55,15 @@ from .rings import (
     PolynomialRing,
     RingError,
     check_homogeneous,
+    narrow_codec,
+    packed_mul,
+    packed_power,
 )
 from .witt import (
     delta1,
     delta1_power,
     delta1_power_parts,
     packed_delta1,
-    packed_mul,
-    packed_power,
     teichmuller_lift,
 )
 from .frobenius import (
@@ -74,6 +80,7 @@ from .groebner import (
     Budget,
     BudgetExceededError,
     Ideal,
+    _dedupe,
     _intersect_keru,
     _reduced_basis,
     frobenius_module_intersect_keru,
@@ -97,7 +104,6 @@ NON_QFS = "NonQFS"
 # NonQFS tags (each names the verified containment)
 TAG_FPM2 = "f^(p-2) in m^[p]"
 TAG_PRODUCT = "(f^(p-2), I^[p]) * f^(p*(p-2)) * delta1(f) in m^[p^2]"
-TAG_I_INFTY = "I_infinity in m^[p]"
 
 
 @dataclass(frozen=True)
@@ -158,22 +164,6 @@ def _as_gen_list(arg: Union[Ideal, Polynomial, Sequence[Polynomial]]) -> list[Po
     return list(arg)
 
 
-def _dedupe(polys: Iterable[Any], key=lambda g: g) -> list[Any]:
-    """The nonzero polynomials in order, each once; `key` makes a packed
-    polynomial hashable."""
-    out: list[Any] = []
-    seen: set = set()
-    for g in polys:
-        if g and (k := key(g)) not in seen:
-            seen.add(k)
-            out.append(g)
-    return out
-
-
-def _packed_key(g: dict[int, int]) -> frozenset:
-    return frozenset(g.items())
-
-
 class _cached:
     """`functools.cached_property` without the lock that it takes on every
     first read before Python 3.12: a splitting is read by one thread, and
@@ -191,10 +181,6 @@ class _cached:
         return value
 
 
-# codecs hold no state, so problems of one shape share theirs
-_codec = lru_cache(maxsize=64)(ExponentCodec)
-
-
 class _Splitting:
     """The derived data of one problem I = (f'_1, ..., f'_m): f = Π f'_i, and
     f^{p−2}, f^{p−1}, Δ₁(f), I_1's generators and Δ = Δ₁(f^{p−1}), each
@@ -202,9 +188,10 @@ class _Splitting:
     builds one per call and hands it to every stage.
 
     f, its Teichmüller lift F over ℤ/p², the powers, Δ₁(f) and Δ live packed
-    under one `ExponentCodec` per problem, wide enough for p²·M (M the
-    largest exponent of f): Δ stays within p(p−1)·M, Δ₁(f) within p·M and
-    every graded orbit term t_n within p·M (t_1 ≤ (p−1)·M, θ_f(F_*t_n) ≤
+    under one narrow codec per problem (`rings.narrow_codec`), wide enough
+    for p²·M (M the largest exponent of f): Δ stays within p(p−1)·M, Δ₁(f)
+    within p·M and every graded orbit term t_n within p·M (t_1 ≤ (p−1)·M,
+    θ_f(F_*t_n) ≤
     (t_n + p·M)/p and t_{n+1} ≤ (p−2)·M + θ_f(F_*t_n)), so the fields of θ's
     products and of the graded engine's pairings stay within p²·M, as do
     its caps (p² − 1).  F^{p−2} and F^{p−1} reduce mod p to f^{p−2} and
@@ -220,24 +207,25 @@ class _Splitting:
     `packed_i1` holds I_1's generators on it, and `chain_theta` needs only
     p·M ≤ EXPONENT_LIMIT: for w within the limit, the fields of Δ₁(f)·w
     stay within p·M + EXPONENT_LIMIT, which 32 bits hold, and those of the
-    image within (p − 1)·M + EXPONENT_LIMIT/p ≤ EXPONENT_LIMIT."""
+    image within (p − 1)·M + EXPONENT_LIMIT/p ≤ EXPONENT_LIMIT.  No regular
+    sequence is empty or has a zero element: such a system raises RingError."""
 
     def __init__(self, gens: Sequence[Polynomial]):
         self.gens = list(gens)
+        if not self.gens or not all(self.gens):
+            raise RingError("a regular sequence needs at least one generator, and no zero one")
         self.ring = self.gens[0].ring
         self.p = self.ring.field.p
         f = self.gens[0]
         for g in self.gens[1:]:
             f = f * g
         self.f = f
-        bound = self.p**2 * max(f.max_exponent(), 1)
-        self.codec = codec = _codec(self.ring.nvars, bound.bit_length())
+        self.codec = codec = narrow_codec(self.ring.nvars, self.p**2 * max(f.max_exponent(), 1))
         self.packed_f = {codec.pack(e): c for e, c in f.terms.items()}
         self._lift = teichmuller_lift(self.packed_f, self.p)
 
     def _unpack(self, packed: dict[int, int]) -> Polynomial:
-        unpack = self.codec.unpack
-        return Polynomial(self.ring, {unpack(e): c for e, c in packed.items()})
+        return Polynomial(self.ring, self.codec.unpack_terms(packed))
 
     def _check_power(self, n: int) -> None:
         """Raise where `f ** n` raises: its last product has exponents n·M."""
@@ -555,23 +543,35 @@ def _graded_cy(sp: _Splitting, g: Grading, n_max: int, budget: Budget) -> Height
     return _stamped(res, budget, t0)
 
 
-def capped_delta_powers(
-    delta: Polynomial, levels: int, nx: int, budget: Optional[Budget] = None
+def capped_coefficients(
+    gp: Polynomial, delta: Polynomial, levels: int, nx: int, budget: Optional[Budget] = None
 ) -> list[Polynomial]:
-    """E_2, …, E_levels for E_n := Δ^{1+p+⋯+p^{n−2}} by E_{n+1} = E_n^p·Δ,
-    the first `nx` exponents of E_n capped at p^n−1.  Sound: a term over the
-    cap stays over it in E_n^p and in every later product.  Ticks len(E_n)
-    per level; shared by the coefficient verifier and the stratum polynomials."""
-    ring = delta.ring
+    """c_1, …, c_levels: c_n is the (x_1⋯x_nx)^{p^n−1} coefficient of gp·E_n,
+    E_n := Δ^{1+p+⋯+p^{n−2}}, the x's being the first `nx` variables, as a
+    polynomial in the others.  E_1 = 1 and E_{n+1} = E_n^p·Δ, its x-exponents
+    capped at p^{n+1}−1: sound, as a term over the cap stays over it in E_n^p
+    and every later product.  c_n is Σ gp[e]·E_n[target − e] over the
+    x-parts e, read without forming gp·E_n.  Ticks len(E_n) per level."""
+    ring = gp.ring
     p = ring.field.p
-    powers: list[Polynomial] = []
-    for n in range(2, levels + 1):
-        cap = (p**n - 1,) * nx + (None,) * (ring.nvars - nx)
-        base = powers[-1].pth_power() if powers else ring.one
-        powers.append(base.capped_mul(delta, cap))
-        if budget is not None:
-            budget.tick(len(powers[-1]))
-    return powers
+    out: list[Polynomial] = []
+    epow = ring.one
+    for n in range(1, levels + 1):
+        target = (p**n - 1,) * nx
+        if n > 1:
+            epow = epow.pth_power().capped_mul(delta, target + (None,) * (ring.nvars - nx))
+            if budget is not None:
+                budget.tick(len(epow))
+        dual: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        for e, c in epow.terms.items():
+            dual.setdefault(e[:nx], []).append((e[nx:], c))
+        acc: dict[tuple[int, ...], int] = {}
+        for e, c in gp.terms.items():
+            for rest, d in dual.get(tuple(map(int.__sub__, target, e[:nx])), ()):
+                k = (0,) * nx + tuple(map(int.__add__, e[nx:], rest))
+                acc[k] = acc.get(k, 0) + c * d
+        out.append(ring.from_terms(acc))
+    return out
 
 
 def graded_cy_coefficient(
@@ -585,9 +585,9 @@ def graded_cy_coefficient(
     multiplies by Δ₁(f) and pairs with f^{p−2}.  Level 1 reads the
     problem's packed f^{p−1}; level 2 pairs it with Δ₁(f^{p−1}) without
     forming Δ₁(f^{p−1}), each coefficient it reads taken from Δ₁(f) by the
-    δ-ring rule (`_delta_pairing`); from level 3 on, E_n comes from
-    `capped_delta_powers`.  Used to re-verify CoefficientWitness
-    certificates.
+    δ-ring rule (`_delta_pairing`); from level 3 on it is the constant
+    term of `capped_coefficients`' c_n, the reader of the stratum
+    polynomials too.  Used to re-verify CoefficientWitness certificates.
     """
     if n < 1:
         raise RingError("level must be >= 1")
@@ -598,14 +598,8 @@ def graded_cy_coefficient(
         return sp.packed_fp1.get(codec.pack(cap), 0)
     if n == 2:
         return _delta_pairing(sp, codec.pack(cap))
-    epow = capped_delta_powers(sp.delta, n, nvars, budget)[-1]
-    # E_n's exponents reach p^n − 1, past the problem's packing: pack both
-    # factors at a width that holds the sum of their largest exponents
-    fp1 = sp.fp1
-    codec = ExponentCodec(nvars, max(cap[0], fp1.max_exponent()).bit_length() + 1)
-    pack = codec.pack
-    a, b = ({pack(e): c for e, c in q.terms.items()} for q in (fp1, epow))
-    return _pairing(a, b, pack(cap), p)
+    c = capped_coefficients(sp.fp1, sp.delta, n, nvars, budget)[-1]
+    return c.terms.get((0,) * nvars, 0)
 
 
 def _delta_pairing(sp: _Splitting, cap: int) -> int:
@@ -697,7 +691,7 @@ class _Chain:
         """Step to J_{n+1}, or return False and stay once J_{n+1} = J_n."""
         inter = _intersect_keru(self.sp.ring, self._reduced(), self.budget)
         steps = _theta_images(self.sp, inter)
-        nxt = _dedupe(self.base + [image for _, image in steps], _packed_key)
+        nxt = _dedupe(self.base + [image for _, image in steps])
         # J_n ⊆ J_{n+1}, and an ideal escapes m^{[p]} iff a generator does
         escapes = self.sp.escapes
         basis = None
@@ -1217,13 +1211,12 @@ def height(
     point I_∞ inside m^{[p]}, Infinite; so auto never returns LowerBound,
     and n_max bounds only (b) and (d).  Forced strategies: "graded" and
     "local" stop at n_max; "qfs" reads the chain from I_1 with no cutoff,
-    as (e) does.
+    as (e) does.  Raises RingError for a system with no generator or a
+    zero one.
     """
     gens = _as_gen_list(system)
-    if not gens:
-        raise RingError("height needs at least one polynomial")
-    ring = gens[0].ring
-    I = system if isinstance(system, Ideal) else Ideal(ring, gens)
+    # one splitting serves every stage; it refuses an empty or zero system
+    sp = _Splitting(gens)
     if budget is None:
         budget = Budget()
     t0 = time.perf_counter()
@@ -1231,27 +1224,23 @@ def height(
     def finish(res: HeightResult) -> HeightResult:
         return _stamped(res, budget, t0)
 
-    g = grading if grading is not None else Grading.standard(ring.nvars)
+    g = grading if grading is not None else Grading.standard(sp.ring.nvars)
 
-    def graded(sp: _Splitting) -> HeightResult:
+    def graded() -> HeightResult:
         try:
             return _graded_cy(sp, g, n_max, budget)
         except BudgetExceededError as exc:
             return _unknown(exc, "graded-cy")
 
     if strategy == "local":
-        return finish(height_local(I, n_max, budget))
+        return finish(height_local(Ideal(sp.ring, gens), n_max, budget))
     if strategy == "graded":
         _require_graded(gens, g)
-        return finish(graded(_Splitting(gens)))
+        return finish(graded())
     if strategy == "qfs":
-        return finish(_chain_result(_Chain(_Splitting(I.gens), budget), None, "i-infinity"))
+        return finish(_chain_result(_Chain(sp, budget), None, "i-infinity"))
     if strategy != "auto":
         raise RingError(f"unknown strategy {strategy!r}")
-
-    # one splitting serves every stage: a zero generator (which I drops)
-    # always ends at (c), so (d) and (e) see I's own generators
-    sp = _Splitting(gens)
 
     # (a) F-split?
     if not in_max_ideal_frobenius_power(sp.fp1, 1):
@@ -1261,7 +1250,7 @@ def height(
     # (b) graded engine
     graded_result: Optional[HeightResult] = None
     if graded_cy_applicable(gens, g) is None:
-        graded_result = graded(sp)
+        graded_result = graded()
         if graded_result.verdict in (FINITE, UNKNOWN):
             return finish(graded_result)
 

@@ -41,7 +41,7 @@ import heapq
 import itertools
 import os
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .rings import (
     EXPONENT_LIMIT,
@@ -763,12 +763,18 @@ def _intersect_keru(
             raise RuntimeError("intersection generator escaped Ker(u)")
         if w:
             elements.append(w)
-    seen: set[frozenset] = set()
-    out = []
-    for w in direct + elements:
-        if (key := frozenset(w.items())) not in seen:
-            seen.add(key)
-            out.append(w)
+    return _dedupe(direct + elements)
+
+
+def _dedupe(polys: Iterable[Any]) -> list[Any]:
+    """The nonzero polynomials in order, each once; packed ones (dicts) are
+    compared by their terms."""
+    out: list[Any] = []
+    seen: set = set()
+    for g in polys:
+        if g and (k := frozenset(g.items()) if isinstance(g, dict) else g) not in seen:
+            seen.add(k)
+            out.append(g)
     return out
 
 

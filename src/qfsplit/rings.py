@@ -11,14 +11,19 @@ into one int with a fixed number of bits per variable, so a monomial product
 is one int addition.  It is the only place exponents are packed, and it
 holds the per-field tests those loops need on packed ints: the guard-bit
 test of an exponent against a per-variable cap, and the residues mod p of
-its fields.  It comes in two layouts.  Δ₁, the graded engine's θ orbit and
-pairings, and capped products pack under a narrow codec per problem or per
-call, whose fields are just wide enough for the exponents at hand: small
-ints are what keeps those loops fast.  The Groebner kernel and the I_n chain
-pack under the ring layout (`PolynomialRing.codec`, one per variable count):
-32-bit fields that hold exactly 0..EXPONENT_LIMIT below a guard bit, under
-an unbounded field for the total degree, on which divisibility is one
-guard-bit subtraction and `ExponentCodec.key` sorts like `grevlex_key`.
+its fields.  It comes in two layouts.  Products, powers, Δ₁, the graded
+engine's θ orbit and pairings pack under a narrow codec (`narrow_codec`),
+whose fields are just wide enough for the largest exponent at hand plus a
+guard bit: small ints are what keeps those loops fast.  The Groebner kernel
+and the I_n chain pack under the ring layout (`PolynomialRing.codec`, one
+per variable count): 32-bit fields that hold exactly 0..EXPONENT_LIMIT below
+a guard bit, under an unbounded field for the total degree, on which
+divisibility is one guard-bit subtraction and `ExponentCodec.key` sorts
+like `grevlex_key`.
+
+Every product of polynomials runs one kernel, `packed_mul` (and
+`packed_power` over it): `Polynomial.__mul__`, `__pow__`, `mul_term` and
+`capped_mul` pack their operands once, call it and unpack once.
 
 Only prime coefficient fields are supported: every criterion implemented in
 this package reads or writes coefficients through the identity c^(1/p) = c,
@@ -248,6 +253,39 @@ def ring_codec(nvars: int) -> ExponentCodec:
     return ExponentCodec(nvars, FIELD_WIDTH, degree=True)
 
 
+@lru_cache(maxsize=256)
+def narrow_codec(nvars: int, largest: int) -> ExponentCodec:
+    """The narrow layout of `nvars` variables whose fields hold every
+    exponent up to `largest`: its bit length plus a guard bit, so that
+    `within` tests caps exactly.  Shared, as codecs hold no state."""
+    return ExponentCodec(nvars, largest.bit_length() + 1)
+
+
+def packed_mul(f: dict[int, int], g: dict[int, int], q: int) -> dict[int, int]:
+    """Product of two packed polynomials, coefficients mod q: the one
+    term-pair loop of the package.  The codec must hold every field of f·g."""
+    out: dict[int, int] = {}
+    get = out.get
+    gitems = list(g.items())
+    for ea, ca in f.items():
+        for eb, cb in gitems:
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    return {e: r for e, c in out.items() if (r := c % q)}
+
+
+def packed_power(f: dict[int, int], n: int, q: int) -> dict[int, int]:
+    """f^n mod q for n ≥ 0 by left-to-right binary powering."""
+    if n == 0:
+        return {0: 1}
+    out = f
+    for bit in bin(n)[3:]:
+        out = packed_mul(out, out, q)
+        if bit == "1":
+            out = packed_mul(out, f, q)
+    return out
+
+
 class PolynomialRing:
     """S = F_p[x_1, ..., x_N] with a fixed variable naming."""
 
@@ -432,52 +470,38 @@ class Polynomial:
         self._require_same_ring(other)
         if not self.terms or not other.terms:
             return self.ring.zero
-        if self.max_exponent() + other.max_exponent() > EXPONENT_LIMIT:
+        top = self.max_exponent() + other.max_exponent()
+        if top > EXPONENT_LIMIT:
             raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
-        p = self.ring.field.p
-        # iterate the smaller operand on the outside; accumulate into a dict
-        a, b = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        bitems = list(b.items())
-        for ea, ca in a.items():
-            for eb, cb in bitems:
-                e = tuple(map(int.__add__, ea, eb))
-                s = (get(e, 0) + ca * cb) % p
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Polynomial(self.ring, out)
+        # the smaller operand on the outside
+        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        pack = (codec := narrow_codec(self.ring.nvars, top)).pack_terms
+        out = packed_mul(pack(a.terms), pack(b.terms), self.ring.field.p)
+        return Polynomial(self.ring, codec.unpack_terms(out))
 
     def mul_term(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
-        """Multiply by a single term coeff * x^exps (cheap path)."""
-        e0 = tuple(exps)
-        p = self.ring.field.p
-        coeff %= p
-        if coeff == 0 or not self.terms:
+        """Multiply by a single term coeff * x^exps."""
+        coeff %= self.ring.field.p
+        if not coeff:
             return self.ring.zero
-        if self.max_exponent() + max(e0, default=0) > EXPONENT_LIMIT:
-            raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(map(int.__add__, e, e0))] = (c * coeff) % p if coeff != 1 else c
-        return Polynomial(self.ring, out)
+        return self * Polynomial(self.ring, {tuple(exps): coeff})
 
     def __pow__(self, n: int) -> "Polynomial":
+        """self^n.  Raises ExponentOverflowError iff n·M passes
+        EXPONENT_LIMIT (n ≥ 2, M the largest exponent), as n·M is the
+        largest exponent of the power."""
         if n < 0:
             raise RingError("negative power of a polynomial")
         if n == 0:
             return self.ring.one
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        if n == 1 or not self.terms:
+            return self
+        top = n * self.max_exponent()
+        if top > EXPONENT_LIMIT:
+            raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
+        codec = narrow_codec(self.ring.nvars, top)
+        out = packed_power(codec.pack_terms(self.terms), n, self.ring.field.p)
+        return Polynomial(self.ring, codec.unpack_terms(out))
 
     def pth_power(self, k: int = 1) -> "Polynomial":
         """self^(p^k), computed termwise: Frobenius fixes F_p coefficients."""
@@ -513,23 +537,15 @@ class Polynomial:
             raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
         if any(c is not None and c < 0 for c in caps):
             return self.ring.zero
-        p = self.ring.field.p
-        codec = ExponentCodec(self.ring.nvars, top.bit_length() + 1)
-        pack, within = codec.pack, codec.within
-        limit = codec.ceiling(caps)
-        a, b = (
-            [(k, c) for e, c in f.terms.items() if within(limit, k := pack(e))]
-            for f in (self, other)
-        )
-        out: dict[int, int] = {}
-        get = out.get
-        for ea, ca in a:
-            for eb, cb in b:
-                e = ea + eb
-                if within(limit, e):
-                    out[e] = get(e, 0) + ca * cb
+        codec = narrow_codec(self.ring.nvars, top)
+        within, limit, pack = codec.within, codec.ceiling(caps), codec.pack_terms
+        a = {k: c for k, c in pack(self.terms).items() if within(limit, k)}
+        b = {k: c for k, c in pack(other.terms).items() if within(limit, k)}
+        out = packed_mul(a, b, self.ring.field.p)
         unpack = codec.unpack
-        return Polynomial(self.ring, {unpack(e): r for e, c in out.items() if (r := c % p)})
+        return Polynomial(
+            self.ring, {unpack(e): c for e, c in out.items() if within(limit, e)}
+        )
 
     # -- structure -----------------------------------------------------
 

@@ -9,9 +9,11 @@ degree p^i−1 in the a-variables; the locus of height ≥ h in the family is
 cut out by b_1 = ⋯ = b_{h−1} = 0.  Δ̃₁ is the Witt carry of G^{p−1} taken
 with respect to its decomposition grouped by x-monomial (each a-coefficient
 rides inside its group), which makes specialization of the a-variables
-commute with the construction.  The power E_i = Δ̃₁(G^{p−1})^{1+p+⋯+p^{i−2}}
-comes from `criteria.capped_delta_powers`, the capped recursion
-E_{i+1} = E_i^p·Δ̃₁ that also re-verifies coefficient witnesses.
+commute with the construction.  Each b_i is read by
+`criteria.capped_coefficients`, the capped recursion E_{i+1} = E_i^p·Δ̃₁
+for E_i = Δ̃₁(G^{p−1})^{1+p+⋯+p^{i−2}} and a pairing of G^{p−1} with E_i
+at the target x-monomial, the reader that also re-verifies coefficient
+witnesses from level 3 on.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Mapping, Optional, Sequence, Union
 from .rings import Grading, Polynomial, PolynomialRing, PrimeField, RingError
 from .witt import delta1
 from .groebner import Budget
-from .criteria import FINITE, capped_delta_powers, height_graded_cy
+from .criteria import FINITE, capped_coefficients, height_graded_cy
 
 
 def degree_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -172,12 +174,9 @@ def delta1_tilde(ctx: FamilyContext, poly: Polynomial) -> Polynomial:
 def strata_polynomials(
     ctx: FamilyContext, h_max: int, budget: Optional[Budget] = None
 ) -> StrataPolynomials:
-    """b_1, …, b_{h_max−1} by capped expansion.
-
-    The Δ̃-power factors E_2, …, E_{h_max−1} come from
-    `criteria.capped_delta_powers` with the x-exponents of E_i capped at
-    p^i−1 and the a-variables never capped; each b_i is then read off
-    G^{p−1}·E_i under the same cap.  Cost grows roughly like the number of
+    """b_1, …, b_{h_max−1} by capped expansion: `criteria.capped_coefficients`
+    on G^{p−1} and Δ̃₁(G^{p−1}), with the x-exponents of E_i capped at p^i−1
+    and the a-variables never capped.  Cost grows roughly like the number of
     monomials below the cap; intended for small h_max (every acceptance use
     is h_max ≤ 4).
     """
@@ -185,30 +184,12 @@ def strata_polynomials(
         budget = Budget()
     if h_max < 1:
         raise RingError("h_max must be positive")
-    p = ctx.p
-    gp = ctx.generic ** (p - 1)
-    out = []
-    if h_max >= 2:
-        out.append(_extract_target_coefficient(ctx, gp, 1))
-    if h_max >= 3:
-        powers = capped_delta_powers(delta1_tilde(ctx, gp), h_max - 1, ctx.nvars, budget)
-        for i, epow in enumerate(powers, start=2):
-            cap = (p**i - 1,) * ctx.nvars + (None,) * len(ctx.monomials)
-            out.append(_extract_target_coefficient(ctx, gp.capped_mul(epow, cap), i))
-    return StrataPolynomials(ctx, tuple(out))
-
-
-def _extract_target_coefficient(
-    ctx: FamilyContext, poly: Polynomial, level: int
-) -> Polynomial:
-    """Coefficient of (x_1⋯x_N)^{p^level−1} as a polynomial in the a's."""
-    nx = ctx.nvars
-    target = ctx.p**level - 1
-    collected = {}
-    for exps, c in poly.terms.items():
-        if all(e == target for e in exps[:nx]):
-            collected[(0,) * nx + exps[nx:]] = c
-    return ctx.ring.from_terms(collected)
+    gp = ctx.generic ** (ctx.p - 1)
+    # Δ̃₁ is read from level 2 on
+    delta = delta1_tilde(ctx, gp) if h_max >= 3 else ctx.ring.zero
+    return StrataPolynomials(
+        ctx, tuple(capped_coefficients(gp, delta, h_max - 1, ctx.nvars, budget))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ with the coefficients lifted to [0, p).  The result does not depend on the
 lift, since (A + pB)^p ≡ A^p mod p², so every product is taken over ℤ/p²:
 one binary powering of ã, one small powering per grouped summand (a term
 summand c·x^e contributes c^p·x^{pe}), then an exact division by p.  Inside
-the call exponents are packed by `rings.ExponentCodec` into fields wide
+the call exponents are packed by `rings.narrow_codec` into fields wide
 enough for every exponent up to p·M, M the largest exponent of a and the
 summands, so monomial products are single int additions and no field carries
-into the next.
+into the next; the products are `rings.packed_mul`, the package's one
+product kernel.
 
 The kernels on packed polynomials (dicts from packed exponents to
 coefficients; `criteria._Splitting` packs f once and holds every result):
@@ -44,31 +45,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .rings import EXPONENT_LIMIT, ExponentCodec, ExponentOverflowError, Polynomial, RingError
-
-
-def packed_mul(f: dict[int, int], g: dict[int, int], q: int) -> dict[int, int]:
-    """Product of two packed polynomials, coefficients mod q."""
-    out: dict[int, int] = {}
-    get = out.get
-    gitems = list(g.items())
-    for ea, ca in f.items():
-        for eb, cb in gitems:
-            e = ea + eb
-            out[e] = get(e, 0) + ca * cb
-    return {e: r for e, c in out.items() if (r := c % q)}
-
-
-def packed_power(f: dict[int, int], n: int, q: int) -> dict[int, int]:
-    """f^n mod q for n ≥ 0 by left-to-right binary powering."""
-    if n == 0:
-        return {0: 1}
-    out = f
-    for bit in bin(n)[3:]:
-        out = packed_mul(out, out, q)
-        if bit == "1":
-            out = packed_mul(out, f, q)
-    return out
+from .rings import EXPONENT_LIMIT, ExponentOverflowError, Polynomial, RingError
+from .rings import narrow_codec, packed_mul, packed_power
 
 
 def teichmuller_lift(f: dict[int, int], p: int) -> dict[int, int]:
@@ -97,7 +75,7 @@ def delta1(a: Polynomial, summands: Optional[Sequence[Polynomial]] = None) -> Po
             raise RingError("summands do not add up to the polynomial")
     if p * top > EXPONENT_LIMIT:
         raise ExponentOverflowError("Δ₁ would need exponents beyond the 32-bit budget")
-    codec = ExponentCodec(ring.nvars, (p * top).bit_length() + 1)
+    codec = narrow_codec(ring.nvars, p * top)
     q = p * p
     pack = codec.pack
     packed = {pack(e): c for e, c in a.terms.items()}

@@ -10,8 +10,9 @@ arithmetic paths:
 * Groebner bases / ideal membership via sympy over GF(p), and colon
   ideals by lex elimination of an auxiliary variable in sympy,
 * the trace-like map u by raw coefficient extraction,
-* capped products and the graded coefficient by full products truncated
-  afterwards, and stratum polynomials at a point term by term,
+* products by the loop over term pairs on exponent tuples, capped products
+  and the graded coefficient by full products truncated afterwards, and
+  stratum polynomials at a point term by term,
 * F_*h in p-basis coordinates, and F_*I ∩ Ker(u) by the literal rank-p^N
   module elimination and by the module engine on the syzygies of the
   u-images (the package's route before the Schreyer run),
@@ -638,8 +639,22 @@ def trap_fault(I: Ideal, J: Ideal) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# capped products, the graded coefficient and stratum polynomials, termwise
+# products, capped products, the graded coefficient and stratum polynomials,
+# termwise
 # ---------------------------------------------------------------------------
+
+
+def product_reference(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f·g by the loop over term pairs on exponent tuples, with no packing
+    and no exponent check: the package's product before it moved onto the
+    packed kernel."""
+    p = f.ring.field.p
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            e = tuple(map(int.__add__, ea, eb))
+            out[e] = (out.get(e, 0) + ca * cb) % p
+    return f.ring.from_terms(out)
 
 
 def truncated_product(f: Polynomial, g: Polynomial, cap: Sequence[Optional[int]]) -> Polynomial:

@@ -288,6 +288,48 @@ def test_failed_verification_still_exits_zero(capsys):
     assert data["reasons"]
 
 
+ZERO = ["--p", "3", "--vars", "x,y,z", "--poly"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["height"] + ZERO + ["0"],
+        ["height"] + ZERO + ["0", "--verify"],
+        ["fsplit"] + ZERO + ["x - x"],
+        ["qfs"] + ZERO + ["0"],
+        ["height"] + ZERO + ["x^3 + y^2*z; 0"],
+        ["verify-chain"] + ZERO + ["0", "--chain", "x"],
+        ["verify-infty"] + ZERO + ["0", "--trap", "x^3"],
+    ],
+    ids=[
+        "height", "height-verify", "fsplit", "qfs", "height-system", "verify-chain", "verify-infty",
+    ],
+)
+def test_zero_generator_is_an_input_error(capsys, argv):
+    """No regular sequence has a zero element: S/(0) = S is F-split, so no
+    command may answer for it, and none may die with a traceback."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "error: a zero generator is not part of a regular sequence" in err
+
+
+@pytest.mark.parametrize("serial", [True, False], ids=["serial", "parallel"])
+def test_batch_zero_generator_is_an_error_line(capsys, tmp_path, serial):
+    """A record with a zero generator is an error line; the good records
+    around it keep their reports, serial or parallel."""
+    zero = {"command": "qfs", "p": 3, "vars": ["x", "y", "z"], "polys": ["0"]}
+    path = write_jobs(tmp_path, [GOOD_RECORD, zero, GOOD_RECORD])
+    mode = ["--serial"] if serial else ["--workers", "2"]
+    code, out, _ = run_cli(capsys, ["batch", path] + mode)
+    assert code == 1
+    data = json.loads(out)
+    assert [j["exit"] for j in data["jobs"]] == [0, 1, 0]
+    assert data["jobs"][0]["report"] == data["jobs"][2]["report"] == {"fsplit": False}
+    assert "zero generator" in data["jobs"][1]["report"]["error"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -47,6 +47,7 @@ from qfsplit.criteria import (
     _integer_root,
     _Splitting,
     _strict_chain_search,
+    capped_coefficients,
     graded_cy_applicable,
     graded_cy_coefficient,
     verify_witness_levels,
@@ -55,7 +56,7 @@ from qfsplit import criteria
 from qfsplit.cli import rdp_rows
 from qfsplit.groebner import colon_ideal, ideal_equal, ideal_membership
 from qfsplit.frobenius import in_max_ideal_frobenius_power, packed_theta, theta, u_map
-from qfsplit import witt
+from qfsplit import rings
 
 import oracles as O
 from conftest import poly_strategy, ring_over
@@ -140,7 +141,7 @@ def orbit_images(monkeypatch):
     images = []
 
     def counting_mul(f, g, q):
-        out = witt.packed_mul(f, g, q)
+        out = rings.packed_mul(f, g, q)
         if math.isqrt(q) ** 2 != q:
             images.append(out)
         return out
@@ -485,11 +486,11 @@ def test_finite_one_run_forms_no_f_to_the_p_minus_one(monkeypatch, theta_images)
 
     def counting_power(f, n, q):
         powers.append(n)
-        return witt.packed_power(f, n, q)
+        return rings.packed_power(f, n, q)
 
     def counting_mul(f, g, q):
         products.append(q)
-        return witt.packed_mul(f, g, q)
+        return rings.packed_mul(f, g, q)
 
     monkeypatch.setattr("qfsplit.criteria.packed_power", counting_power)
     monkeypatch.setattr("qfsplit.criteria.packed_mul", counting_mul)
@@ -553,6 +554,61 @@ CUBICS = (
     "y^2*z + x^3 + x*z^2",
     "y^2*z + x^3 + 2*x*z^2 + z^3",
 )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_capped_coefficients_are_the_truncated_product_coefficients(p, data):
+    """On f^{p−1} and Δ₁(f^{p−1}) with every variable an x, c_1, c_2, c_3 of
+    `capped_coefficients` are constants, the coefficients read off the whole
+    product truncated after each factor, on forms of degree N in N = 2 or 3
+    variables.  It ticks len(E_n) for n = 2, 3."""
+    nvars = data.draw(st.integers(2, 3))
+    ring = ring_over(p, ("x", "y", "z")[:nvars])
+    monomials = [e for e in itertools.product(range(nvars + 1), repeat=nvars) if sum(e) == nvars]
+    f = ring.from_terms(
+        data.draw(st.dictionaries(st.sampled_from(monomials), st.integers(1, p - 1), min_size=1))
+    )
+    fp1 = f ** (p - 1)
+    budget = Budget()
+    coefficients = capped_coefficients(fp1, delta1(fp1), 3, nvars, budget)
+    for n, c in enumerate(coefficients, start=1):
+        assert set(c.terms) <= {(0,) * nvars}
+        assert c.terms.get((0,) * nvars, 0) == O.graded_cy_coefficient_product([f], n)
+    e2 = delta1(fp1).capped_mul(ring.one, [p * p - 1] * nvars)
+    e3 = e2.pth_power().capped_mul(delta1(fp1), [p**3 - 1] * nvars)
+    assert budget.steps == len(e2) + len(e3)
+
+
+def test_every_entry_point_refuses_a_system_without_a_nonzero_generator():
+    """No regular sequence is empty or has a zero element, and S/(0) = S is
+    F-split: each entry point raises RingError (from the one splitting it
+    builds) rather than answer, or fail with IndexError."""
+    ring = ring_over(3)
+    x = ring.variable("x")
+    empty = Ideal(ring, [ring.zero])
+    assert empty.gens == ()
+    cert = Certificate(COEFFICIENT_WITNESS, {"level": 1, "coefficient": 1, "grading": [[1, 1, 1]]})
+    calls = [
+        lambda: height_local(empty),
+        lambda: qfs_decide(empty),
+        lambda: enclosure_closure(empty),
+        lambda: verify_certificate(empty, cert),
+        lambda: verify_witness_chain(empty, [x]),
+        lambda: verify_infinity_certificate(empty, Ideal(ring, [x**3])),
+        lambda: graded_cy_coefficient([], 1),
+        lambda: non_qfs_quick([ring.zero]),
+        lambda: fedder_fsplit([ring.zero]),
+    ]
+    calls += [
+        lambda s=strategy, g=gens: height(g, strategy=s)
+        for strategy in ("auto", "local", "graded", "qfs")
+        for gens in ([ring.zero], [x**3 + ring.parse("y^2*z"), ring.zero])
+    ]
+    for call in calls:
+        with pytest.raises(RingError, match="no zero one"):
+            call()
 
 
 @pytest.mark.parametrize("p,levels", [(2, 3), (3, 3), (5, 2), (2, 4), (3, 4)])
@@ -1574,7 +1630,7 @@ def test_height_builds_one_splitting(p, names, texts, verdict):
 
     def counting_mul(f, g, q):
         products.append(q)
-        return witt.packed_mul(f, g, q)
+        return rings.packed_mul(f, g, q)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Splitting, "__init__", counting_init)

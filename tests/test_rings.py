@@ -96,6 +96,61 @@ def test_ring_arithmetic_laws(p, data):
     assert (f - f).is_zero()
 
 
+L = EXPONENT_LIMIT
+# exponents small, or close to where a product, a square, a cube or a
+# fourth power of them passes the limit
+WIDE_EXPONENTS = st.one_of(
+    st.integers(0, 4),
+    st.sampled_from([L // 4, L // 3, L // 2, L]).flatmap(lambda m: st.integers(m - 2, m)),
+)
+
+
+def wide_poly_strategy(ring):
+    exps = st.tuples(*[WIDE_EXPONENTS] * ring.nvars)
+    return st.dictionaries(exps, st.integers(0, ring.field.p - 1), max_size=4).map(ring.from_terms)
+
+
+def _equal_or_overflow(compute, overflows, reference):
+    if overflows:
+        with pytest.raises(ExponentOverflowError):
+            compute()
+    else:
+        assert compute() == reference()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+def test_products_equal_the_tuple_loop_and_overflow_where_it_did(p, data):
+    """`__mul__`, `__pow__` and `mul_term` run the packed kernel.  They equal
+    the term-pair loop on tuples (`oracles.product_reference`), and raise
+    ExponentOverflowError exactly where the tuple routes did: f·g where
+    M_f + M_g passes EXPONENT_LIMIT, f^n (n ≥ 2) where n·M_f does, since the
+    largest exponent of f^k is k·M_f, and c·x^e·f where M_f + max(e) does;
+    a zero factor never raises."""
+    ring = ring_over(p, ("x", "y", "z", "w")[: data.draw(st.integers(1, 4))])
+    f, g = data.draw(wide_poly_strategy(ring)), data.draw(wide_poly_strategy(ring))
+    m = f.max_exponent()
+    _equal_or_overflow(
+        lambda: f * g, f and g and m + g.max_exponent() > L, lambda: O.product_reference(f, g)
+    )
+    n = data.draw(st.integers(0, 4))
+
+    def reference_power():
+        out = ring.one
+        for _ in range(n):
+            out = O.product_reference(out, f)
+        return out
+
+    _equal_or_overflow(lambda: f**n, n >= 2 and f and n * m > L, reference_power)
+    e = data.draw(st.tuples(*[st.one_of(WIDE_EXPONENTS, st.just(L + 1))] * ring.nvars))
+    c = data.draw(st.integers(0, 2 * p))
+    _equal_or_overflow(
+        lambda: f.mul_term(e, c),
+        f and c % p and m + max(e) > L,
+        lambda: O.product_reference(f, ring.from_terms({e: c})),
+    )
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @given(data=st.data())
 def test_freshmans_dream(p, data):

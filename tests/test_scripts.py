@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/: each exits as documented and
 prints its key line."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qfsplit
+from qfsplit.criteria import LOWER_BOUND, HeightResult
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -62,3 +64,27 @@ def test_search_heights_rejects_an_empty_search(args, message):
     assert proc.returncode == 1
     assert message in proc.stderr
     assert proc.stdout == ""
+
+
+def load_script(name):
+    """scripts/<name> as a module, so that a test can patch its names."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("fault", ["height", "certificate"])
+def test_search_heights_fails_on_a_hit_it_cannot_confirm(monkeypatch, capsys, fault):
+    """A hit whose exact height or certificate check fails is an error
+    (exit 1 with a message), under `python -O` too: no assert does it."""
+    module = load_script("search_heights.py")
+    if fault == "height":
+        monkeypatch.setattr(
+            module, "height_graded_cy", lambda *args, **kw: HeightResult(LOWER_BOUND, 1, None)
+        )
+    else:
+        monkeypatch.setattr(module, "verify_certificate", lambda I, cert: False)
+    monkeypatch.setattr(sys, "argv", ["search_heights.py", "--h-max", "1", "--samples", "200"])
+    assert module.main() == 1
+    assert "error: h=1: " in capsys.readouterr().err

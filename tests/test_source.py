@@ -38,11 +38,13 @@ def unused_imports(source: str) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted(Path(qfsplit.__file__).parent.glob("*.py")), ids=lambda p: p.name
+    "path",
+    sorted(Path(qfsplit.__file__).parent.glob("*.py")) + sorted((REPO / "scripts").glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_no_assert_statements(path):
-    """`python -O` strips assert statements, so a check the package relies
-    on must be an explicit raise."""
+    """`python -O` strips assert statements, so a check the package or a
+    script relies on must be an explicit raise or exit."""
     tree = ast.parse(path.read_text())
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
 
@@ -272,13 +274,106 @@ def test_keru_stays_off_the_module_engine():
 
 
 def test_capped_delta_power_is_built_in_one_place():
-    """The coefficient verifier and the stratum polynomials read their
-    Δ-power E_n from the one capped recursion in `criteria`."""
+    """The coefficient verifier (from level 3 on) and the stratum polynomials
+    read the target coefficient of gp·E_n through the one capped reader,
+    `criteria.capped_coefficients`, which alone builds the Δ-power E_n."""
     src = REPO / "src" / "qfsplit"
     criteria_source = (src / "criteria.py").read_text()
-    assert "capped_delta_powers" in reached_names(criteria_source, "graded_cy_coefficient")
+    assert "capped_coefficients" in reached_names(criteria_source, "graded_cy_coefficient")
     strata_source = (src / "strata.py").read_text()
-    assert "capped_delta_powers" in reached_names(strata_source, "strata_polynomials")
+    assert "capped_coefficients" in reached_names(strata_source, "strata_polynomials")
+    assert call_sites(strata_source, "capped_mul", method=True) == []
+
+
+def codec_reads(source: str) -> list[str]:
+    """Where `ExponentCodec` is read as a value, by scope: a call, or a
+    codec made some other way (``lru_cache(...)(ExponentCodec)``).
+    Annotations are not reads."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, ast.Name) and node.id == "ExponentCodec":
+            out.append(scope or "<module>")
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, f"{scope}.{child.name}" if scope else child.name)
+                elif isinstance(child, ast.AST):
+                    visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_codec_reads_detector():
+    src = (
+        "from functools import lru_cache\n"
+        "_codec = lru_cache(maxsize=8)(ExponentCodec)\n"
+        "def f(codec: ExponentCodec) -> ExponentCodec:\n"
+        "    return ExponentCodec(3, 5)\n"
+    )
+    assert codec_reads(src) == ["<module>", "f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_narrow_codecs_come_from_one_rule(path):
+    """Codecs are made only in `rings`: the ring layout by `ring_codec` and
+    every narrow one by `narrow_codec`, the one width rule (the largest
+    exponent's bit length plus a guard bit)."""
+    reads = codec_reads(path.read_text())
+    assert reads == (["ring_codec", "narrow_codec"] if path.name == "rings.py" else [])
+
+
+def nested_loops(node: ast.AST) -> list[int]:
+    """The lines of the loops (statements or comprehension clauses) that
+    run inside another loop of `node`: a loop over term pairs is one."""
+    out = []
+
+    def visit(node: ast.AST, depth: int) -> None:
+        loops = 0
+        if isinstance(node, (ast.For, ast.While)):
+            loops = 1
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            loops = len(node.generators)
+        if loops and depth + loops >= 2:
+            out.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, depth + loops)
+
+    visit(node, 0)
+    return out
+
+
+def test_nested_loops_detector():
+    src = (
+        "def pairs(a, b):\n"
+        "    out = {}\n"
+        "    for x in a:\n"
+        "        for y in b:\n"
+        "            out[x + y] = 1\n"
+        "    return [x + y for x in a for y in b], {x: 1 for x in a}\n"
+    )
+    assert nested_loops(ast.parse(src)) == [4, 6]
+
+
+def test_polynomial_products_run_the_packed_kernel():
+    """`Polynomial`'s product methods pack their operands, call the one
+    product kernel (`packed_mul`, or `packed_power` over it) and unpack:
+    none has a loop over term pairs of its own."""
+    source = (REPO / "src" / "qfsplit" / "rings.py").read_text()
+    cls = next(n for n in ast.parse(source).body if getattr(n, "name", "") == "Polynomial")
+    methods = {m.name: m for m in cls.body if isinstance(m, ast.FunctionDef)}
+    for name in ("__mul__", "__pow__", "mul_term", "capped_mul"):
+        assert nested_loops(methods[name]) == [], name
+    for name in ("__mul__", "capped_mul"):
+        assert "packed_mul" in reached_through(source, name, "Polynomial"), name
+    assert "packed_power" in reached_through(source, "__pow__", "Polynomial")
+    # a term is a polynomial of one term, multiplied by __mul__
+    mul_term = ast.walk(methods["mul_term"])
+    assert any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) for n in mul_term)
+    assert reached_names(source, "packed_power") >= {"packed_mul"}
 
 
 def reached_through(source: str, start: str, cls: str) -> set[str]:

@@ -223,8 +223,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 def delta1_power(f):
     """Δ₁(f^{p−1}) as the engines read it: `witt.delta1_power` on the
-    splitting's packed Teichmüller powers, unpacked."""
-    return _Splitting([f]).delta
+    splitting's packed Teichmüller powers, unpacked.  A splitting refuses
+    f = 0, whose Δ₁(f^{p−1}) is 0."""
+    return _Splitting([f]).delta if f else f
 VARIABLES = ("x", "y", "z", "w")
 
 
