@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -583,6 +582,9 @@ def _run_batch(args) -> tuple[dict, int]:
     if args.serial or len(records) == 1:
         results = [run_batch_record(r) for r in records]
     else:
+        # imported here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # a forked pool starts every worker at once: never more than one per job
         workers = min(args.workers or os.cpu_count() or 1, len(records))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -239,7 +239,8 @@ class _Splitting:
 
     @_cached
     def _lift_power(self) -> dict[int, int]:
-        """F^{p−1} over ℤ/p² (F itself at p = 2)."""
+        """F^{p−1} over ℤ/p² (F itself at p = 2; at p = 3, F^{p−2} is F
+        itself, so this is the kernel's square path)."""
         if self.p == 2:
             return self._lift
         return packed_mul(self._lift_low, self._lift, self.p**2)

@@ -11,19 +11,22 @@ into one int with a fixed number of bits per variable, so a monomial product
 is one int addition.  It is the only place exponents are packed, and it
 holds the per-field tests those loops need on packed ints: the guard-bit
 test of an exponent against a per-variable cap, and the residues mod p of
-its fields.  It comes in two layouts.  Products, powers, Δ₁, the graded
-engine's θ orbit and pairings pack under a narrow codec (`narrow_codec`),
-whose fields are just wide enough for the largest exponent at hand plus a
-guard bit: small ints are what keeps those loops fast.  The Groebner kernel
-and the I_n chain pack under the ring layout (`PolynomialRing.codec`, one
-per variable count): 32-bit fields that hold exactly 0..EXPONENT_LIMIT below
-a guard bit, under an unbounded field for the total degree, on which
-divisibility is one guard-bit subtraction and `ExponentCodec.key` sorts
-like `grevlex_key`.
+its fields, which every codec remembers.  It comes in two layouts.
+Products, powers, Δ₁, the graded engine's θ orbit and pairings pack under a
+narrow codec (`narrow_codec`), whose fields are just wide enough for the
+largest exponent at hand plus a guard bit: small ints are what keeps those
+loops fast.  Narrow codecs of one width are one object, so the problems of
+a family share one residue memo.  The Groebner kernel and the I_n chain
+pack under the ring layout (`PolynomialRing.codec`, one per variable
+count): 32-bit fields that hold exactly 0..EXPONENT_LIMIT below a guard
+bit, under an unbounded field for the total degree, on which divisibility
+is one guard-bit subtraction and `ExponentCodec.key` sorts like
+`grevlex_key`.
 
 Every product of polynomials runs one kernel, `packed_mul` (and
-`packed_power` over it): `Polynomial.__mul__`, `__pow__`, `mul_term` and
-`capped_mul` pack their operands once, call it and unpack once.
+`packed_power` over it, whose squarings take the kernel's square path):
+`Polynomial.__mul__`, `__pow__`, `mul_term` and `capped_mul` pack their
+operands once, call it and unpack once.
 
 Only prime coefficient fields are supported: every criterion implemented in
 this package reads or writes coefficients through the identity c^(1/p) = c,
@@ -41,7 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 EXPONENT_LIMIT = 2**31 - 1
 # the ring layout's field: EXPONENT_LIMIT and a guard bit above it
 FIELD_WIDTH = 32
-# how many residue classes the ring layout remembers per prime
+# how many residue classes a codec remembers per prime
 RESIDUE_MEMO = 4096
 
 
@@ -154,8 +157,8 @@ class ExponentCodec:
         self._values = self.low ^ self.guard
         # 2^width ≡ 1 mod 2^width − 1, so a packed int is its field sum mod that
         self._fold = self.mask
-        # the ring layout's residues, per p (see `residues`)
-        self._memo: Optional[dict[int, dict[int, tuple[int, ...]]]] = {} if degree else None
+        # the residues of the keys read so far, per p (see `residues`)
+        self._memo: dict[int, dict[int, tuple[int, ...]]] = {}
 
     def pack(self, exps: Sequence[int]) -> int:
         return sum(map(int.__mul__, exps, self._weights))
@@ -194,20 +197,19 @@ class ExponentCodec:
 
     def residues(self, key: int, p: int) -> tuple[int, ...]:
         """The fields of `key` mod p, the residue class that θ buckets by.
-        The ring layout remembers up to RESIDUE_MEMO of them per p: the I_n
-        chain's θ, u and translates read the same exponents over and over."""
-        memo = self._memo
-        if memo is not None:
-            memo = memo.setdefault(p, {})
-            out = memo.get(key)
-            if out is not None:
-                return out
+        Every codec remembers up to RESIDUE_MEMO of them per p: the I_n
+        chain's θ, u and translates read the same exponents over and over,
+        and so do the graded engine's twists, from one problem to the next
+        of a family (codecs of one width are one object, `narrow_codec`)."""
+        memo = self._memo.get(p)
+        if memo is None:
+            memo = self._memo[p] = {}
+        out = memo.get(key)
+        if out is None:
             if len(memo) >= RESIDUE_MEMO:
                 memo.clear()
-        mask = self.mask
-        out = tuple([((key >> s) & mask) % p for s in self.shifts])
-        if memo is not None:
-            memo[key] = out
+            mask = self.mask
+            out = memo[key] = tuple([((key >> s) & mask) % p for s in self.shifts])
         return out
 
     # -- the ring layout ----------------------------------------------
@@ -253,24 +255,46 @@ def ring_codec(nvars: int) -> ExponentCodec:
     return ExponentCodec(nvars, FIELD_WIDTH, degree=True)
 
 
+# every narrow codec made so far, one per (nvars, width)
+_NARROW: dict[tuple[int, int], ExponentCodec] = {}
+
+
 @lru_cache(maxsize=256)
 def narrow_codec(nvars: int, largest: int) -> ExponentCodec:
     """The narrow layout of `nvars` variables whose fields hold every
     exponent up to `largest`: its bit length plus a guard bit, so that
-    `within` tests caps exactly.  Shared, as codecs hold no state."""
-    return ExponentCodec(nvars, largest.bit_length() + 1)
+    `within` tests caps exactly.  Layouts of one width are one object, so
+    the problems of a family share one residue memo (`residues`), and
+    there is at most one memo per (nvars, width)."""
+    width = largest.bit_length() + 1
+    codec = _NARROW.get((nvars, width))
+    if codec is None:
+        codec = _NARROW[nvars, width] = ExponentCodec(nvars, width)
+    return codec
 
 
 def packed_mul(f: dict[int, int], g: dict[int, int], q: int) -> dict[int, int]:
     """Product of two packed polynomials, coefficients mod q: the one
-    term-pair loop of the package.  The codec must hold every field of f·g."""
+    term-pair loop of the package.  A square (`f is g`) walks only the
+    triangle of term pairs, each cross term once with its coefficient
+    doubled.  The codec must hold every field of f·g."""
     out: dict[int, int] = {}
     get = out.get
-    gitems = list(g.items())
-    for ea, ca in f.items():
-        for eb, cb in gitems:
-            e = ea + eb
-            out[e] = get(e, 0) + ca * cb
+    if f is g:
+        items = list(f.items())
+        for i, (ea, ca) in enumerate(items, 1):
+            e = ea + ea
+            out[e] = get(e, 0) + ca * ca
+            ca += ca
+            for eb, cb in items[i:]:
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
+    else:
+        gitems = list(g.items())
+        for ea, ca in f.items():
+            for eb, cb in gitems:
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
     return {e: r for e, c in out.items() if (r := c % q)}
 
 
@@ -329,12 +353,18 @@ class PolynomialRing:
             return self.zero
         return Polynomial(self, {(0,) * self.nvars: c})
 
-    def monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
+    def _exponents(self, exps: Sequence[int]) -> tuple[int, ...]:
+        """`exps` as an exponent tuple of this ring; raises RingError for a
+        wrong length or a negative entry."""
         e = tuple(exps)
         if len(e) != self.nvars:
             raise RingError(f"exponent vector {e} has wrong length for {self.nvars} variables")
         if any(x < 0 for x in e):
             raise RingError(f"negative exponent in {e}")
+        return e
+
+    def monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
+        e = self._exponents(exps)
         if any(x > EXPONENT_LIMIT for x in e):
             raise ExponentOverflowError(f"exponent beyond 32-bit budget in {e}")
         c = coeff % self.field.p
@@ -480,11 +510,14 @@ class Polynomial:
         return Polynomial(self.ring, codec.unpack_terms(out))
 
     def mul_term(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
-        """Multiply by a single term coeff * x^exps."""
+        """Multiply by a single term coeff * x^exps.  Raises RingError for an
+        exponent vector of the wrong length or with a negative entry; a zero
+        coefficient or a zero self gives 0 whatever the size of `exps`."""
+        e = self.ring._exponents(exps)
         coeff %= self.ring.field.p
         if not coeff:
             return self.ring.zero
-        return self * Polynomial(self.ring, {tuple(exps): coeff})
+        return self * Polynomial(self.ring, {e: coeff})
 
     def __pow__(self, n: int) -> "Polynomial":
         """self^n.  Raises ExponentOverflowError iff n·M passes
@@ -619,10 +652,18 @@ def check_homogeneous(a: Polynomial, g: Grading) -> tuple[int, ...]:
     if not a.terms:
         # the zero polynomial is homogeneous of every degree; report the zero degree
         return (0,) * len(g.rows)
-    exps = iter(a.terms)
-    d = g.degree(next(exps))
-    if all(g.degree(e) == d for e in exps):
-        return d
+    d: list[int] = []
+    for row in g.rows:
+        # one weighted sum per term; under unit weights, its exponent sum
+        if row.count(1) == len(row):
+            seen = set(map(sum, a.terms))
+        else:
+            seen = {sum(map(int.__mul__, row, e)) for e in a.terms}
+        if len(seen) > 1:
+            break
+        d.extend(seen)
+    else:
+        return tuple(d)
     # sorted only here, so the message names the same two terms every time
     terms = [e for e, _ in a.sorted_terms()]
     d0 = g.degree(terms[0])

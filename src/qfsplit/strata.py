@@ -129,8 +129,9 @@ class StrataPolynomials:
             total = 0
             for c, factors, support in form:
                 if zeros.isdisjoint(support):
+                    # values in [0, p): exact integer powers, one reduction per b_i
                     for j, e in factors:
-                        c = c * pow(values[j], e, p)
+                        c *= values[j] ** e
                     total += c
             if total % p:
                 break

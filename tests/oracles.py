@@ -41,6 +41,7 @@ import sympy as sp
 from qfsplit import (
     Budget,
     FreeModuleVector,
+    HomogeneityError,
     Ideal,
     Polynomial,
     PolynomialRing,
@@ -655,6 +656,24 @@ def product_reference(f: Polynomial, g: Polynomial) -> Polynomial:
             e = tuple(map(int.__add__, ea, eb))
             out[e] = (out.get(e, 0) + ca * cb) % p
     return f.ring.from_terms(out)
+
+
+def homogeneous_reference(a: Polynomial, g) -> tuple[int, ...]:
+    """`rings.check_homogeneous` by the degree tuple of every term, as the
+    package computed it before it compared one weighted sum per row: the
+    common multidegree, or HomogeneityError naming the grevlex-first term
+    and the first later term of another degree."""
+    if not a.terms:
+        return (0,) * len(g.rows)
+    terms = [e for e, _ in a.sorted_terms()]
+    d0 = g.degree(terms[0])
+    misfit = next((e for e in terms if g.degree(e) != d0), None)
+    if misfit is None:
+        return d0
+    raise HomogeneityError(
+        f"not homogeneous: term {a.ring.monomial(terms[0])} has degree {d0} "
+        f"but term {a.ring.monomial(misfit)} has degree {g.degree(misfit)}"
+    )
 
 
 def truncated_product(f: Polynomial, g: Polynomial, cap: Sequence[Optional[int]]) -> Polynomial:

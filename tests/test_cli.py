@@ -879,7 +879,8 @@ class RecordingPool:
     ids=["many", "one", "default"],
 )
 def test_batch_pool_has_at_most_one_worker_per_job(capsys, tmp_path, monkeypatch, argv, size):
-    monkeypatch.setattr(qfsplit.cli, "ProcessPoolExecutor", RecordingPool)
+    # the batch driver imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     path = write_jobs(tmp_path, [GOOD_RECORD, GOOD_RECORD])
     code, out, _ = run_cli(capsys, ["batch", path, *argv])
@@ -893,20 +894,34 @@ def test_batch_pool_has_at_most_one_worker_per_job(capsys, tmp_path, monkeypatch
 # ---------------------------------------------------------------------------
 
 
-def run_module(argv, timeout=60):
-    """``python -m qfsplit argv`` in a child interpreter."""
+def run_child(args, timeout=60):
+    """``python args`` in a child interpreter."""
     # Put the directory holding the imported package first on PYTHONPATH, so
     # the child interpreter runs the same code from any working directory.
     env = dict(os.environ)
     src = str(Path(qfsplit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "qfsplit", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
         env=env,
     )
+
+
+def run_module(argv, timeout=60):
+    """``python -m qfsplit argv`` in a child interpreter."""
+    return run_child(["-m", "qfsplit", *argv], timeout)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only a parallel batch needs the process pool: a fresh interpreter
+    that imports `qfsplit.cli` has not loaded `multiprocessing`."""
+    code = "import sys, qfsplit.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    proc = run_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_smoke():

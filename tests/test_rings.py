@@ -17,7 +17,15 @@ from qfsplit import (
     parse_polynomial,
     serialize_polynomial,
 )
-from qfsplit.rings import grevlex_key, ring_codec
+from qfsplit.rings import (
+    RESIDUE_MEMO,
+    ExponentCodec,
+    grevlex_key,
+    narrow_codec,
+    packed_mul,
+    packed_power,
+    ring_codec,
+)
 
 import oracles as O
 from conftest import poly_strategy, ring_over
@@ -149,6 +157,100 @@ def test_products_equal_the_tuple_loop_and_overflow_where_it_did(p, data):
         f and c % p and m + max(e) > L,
         lambda: O.product_reference(f, ring.from_terms({e: c})),
     )
+
+
+def test_mul_term_refuses_a_malformed_exponent_vector():
+    """A negative entry or a wrong length raises RingError, as
+    `PolynomialRing.monomial` does, instead of shifting a field of another
+    variable or reading a missing exponent as 0."""
+    ring = ring_over(3)
+    f = ring.parse("x*y + z")
+    for exps in [(-1, 0, 0), (0, 0, -2), (1, 2), (1, 0, 0, 0)]:
+        with pytest.raises(RingError):
+            f.mul_term(exps)
+        with pytest.raises(RingError):
+            ring.zero.mul_term(exps, 0)
+    assert f.mul_term((1, 0, 2), 2) == ring.parse("2*x^2*y*z^2 + 2*x*z^3")
+
+
+def test_mul_term_by_zero_never_overflows():
+    """A zero coefficient or a zero polynomial gives 0 for exponents past
+    EXPONENT_LIMIT; a nonzero product there raises ExponentOverflowError."""
+    ring = ring_over(3)
+    f = ring.parse("x*y + z")
+    huge = (L + 1, 0, 0)
+    assert f.mul_term(huge, 3).is_zero()
+    assert f.mul_term(huge, 0).is_zero()
+    assert ring.zero.mul_term(huge).is_zero()
+    with pytest.raises(ExponentOverflowError):
+        f.mul_term(huge)
+
+
+# narrow fields of every width from 2 to 16 bits; a field of `largest`'s
+# width holds every exponent of a square of exponents up to largest // 2
+NARROW_LARGEST = st.integers(1, 15).flatmap(
+    lambda bits: st.sampled_from([2**bits - 1, 2**bits - 2, 2 ** (bits - 1)])
+)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data(), nvars=st.integers(1, 4), largest=NARROW_LARGEST, square=st.booleans())
+def test_square_path_equals_the_pair_loop(p, data, nvars, largest, square):
+    """`packed_mul(f, f, q)` walks the triangle of term pairs with the cross
+    terms doubled; it equals the loop over all pairs, `packed_mul(f,
+    dict(f), q)`, term for term and in the same order, over F_p and ℤ/p², on
+    exponents up to the top of the narrow field that holds the square."""
+    q = p * p if square else p
+    codec = narrow_codec(nvars, largest)
+    half = largest // 2
+    field = st.one_of(st.integers(0, half), st.integers(max(half - 2, 0), half))
+    terms = data.draw(st.dictionaries(st.tuples(*[field] * nvars), st.integers(1, q - 1), max_size=7))
+    f = {codec.pack(e): c for e, c in terms.items()}
+    out = packed_mul(f, f, q)
+    assert list(out.items()) == list(packed_mul(f, dict(f), q).items())
+    n = data.draw(st.integers(0, 3))
+    if n * max((max(e) for e in terms), default=0) <= largest:
+        power = {0: 1}
+        for _ in range(n):
+            power = packed_mul(power, dict(f), q)
+        assert packed_power(f, n, q) == power
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data(), nvars=st.integers(1, 4), largest=NARROW_LARGEST)
+def test_residue_memo_reads_the_fields(p, data, nvars, largest):
+    """A narrow codec's memoized residues are the fields of the key mod p,
+    on a first read and on a repeated one."""
+    codec = narrow_codec(nvars, largest)
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, largest)] * nvars), min_size=1, max_size=8))
+    for e in exps + exps:
+        assert codec.residues(codec.pack(e), p) == tuple(x % p for x in e)
+
+
+@given(nvars=st.integers(1, 6), bits=st.integers(0, 40), data=st.data())
+def test_narrow_codecs_of_one_width_are_one_object(nvars, bits, data):
+    """Codecs of equal width share one residue memo, so there is at most one
+    memo per (nvars, width); codecs of other widths are other objects."""
+    a, b = data.draw(st.lists(st.integers(2**bits >> 1, 2**bits - 1), min_size=2, max_size=2))
+    other = data.draw(st.integers(0, 2**41).filter(lambda c: c.bit_length() != bits))
+    codec = narrow_codec(nvars, a)
+    assert codec is narrow_codec(nvars, b)
+    assert codec is not narrow_codec(nvars, other)
+    assert codec.mask == 2 ** (bits + 1) - 1
+
+
+@pytest.mark.parametrize("degree", [False, True], ids=["narrow", "ring"])
+def test_residue_memo_stays_within_its_bound(degree):
+    """Each memo holds at most RESIDUE_MEMO residue classes per p: reading
+    three times as many distinct keys keeps it within the bound, and the
+    residues stay right after it is cleared."""
+    codec = ExponentCodec(2, 32 if degree else 18, degree=degree)
+    for p in (2, 3):
+        for i in range(3 * RESIDUE_MEMO):
+            e = (i, 7 * i + 1)
+            assert codec.residues(codec.pack(e), p) == (i % p, (7 * i + 1) % p)
+            assert len(codec._memo[p]) <= RESIDUE_MEMO
+    assert sorted(codec._memo) == [2, 3]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -324,6 +426,34 @@ def test_check_homogeneous_weighted():
     ring = PolynomialRing(PrimeField(2), ("x", "y", "z", "w"))
     w = Grading([[1, 1, 1, 2]])
     assert check_homogeneous(ring.parse("w^2 + x^2*y*z + x*y*z^2"), w) == (4,)
+
+
+ROW = st.one_of(st.just((1, 1, 1)), st.tuples(*[st.integers(0, 3)] * 3))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@given(data=st.data(), rows=st.tuples(ROW, ROW), homogeneous=st.booleans())
+def test_check_homogeneous_on_two_rows_is_the_degree_tuple_check(p, data, rows, homogeneous):
+    """On two-row gradings (unit rows among them), the per-row check gives
+    the degree tuple of the tuple-per-term check (`oracles.homogeneous_reference`)
+    and raises with the same text; half the draws keep only the terms of the
+    first term's degree, so both outcomes occur."""
+    if not all(map(max, *rows)):  # a variable of degree zero
+        rows = (rows[0], (1, 1, 1))
+    g = Grading(rows)
+    ring = ring_over(p)
+    a = data.draw(poly_strategy(ring, max_exp=3, max_terms=5))
+    if homogeneous and a:
+        d = g.degree(next(iter(a.terms)))
+        a = ring.from_terms({e: c for e, c in a.terms.items() if g.degree(e) == d})
+    try:
+        expected = O.homogeneous_reference(a, g)
+    except HomogeneityError as exc:
+        with pytest.raises(HomogeneityError) as got:
+            check_homogeneous(a, g)
+        assert str(got.value) == str(exc)
+    else:
+        assert check_homogeneous(a, g) == expected
 
 
 @given(data=st.data())

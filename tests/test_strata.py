@@ -23,6 +23,7 @@ from qfsplit.criteria import FINITE, INFINITE, graded_cy_coefficient
 from qfsplit.strata import (
     FamilyContext,
     StrataPolynomials,
+    _evaluate,
     degree_monomials,
     delta1_tilde,
     is_smooth_at_rational_points,
@@ -219,6 +220,26 @@ def test_profile_matches_termwise_evaluation(ctx3, strata3):
         assert strata3.profile(dict(zip(ctx3.coefficient_names, values))) == h
         seen.add(h)
     assert seen == {1, 2, 3}
+
+
+@pytest.mark.parametrize("family", ["p2", "p3"])
+@given(data=st.data())
+def test_profile_is_the_height_read_by_evaluating_each_stratum(family, data, request):
+    """At random points of the plane cubic families at p = 2 (b_1..b_3) and
+    p = 3 (b_1, b_2), values outside [0, p) included, `profile` is the h
+    read by evaluating each b_i with `strata._evaluate`."""
+    table = request.getfixturevalue({"p2": "strata2", "p3": "strata3"}[family])
+    ctx = table.context
+    # zeros weighted up, so that deeper strata are reached too
+    value = st.one_of(st.just(0), st.integers(-ctx.p, 2 * ctx.p))
+    n = len(ctx.monomials)
+    values = data.draw(st.lists(value, min_size=n, max_size=n))
+    h = 1
+    for b in table.polynomials:
+        if _evaluate(b, [0] * ctx.nvars + values):
+            break
+        h += 1
+    assert table.profile(values) == h
 
 
 def test_profile_rejects_polynomials_in_x(ctx2):
