@@ -928,6 +928,13 @@ def verify_witness_chain(
     for every step, and g_last ∉ m^{[p]}; on the ring layout, each element
     packed once.
 
+    Which checks multiply and which reduce: u(F_*g_l) and θ(F_*g_l) are
+    products, compared with the next element, and g_1 ∈ I_1 is checked as
+    g_1 = c·x^μ·g for an I_1 generator g (`_term_multiple`), the form of
+    every chain the solver finds.  Only a g_1 that fails that check, such
+    as a combination of several generators, is reduced modulo a Groebner
+    basis of I_1.
+
     A passing chain certifies height ≤ len(chain): membership g_l ∈ I_l
     follows inductively from I_{l+1} = θ(F_*I_l ∩ Ker u) + I_1."""
     if not chain:
@@ -939,7 +946,10 @@ def verify_witness_chain(
     sp = _Splitting(I.gens)
     pack = sp.ring.codec.pack_terms
     packed = [pack(g.terms) for g in chain]
-    if not Ideal(sp.ring, sp.i1)._contains(packed[0], budget):
+    if not (
+        _term_multiple(sp.ring, packed[0], sp.packed_i1, budget)
+        or Ideal(sp.ring, sp.i1)._contains(packed[0], budget)
+    ):
         return _fail(reasons, f"step 1: {chain[0]} is not in I_1")
     for l, g in enumerate(packed[:-1]):
         if fault := _step_fault(sp, g, packed[l + 1], chain[l + 1]):
@@ -947,6 +957,35 @@ def verify_witness_chain(
     if sp.escapes(packed[-1:]) is None:
         return _fail(reasons, f"final element {chain[-1]} lies in m^[p]")
     return True
+
+
+def _term_multiple(
+    ring: PolynomialRing, a: dict[int, int], gens: Sequence[dict[int, int]], budget: Budget
+) -> bool:
+    """Whether the packed a is c·x^μ·g for one of the packed `gens` g: a
+    standard representation of a ∈ (gens) with a one-term cofactor (Cox,
+    Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 §6), checked
+    with no Groebner basis.  On the ring layout, x^μ = lead(a)/lead(g) when
+    lead(g) divides lead(a), and c is the ratio of the leading
+    coefficients; then every term of c·x^μ·g is compared with a's, one
+    budget step each.  False leaves membership open: a may be a combination
+    of several generators."""
+    if not a:
+        return False
+    codec, p = ring.codec, ring.field.p
+    lead = max(a, key=codec.key)
+    for g in gens:
+        top = max(g, key=codec.key)
+        if len(g) != len(a) or not codec.divides(top, lead):
+            continue  # c·x^μ·g has len(g) terms and lead x^μ·lead(g)
+        shift, c = lead - top, a[lead] * ring.field.inv(g[top]) % p
+        for k, v in g.items():
+            budget.tick()
+            if a.get(k + shift) != c * v % p:
+                break
+        else:
+            return True
+    return False
 
 
 def _step_fault(
@@ -974,7 +1013,15 @@ def verify_witness_levels(
     Rebuilds the generator pools from I_1: each level-l record (w, image) must
     satisfy w ∈ (pool_l), u(F_*w) = 0 and θ(F_*w) = image; the next pool is
     I_1's generators plus the images.  The escape element must belong to the
-    final pool's ideal and lie outside m^{[p]}."""
+    final pool's ideal and lie outside m^{[p]}.
+
+    Which checks multiply and which reduce: u(F_*w) and θ(F_*w) of each
+    record are products, compared with its image, and the escape element's
+    membership is checked as c·x^μ·g for a generator g of the final pool
+    (`_term_multiple`; the solver records a pool generator itself, μ = 0).
+    Each record's w ∈ (pool_l) is reduced modulo a Groebner basis of the
+    level's pool, since the solver's w is a Ker u generator, a combination
+    of the pool; so is an escape element that fails the product check."""
     if cert.kind != CHAIN_WITNESS:
         return _fail(reasons, f"expected a {CHAIN_WITNESS} certificate, got {cert.kind}")
     if budget is None:
@@ -1000,7 +1047,11 @@ def verify_witness_levels(
     esc = cert.data.get("escape")
     if fault := _polynomials_fault(sp.ring, [esc], "escape element"):
         return _fail(reasons, fault)
-    if not ideal_membership(esc, Ideal(sp.ring, pool), budget):
+    packed_esc = pack(esc.terms)
+    if not (
+        _term_multiple(sp.ring, packed_esc, [pack(g.terms) for g in pool], budget)
+        or Ideal(sp.ring, pool)._contains(packed_esc, budget)
+    ):
         return _fail(reasons, f"escape element {esc} is not in the final level's ideal")
     if in_max_ideal_frobenius_power(esc, 1):
         return _fail(reasons, f"escape element {esc} lies in m^[p]")

@@ -26,7 +26,9 @@ is one guard-bit subtraction and `ExponentCodec.key` sorts like
 Every product of polynomials runs one kernel, `packed_mul` (and
 `packed_power` over it, whose squarings take the kernel's square path):
 `Polynomial.__mul__`, `__pow__`, `mul_term` and `capped_mul` pack their
-operands once, call it and unpack once.
+operands once, call it and unpack once.  The one exception is a product
+with a one-term factor, which `__mul__` forms by shifting and scaling the
+other factor's terms, after the same ring and exponent checks.
 
 Only prime coefficient fields are supported: every criterion implemented in
 this package reads or writes coefficients through the identity c^(1/p) = c,
@@ -505,8 +507,15 @@ class Polynomial:
             raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
         # the smaller operand on the outside
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        p = self.ring.field.p
+        if len(a.terms) == 1:
+            # a term times b: b's terms shifted and scaled, none cancels mod p
+            ((e, c),) = a.terms.items()
+            return Polynomial(
+                self.ring, {tuple(map(int.__add__, k, e)): v * c % p for k, v in b.terms.items()}
+            )
         pack = (codec := narrow_codec(self.ring.nvars, top)).pack_terms
-        out = packed_mul(pack(a.terms), pack(b.terms), self.ring.field.p)
+        out = packed_mul(pack(a.terms), pack(b.terms), p)
         return Polynomial(self.ring, codec.unpack_terms(out))
 
     def mul_term(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":

@@ -56,10 +56,10 @@ from qfsplit import criteria
 from qfsplit.cli import rdp_rows
 from qfsplit.groebner import colon_ideal, ideal_equal, ideal_membership
 from qfsplit.frobenius import in_max_ideal_frobenius_power, packed_theta, theta, u_map
-from qfsplit import rings
+from qfsplit import groebner, rings
 
 import oracles as O
-from conftest import poly_strategy, ring_over
+from conftest import nonzero_poly_strategy, poly_strategy, ring_over
 
 
 def ring_named(p, names):
@@ -1259,6 +1259,115 @@ def test_verify_witness_chain_rejects_empty():
     assert not verify_witness_chain(Ideal(ring, [f]), [])
 
 
+def no_groebner_basis(monkeypatch):
+    """Make every Groebner basis the verifiers could build raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Groebner basis was built")
+
+    monkeypatch.setattr(groebner, "_reduced_basis", refuse)
+
+
+def term_multiple_of_i1(ring, a, gens):
+    sp = _Splitting(gens)
+    return criteria._term_multiple(ring, ring.codec.pack_terms(a.terms), sp.packed_i1, Budget())
+
+
+@pytest.mark.parametrize(
+    "p,texts,mu,c",
+    [
+        (3, ["z^2 + x^3 + y^5"], (1, 0, 2), 2),  # E8^0
+        (5, ["z^2 + x^3 + y^5"], (0, 3, 1), 3),
+        (5, ["x*y + z^2", "x^2 + y*z"], (2, 1, 0), 4),  # two generators
+    ],
+)
+def test_a_scaled_monomial_multiple_of_an_i1_generator_is_in_i1_without_a_basis(
+    p, texts, mu, c, monkeypatch
+):
+    """c·x^μ·g lies in I_1 for every I_1 generator g and c ≠ 1, and the
+    verifier sees it by one product: with no Groebner basis allowed, a
+    strict chain starting there fails, if at all, on a later check."""
+    ring = ring_over(p)
+    gens = [ring.parse(t) for t in texts]
+    I = Ideal(ring, gens)
+    no_groebner_basis(monkeypatch)
+    for g in _Splitting(gens).i1:
+        a = g.mul_term(mu, c)
+        assert term_multiple_of_i1(ring, a, gens)
+        reasons = []
+        verify_witness_chain(I, [a], reasons=reasons)
+        assert not any("is not in I_1" in r for r in reasons)
+
+
+E8_P3 = "z^2 + x^3 + y^5"  # I_1 = (f^2), principal: it holds no monomial
+
+
+def with_extra_term(g):
+    return g + g.ring.parse("x")  # below g's lowest degree, and I_1 ⊆ m^2
+
+
+def with_a_coefficient_changed(g):
+    e, _ = g.sorted_terms()[-1]
+    return g + g.ring.from_terms({e: 1})
+
+
+def with_a_term_swapped(g):
+    """g's leading term and length, one lower term replaced by x."""
+    e, c = g.sorted_terms()[-1]
+    return g - g.ring.from_terms({e: c}) + g.ring.parse("x")
+
+
+@pytest.mark.parametrize(
+    "tamper", [with_extra_term, with_a_coefficient_changed, with_a_term_swapped]
+)
+def test_a_tampered_monomial_multiple_is_not_in_i1(tamper):
+    ring = ring_over(3)
+    f = ring.parse(E8_P3)
+    sp = _Splitting([f])
+    g = sp.i1[0]
+    a = tamper(g).mul_term((1, 2, 0))
+    if tamper is with_a_term_swapped:
+        assert a.leading_term()[0] == g.mul_term((1, 2, 0)).leading_term()[0]
+        assert len(a) == len(g)
+    assert not O.sympy_contains(a, sp.i1, ring)
+    assert not term_multiple_of_i1(ring, a, [f])
+    reasons = []
+    assert not verify_witness_chain(Ideal(ring, [f]), [a], reasons=reasons)
+    assert reasons[0].startswith("step 1:") and reasons[0].endswith("is not in I_1")
+
+
+def test_a_start_combining_two_generators_is_accepted_by_reduction():
+    """w_1 = f^{p−1} + x·f^p lies in I_1 but is no one-term multiple of a
+    generator; the verifier accepts it by reducing modulo I_1's basis.  E6^1
+    at p = 3 is F-split, so w_1 ∉ m^{[p]} closes a chain of length one."""
+    ring = ring_over(3)
+    f = ring.parse("z^2 + x^3 + y^4 + x^2*y^2")
+    sp = _Splitting([f])
+    w1 = sp.i1[0] + sp.i1[1].mul_term((1, 0, 0))
+    assert not term_multiple_of_i1(ring, w1, [f])
+    assert verify_witness_chain(Ideal(ring, [f]), [w1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+def test_a_term_multiple_is_a_member(p, data):
+    """Whenever the one-product check accepts a, `Ideal._contains` agrees;
+    an untampered c·x^μ·g_j is always accepted."""
+    ring = ring_over(p)
+    gens = data.draw(st.lists(nonzero_poly_strategy(ring, 3, 4), min_size=1, max_size=3))
+    g = data.draw(st.sampled_from(gens))
+    mu = data.draw(st.tuples(*[st.integers(0, 3)] * 3))
+    a = g.mul_term(mu, data.draw(st.integers(1, p - 1)))
+    tampered = data.draw(st.booleans())
+    if tampered:
+        a = a + data.draw(poly_strategy(ring, 5, 2))
+    pack = ring.codec.pack_terms
+    accepted = criteria._term_multiple(ring, pack(a.terms), [pack(h.terms) for h in gens], Budget())
+    assert accepted or tampered
+    if accepted:
+        assert Ideal(ring, gens)._contains(pack(a.terms), Budget())
+
+
 def test_verify_infinity_raw_guess_fails_with_reason():
     """The two-generator trap is not θ-closed; the verifier must name the
     escaping image."""
@@ -1399,6 +1508,23 @@ def test_rdp_chain_witnesses_hold_one_proof():
     assert frozenset({"chain"}) in forms
 
 
+def test_rdp_certificates_verify_with_no_groebner_basis(monkeypatch):
+    """Every row of the double-point table carries a strict chain that
+    starts at a monomial multiple of an I_1 generator, so its verifier
+    builds no Groebner basis: re-verifying all 90 with `_reduced_basis`
+    refusing still accepts each one."""
+    made = []
+    for row in rdp_rows((2, 3, 5), 8):
+        ring = ring_over(row["p"])
+        I = Ideal(ring, [ring.parse(row["f"])])
+        made.append((I, height(I).certificate))
+    assert len(made) == 90 and all("chain" in cert.data for _, cert in made)
+    no_groebner_basis(monkeypatch)
+    for I, cert in made:
+        reasons = []
+        assert verify_certificate(I, cert, reasons=reasons), (I, reasons)
+
+
 @pytest.mark.parametrize("p,names,texts", LEVELLED_CASES[:3])
 def test_strict_chain_rejects_a_tampered_element(p, names, texts):
     I, cert = levelled_certificate(p, names, texts)
@@ -1516,6 +1642,19 @@ def test_product_witness_exact_chain_verifies():
         [joint.parse("x0^3 + x1^3 + x2^3"), joint.parse("y0^3 + y0*y1*y2 + y1^2*y2 + y2^3")],
     )
     assert verify_witness_chain(joint_ideal, ws)
+
+
+def test_a_product_witness_start_with_a_two_term_cofactor_is_accepted_by_reduction():
+    """With h = f_Y^{p−1}·(1 + y0^p), the joint start g_1·h is x^μ·f^{p−1}
+    times a two-term cofactor, no one-term multiple of an I_1 generator; the
+    verifier accepts the joint chain by reducing modulo I_1's basis."""
+    rx, ry, ss, ordinary = product_fixture()
+    chain = height_local(Ideal(rx, [ss]), 4).certificate.data["chain"]
+    ws = product_witness(chain, ordinary * ry.parse("1 + y0^2"), 2, fx=ss, fy=ordinary)
+    joint = ws[0].ring
+    gens = [criteria.embed_left(ss, joint), criteria.embed_right(ordinary, joint)]
+    assert not term_multiple_of_i1(joint, ws[0], gens)
+    assert verify_witness_chain(Ideal(joint, gens), ws)
 
 
 def test_product_witness_kunneth_level_one():
@@ -1777,6 +1916,7 @@ def change_coordinates(f, A):
         ("local", 3, "z^2 + x^3 + x*y^3", 2),  # E7^0
         ("local", 3, "z^2 + x^3 + y^5", 3),  # E8^0
         ("local", 3, "z^2 + x^3 + y^5 + x^2*y^3", 2),  # E8^1
+        ("local", 5, "z^2 + x^3 + y^5", 2),  # E8^0
         # the chain route at p = 5 and in 4 variables
         ("local", 5, "x^3 + y^3 + z^3", 2),  # cone over a supersingular cubic
         ("local", 5, "x^2*y + y^2*z + z^2*x", 2),

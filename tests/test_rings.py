@@ -186,6 +186,31 @@ def test_mul_term_by_zero_never_overflows():
         f.mul_term(huge)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+def test_one_term_products_equal_the_packed_kernel(p, data):
+    """A product with a one-term factor shifts and scales the other factor's
+    terms without packing.  It equals the packed kernel's product in terms
+    and in their order, on either side, and raises ExponentOverflowError
+    exactly where the packed route did: where M_t + M_f passes
+    EXPONENT_LIMIT and neither factor is zero."""
+    ring = ring_over(p, ("x", "y", "z", "w")[: data.draw(st.integers(1, 4))])
+    e = data.draw(st.tuples(*[WIDE_EXPONENTS] * ring.nvars))
+    t = ring.from_terms({e: data.draw(st.integers(1, p - 1))})
+    f = data.draw(wide_poly_strategy(ring))
+    top = max(e) + f.max_exponent()
+
+    def kernel():
+        codec = narrow_codec(ring.nvars, top)
+        out = packed_mul(codec.pack_terms(t.terms), codec.pack_terms(f.terms), p)
+        return list(codec.unpack_terms(out).items())
+
+    for compute in (lambda: t * f, lambda: f * t):
+        _equal_or_overflow(
+            lambda: list(compute().terms.items()), f and top > L, kernel
+        )
+
+
 # narrow fields of every width from 2 to 16 bits; a field of `largest`'s
 # width holds every exponent of a square of exponents up to largest // 2
 NARROW_LARGEST = st.integers(1, 15).flatmap(
