@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 from .rings import (
     EXPONENT_LIMIT,
@@ -183,9 +183,10 @@ class _cached:
 
 class _Splitting:
     """The derived data of one problem I = (f'_1, ..., f'_m): f = Π f'_i, and
-    f^{p−2}, f^{p−1}, Δ₁(f), I_1's generators and Δ = Δ₁(f^{p−1}), each
-    computed on first use, so a route forms only what it reads.  `height`
-    builds one per call and hands it to every stage.
+    its Teichmüller lift F, f^{p−2}, f^{p−1}, Δ₁(f), I_1's generators and
+    Δ = Δ₁(f^{p−1}), each computed on first use, so a route forms only what
+    it reads: the level-1 coefficient verifier reads f alone and never
+    forms F.  `height` builds one per call and hands it to every stage.
 
     f, its Teichmüller lift F over ℤ/p², the powers, Δ₁(f) and Δ live packed
     under one narrow codec per problem (`rings.narrow_codec`), wide enough
@@ -222,7 +223,6 @@ class _Splitting:
         self.f = f
         self.codec = codec = narrow_codec(self.ring.nvars, self.p**2 * max(f.max_exponent(), 1))
         self.packed_f = {codec.pack(e): c for e, c in f.terms.items()}
-        self._lift = teichmuller_lift(self.packed_f, self.p)
 
     def _unpack(self, packed: dict[int, int]) -> Polynomial:
         return Polynomial(self.ring, self.codec.unpack_terms(packed))
@@ -231,6 +231,11 @@ class _Splitting:
         """Raise where `f ** n` raises: its last product has exponents n·M."""
         if n >= 2 and n * self.f.max_exponent() > EXPONENT_LIMIT:
             raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
+
+    @_cached
+    def _lift(self) -> dict[int, int]:
+        """F, the Teichmüller lift of f over ℤ/p²."""
+        return teichmuller_lift(self.packed_f, self.p)
 
     @_cached
     def _lift_low(self) -> dict[int, int]:
@@ -580,23 +585,41 @@ def graded_cy_coefficient(
 ) -> int:
     """The (x_1⋯x_N)^{p^n−1} coefficient of f_n, by capped multiplication.
 
+    Level 1 is Fedder's c_1, the (p−1)·𝟙 coefficient of f^{p−1}, read as
+    one pairing Σ_e f^a[e]·f^b[(p−1)·𝟙 − e] with a = ⌊(p−1)/2⌋ and
+    b = p − 1 − a, both powers formed over F_p from f: no Teichmüller lift
+    and no f^{p−1}.  At p = 2 it reads f's coefficient at 𝟙; at p = 3 it
+    pairs f with itself, which is the solver's own level-1 sum
+    Σ f^{p−2}[e]·f[cap − e], so there the independent check is the tests'
+    oracle that forms f^{p−1} with `Polynomial.__pow__`.  `_pairing`'s
+    borrowed-key argument holds: f^a·f^b = f^{p−1} stays within (p−1)·M,
+    which the problem's codec holds.
+
     Independent of the θ-orbit route from level 2 on: reads the target
     coefficient of f^{p−1}·E_n, E_n = Δ₁(f^{p−1})^{p^{n−2}+⋯+1}, as
     Σ f^{p−1}[e]·E_n[cap−e] without forming the product, while the engine
-    multiplies by Δ₁(f) and pairs with f^{p−2}.  Level 1 reads the
-    problem's packed f^{p−1}; level 2 pairs it with Δ₁(f^{p−1}) without
-    forming Δ₁(f^{p−1}), each coefficient it reads taken from Δ₁(f) by the
-    δ-ring rule (`_delta_pairing`); from level 3 on it is the constant
-    term of `capped_coefficients`' c_n, the reader of the stratum
-    polynomials too.  Used to re-verify CoefficientWitness certificates.
+    multiplies by Δ₁(f) and pairs with f^{p−2}.  Level 2 pairs f^{p−1} with
+    Δ₁(f^{p−1}) without forming Δ₁(f^{p−1}), each coefficient it reads
+    taken from Δ₁(f) by the δ-ring rule (`_delta_pairing`); from level 3 on
+    it is the constant term of `capped_coefficients`' c_n, the reader of
+    the stratum polynomials too.  Used to re-verify CoefficientWitness
+    certificates.  Raises ExponentOverflowError where f^{p−1} would pass
+    the exponent limit, and for a level whose cap p^n − 1 does, before
+    forming p^n: from n = 32 on that holds at every p.
     """
     if n < 1:
         raise RingError("level must be >= 1")
     sp = _Splitting(f_list)
     p, nvars, codec = sp.p, sp.ring.nvars, sp.codec
+    if n > EXPONENT_LIMIT.bit_length() + 1 or p**n - 1 > EXPONENT_LIMIT:
+        raise ExponentOverflowError("the cap p^n − 1 would exceed the 32-bit exponent budget")
     cap = [p**n - 1] * nvars
     if n == 1:
-        return sp.packed_fp1.get(codec.pack(cap), 0)
+        sp._check_power(p - 1)
+        a = (p - 1) // 2
+        fa = packed_power(sp.packed_f, a, p)
+        fb = fa if 2 * a == p - 1 else packed_mul(fa, sp.packed_f, p)
+        return _pairing(fa, fb, codec.pack(cap), p)
     if n == 2:
         return _delta_pairing(sp, codec.pack(cap))
     c = capped_coefficients(sp.fp1, sp.delta, n, nvars, budget)[-1]
@@ -1131,6 +1154,8 @@ def verify_certificate(
     fails, malformed ones included, gives False and, when `reasons` is
     given, the first violated condition; so does one whose input passes the
     exponent limit, which no verifier can re-check."""
+    if not isinstance(cert.data, Mapping):
+        return _fail(reasons, f"{cert.kind} certificate data {cert.data!r} is not a mapping")
     try:
         if cert.kind == COEFFICIENT_WITNESS:
             return verify_coefficient_witness(list(I.gens), cert, budget, reasons)

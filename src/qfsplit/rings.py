@@ -541,8 +541,13 @@ class Polynomial:
         top = n * self.max_exponent()
         if top > EXPONENT_LIMIT:
             raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
+        p = self.ring.field.p
+        if len(self.terms) == 1:
+            # a term's power: its exponents scaled by n, and c^n ≠ 0 mod p
+            ((e, c),) = self.terms.items()
+            return Polynomial(self.ring, {tuple([x * n for x in e]): pow(c, n, p)})
         codec = narrow_codec(self.ring.nvars, top)
-        out = packed_power(codec.pack_terms(self.terms), n, self.ring.field.p)
+        out = packed_power(codec.pack_terms(self.terms), n, p)
         return Polynomial(self.ring, codec.unpack_terms(out))
 
     def pth_power(self, k: int = 1) -> "Polynomial":

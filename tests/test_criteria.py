@@ -676,6 +676,116 @@ def test_coefficient_level_one_is_fedder():
     assert (graded_cy_coefficient([f], 1) != 0) == fedder_fsplit(f)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data())
+def test_level_one_is_the_coefficient_of_the_whole_power(p, data):
+    """Level 1 pairs f^a with f^b at (p−1)·𝟙, a = ⌊(p−1)/2⌋ and
+    b = p − 1 − a, both formed over F_p from f.  It equals the (p−1)·𝟙
+    coefficient of f^{p−1} formed by `Polynomial.__pow__`, for f the
+    product of one or two generators in 1–4 variables."""
+    ring = ring_over(p, ("x", "y", "z", "w")[: data.draw(st.integers(1, 4))])
+    gens = data.draw(
+        st.lists(nonzero_poly_strategy(ring, max_exp=2, max_terms=4), min_size=1, max_size=2)
+    )
+    f = math.prod(gens[1:], start=gens[0])
+    assert graded_cy_coefficient(gens, 1) == (f ** (p - 1)).terms.get((p - 1,) * ring.nvars, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("two_generators", [False, True], ids=["one", "two"])
+def test_level_one_overflows_exactly_where_the_whole_power_does(p, two_generators):
+    """Level 1 forms only f^a and f^b, which stay within the limit where
+    f^{p−1} does not, so it checks f^{p−1}'s bound first: it raises
+    ExponentOverflowError exactly where `f ** (p − 1)` does, here for
+    f = x^m + x·y (as one generator or as x^{m−1} + y times x) with m on
+    either side of EXPONENT_LIMIT // (p − 1)."""
+    ring = ring_named(p, ["x", "y"])
+    x, y = ring.variable("x"), ring.variable("y")
+    edge = EXPONENT_LIMIT // (p - 1)
+    raised = 0
+    for m in (edge - 1, edge, edge + 1):
+        if m > EXPONENT_LIMIT:
+            continue
+        if two_generators:
+            gens = [ring.monomial((m - 1, 0)) + y, x]
+        else:
+            gens = [ring.monomial((m, 0)) + x * y]
+        f = math.prod(gens[1:], start=gens[0])
+        try:
+            expected = (f ** (p - 1)).terms.get((p - 1, p - 1), 0)
+        except ExponentOverflowError:
+            raised += 1
+            with pytest.raises(ExponentOverflowError):
+                graded_cy_coefficient(gens, 1)
+        else:
+            assert graded_cy_coefficient(gens, 1) == expected
+    assert raised == (p > 2)
+
+
+# a plane cubic with c_1 ≠ 0 at p = 3, 5 and 7
+LEVEL_ONE_CUBIC = "x^3 + x*y*z + y^2*z + z^3"
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_level_one_witnesses_verify_without_the_teichmuller_lift(monkeypatch, p):
+    """A level-1 witness is re-checked from f alone: it verifies while the
+    Teichmüller lift refuses to be formed."""
+    ring = ring_over(p)
+    I = Ideal(ring, [ring.parse(LEVEL_ONE_CUBIC)])
+    cert = height_graded_cy(list(I.gens), Grading.standard(3)).certificate
+    assert cert.kind == COEFFICIENT_WITNESS and cert.data["level"] == 1
+
+    def refuse(packed, p):
+        raise AssertionError("the level-1 verifier formed the Teichmüller lift")
+
+    monkeypatch.setattr(criteria, "teichmuller_lift", refuse)
+    assert verify_certificate(I, cert)
+
+
+@pytest.mark.parametrize(
+    "p,zero",
+    [(3, "x^3 + y^3 + z^3"), (5, "x^3 + y^3 + z^3"), (7, "y^2*z + x^3 + x*z^2")],
+)
+def test_a_tampered_level_one_witness_is_refused(p, zero):
+    """A level-1 witness with its coefficient off by one either way is
+    refused, and so is every nonzero level-1 claim for a member whose c_1
+    is 0 by the oracle."""
+    ring = ring_over(p)
+    I = Ideal(ring, [ring.parse(LEVEL_ONE_CUBIC)])
+    cert = height_graded_cy(list(I.gens), Grading.standard(3)).certificate
+    assert cert.data["level"] == 1 and verify_certificate(I, cert)
+    for shift in (1, -1):
+        claim = (cert.data["coefficient"] + shift) % p
+        reasons = []
+        data = dict(cert.data, coefficient=claim)
+        assert not verify_certificate(I, Certificate(COEFFICIENT_WITNESS, data), reasons=reasons)
+        assert ("disagrees" if claim else "witnesses no level") in reasons[0]
+    g = ring.parse(zero)
+    assert O.graded_cy_coefficient_product([g], 1) == 0
+    for claim in range(1, p):
+        reasons = []
+        data = dict(cert.data, coefficient=claim)
+        J = Ideal(ring, [g])
+        assert not verify_certificate(J, Certificate(COEFFICIENT_WITNESS, data), reasons=reasons)
+        assert "disagrees" in reasons[0]
+
+
+@pytest.mark.parametrize("p,level", [(2, 33), (2, 2**40), (3, 2**40), (7, 12)])
+def test_a_level_past_the_exponent_limit_is_refused_before_its_cap_is_formed(p, level):
+    """A level whose cap p^n − 1 passes EXPONENT_LIMIT raises
+    ExponentOverflowError (at p = 7 from level 12 on, as
+    7^11 − 1 < EXPONENT_LIMIT < 7^12 − 1), and from n = 32 on before p^n
+    is formed, so a witness at level 2^40 is refused with a reason at once."""
+    ring = ring_over(p)
+    f = ring.parse(LEVEL_ONE_CUBIC)
+    with pytest.raises(ExponentOverflowError):
+        graded_cy_coefficient([f], level)
+    cert = Certificate(COEFFICIENT_WITNESS, {"level": level, "coefficient": 1, "grading": [[1, 1, 1]]})
+    reasons = []
+    assert not verify_certificate(Ideal(ring, [f]), cert, reasons=reasons)
+    assert "exponent limit" in reasons[0] and f"level {level}" in reasons[0]
+
+
 def test_coefficient_levels_at_the_exponent_limit():
     """At p = 2 the cap 2^n−1 of level 31 is the exponent limit itself, so
     level 31 is read like any other; level 32's cap passes the limit, and
@@ -1583,6 +1693,11 @@ FOREIGN = ring_named(2, ["a", "b", "c"]).parse("a")
         (CHAIN_WITNESS, {"levels": [], "escape": "x", "escape_level": 1}, "escape element 'x'"),
         (I_INFTY_STABILIZED, {"generators": "x", "iterations": 1}, "expected a list of generators"),
         (I_INFTY_STABILIZED, {"generators": [FOREIGN], "iterations": 1}, "generator <a over F_2>"),
+        (COEFFICIENT_WITNESS, [1, 2], "certificate data [1, 2] is not a mapping"),
+        (COEFFICIENT_WITNESS, None, "certificate data None is not a mapping"),
+        (CHAIN_WITNESS, [1], "certificate data [1] is not a mapping"),
+        (I_INFTY_STABILIZED, "x", "certificate data 'x' is not a mapping"),
+        (NON_QFS, None, "certificate data None is not a mapping"),
     ],
 )
 def test_malformed_certificates_are_refused_with_a_reason(kind, data, reason):

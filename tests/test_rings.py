@@ -211,6 +211,28 @@ def test_one_term_products_equal_the_packed_kernel(p, data):
         )
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+def test_one_term_powers_equal_the_packed_kernel(p, data):
+    """A power of a one-term base scales its exponents by n and raises its
+    coefficient to c^n mod p without packing.  It equals `packed_power`'s
+    power in terms and in their order, and raises ExponentOverflowError
+    exactly where the packed route did: where n·M passes EXPONENT_LIMIT
+    and n ≥ 2."""
+    ring = ring_over(p, ("x", "y", "z", "w")[: data.draw(st.integers(1, 4))])
+    e = data.draw(st.tuples(*[WIDE_EXPONENTS] * ring.nvars))
+    t = ring.from_terms({e: data.draw(st.integers(1, p - 1))})
+    n = data.draw(st.integers(0, 5))
+    top = n * max(e)
+
+    def kernel():
+        codec = narrow_codec(ring.nvars, max(top, max(e)))
+        out = packed_power(codec.pack_terms(t.terms), n, p)
+        return list(codec.unpack_terms(out).items())
+
+    _equal_or_overflow(lambda: list((t**n).terms.items()), n >= 2 and top > L, kernel)
+
+
 # narrow fields of every width from 2 to 16 bits; a field of `largest`'s
 # width holds every exponent of a square of exponents up to largest // 2
 NARROW_LARGEST = st.integers(1, 15).flatmap(
