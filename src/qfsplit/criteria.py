@@ -22,7 +22,9 @@ path forms Δ₁(f^{p−1}):
   I_∞ ⊄ m^{[p]}; as I_∞ ⊇ I_n, the first escaping level decides that too.
   One reader (`_read_chain`) serves `height_local`, `qfs_decide` and
   `height`: it stops at the first escape with a chain certificate, or at a
-  fixed point inside m^{[p]} with I_∞ as a trap ideal.  For a regular
+  fixed point inside m^{[p]} with I_∞ as a trap ideal, and it ends the
+  escaping level at its first image outside m^{[p]}, where it stops reading
+  the stream of Ker u generators.  For a regular
   sequence I_1 = (I^{[p]} : I) (Fedder).  The chain and its verifiers
   share θ (`_Splitting.chain_theta`) and run on packed exponents in the
   ring layout (`PolynomialRing.codec`); polynomials are built only for a
@@ -43,7 +45,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .rings import (
     EXPONENT_LIMIT,
@@ -333,7 +335,7 @@ class _Splitting:
     @_cached
     def i1(self) -> list[Polynomial]:
         """Generators of I_1 = (f^{p−1}) + ((f'_i)^p)."""
-        return _dedupe([self.fp1] + [g.pth_power() for g in self.gens])
+        return list(_dedupe([self.fp1] + [g.pth_power() for g in self.gens]))
 
     @_cached
     def fp2(self) -> Polynomial:
@@ -682,11 +684,11 @@ def verify_coefficient_witness(
 
 
 def _theta_images(
-    sp: _Splitting, inter: list[dict[int, int]]
-) -> list[tuple[dict[int, int], dict[int, int]]]:
+    sp: _Splitting, inter: Iterable[dict[int, int]]
+) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
     """θ(F_* (I ∩ Ker u)), one (w, θ(F_*w)) pair per generator w of the
-    intersection; all on the ring layout."""
-    return [(w, sp.chain_theta(w)) for w in inter]
+    intersection, as the generators come; all on the ring layout."""
+    return ((w, sp.chain_theta(w)) for w in inter)
 
 
 class _Chain:
@@ -694,8 +696,9 @@ class _Chain:
     by default on base = I_1: the I_n chain.  It runs on the ring layout:
     `gens` presents J_n by base and the images of step n − 1, `basis` is
     J_n's reduced Groebner basis once formed, and `steps` holds each step's
-    (w, θ(F_*w)) pairs.  `levels` is their polynomial view, built only when
-    read."""
+    (w, θ(F_*w)) pairs in the order of the Ker u stream, or a prefix of them
+    once `advance_to_escape` ends a step early and the chain is `partial`.
+    `levels` is their polynomial view, built only when read."""
 
     def __init__(self, sp: _Splitting, budget: Optional[Budget], base=None):
         self.sp, self.budget = sp, budget if budget is not None else Budget()
@@ -705,21 +708,43 @@ class _Chain:
         self.gens = [g for g in self.base if g]
         self.basis: Optional[list[dict[int, int]]] = None
         self.steps: list[list[tuple[dict[int, int], dict[int, int]]]] = []
+        self.partial = False
 
     def _reduced(self) -> list[dict[int, int]]:
         if self.basis is None:
             self.basis = _reduced_basis(self.sp.ring, self.gens, budget=self.budget)
         return self.basis
 
+    def _records(self) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+        """The next step's (w, θ(F_*w)) pairs, as the Ker u stream of J_n
+        finds each w; refused on a partial level."""
+        if self.partial:
+            raise RuntimeError("the chain stopped at an escaping image; its last level is partial")
+        return _theta_images(self.sp, _intersect_keru(self.sp.ring, self._reduced(), self.budget))
+
     def advance(self) -> bool:
-        """Step to J_{n+1}, or return False and stay once J_{n+1} = J_n."""
-        inter = _intersect_keru(self.sp.ring, self._reduced(), self.budget)
-        steps = _theta_images(self.sp, inter)
-        nxt = _dedupe(self.base + [image for _, image in steps])
+        """Step to J_{n+1} on the whole Ker u stream, or return False and stay
+        once J_{n+1} = J_n."""
+        return self._step(list(self._records()))
+
+    def advance_to_escape(self) -> bool:
+        """`advance`, but end the step at the first image outside m^{[p]}: it
+        shows J_{n+1} ⊄ m^{[p]}, so the Ker u stream and its Schreyer run
+        are read no further, and the chain refuses to step again."""
+        records = []
+        for w, image in self._records():
+            records.append((w, image))
+            if self.sp.escapes([image]) is not None:
+                self.partial = True
+                break
+        return self._step(records)
+
+    def _step(self, steps: list[tuple[dict[int, int], dict[int, int]]]) -> bool:
+        nxt = list(_dedupe(self.base + [image for _, image in steps]))
         # J_n ⊆ J_{n+1}, and an ideal escapes m^{[p]} iff a generator does
         escapes = self.sp.escapes
         basis = None
-        if escapes(nxt) is None or escapes(self.gens) is not None:
+        if not self.partial and (escapes(nxt) is None or escapes(self.gens) is not None):
             basis = _reduced_basis(self.sp.ring, nxt, budget=self.budget)
             if basis == self.basis:  # reduced bases are canonical
                 return False
@@ -759,10 +784,13 @@ def _read_chain(
 ) -> tuple[str, Optional[int], Optional[Certificate]]:
     """Read the I_n chain on from the level where it stands, to the first of:
 
-    * a level I_n ⊄ m^{[p]}: (Finite, n, ChainWitness).  The witness holds one
-      proof: a strict chain g_1, ..., g_n (θ(F_*g_l) = g_{l+1}, found by orbit
-      search) when one exists, else the levelled transition records and the
-      escaping generator of I_n.  I_∞ ⊇ I_n, so the ring is quasi-F-split;
+    * a level I_n ⊄ m^{[p]}: (Finite, n, ChainWitness).  One image outside
+      m^{[p]} settles that, so the level ends at the first such image
+      (`_Chain.advance_to_escape`).  The witness holds one proof: a strict
+      chain g_1, ..., g_n (θ(F_*g_l) = g_{l+1}, found by orbit search) when
+      one exists, else the levelled transition records, the last level's up
+      to that image, and the image itself as the escaping generator of I_n.
+      I_∞ ⊇ I_n, so the ring is quasi-F-split;
     * a fixed point I_{n+1} = I_n ⊆ m^{[p]}: (Infinite, None,
       IInftyStabilized), the reduced basis of I_∞ = I_n with `iterations` n,
       a trap ideal for `verify_infinity_certificate`;
@@ -773,7 +801,7 @@ def _read_chain(
     while (esc := sp.escapes(chain.gens)) is None:
         if n_max is not None and chain.n >= n_max:
             return LOWER_BOUND, n_max, None
-        if not chain.advance():
+        if not chain.advance_to_escape():
             gens = [sp.polynomial(g) for g in chain.basis]
             return INFINITE, None, Certificate(
                 I_INFTY_STABILIZED, {"generators": gens, "iterations": chain.n}
@@ -887,7 +915,7 @@ def enclosure_closure(
     at which `qfs_decide` stops.
     """
     sp = _Splitting(I.gens)
-    return _Chain(sp, budget, _dedupe(list(seed) + sp.i1)).close()
+    return _Chain(sp, budget, list(_dedupe(list(seed) + sp.i1))).close()
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1094,7 @@ def verify_witness_levels(
                 return _fail(reasons, f"level {l}: {rec.element} is not in I_{l}")
             if fault := _step_fault(sp, w, image, rec.image):
                 return _fail(reasons, f"level {l}: {fault}")
-        pool = _dedupe(sp.i1 + [rec.image for rec in records])
+        pool = list(_dedupe(sp.i1 + [rec.image for rec in records]))
     esc = cert.data.get("escape")
     if fault := _polynomials_fault(sp.ring, [esc], "escape element"):
         return _fail(reasons, fault)

@@ -29,6 +29,9 @@ Both kernels the criteria need are syzygies.  F_*I ∩ Ker(u)
 (`frobenius_module_intersect_keru`) comes from the syzygies of the u-images
 of I's translates, which one Buchberger run on the images alone yields when
 each basis element carries its cofactors (Schreyer's theorem; `_syzygies`).
+The run and the intersection are streams (`_intersect_keru`): each
+generator is yielded as it is found, so a reader that has what it needs,
+as the I_n chain does at its first escaping image, ends the run there.
 The module layer, which orders terms position over term (the lowest
 position on top, then grevlex within it, so every position is an
 elimination block) and keeps exponent tuples, serves only the colon ideal
@@ -41,7 +44,7 @@ import heapq
 import itertools
 import os
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from .rings import (
     EXPONENT_LIMIT,
@@ -70,14 +73,21 @@ class Budget:
     """Shared step counter that raises BudgetExceededError past `limit` steps.
 
     `limit=None` takes the limit from the QFSPLIT_GB_BUDGET environment
-    variable, or DEFAULT_GB_BUDGET when that is unset."""
+    variable, or DEFAULT_GB_BUDGET when that is unset or empty.  The variable
+    must hold a positive integer, as `--budget` must; any other value raises
+    RingError."""
 
     __slots__ = ("limit", "steps")
 
     def __init__(self, limit: Optional[int] = None):
         if limit is None:
             env = os.environ.get("QFSPLIT_GB_BUDGET")
-            limit = int(env) if env else DEFAULT_GB_BUDGET
+            try:
+                limit = int(env) if env else DEFAULT_GB_BUDGET
+            except ValueError:
+                limit = 0
+            if limit <= 0:
+                raise RingError(f"QFSPLIT_GB_BUDGET must be a positive number of steps, got {env!r}")
         self.limit = limit
         self.steps = 0
 
@@ -312,19 +322,22 @@ def normal_form(
 def _pair_loop(
     ring: PolynomialRing,
     leads: list[int],
-    reduce_pair: Callable[[int, int], Optional[int]],
+    active: list[int],
     budget: Budget,
     product_criterion: bool,
-) -> list[int]:
-    """Work off the S-pairs of a basis in normal-selection order.
+) -> Iterator[tuple[int, int]]:
+    """Work off the S-pairs of a basis in normal-selection order, one at a time.
 
     `leads` holds the packed leading exponents of the basis, none divisible
-    by an earlier one.  `reduce_pair(i, j)` reduces the S-pair of elements i
-    and j and returns the leading exponent of the element it appended to the
-    basis, or None.  Each element, the given ones in order and then each
-    appended one, joins through the Gebauer–Möller update (Gebauer & Möller,
-    JSC 6, 1988), which prunes pairs when they are formed.  With t the new
-    leading exponent:
+    by an earlier one.  Each pair (i, j) to reduce is yielded; the caller
+    reduces the S-pair of elements i and j and, when that appends an element
+    to the basis, appends its leading exponent to `leads` before it asks for
+    the next pair.  `active`, empty when given, holds in basis order the
+    elements whose leading exponent no later one divides, which still form
+    new pairs: a minimal basis once all pairs are done.  Each element, the
+    given ones in order and then each appended one, joins through the
+    Gebauer–Möller update (Gebauer & Möller, JSC 6, 1988), which prunes pairs
+    when they are formed.  With t the new leading exponent:
     - B_k: a queued pair (i, j) whose lcm t divides is pruned, unless its lcm
       equals lcm(leads[i], t) or lcm(leads[j], t);
     - M and F: a new pair (i, new) is dropped when the lcm of another new pair,
@@ -335,16 +348,15 @@ def _pair_loop(
     - elements whose leading exponent t divides form no new pairs.
     M, F and B_k are criteria on the syzygies of the leading terms, so they
     hold in a Schreyer run too, which keeps its coprime pairs (Möller, Mora &
-    Traverso, ISSAC 1992).  A popped pair ticks the budget once; a pruned or
-    dropped pair never ticks.  Returns, in basis order, the elements whose
-    leading exponent no other one divides: a minimal basis once all pairs
-    are done.
+    Traverso, ISSAC 1992).  A popped pair ticks the budget once, before it
+    is yielded; a pruned or dropped pair never ticks.  A caller that stops
+    asking ends the run: the pairs left are never reduced.
     """
     codec = ring.codec
     divides, lcm, key = codec.divides, codec.lcm, codec.key
     queue: list = []  # heap of (key(lcm), i, j): pops in normal-selection order
     pending: dict[tuple[int, int], int] = {}  # queued pair -> lcm
-    active: list[int] = []  # the elements that still form new pairs
+    joined = 0
 
     def update(k: int) -> None:
         t = leads[k]
@@ -367,18 +379,17 @@ def _pair_loop(
                 heapq.heappush(queue, (key(m), i, k))
         active[:] = [i for i in active if not divides(t, leads[i])] + [k]
 
-    for k in range(len(leads)):
-        update(k)
-    while queue:
+    while True:
+        while joined < len(leads):
+            update(joined)
+            joined += 1
+        if not queue:
+            return
         _, i, j = heapq.heappop(queue)
         if pending.pop((i, j), None) is None:
             continue
         budget.tick()
-        lead = reduce_pair(i, j)
-        if lead is not None:
-            leads.append(lead)
-            update(len(leads) - 1)
-    return active
+        yield i, j
 
 
 def _reduced_basis(
@@ -402,14 +413,13 @@ def _reduced_basis(
         if r:
             basis.append(_entry(ring, r))
 
-    def reduce_pair(i: int, j: int) -> Optional[int]:
+    leads, active = [e[0] for e in basis], []
+    for i, j in _pair_loop(ring, leads, active, budget, True):
         r = _reduce(ring, _s_pair(ring, basis[i], basis[j]), basis, budget)
-        if not r:
-            return None
-        basis.append(_entry(ring, r))
-        return basis[-1][0]
-
-    minimal = [basis[i] for i in _pair_loop(ring, [e[0] for e in basis], reduce_pair, budget, True)]
+        if r:
+            basis.append(_entry(ring, r))
+            leads.append(basis[-1][0])
+    minimal = [basis[i] for i in active]
     # tail-reduce each element by the others and make it monic
     reduced = []
     for i, (le, inv_lc, terms, _, _) in enumerate(minimal):
@@ -689,9 +699,9 @@ def _translates(ring: PolynomialRing, g: dict[int, int]) -> list[tuple[int, dict
 
 def _syzygies(
     ring: PolynomialRing, images: Sequence[Union[Polynomial, dict[int, int]]], budget: Budget
-) -> list[dict[int, dict[int, int]]]:
-    """Generators of the syzygies of `images` (Schreyer's theorem); each image
-    is a polynomial or its packed terms.
+) -> Iterator[dict[int, dict[int, int]]]:
+    """Generators of the syzygies of `images` (Schreyer's theorem), yielded as
+    they are found; each image is a polynomial or its packed terms.
 
     One Buchberger run on the images alone, each basis element g carrying
     its cofactor vector {j: c_j} with g = Σ c_j·images[j].  Every image is
@@ -702,38 +712,41 @@ def _syzygies(
     reduction to zero leaves a syzygy in the same way.  Both reductions run
     on the shared kernel `_reduce`, which carries the cofactors along.
     Syzygies are never paired or inter-reduced.  The budget ticks once per
-    popped pair and once per reduction step.  Syzygies come back as
-    {j: packed terms of c_j}.
+    popped pair and once per reduction step.  Syzygies come as {j: packed
+    terms of c_j}.  The run goes only as far as it is read: a reader that
+    stops ends the pair loop, and the pairs left only add syzygies.
     """
     basis: list[tuple] = []
-    syzygies: list[dict[int, dict[int, int]]] = []
-
-    def reduce(work: dict, cof: dict) -> Optional[int]:
-        rem = _reduce(ring, work, basis, budget, cof)
-        cof = {j: t for j, t in cof.items() if t}
-        if not rem:
-            syzygies.append(cof)
-            return None
-        basis.append(_entry(ring, rem, cof))
-        return basis[-1][0]
-
-    def reduce_pair(i: int, j: int) -> Optional[int]:
-        cof: dict[int, dict[int, int]] = {}
-        return reduce(_s_pair(ring, basis[i], basis[j], cof), cof)
-
+    leads: list[int] = []
     pack = ring.codec.pack_terms
-    for j, w in enumerate(images):
-        reduce(pack(w.terms) if isinstance(w, Polynomial) else dict(w), {j: {0: 1}})
-    _pair_loop(ring, [entry[0] for entry in basis], reduce_pair, budget, False)
-    return syzygies
+
+    def work() -> Iterator[tuple[dict, dict]]:
+        """Each image with its cofactor e_j, then each S-pair with its own."""
+        for j, w in enumerate(images):
+            yield pack(w.terms) if isinstance(w, Polynomial) else dict(w), {j: {0: 1}}
+        for i, j in _pair_loop(ring, leads, [], budget, False):
+            cof: dict[int, dict[int, int]] = {}
+            yield _s_pair(ring, basis[i], basis[j], cof), cof
+
+    for w, cof in work():
+        rem = _reduce(ring, w, basis, budget, cof)
+        cof = {j: t for j, t in cof.items() if t}
+        if rem:
+            basis.append(_entry(ring, rem, cof))
+            leads.append(basis[-1][0])
+        else:
+            yield cof
 
 
 def _intersect_keru(
     ring: PolynomialRing, basis: Sequence[dict[int, int]], budget: Budget
-) -> list[dict[int, int]]:
+) -> Iterator[dict[int, int]]:
     """Packed generators of F_*I ∩ Ker(u), I given by its packed reduced
-    basis: see `frobenius_module_intersect_keru`.  Each translate x^α·g is
-    kept as (g, x^α) and multiplied out only where a syzygy uses it."""
+    basis (see `frobenius_module_intersect_keru`), as one stream: the
+    translates with u-image zero first, then one element per syzygy in
+    Schreyer order, each once, as they come.  Each translate x^α·g is kept
+    as (g, x^α) and multiplied out only where a syzygy uses it.  The
+    Schreyer run goes only as far as the stream is read (`_syzygies`)."""
     codec, p = ring.codec, ring.field.p
     direct: list[dict[int, int]] = []
     moved: list[tuple[dict[int, int], int, int]] = []  # (g, x^α, degree bound of x^α·g)
@@ -746,36 +759,36 @@ def _intersect_keru(
                 images.append(w)
             else:
                 direct.append({k + shift: c for k, c in g.items()})
-    elements: list[dict[int, int]] = []
-    for cof in _syzygies(ring, images, budget):
-        acc: dict[int, int] = {}
-        for j, t in cof.items():
-            g, shift, top = moved[j]
-            if p * codec.degree(max(t)) + top > EXPONENT_LIMIT:
-                _check_frobenius_product(codec, t, p, g, shift)
-            for kt, ct in t.items():
-                base = p * kt + shift  # c_j^p·x^α: Frobenius fixes F_p coefficients
-                for kg, cg in g.items():
-                    e = base + kg
-                    acc[e] = acc.get(e, 0) + ct * cg
-        w = {e: r for e, c in acc.items() if (r := c % p)}
-        if packed_u(w, codec, p):  # the translates in `direct` have u-image 0 as formed
-            raise RuntimeError("intersection generator escaped Ker(u)")
-        if w:
-            elements.append(w)
-    return _dedupe(direct + elements)
+
+    def elements() -> Iterator[dict[int, int]]:
+        yield from direct  # u-image 0 as formed
+        for cof in _syzygies(ring, images, budget):
+            acc: dict[int, int] = {}
+            for j, t in cof.items():
+                g, shift, top = moved[j]
+                if p * codec.degree(max(t)) + top > EXPONENT_LIMIT:
+                    _check_frobenius_product(codec, t, p, g, shift)
+                for kt, ct in t.items():
+                    base = p * kt + shift  # c_j^p·x^α: Frobenius fixes F_p coefficients
+                    for kg, cg in g.items():
+                        e = base + kg
+                        acc[e] = acc.get(e, 0) + ct * cg
+            w = {e: r for e, c in acc.items() if (r := c % p)}
+            if packed_u(w, codec, p):
+                raise RuntimeError("intersection generator escaped Ker(u)")
+            yield w
+
+    return _dedupe(elements())
 
 
-def _dedupe(polys: Iterable[Any]) -> list[Any]:
-    """The nonzero polynomials in order, each once; packed ones (dicts) are
-    compared by their terms."""
-    out: list[Any] = []
+def _dedupe(polys: Iterable[Any]) -> Iterator[Any]:
+    """The nonzero polynomials in order, each once, as they come; packed ones
+    (dicts) are compared by their terms."""
     seen: set = set()
     for g in polys:
         if g and (k := frozenset(g.items()) if isinstance(g, dict) else g) not in seen:
             seen.add(k)
-            out.append(g)
-    return out
+            yield g
 
 
 def _check_frobenius_product(
@@ -801,7 +814,8 @@ def frobenius_module_intersect_keru(
     u-image zero and, for each syzygy generator c of the nonzero images
     (`_syzygies`), the element w = Σ c_j^p·t_j.  The elements w ∈ I are
     returned, without duplicates; a generator with a nonzero u-image raises
-    RuntimeError.  Runs `_intersect_keru` on I's packed basis.
+    RuntimeError.  Reads the whole stream of `_intersect_keru` on I's packed
+    basis.
     """
     ring = I.ring
     if budget is None:

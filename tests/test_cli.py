@@ -213,6 +213,25 @@ def test_nonpositive_budget_is_an_input_error(capsys, command, budget):
     assert "budget must be a positive number of steps" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_budget_variable_is_an_input_error(capsys, monkeypatch, value):
+    """QFSPLIT_GB_BUDGET takes `--budget`'s rule: anything but a positive
+    step count is an input error that names the variable, not a traceback
+    or a budget abort at the first step."""
+    with monkeypatch.context() as patch:  # unset again before the fixtures' checks
+        patch.setenv("QFSPLIT_GB_BUDGET", value)
+        code, out, err = run_cli(capsys, BUDGETED["height"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: QFSPLIT_GB_BUDGET must be a positive number of steps")
+        proc = run_module(BUDGETED["height"])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: QFSPLIT_GB_BUDGET must be a positive")
+        assert "Traceback" not in proc.stderr
+        code, _, _ = run_cli(capsys, BUDGETED["height"] + ["--budget", "1000"])
+        assert code == 0  # an explicit --budget does not read it
+
+
 @pytest.mark.parametrize("n_max", ["0", "-3"])
 def test_nonpositive_n_max_is_an_input_error(capsys, n_max):
     argv = ["height", "--p", "2", "--vars", "x,y,z", "--poly", "z^2 + x^2*y + x*y^4"]

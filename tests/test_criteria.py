@@ -4,6 +4,7 @@ points, certificates and the orchestrator."""
 import itertools
 import math
 import random
+import traceback
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -1217,15 +1218,16 @@ SEXTIC_G1 = "x*y*s^2 + z*w*u^2 + y^3*w + x^3*z"
 def test_e8_under_a_linear_change_of_coordinates():
     """E8^0 z^2 + x^3 + y^5 at p = 3 has height 3, and a linear change of
     coordinates keeps the height: under x ↦ 2x+2y, y ↦ 2x+z, z ↦ x+z it has
-    11 terms and takes the local chain 5,907 steps, against 185 as written."""
+    11 terms and takes the local chain 4,721 steps, against 150 as written
+    (5,907 and 185 while the chain finished its escaping level)."""
     ring = ring_over(3)
     f = ring.parse("z^2 + x^3 + y^5")
     x, y, z = (ring.parse(t) for t in ("2*x + 2*y", "2*x + z", "x + z"))
     moved = z**2 + x**3 + y**5
     assert len(moved) == 11
     plain, res = height(f), height(moved)
-    assert (plain.verdict, plain.n, plain.route, plain.steps) == (FINITE, 3, "local-chain", 185)
-    assert (res.verdict, res.n, res.route, res.steps) == (FINITE, 3, "local-chain", 5907)
+    assert (plain.verdict, plain.n, plain.route, plain.steps) == (FINITE, 3, "local-chain", 150)
+    assert (res.verdict, res.n, res.route, res.steps) == (FINITE, 3, "local-chain", 4721)
     assert verify_certificate(Ideal(ring, [moved]), res.certificate)
 
 
@@ -1233,8 +1235,8 @@ def test_e8_under_a_linear_change_of_coordinates():
 @pytest.mark.parametrize(
     "kind,p,text,steps",
     [
-        ("height", 2, "z^2 + x^3 + y^5", 135),  # E8^0, local chain to n = 4
-        ("height", 3, "z^2 + x^3 + y^5", 185),  # E8^0, local chain to n = 3
+        ("height", 2, "z^2 + x^3 + y^5", 112),  # E8^0, local chain to n = 4
+        ("height", 3, "z^2 + x^3 + y^5", 150),  # E8^0, local chain to n = 3
         ("qfs_decide", 2, "x^3 + y^2*z", 16),  # the cusp's I_infinity
         # sextic g1: I_∞ resumes from the local chain's I_4, not from I_1
         ("height", 2, SEXTIC_G1, 753),
@@ -2019,13 +2021,17 @@ def change_coordinates(f, A):
         ("graded", 2, "x^3 + x*y*z + y^2*z + z^3", 1),
         ("graded", 3, "y^2*z + x^3 + 2*x*z^2", 2),
         ("graded", 3, "x^3 + y^3 + z^3 + x*y*z", 1),
-        # double points of height at most 3
+        # double points
         ("local", 2, "z^2 + x^2*y + x*y^2", 2),  # D4^0
         ("local", 2, "z^2 + x^2*y + x*y^4", 3),  # D8^0
         ("local", 2, "z^2 + x^2*y + y^4*z", 3),  # D9^0
         ("local", 2, "z^2 + x^3 + y^2*z + x*y*z", 1),  # E6^1
         ("local", 2, "z^2 + x^3 + x*y^3 + y^3*z", 2),  # E7^2
         ("local", 2, "z^2 + x^3 + y^5 + x*y^2*z", 3),  # E8^2
+        # height 4, the escaping level ended at its first escaping image
+        ("local", 2, "z^2 + x^3 + y^5", 4),  # E8^0
+        ("local", 2, "z^2 + x^3 + x*y^3", 4),  # E7^0
+        ("local", 2, "z^2 + x^2*y + x*y^5", 4),  # D10^0
         ("local", 3, "z^2 + x^3 + y^4", 2),  # E6^0
         ("local", 3, "z^2 + x^3 + y^4 + x^2*y^2", 1),  # E6^1
         ("local", 3, "z^2 + x^3 + x*y^3", 2),  # E7^0
@@ -2099,6 +2105,108 @@ def test_chain_ascends_and_its_limit_matches_the_oracle_chain(p, data):
     oracle = O.local_chain_ideals(I, closing.n + 1)
     assert ideal_equal(limit, oracle[-1])
     assert len(oracle) == closing.n
+
+
+def assert_early_stop_matches_the_math(f, budget=None):
+    """The chain read to its first escape (`_read_chain`), which ends the
+    escaping level at its first escaping image, against the math and against
+    the chain that finishes every level (`_Chain.advance`):
+    - its height is the first escaping level of the oracle chain
+      (`oracles.local_chain_ideals`), and an Infinite answer is a fixed point
+      that no oracle level escapes;
+    - the stopped level's records are a prefix of the finished level's, with
+      the same escape element, and the earlier levels are equal;
+    - the levelled certificate of the stopped chain verifies;
+    - the stopped chain refuses to step again.
+    Returns False when `budget` runs out first."""
+    ring = f.ring
+    I = Ideal(ring, [f])
+    stopped = _Chain(_Splitting([f]), budget)
+    try:
+        verdict, n, _ = criteria._read_chain(stopped, None)
+    except criteria.BudgetExceededError:
+        return False
+    escapes = [not all(O.in_bracket_m_oracle(g, 1) for g in J.gens) for J in
+               O.local_chain_ideals(I, stopped.n + (verdict == INFINITE))]
+    if verdict == INFINITE:
+        assert not any(escapes) and len(escapes) == stopped.n and not stopped.partial
+        return True
+    assert escapes.index(True) + 1 == n == stopped.n
+    assert stopped.partial == (n > 1)
+    full = _Chain(_Splitting([f]), Budget())
+    while full.n < n:
+        assert full.advance()
+    assert stopped.steps[:-1] == full.steps[:-1]
+    if n > 1:
+        last = stopped.steps[-1]
+        assert last == full.steps[-1][: len(last)]
+        sp = stopped.sp
+        assert sp.escapes([last[-1][1]]) is not None
+        assert stopped.gens[sp.escapes(stopped.gens)] == full.gens[sp.escapes(full.gens)]
+        escape = sp.polynomial(last[-1][1])
+        cert = Certificate(
+            CHAIN_WITNESS, {"levels": stopped.levels, "escape": escape, "escape_level": n}
+        )
+        reasons = []
+        assert verify_witness_levels(I, cert, reasons=reasons), reasons
+        for step in (stopped.advance, stopped.advance_to_escape, stopped.close):
+            with pytest.raises(RuntimeError, match="stopped at an escaping image"):
+                step()
+    return True
+
+
+@pytest.mark.parametrize("row", rdp_rows((2, 3, 5), 8), ids=lambda row: f"{row['type']}@p{row['p']}")
+def test_rdp_heights_stop_at_the_first_escaping_image(row):
+    ring = ring_over(row["p"])
+    f = ring.parse(row["f"])
+    assert assert_early_stop_matches_the_math(f)
+    assert height(f).n == row["expected"]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_drawn_chains_stop_at_the_first_escaping_image(p, data):
+    ring = ring_over(p)
+    terms = data.draw(
+        st.dictionaries(
+            st.sampled_from(CHAIN_MONOMIALS), st.integers(1, p - 1), min_size=1, max_size=4
+        )
+    )
+    assert_early_stop_matches_the_math(ring.from_terms(terms), Budget(4000))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=5)
+@given(data=st.data())
+def test_moved_double_points_stop_at_the_first_escaping_image(p, data):
+    """Random draws are rarely quasi-F-split past height 1, so the escaping
+    levels are drawn from the table instead: a double point under a drawn
+    linear change of coordinates keeps its height, and the order in which
+    its escaping level finds its images changes."""
+    row = data.draw(st.sampled_from(rdp_rows((p,), 8)))
+    ring = ring_over(p)
+    A = random_invertible_matrix(random.Random(data.draw(st.integers(0, 2**32))), p, 3)
+    g = change_coordinates(ring.parse(row["f"]), A)
+    assert assert_early_stop_matches_the_math(g)
+    assert height(g).n == row["expected"]
+
+
+def test_a_budget_that_runs_out_in_a_stopped_schreyer_run():
+    """E8^0 at p = 3 under x ↦ 2x+2y, y ↦ 2x+z, z ↦ x+z starts the Ker u
+    stream of I_2 at step 4,683, and the Schreyer run of that stream stops
+    at I_3's first escaping image at step 4,696.  A budget of 4,690 runs out
+    inside that run: `height` gives Unknown, and `qfs_decide` raises."""
+    ring = ring_over(3)
+    x, y, z = (ring.parse(t) for t in ("2*x + 2*y", "2*x + z", "x + z"))
+    moved = z**2 + x**3 + y**5
+    res = height(moved, budget=Budget(4690))
+    assert (res.verdict, res.route) == (UNKNOWN, "local-chain")
+    assert res.diagnostics == ("budget exhausted after 4691 steps",)
+    with pytest.raises(criteria.BudgetExceededError) as raised:
+        qfs_decide(Ideal(ring, [moved]), Budget(4690))
+    frames = {frame.name for frame in traceback.extract_tb(raised.value.__traceback__)}
+    assert {"advance_to_escape", "_syzygies"} <= frames
 
 
 @pytest.mark.parametrize(

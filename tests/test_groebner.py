@@ -284,10 +284,24 @@ def test_budget_aborts_and_counts():
 
 
 def test_budget_env_override(monkeypatch):
+    from qfsplit.groebner import DEFAULT_GB_BUDGET
+
     monkeypatch.setenv("QFSPLIT_GB_BUDGET", "77")
     assert Budget().limit == 77
+    monkeypatch.setenv("QFSPLIT_GB_BUDGET", "")
+    assert Budget().limit == DEFAULT_GB_BUDGET
     monkeypatch.delenv("QFSPLIT_GB_BUDGET")
-    assert Budget().limit is not None
+    assert Budget().limit == DEFAULT_GB_BUDGET
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", " "])
+def test_budget_env_takes_only_a_positive_step_count(monkeypatch, value):
+    """QFSPLIT_GB_BUDGET follows `--budget`'s rule: anything but a positive
+    integer is refused by name, never read as an instant abort."""
+    monkeypatch.setenv("QFSPLIT_GB_BUDGET", value)
+    with pytest.raises(RingError, match="QFSPLIT_GB_BUDGET must be a positive number of steps"):
+        Budget()
+    assert Budget(5).limit == 5  # an explicit limit does not read it
 
 
 def test_ideal_groebner_is_cached():
@@ -416,15 +430,15 @@ def test_schreyer_cofactor_update_past_exponent_limit_raises(tail, raises):
     images = [ring.parse("x"), ring.parse(f"x^{EXPONENT_LIMIT} + y"), ring.parse(f"y*{tail}")]
     if raises:
         with pytest.raises(ExponentOverflowError):
-            _syzygies(ring, images, Budget())
+            list(_syzygies(ring, images, Budget()))
     else:
-        assert _syzygies(ring, images, Budget())
+        assert list(_syzygies(ring, images, Budget()))
 
 
 def assert_syzygies(ring, images):
     """Every cofactor vector c that `_syzygies` returns (on packed exponents)
     is nonzero and has Σ c_j·images[j] = 0."""
-    syzygies = _syzygies(ring, images, Budget())
+    syzygies = list(_syzygies(ring, images, Budget()))
     for cof in syzygies:
         assert cof
         total = ring.zero
@@ -462,15 +476,25 @@ def _corrupted_syzygies(ring, images, budget):
 
 def test_keru_refuses_an_element_outside_ker_u(monkeypatch):
     """The Ker(u) check is an explicit raise on the packed route, so a
-    corrupted syzygy stops the public intersection and the I_n chain alike."""
-    from qfsplit import groebner, height_local
+    corrupted syzygy stops the public intersection and every reader of the
+    I_n chain alike, once it is read.  E8^0 at p = 2 reads the whole stream
+    of I_1, as I_2 ⊆ m^[2].  The chain of D4^0 at p = 2 ends its escaping
+    level at the image of the translate z·f, before the stream reaches a
+    syzygy, so the corrupted one is never read and the answer still
+    verifies."""
+    from qfsplit import groebner, height, height_local, qfs_decide, verify_certificate
 
     monkeypatch.setattr(groebner, "_syzygies", _corrupted_syzygies)
     I = keru_ideal(*KERU_IDEALS[0])
     with pytest.raises(RuntimeError, match="escaped Ker"):
         frobenius_module_intersect_keru(I)
-    with pytest.raises(RuntimeError, match="escaped Ker"):
-        height_local(I)
+    res = height_local(I)
+    assert (res.verdict, res.n) == ("Finite", 2)
+    assert verify_certificate(I, res.certificate)
+    e8 = keru_ideal(2, ["z^2 + x^3 + y^5"], ("x", "y", "z"))
+    for route in (height_local, qfs_decide, height):
+        with pytest.raises(RuntimeError, match="escaped Ker"):
+            route(e8)
 
 
 def test_keru_check_holds_under_python_O():

@@ -584,7 +584,7 @@ def test_criteria_has_one_chain_loop():
     assert defined & {"_height_local", "_qfs_decide", "_i_infinity"} == set()
     assert "FIXED_POINT_ENCLOSURE" not in source and "FixedPointEnclosure" not in source
     assert sorted(call_sites(source, "_theta_images")) == [
-        "_Chain.advance", "verify_infinity_certificate",
+        "_Chain._records", "verify_infinity_certificate",
     ]
     for caller in ("height_local", "qfs_decide", "enclosure_closure"):
         reached = reached_names(source, caller)
