@@ -20,11 +20,12 @@ path forms Δ₁(f^{p−1}):
   intersection.  Works for any input.  Its limit I_∞ is the smallest ideal
   ⊇ θ(F_*I_∞ ∩ Ker u) + I_1, and the ring is quasi-F-split iff
   I_∞ ⊄ m^{[p]}; as I_∞ ⊇ I_n, the first escaping level decides that too.
-  One reader (`_read_chain`) serves `height_local`, `qfs_decide` and
-  `height`: it stops at the first escape with a chain certificate, or at a
-  fixed point inside m^{[p]} with I_∞ as a trap ideal, and it ends the
-  escaping level at its first image outside m^{[p]}, where it stops reading
-  the stream of Ker u generators.  For a regular
+  The chain has one step (`_Chain.advance`), which reads the stream of
+  Ker u generators and applies θ to each.  One reader (`_read_chain`)
+  serves `height_local`, `qfs_decide` and `height`: it stops at the first
+  escape with a chain certificate, or at a fixed point inside m^{[p]} with
+  I_∞ as a trap ideal, and it ends the escaping level at its first image
+  outside m^{[p]}, where the step stops reading the stream.  For a regular
   sequence I_1 = (I^{[p]} : I) (Fedder).  The chain and its verifiers
   share θ (`_Splitting.chain_theta`) and run on packed exponents in the
   ring layout (`PolynomialRing.codec`); polynomials are built only for a
@@ -37,7 +38,11 @@ from level 3 on and for the stratum polynomials of `strata`.
 `height` orchestrates both engines plus the quick non-splitting tests, on
 one `_Splitting` (f and its derived quantities) and one I_n chain per call.
 Every entry point builds a `_Splitting`, which refuses a system with no
-generator or a zero one.
+generator or a zero one.  Both engines return through one result path
+(`_route_result`), so `height`, `height_local` and `height_graded_cy`
+answer Unknown when the step budget runs out; `qfs_decide` and
+`enclosure_closure`, which return no HeightResult, raise
+BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .rings import (
     EXPONENT_LIMIT,
@@ -380,12 +385,19 @@ def _stamped(res: HeightResult, budget: Budget, t0: float) -> HeightResult:
     return res
 
 
-def _unknown(exc: BudgetExceededError, route: str) -> HeightResult:
-    """The Unknown result of a route whose step budget ran out."""
-    return HeightResult(
-        UNKNOWN, None, None, route=route,
-        diagnostics=(f"budget exhausted after {exc.steps} steps",),
-    )
+def _route_result(route: str, budget: Budget, read: Callable[[], HeightResult]) -> HeightResult:
+    """The one result path of the height routes: `read()` on `route`, or
+    Unknown with its diagnosis once the step budget runs out, stamped with
+    the budget's steps and the wall time."""
+    t0 = time.perf_counter()
+    try:
+        res = read()
+    except BudgetExceededError as exc:
+        res = HeightResult(
+            UNKNOWN, None, None, diagnostics=(f"budget exhausted after {exc.steps} steps",)
+        )
+    res.route = route
+    return _stamped(res, budget, t0)
 
 
 def result_to_json(res: HeightResult) -> dict[str, Any]:
@@ -432,8 +444,7 @@ def fedder_fsplit(I: Union[Ideal, Polynomial, Sequence[Polynomial]]) -> bool:
     a per-term check — no Groebner basis is needed.  Callers are responsible
     for the generators forming a regular sequence in m.
     """
-    gens = _as_gen_list(I)
-    return not gens or not in_max_ideal_frobenius_power(_Splitting(gens).fp1, 1)
+    return not in_max_ideal_frobenius_power(_Splitting(_as_gen_list(I)).fp1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +520,9 @@ def height_graded_cy(
     (`graded_cy_coefficient`) pairs f^{p−1} with Δ₁(f^{p−1}); it reads only
     the coefficients it needs, from Δ₁(f), but keeps Δ₁(f^{p−1})'s exponent
     bound p(p−1)·M, so the run raises its ExponentOverflowError where it
-    first reaches level 2.
+    first reaches level 2.  A budget abort returns Unknown with the
+    diagnosis "budget exhausted after N steps", as `height` and
+    `height_local` do.
     """
     f_list = list(f_list)
     _require_graded(f_list, g)
@@ -517,13 +530,17 @@ def height_graded_cy(
 
 
 def _graded_cy(sp: _Splitting, g: Grading, n_max: int, budget: Budget) -> HeightResult:
-    """`height_graded_cy` on a problem's `_Splitting`, applicability checked."""
-    t0 = time.perf_counter()
+    """`height_graded_cy` on a problem's `_Splitting`, applicability checked:
+    `_read_graded` through the one result path."""
+    return _route_result("graded-cy", budget, lambda: _read_graded(sp, g, n_max, budget))
+
+
+def _read_graded(sp: _Splitting, g: Grading, n_max: int, budget: Budget) -> HeightResult:
+    """The coefficient run of `height_graded_cy`, up to level n_max."""
     p, fp2 = sp.p, sp.packed_fp2
     cap = sp.codec.pack([p - 1] * sp.ring.nvars)
     c = _pairing(fp2, sp.packed_f, cap, p)
     s: Optional[dict[int, int]] = None  # s_{n−1}, once level 2 is reached
-    diagnostics: list[str] = []
     for n in range(1, n_max + 1):
         budget.tick()
         if c:
@@ -531,12 +548,10 @@ def _graded_cy(sp: _Splitting, g: Grading, n_max: int, budget: Budget) -> Height
                 COEFFICIENT_WITNESS,
                 {"level": n, "coefficient": c, "grading": [list(r) for r in g.rows]},
             )
-            return _stamped(HeightResult(FINITE, n, cert, route="graded-cy"), budget, t0)
+            return HeightResult(FINITE, n, cert)
         if not (sp.packed_fp1 if s is None else s):
-            diagnostics.append(
-                f"theta orbit vanished at level {n}; every later coefficient is zero"
-            )
-            break
+            vanished = f"theta orbit vanished at level {n}; every later coefficient is zero"
+            return HeightResult(LOWER_BOUND, n_max, None, diagnostics=(vanished,))
         if n < n_max:
             if s is None:
                 sp.check_delta()  # the level-2 verifier keeps Δ₁(f^{p−1})'s bound
@@ -545,10 +560,7 @@ def _graded_cy(sp: _Splitting, g: Grading, n_max: int, budget: Budget) -> Height
                 t = packed_mul(fp2, s, p)
             s = sp.twist(t)
             c = _pairing(fp2, s, cap, p)
-    res = HeightResult(
-        LOWER_BOUND, n_max, None, route="graded-cy", diagnostics=tuple(diagnostics)
-    )
-    return _stamped(res, budget, t0)
+    return HeightResult(LOWER_BOUND, n_max, None)
 
 
 def capped_coefficients(
@@ -683,22 +695,14 @@ def verify_coefficient_witness(
 # ---------------------------------------------------------------------------
 
 
-def _theta_images(
-    sp: _Splitting, inter: Iterable[dict[int, int]]
-) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-    """θ(F_* (I ∩ Ker u)), one (w, θ(F_*w)) pair per generator w of the
-    intersection, as the generators come; all on the ring layout."""
-    return ((w, sp.chain_theta(w)) for w in inter)
-
-
 class _Chain:
     """The ascending chain J_1 = (base), J_{n+1} = (base) + θ(F_*J_n ∩ Ker u),
     by default on base = I_1: the I_n chain.  It runs on the ring layout:
     `gens` presents J_n by base and the images of step n − 1, `basis` is
     J_n's reduced Groebner basis once formed, and `steps` holds each step's
     (w, θ(F_*w)) pairs in the order of the Ker u stream, or a prefix of them
-    once `advance_to_escape` ends a step early and the chain is `partial`.
-    `levels` is their polynomial view, built only when read."""
+    once `advance(to_escape=True)` ends a step early and the chain is
+    `partial`.  `levels` is their polynomial view, built only when read."""
 
     def __init__(self, sp: _Splitting, budget: Optional[Budget], base=None):
         self.sp, self.budget = sp, budget if budget is not None else Budget()
@@ -715,42 +719,32 @@ class _Chain:
             self.basis = _reduced_basis(self.sp.ring, self.gens, budget=self.budget)
         return self.basis
 
-    def _records(self) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-        """The next step's (w, θ(F_*w)) pairs, as the Ker u stream of J_n
-        finds each w; refused on a partial level."""
+    def advance(self, to_escape: bool = False) -> bool:
+        """Step to J_{n+1}, applying θ to each generator w of F_*J_n ∩ Ker u
+        as the Ker u stream finds it, or return False and stay once
+        J_{n+1} = J_n.  With `to_escape` the step ends at the first image
+        outside m^{[p]}: it shows J_{n+1} ⊄ m^{[p]}, so the stream and its
+        Schreyer run are read no further, and the chain, now partial,
+        refuses to step again.  A whole level gets its reduced basis."""
         if self.partial:
             raise RuntimeError("the chain stopped at an escaping image; its last level is partial")
-        return _theta_images(self.sp, _intersect_keru(self.sp.ring, self._reduced(), self.budget))
-
-    def advance(self) -> bool:
-        """Step to J_{n+1} on the whole Ker u stream, or return False and stay
-        once J_{n+1} = J_n."""
-        return self._step(list(self._records()))
-
-    def advance_to_escape(self) -> bool:
-        """`advance`, but end the step at the first image outside m^{[p]}: it
-        shows J_{n+1} ⊄ m^{[p]}, so the Ker u stream and its Schreyer run
-        are read no further, and the chain refuses to step again."""
+        sp, budget = self.sp, self.budget
         records = []
-        for w, image in self._records():
+        for w in _intersect_keru(sp.ring, self._reduced(), budget):
+            image = sp.chain_theta(w)
             records.append((w, image))
-            if self.sp.escapes([image]) is not None:
+            if to_escape and sp.escapes([image]) is not None:
                 self.partial = True
                 break
-        return self._step(records)
-
-    def _step(self, steps: list[tuple[dict[int, int], dict[int, int]]]) -> bool:
-        nxt = list(_dedupe(self.base + [image for _, image in steps]))
-        # J_n ⊆ J_{n+1}, and an ideal escapes m^{[p]} iff a generator does
-        escapes = self.sp.escapes
+        nxt = list(_dedupe(self.base + [image for _, image in records]))
         basis = None
-        if not self.partial and (escapes(nxt) is None or escapes(self.gens) is not None):
-            basis = _reduced_basis(self.sp.ring, nxt, budget=self.budget)
+        if not self.partial:
+            basis = _reduced_basis(sp.ring, nxt, budget=budget)
             if basis == self.basis:  # reduced bases are canonical
                 return False
         self.n += 1
         self.gens, self.basis = nxt, basis
-        self.steps.append(steps)
+        self.steps.append(records)
         return True
 
     def close(self) -> Ideal:
@@ -786,7 +780,7 @@ def _read_chain(
 
     * a level I_n ⊄ m^{[p]}: (Finite, n, ChainWitness).  One image outside
       m^{[p]} settles that, so the level ends at the first such image
-      (`_Chain.advance_to_escape`).  The witness holds one proof: a strict
+      (`_Chain.advance(to_escape=True)`).  The witness holds one proof: a strict
       chain g_1, ..., g_n (θ(F_*g_l) = g_{l+1}, found by orbit search) when
       one exists, else the levelled transition records, the last level's up
       to that image, and the image itself as the escaping generator of I_n.
@@ -796,12 +790,13 @@ def _read_chain(
       a trap ideal for `verify_infinity_certificate`;
     * the cutoff I_{n_max} (None reads on): (LowerBound, n_max, None).
 
-    Raises BudgetExceededError when the chain's step budget runs out."""
+    Raises BudgetExceededError when the chain's step budget runs out:
+    `_chain_result` makes that an Unknown result, `qfs_decide` raises it."""
     sp = chain.sp
     while (esc := sp.escapes(chain.gens)) is None:
         if n_max is not None and chain.n >= n_max:
             return LOWER_BOUND, n_max, None
-        if not chain.advance_to_escape():
+        if not chain.advance(to_escape=True):
             gens = [sp.polynomial(g) for g in chain.basis]
             return INFINITE, None, Certificate(
                 I_INFTY_STABILIZED, {"generators": gens, "iterations": chain.n}
@@ -817,13 +812,8 @@ def _read_chain(
 
 
 def _chain_result(chain: _Chain, n_max: Optional[int], route: str) -> HeightResult:
-    """`_read_chain` as a HeightResult on `route`; a budget abort is Unknown."""
-    t0 = time.perf_counter()
-    try:
-        res = HeightResult(*_read_chain(chain, n_max), route=route)
-    except BudgetExceededError as exc:
-        res = _unknown(exc, route)
-    return _stamped(res, chain.budget, t0)
+    """`_read_chain` through the one result path."""
+    return _route_result(route, chain.budget, lambda: HeightResult(*_read_chain(chain, n_max)))
 
 
 def _integer_root(n: int, k: int) -> int:
@@ -947,10 +937,7 @@ def non_qfs_quick(f_list: Sequence[Polynomial]) -> Optional[Certificate]:
     certificate of (2) records only its tag: the verifier recomputes the
     capped products.
     """
-    gens = _as_gen_list(f_list)
-    if not gens:
-        return None
-    return _non_qfs_quick(_Splitting(gens))
+    return _non_qfs_quick(_Splitting(_as_gen_list(f_list)))
 
 
 def _non_qfs_quick(sp: _Splitting) -> Optional[Certificate]:
@@ -1135,8 +1122,8 @@ def verify_infinity_certificate(
     # the module-engine and direct routes
     pack = sp.ring.codec.pack_terms
     inter = [pack(w.terms) for w in frobenius_module_intersect_keru(J, budget)]
-    for w, image in _theta_images(sp, inter):
-        if not J._contains(image, budget):
+    for w in inter:
+        if not J._contains(image := sp.chain_theta(w), budget):
             return _fail(
                 reasons, f"theta image {sp.polynomial(image)} (of {sp.polynomial(w)}) is not in J"
             )
@@ -1331,17 +1318,11 @@ def height(
 
     g = grading if grading is not None else Grading.standard(sp.ring.nvars)
 
-    def graded() -> HeightResult:
-        try:
-            return _graded_cy(sp, g, n_max, budget)
-        except BudgetExceededError as exc:
-            return _unknown(exc, "graded-cy")
-
     if strategy == "local":
         return finish(height_local(Ideal(sp.ring, gens), n_max, budget))
     if strategy == "graded":
         _require_graded(gens, g)
-        return finish(graded())
+        return finish(_graded_cy(sp, g, n_max, budget))
     if strategy == "qfs":
         return finish(_chain_result(_Chain(sp, budget), None, "i-infinity"))
     if strategy != "auto":
@@ -1355,7 +1336,7 @@ def height(
     # (b) graded engine
     graded_result: Optional[HeightResult] = None
     if graded_cy_applicable(gens, g) is None:
-        graded_result = graded()
+        graded_result = _graded_cy(sp, g, n_max, budget)
         if graded_result.verdict in (FINITE, UNKNOWN):
             return finish(graded_result)
 

@@ -25,8 +25,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .rings import Grading, Polynomial, PolynomialRing, PrimeField, RingError
 from .witt import delta1
-from .groebner import Budget
-from .criteria import FINITE, capped_coefficients, height_graded_cy
+from .groebner import Budget, BudgetExceededError
+from .criteria import FINITE, UNKNOWN, capped_coefficients, height_graded_cy
 
 
 def degree_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -262,8 +262,11 @@ def search_height(
     x_1-exponents of the escape-test polynomial are multiples of N there),
     so for N = p^h−1 every member has height ≥ h.  Returns None
     when the sample budget runs out; that is a report, not a proof of
-    absence.  `smoothness_check` rejects candidates singular at an
-    F_p-rational point (partial check; see is_smooth_at_rational_points).
+    absence.  One step budget serves the stratum polynomials and every
+    sample: once it runs out, the graded run answers Unknown and the search
+    raises BudgetExceededError rather than sample on.  `smoothness_check`
+    rejects candidates singular at an F_p-rational point (partial check;
+    see is_smooth_at_rational_points).
     """
     if budget is None:
         budget = Budget()
@@ -291,6 +294,8 @@ def search_height(
         result = height_graded_cy(
             [g], Grading.standard(ctx.nvars), n_max=target_h, budget=budget
         )
+        if result.verdict == UNKNOWN:
+            raise BudgetExceededError(budget.steps)
         if result.verdict == FINITE and result.n == target_h:
             return g
     return None

@@ -257,6 +257,23 @@ def test_verify_commands_honour_the_budget(capsys, argv):
     assert "budget exhausted" in err
 
 
+SEARCH = ["search", "--p", "3", "--nvars", "3", "--target", "2"]
+
+
+def test_search_stops_when_its_budget_runs_out(capsys):
+    """`search` spends one budget on all of its samples. At --budget 1 the
+    first sample's graded run answers Unknown after 2 steps, and the search
+    stops there with exit 2; it does not sample on to report `found: False`
+    with exit 0. The same holds through `python -m qfsplit`, and a budget of
+    2 lets that sample through."""
+    expected = (2, "", "error: budget exhausted after 2 steps\n")
+    assert run_cli(capsys, SEARCH + ["--budget", "1"]) == expected
+    proc = run_module(SEARCH + ["--budget", "1"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    code, out, _ = run_cli(capsys, SEARCH + ["--budget", "2"])
+    assert code == 0 and out.startswith("found: True")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -600,7 +600,10 @@ def test_every_entry_point_refuses_a_system_without_a_nonzero_generator():
         lambda: verify_infinity_certificate(empty, Ideal(ring, [x**3])),
         lambda: graded_cy_coefficient([], 1),
         lambda: non_qfs_quick([ring.zero]),
+        lambda: non_qfs_quick([]),
         lambda: fedder_fsplit([ring.zero]),
+        lambda: fedder_fsplit([]),
+        lambda: fedder_fsplit(empty),
     ]
     calls += [
         lambda s=strategy, g=gens: height(g, strategy=s)
@@ -2117,7 +2120,8 @@ def assert_early_stop_matches_the_math(f, budget=None):
     - the stopped level's records are a prefix of the finished level's, with
       the same escape element, and the earlier levels are equal;
     - the levelled certificate of the stopped chain verifies;
-    - the stopped chain refuses to step again.
+    - the stopped chain refuses to step again, in both modes of
+      `_Chain.advance`, and to close.
     Returns False when `budget` runs out first."""
     ring = f.ring
     I = Ideal(ring, [f])
@@ -2149,7 +2153,7 @@ def assert_early_stop_matches_the_math(f, budget=None):
         )
         reasons = []
         assert verify_witness_levels(I, cert, reasons=reasons), reasons
-        for step in (stopped.advance, stopped.advance_to_escape, stopped.close):
+        for step in (stopped.advance, lambda: stopped.advance(to_escape=True), stopped.close):
             with pytest.raises(RuntimeError, match="stopped at an escaping image"):
                 step()
     return True
@@ -2206,7 +2210,7 @@ def test_a_budget_that_runs_out_in_a_stopped_schreyer_run():
     with pytest.raises(criteria.BudgetExceededError) as raised:
         qfs_decide(Ideal(ring, [moved]), Budget(4690))
     frames = {frame.name for frame in traceback.extract_tb(raised.value.__traceback__)}
-    assert {"advance_to_escape", "_syzygies"} <= frames
+    assert {"advance", "_syzygies"} <= frames
 
 
 @pytest.mark.parametrize(
@@ -2241,3 +2245,54 @@ def test_budget_abort_after_the_hand_over_is_unknown(steps, route):
     res = height(f, n_max=4, budget=Budget(steps))
     assert (res.verdict, res.route) == (UNKNOWN, route)
     assert res.diagnostics == (f"budget exhausted after {steps + 1} steps",)
+
+
+
+CY_P5 = "x^3 + y^3 + z^3 + x*y*z"  # graded at p = 5, height 2
+BUDGET_ROUTES = {
+    "height-auto": lambda f, b: height(f, budget=b),
+    "height-graded": lambda f, b: height(f, strategy="graded", budget=b),
+    "height-local": lambda f, b: height(f, strategy="local", budget=b),
+    "height-qfs": lambda f, b: height(f, strategy="qfs", budget=b),
+    "height_local": lambda f, b: height_local(Ideal(f.ring, [f]), budget=b),
+    "height_graded_cy": lambda f, b: height_graded_cy([f], Grading.standard(3), budget=b),
+}
+BUDGET_ROWS = [
+    (3, E8_P3, "height-auto", "local-chain"),
+    (3, E8_P3, "height-local", "local-chain"),
+    (3, E8_P3, "height-qfs", "i-infinity"),
+    (3, E8_P3, "height_local", "local-chain"),
+    (5, CY_P5, "height-auto", "graded-cy"),
+    (5, CY_P5, "height-graded", "graded-cy"),
+    (5, CY_P5, "height-local", "local-chain"),
+    (5, CY_P5, "height-qfs", "i-infinity"),
+    (5, CY_P5, "height_local", "local-chain"),
+    (5, CY_P5, "height_graded_cy", "graded-cy"),
+]
+
+
+@pytest.mark.parametrize(
+    "p,text,call,route", BUDGET_ROWS, ids=[f"{row[2]}@p{row[0]}" for row in BUDGET_ROWS]
+)
+def test_every_height_route_answers_unknown_when_its_budget_runs_out(p, text, call, route):
+    """Every route that returns a HeightResult, on the local E8^0 at p = 3
+    (150 steps through the chain) and the graded cubic
+    x^3 + y^3 + z^3 + x*y*z at p = 5 (2 graded steps, 65 through the
+    chain), answers Unknown on its route when a budget of half its steps
+    runs out: `steps` is the limit + 1, and the diagnosis says so.  At a
+    budget of 1, `height_graded_cy` answers Unknown after 2 steps.
+    `qfs_decide` and `enclosure_closure`, which return no HeightResult,
+    raise BudgetExceededError instead."""
+    f = ring_over(p).parse(text)
+    full = BUDGET_ROUTES[call](f, Budget())
+    assert (full.verdict, full.route) == (FINITE, route)
+    limit = full.steps // 2
+    assert limit >= 1
+    res = BUDGET_ROUTES[call](f, Budget(limit))
+    assert (res.verdict, res.n, res.certificate, res.route) == (UNKNOWN, None, None, route)
+    assert res.steps == limit + 1
+    assert res.diagnostics == (f"budget exhausted after {limit + 1} steps",)
+    I = Ideal(f.ring, [f])
+    for raising in (qfs_decide, enclosure_closure):
+        with pytest.raises(criteria.BudgetExceededError):
+            raising(I, budget=Budget(limit))

@@ -574,17 +574,25 @@ def test_call_sites_detector():
 
 def test_criteria_has_one_chain_loop():
     """The local engine, the I_∞ decision and `enclosure_closure` read the
-    one I_n chain, `_Chain`: θ(F_*· ∩ Ker u) is formed only by its step and
-    by the trap-ideal verifier, which none of the three reaches.  One reader,
-    `_read_chain`, serves `height_local`, `qfs_decide` and `height`; only
-    `enclosure_closure` closes the chain past a level that escapes."""
+    one I_n chain, `_Chain`, which steps by one method, `_Chain.advance`:
+    it alone reads the Ker u stream, and θ(F_*· ∩ Ker u) is formed only by
+    it and by the trap-ideal verifier, which none of the three reaches (the
+    strict-chain search and the step verifier apply θ to single elements).
+    One reader, `_read_chain`, serves `height_local`, `qfs_decide` and
+    `height`; only `enclosure_closure` closes the chain past a level that
+    escapes."""
     source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
-    defined = {n.name for n in ast.parse(source).body if hasattr(n, "name")}
-    assert defined & {"_theta_closure", "_theta_step"} == set()
+    tree = ast.parse(source)
+    defined = {n.name for n in tree.body if hasattr(n, "name")}
+    assert defined & {"_theta_closure", "_theta_step", "_theta_images"} == set()
     assert defined & {"_height_local", "_qfs_decide", "_i_infinity"} == set()
     assert "FIXED_POINT_ENCLOSURE" not in source and "FixedPointEnclosure" not in source
-    assert sorted(call_sites(source, "_theta_images")) == [
-        "_Chain._records", "verify_infinity_certificate",
+    chain = next(n for n in tree.body if getattr(n, "name", None) == "_Chain")
+    methods = {n.name for n in chain.body if isinstance(n, ast.FunctionDef)}
+    assert methods == {"__init__", "_reduced", "advance", "close", "levels"}
+    assert call_sites(source, "_intersect_keru") == ["_Chain.advance"]
+    assert sorted(call_sites(source, "chain_theta", method=True)) == [
+        "_Chain.advance", "_step_fault", "_strict_chain_search", "verify_infinity_certificate",
     ]
     for caller in ("height_local", "qfs_decide", "enclosure_closure"):
         reached = reached_names(source, caller)
@@ -593,3 +601,50 @@ def test_criteria_has_one_chain_loop():
     for caller in ("height_local", "qfs_decide", "height"):
         assert "_read_chain" in reached_names(source, caller), caller
     assert call_sites(source, "close", method=True) == ["enclosure_closure"]
+
+
+def except_handlers(source: str, name: str) -> list[str]:
+    """The top-level definitions (`<module>` for other statements) that hold
+    an `except name` handler, once per handler; a tuple of exceptions counts
+    when it names `name`, bare or as an attribute."""
+    out = []
+    for node in ast.parse(source).body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.ExceptHandler) and sub.type is not None:
+                types = sub.type.elts if isinstance(sub.type, ast.Tuple) else [sub.type]
+                if any(getattr(t, "id", getattr(t, "attr", None)) == name for t in types):
+                    out.append(getattr(node, "name", "<module>"))
+    return out
+
+
+def test_except_handlers_detector():
+    src = (
+        "def a():\n"
+        "    try: pass\n"
+        "    except (E, F): pass\n"
+        "    except G: pass\n"
+        "def b():\n"
+        "    try: pass\n"
+        "    except m.E: pass\n"
+        "try: pass\n"
+        "except E: pass\n"
+    )
+    assert except_handlers(src, "E") == ["a", "b", "<module>"]
+    assert except_handlers(src, "G") == ["a"]
+
+
+def test_every_height_route_has_one_result_path():
+    """A budget abort becomes Unknown in one place: criteria catches
+    BudgetExceededError only in `_route_result`, the result path both
+    engines return through, so `height_graded_cy` answers Unknown as
+    `height` and `height_local` do; `height` keeps no graded closure."""
+    source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
+    assert except_handlers(source, "BudgetExceededError") == ["_route_result"]
+    defined = {n.name for n in ast.parse(source).body if hasattr(n, "name")}
+    assert "_unknown" not in defined
+    for route in ("_chain_result", "_graded_cy"):
+        assert call_sites(source, "_route_result").count(route) == 1, route
+    for caller in ("height", "height_local", "height_graded_cy"):
+        assert "_route_result" in reached_names(source, caller), caller
+    height_def = next(n for n in ast.parse(source).body if getattr(n, "name", None) == "height")
+    assert "graded" not in {n.name for n in ast.walk(height_def) if isinstance(n, ast.FunctionDef)}
