@@ -339,7 +339,11 @@ class _Splitting:
 
     @_cached
     def i1(self) -> list[Polynomial]:
-        """Generators of I_1 = (f^{p−1}) + ((f'_i)^p)."""
+        """Generators of I_1 = (f^{p−1}) + ((f'_i)^p): f^{p−1} alone for one
+        generator f, since f^p = f·f^{p−1} lies in (f^{p−1}), so f^p is never
+        formed."""
+        if len(self.gens) == 1:
+            return [self.fp1]
         return list(_dedupe([self.fp1] + [g.pth_power() for g in self.gens]))
 
     @_cached
@@ -707,9 +711,9 @@ class _Chain:
     def __init__(self, sp: _Splitting, budget: Optional[Budget], base=None):
         self.sp, self.budget = sp, budget if budget is not None else Budget()
         pack = sp.ring.codec.pack_terms
-        self.base = sp.packed_i1 if base is None else [pack(g.terms) for g in base]
+        self.base = list(_dedupe(sp.packed_i1 if base is None else [pack(g.terms) for g in base]))
         self.n = 1
-        self.gens = [g for g in self.base if g]
+        self.gens = self.base
         self.basis: Optional[list[dict[int, int]]] = None
         self.steps: list[list[tuple[dict[int, int], dict[int, int]]]] = []
         self.partial = False
@@ -725,7 +729,12 @@ class _Chain:
         J_{n+1} = J_n.  With `to_escape` the step ends at the first image
         outside m^{[p]}: it shows J_{n+1} ⊄ m^{[p]}, so the stream and its
         Schreyer run are read no further, and the chain, now partial,
-        refuses to step again.  A whole level gets its reduced basis."""
+        refuses to step again.  A whole level gets its reduced basis, run
+        on from J_n's as a finished prefix (`_reduced_basis`'s `done`): the
+        chain ascends, so J_{n+1} = J_n + (the new images), and only pairs
+        with a new image's remainder are formed.  Where every image reduces
+        to zero modulo J_n, J_n's basis comes back as it is: the fixed
+        point, found with no pair loop."""
         if self.partial:
             raise RuntimeError("the chain stopped at an escaping image; its last level is partial")
         sp, budget = self.sp, self.budget
@@ -739,7 +748,8 @@ class _Chain:
         nxt = list(_dedupe(self.base + [image for _, image in records]))
         basis = None
         if not self.partial:
-            basis = _reduced_basis(sp.ring, nxt, budget=budget)
+            # the images that are not base generators join J_n's basis
+            basis = _reduced_basis(sp.ring, nxt[len(self.base):], budget, done=self.basis)
             if basis == self.basis:  # reduced bases are canonical
                 return False
         self.n += 1
@@ -802,7 +812,7 @@ def _read_chain(
                 I_INFTY_STABILIZED, {"generators": gens, "iterations": chain.n}
             )
     n = chain.n
-    strict = _strict_chain_search(sp, n, chain.budget)
+    strict = _strict_chain_search(sp, n, chain.budget, chain.steps)
     if strict is not None:
         data: dict[str, Any] = {"chain": strict}
     else:
@@ -832,6 +842,7 @@ def _strict_chain_search(
     sp: _Splitting,
     n: int,
     budget: Budget,
+    steps: Sequence[Sequence[tuple[dict[int, int], dict[int, int]]]] = (),
     max_candidates: int = 20000,
 ) -> Optional[list[Polynomial]]:
     """Look for a strict chain g_1 → ... → g_n with g_1 a monomial multiple
@@ -839,10 +850,13 @@ def _strict_chain_search(
 
     Monomial multipliers up to p^{n−1}−1 per exponent suffice to reach every
     chain whose level-l element is a monomial times a θ-orbit value (the
-    multiplier's exponents divide by p along the orbit).  Returns None when
+    multiplier's exponents divide by p along the orbit).  The image of a w
+    that the chain's records (`steps`, the (w, θ(F_*w)) pairs of `_Chain`)
+    already hold is read from them, not formed again.  Returns None when
     the search space is exhausted or too large; the certificate then carries
     the levelled records instead.
     """
+    known = {frozenset(w.items()): image for level in steps for w, image in level}
     gens = sp.packed_i1
     if n == 1:
         esc = sp.escapes(gens)
@@ -864,8 +878,9 @@ def _strict_chain_search(
             ):
                 raise ExponentOverflowError("product would exceed the 32-bit exponent budget")
             chain = [{k + shift: c for k, c in g.items()}]
-            while len(chain) < n and not packed_u(chain[-1], codec, p):
-                chain.append(sp.chain_theta(chain[-1]))
+            while len(chain) < n and not packed_u(w := chain[-1], codec, p):
+                image = known.get(frozenset(w.items()))
+                chain.append(sp.chain_theta(w) if image is None else image)
             if len(chain) == n and sp.escapes(chain[-1:]) is not None:
                 return [sp.polynomial(g) for g in chain]
     return None
@@ -905,7 +920,7 @@ def enclosure_closure(
     at which `qfs_decide` stops.
     """
     sp = _Splitting(I.gens)
-    return _Chain(sp, budget, list(_dedupe(list(seed) + sp.i1))).close()
+    return _Chain(sp, budget, [*seed, *sp.i1]).close()
 
 
 # ---------------------------------------------------------------------------

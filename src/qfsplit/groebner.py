@@ -325,6 +325,7 @@ def _pair_loop(
     active: list[int],
     budget: Budget,
     product_criterion: bool,
+    done: int = 0,
 ) -> Iterator[tuple[int, int]]:
     """Work off the S-pairs of a basis in normal-selection order, one at a time.
 
@@ -350,13 +351,17 @@ def _pair_loop(
     hold in a Schreyer run too, which keeps its coprime pairs (Möller, Mora &
     Traverso, ISSAC 1992).  A popped pair ticks the budget once, before it
     is yielded; a pruned or dropped pair never ticks.  A caller that stops
-    asking ends the run: the pairs left are never reduced.
+    asking ends the run: the pairs left are never reduced.  The first `done`
+    elements, a reduced basis whose pairs are all done, start active and
+    form no pair among themselves: the first pairs formed are those of
+    element `done` with them.
     """
     codec = ring.codec
     divides, lcm, key = codec.divides, codec.lcm, codec.key
     queue: list = []  # heap of (key(lcm), i, j): pops in normal-selection order
     pending: dict[tuple[int, int], int] = {}  # queued pair -> lcm
-    joined = 0
+    active.extend(range(done))  # a reduced basis: no pairs, and every element active
+    joined = done
 
     def update(k: int) -> None:
         t = leads[k]
@@ -393,7 +398,10 @@ def _pair_loop(
 
 
 def _reduced_basis(
-    ring: PolynomialRing, gens: Sequence[dict[int, int]], budget: Optional[Budget] = None
+    ring: PolynomialRing,
+    gens: Sequence[dict[int, int]],
+    budget: Optional[Budget] = None,
+    done: Optional[Sequence[dict[int, int]]] = None,
 ) -> list[dict[int, int]]:
     """Reduced Groebner basis of packed generators, normal pair selection.
 
@@ -403,18 +411,29 @@ def _reduced_basis(
     monic, each element's terms in descending grevlex order and the elements
     sorted with the largest leading term first: a canonical form, so two
     ideals are equal iff their bases compare equal.
+
+    `done`, a reduced basis as this function returns it, is a finished
+    prefix of the run, which then computes the basis of (done) + (gens):
+    its elements enter the divisor table first, the generators are reduced
+    against them, and no pair of two of its elements is formed, since they
+    already form a Groebner basis (the update run on from a finished state).
+    When no generator survives reduction modulo done, the ideal is (done),
+    and done comes back as it is, with no pair loop and no tail pass.
     """
     if budget is None:
         budget = Budget()
     p = ring.field.p
-    basis: list[tuple] = []
+    done = done or []
+    basis: list[tuple] = [_entry(ring, g) for g in done]
     for g in gens:
         r = _reduce(ring, dict(g), basis, budget)
         if r:
             basis.append(_entry(ring, r))
+    if done and len(basis) == len(done):
+        return list(done)  # every generator lies in (done)
 
     leads, active = [e[0] for e in basis], []
-    for i, j in _pair_loop(ring, leads, active, budget, True):
+    for i, j in _pair_loop(ring, leads, active, budget, True, len(done)):
         r = _reduce(ring, _s_pair(ring, basis[i], basis[j]), basis, budget)
         if r:
             basis.append(_entry(ring, r))

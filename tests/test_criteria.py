@@ -268,27 +268,46 @@ def test_the_chain_needs_only_delta1_of_f_within_the_exponent_limit():
 
 
 OVERFLOW_X = ring_over(3).parse("x")
+OVERFLOW_Y = ring_over(3).parse("y")
+# z² + x³ + y^M at p = 3 with M = EXPONENT_LIMIT // 2, and its f^{p−1}
+OVERFLOW_F = ring_over(3).parse("z^2 + x^3") + ring_over(3).monomial((0, EXPONENT_LIMIT // 2, 0))
+OVERFLOW_FP1 = OVERFLOW_F**2
 PAST_THE_LIMIT = "cannot be re-verified within the exponent limit"
 
 
 @pytest.mark.parametrize(
     "kind,data,reason",
     [
-        (CHAIN_WITNESS, {"chain": [OVERFLOW_X, ring_over(3).parse("y")]}, PAST_THE_LIMIT),
-        (CHAIN_WITNESS, {"chain": [OVERFLOW_X]}, PAST_THE_LIMIT),
-        (CHAIN_WITNESS, {"levels": [], "escape": OVERFLOW_X, "escape_level": 1}, PAST_THE_LIMIT),
+        (CHAIN_WITNESS, {"chain": [OVERFLOW_X, OVERFLOW_Y]}, "step 1: x is not in I_1"),
+        (CHAIN_WITNESS, {"chain": [OVERFLOW_X]}, "step 1: x is not in I_1"),
+        (
+            CHAIN_WITNESS,
+            {"levels": [], "escape": OVERFLOW_X, "escape_level": 1},
+            "escape element x is not in the final level's ideal",
+        ),
         ("FixedPointEnclosure", {"generators": [OVERFLOW_X**3]}, "unknown certificate kind"),
-        (I_INFTY_STABILIZED, {"generators": [OVERFLOW_X**3], "iterations": 1}, PAST_THE_LIMIT),
+        (I_INFTY_STABILIZED, {"generators": [OVERFLOW_X**3], "iterations": 1}, "is not in J"),
+        (CHAIN_WITNESS, {"chain": [OVERFLOW_FP1, OVERFLOW_Y]}, PAST_THE_LIMIT),
+        (
+            CHAIN_WITNESS,
+            {"levels": [[ChainStep(OVERFLOW_FP1, OVERFLOW_Y)]], "escape": OVERFLOW_Y, "escape_level": 2},
+            PAST_THE_LIMIT,
+        ),
+        (I_INFTY_STABILIZED, {"generators": [OVERFLOW_FP1], "iterations": 1}, PAST_THE_LIMIT),
     ],
 )
 def test_certificates_past_the_exponent_limit_are_refused_with_a_reason(kind, data, reason):
-    """At p = 3, z² + x³ + y^M with M = EXPONENT_LIMIT // 2 has no I_1 within
-    the exponent limit (f^{p−1} needs 2M), so no chain or trap certificate
-    can be re-verified: each is refused with a reason, not an exception."""
-    ring = ring_over(3)
-    f = ring.parse("z^2 + x^3") + ring.monomial((0, EXPONENT_LIMIT // 2, 0))
+    """At p = 3, f = z² + x³ + y^M with M = EXPONENT_LIMIT // 2 has its I_1
+    = (f^{p−1}) within the exponent limit (f^{p−1} needs 2M), but θ needs
+    Δ₁(f) (p·M) and a trap check needs the translates x^α·f^{p−1} (up to
+    2M + p − 1), which pass it.  A certificate whose check reaches θ or the
+    translates, as the chain [f^{p−1}, y], its levelled form and the trap
+    (f^{p−1}) do, is refused as past the limit; one that fails before, on
+    x ∉ I_1, on an escape outside the last level or on I_1 ⊄ J, is refused
+    for that reason.  Each refusal is a reason, not an exception."""
     reasons = []
-    assert verify_certificate(Ideal(ring, [f]), Certificate(kind, data), reasons=reasons) is False
+    I = Ideal(OVERFLOW_F.ring, [OVERFLOW_F])
+    assert verify_certificate(I, Certificate(kind, data), reasons=reasons) is False
     assert reason in reasons[0]
 
 
@@ -1114,15 +1133,17 @@ def test_no_lower_bound_carries_a_certificate(p, names, text, options):
 def reduced_bases(monkeypatch):
     """The generator sets, each as a set of packed polynomials, of every
     reduced basis that the packed kernel `_reduced_basis` forms from here on,
-    whether the chain calls it or an `Ideal` does."""
+    whether the chain calls it or an `Ideal` does.  A run that continues
+    from a finished basis `done` records that basis's elements with its
+    new generators, since together they generate its ideal."""
     from qfsplit import groebner
 
     reduced = []
     real = groebner._reduced_basis
 
-    def recording(ring, gens, budget=None):
-        reduced.append(frozenset(frozenset(g.items()) for g in gens))
-        return real(ring, gens, budget=budget)
+    def recording(ring, gens, budget=None, done=None):
+        reduced.append(frozenset(frozenset(g.items()) for g in [*(done or ()), *gens]))
+        return real(ring, gens, budget, done)
 
     monkeypatch.setattr(groebner, "_reduced_basis", recording)
     monkeypatch.setattr(criteria, "_reduced_basis", recording)
@@ -1144,7 +1165,8 @@ def test_closure_carries_its_reduced_basis(reduced_bases):
     budget = Budget()
     assert verify_infinity_certificate(I, closure, budget)
     assert reduced == []
-    assert budget.steps == 9  # 14 when the closure's basis was reduced again
+    # 14 when the closure's basis was reduced again, 9 while I_1 had f^p too
+    assert budget.steps == 7
 
 
 def assert_i1_seed_matches_colon_seed(gens):
@@ -1221,16 +1243,17 @@ SEXTIC_G1 = "x*y*s^2 + z*w*u^2 + y^3*w + x^3*z"
 def test_e8_under_a_linear_change_of_coordinates():
     """E8^0 z^2 + x^3 + y^5 at p = 3 has height 3, and a linear change of
     coordinates keeps the height: under x ↦ 2x+2y, y ↦ 2x+z, z ↦ x+z it has
-    11 terms and takes the local chain 4,721 steps, against 150 as written
-    (5,907 and 185 while the chain finished its escaping level)."""
+    11 terms and takes the local chain 4,652 steps, against 120 as written
+    (4,721 and 150 while each level's basis was formed from scratch, 5,907
+    and 185 while the chain finished its escaping level)."""
     ring = ring_over(3)
     f = ring.parse("z^2 + x^3 + y^5")
     x, y, z = (ring.parse(t) for t in ("2*x + 2*y", "2*x + z", "x + z"))
     moved = z**2 + x**3 + y**5
     assert len(moved) == 11
     plain, res = height(f), height(moved)
-    assert (plain.verdict, plain.n, plain.route, plain.steps) == (FINITE, 3, "local-chain", 150)
-    assert (res.verdict, res.n, res.route, res.steps) == (FINITE, 3, "local-chain", 4721)
+    assert (plain.verdict, plain.n, plain.route, plain.steps) == (FINITE, 3, "local-chain", 120)
+    assert (res.verdict, res.n, res.route, res.steps) == (FINITE, 3, "local-chain", 4652)
     assert verify_certificate(Ideal(ring, [moved]), res.certificate)
 
 
@@ -1238,11 +1261,11 @@ def test_e8_under_a_linear_change_of_coordinates():
 @pytest.mark.parametrize(
     "kind,p,text,steps",
     [
-        ("height", 2, "z^2 + x^3 + y^5", 112),  # E8^0, local chain to n = 4
-        ("height", 3, "z^2 + x^3 + y^5", 150),  # E8^0, local chain to n = 3
-        ("qfs_decide", 2, "x^3 + y^2*z", 16),  # the cusp's I_infinity
+        ("height", 2, "z^2 + x^3 + y^5", 97),  # E8^0, local chain to n = 4
+        ("height", 3, "z^2 + x^3 + y^5", 120),  # E8^0, local chain to n = 3
+        ("qfs_decide", 2, "x^3 + y^2*z", 8),  # the cusp's I_infinity
         # sextic g1: I_∞ resumes from the local chain's I_4, not from I_1
-        ("height", 2, SEXTIC_G1, 753),
+        ("height", 2, SEXTIC_G1, 553),
     ],
 )
 def test_chain_reduces_each_generator_set_once(reduced_bases, kind, p, text, steps):
@@ -1452,15 +1475,38 @@ def test_a_tampered_monomial_multiple_is_not_in_i1(tamper):
 
 
 def test_a_start_combining_two_generators_is_accepted_by_reduction():
-    """w_1 = f^{p−1} + x·f^p lies in I_1 but is no one-term multiple of a
-    generator; the verifier accepts it by reducing modulo I_1's basis.  E6^1
-    at p = 3 is F-split, so w_1 ∉ m^{[p]} closes a chain of length one."""
+    """w_1 = f^{p−1} + x·f^p = (1 + x·f)·f^{p−1} lies in I_1 but is no
+    one-term multiple of its generator f^{p−1}; the verifier accepts it by
+    reducing modulo I_1's basis.  E6^1 at p = 3 is F-split, so w_1 ∉ m^{[p]}
+    closes a chain of length one."""
     ring = ring_over(3)
     f = ring.parse("z^2 + x^3 + y^4 + x^2*y^2")
     sp = _Splitting([f])
-    w1 = sp.i1[0] + sp.i1[1].mul_term((1, 0, 0))
+    assert sp.i1 == [f**2]
+    w1 = sp.i1[0] + f.pth_power().mul_term((1, 0, 0))
     assert not term_multiple_of_i1(ring, w1, [f])
     assert verify_witness_chain(Ideal(ring, [f]), [w1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_i1_of_one_generator_is_principal(p, data):
+    """For one generator f, f^p = f·f^{p−1}, so I_1 = (f^{p−1}, f^p) is
+    (f^{p−1}) and `i1` lists f^{p−1} alone; for two generators it still
+    lists f^{p−1} = (f'_1·f'_2)^{p−1} and each (f'_i)^p, without repeats.
+    Powers here are formed by `Polynomial.__pow__`, not from the lift."""
+    ring = ring_over(p)
+    f = data.draw(nonzero_poly_strategy(ring, 2, 3))
+    sp = _Splitting([f])
+    assert sp.i1 == [f ** (p - 1)]
+    assert ideal_equal(Ideal(ring, sp.i1), Ideal(ring, [f ** (p - 1), f**p]))
+    g = data.draw(nonzero_poly_strategy(ring, 2, 3))
+    expected = [(f * g) ** (p - 1)]
+    for h in (f**p, g**p):
+        if h not in expected:
+            expected.append(h)
+    assert _Splitting([f, g]).i1 == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -2198,17 +2244,17 @@ def test_moved_double_points_stop_at_the_first_escaping_image(p, data):
 
 def test_a_budget_that_runs_out_in_a_stopped_schreyer_run():
     """E8^0 at p = 3 under x ↦ 2x+2y, y ↦ 2x+z, z ↦ x+z starts the Ker u
-    stream of I_2 at step 4,683, and the Schreyer run of that stream stops
-    at I_3's first escaping image at step 4,696.  A budget of 4,690 runs out
+    stream of I_2 at step 4,626, and the Schreyer run of that stream stops
+    at I_3's first escaping image at step 4,639.  A budget of 4,633 runs out
     inside that run: `height` gives Unknown, and `qfs_decide` raises."""
     ring = ring_over(3)
     x, y, z = (ring.parse(t) for t in ("2*x + 2*y", "2*x + z", "x + z"))
     moved = z**2 + x**3 + y**5
-    res = height(moved, budget=Budget(4690))
+    res = height(moved, budget=Budget(4633))
     assert (res.verdict, res.route) == (UNKNOWN, "local-chain")
-    assert res.diagnostics == ("budget exhausted after 4691 steps",)
+    assert res.diagnostics == ("budget exhausted after 4634 steps",)
     with pytest.raises(criteria.BudgetExceededError) as raised:
-        qfs_decide(Ideal(ring, [moved]), Budget(4690))
+        qfs_decide(Ideal(ring, [moved]), Budget(4633))
     frames = {frame.name for frame in traceback.extract_tb(raised.value.__traceback__)}
     assert {"advance", "_syzygies"} <= frames
 
@@ -2236,11 +2282,11 @@ def test_height_resumes_i_infinity_from_the_local_chain(p, names, text, n_max):
     assert verify_certificate(Ideal(ring, [f]), res.certificate)
 
 
-@pytest.mark.parametrize("steps,route", [(600, "i-infinity"), (500, "local-chain")])
+@pytest.mark.parametrize("steps,route", [(500, "i-infinity"), (400, "local-chain")])
 def test_budget_abort_after_the_hand_over_is_unknown(steps, route):
-    """sextic g1's local chain to I_4 takes 524 steps: a budget that outlasts
-    it but not I_∞ aborts on the i-infinity route, a smaller one on the
-    local chain, and both give Unknown."""
+    """sextic g1's local chain to I_4 takes 443 steps and I_∞ 553 in all: a
+    budget that outlasts the chain but not I_∞ aborts on the i-infinity
+    route, a smaller one on the local chain, and both give Unknown."""
     f = ring_named(2, SEXTIC_VARS).parse(SEXTIC_G1)
     res = height(f, n_max=4, budget=Budget(steps))
     assert (res.verdict, res.route) == (UNKNOWN, route)

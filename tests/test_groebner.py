@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy as sp
@@ -35,6 +36,7 @@ from qfsplit import (
     normal_form,
     u_map,
 )
+from qfsplit import groebner
 from qfsplit.groebner import _module_lead, _syzygies, module_normal_form
 from qfsplit.rings import EXPONENT_LIMIT, grevlex_key
 
@@ -634,3 +636,72 @@ def test_ideal_reduction_past_exponent_limit_raises():
     assert normal_form(ring.from_terms({(EXPONENT_LIMIT - 3, 3, 0): 1}), [g]) == ring.from_terms(
         {(EXPONENT_LIMIT - 1, 0, 0): 1}
     )
+
+
+def _packed(ring, polys):
+    return [ring.codec.pack_terms(g.terms) for g in polys]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_a_run_continued_from_a_reduced_basis_equals_the_run_on_all_generators(p, data):
+    """Reduced bases are canonical, so a run that continues from done =
+    RB(H) with new generators G ends at RB(H + G), and forms no pair
+    between two elements of done.  Half the draws take G inside (H), as
+    combinations of H's generators: then no generator survives reduction
+    modulo done, and the run returns done as it is, with no pair loop."""
+    ring = ring_over(p)
+    H = data.draw(st.lists(nonzero_poly_strategy(ring, 3, 4), min_size=1, max_size=3))
+    inside = data.draw(st.booleans())
+    if inside:
+        cofactors = st.lists(poly_strategy(ring, 2, 3), min_size=len(H), max_size=len(H))
+        G = [
+            sum((m * h for m, h in zip(data.draw(cofactors), H)), ring.zero)
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+    else:
+        G = data.draw(st.lists(nonzero_poly_strategy(ring, 3, 4), min_size=1, max_size=3))
+    done = groebner._reduced_basis(ring, _packed(ring, H))
+    loops = []
+    real = groebner._pair_loop
+
+    def recording(ring, leads, active, budget, product_criterion, done=0):
+        pairs = []
+        loops.append((done, pairs))
+        for i, j in real(ring, leads, active, budget, product_criterion, done):
+            pairs.append((i, j))
+            yield i, j
+
+    with mock.patch.object(groebner, "_pair_loop", recording):
+        continued = groebner._reduced_basis(ring, _packed(ring, G), done=done)
+    assert continued == groebner._reduced_basis(ring, _packed(ring, H + G))
+    for start, pairs in loops:
+        assert start == len(done)
+        assert all(j >= start for _, j in pairs), pairs
+    if inside:
+        assert continued == done and loops == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+def test_the_pair_loop_pairs_no_two_elements_of_a_finished_prefix(p, data):
+    """Given a reduced basis as a finished prefix of `done` elements and new
+    leading exponents after it, `_pair_loop` yields only pairs (i, j) with
+    j ≥ done: a prefix element pairs only with a new one.  Every prefix
+    element starts active, and one leaves only when a new leading exponent
+    divides its own."""
+    ring = ring_over(p)
+    codec = ring.codec
+    H = data.draw(st.lists(nonzero_poly_strategy(ring, 3, 4), min_size=1, max_size=4))
+    prefix = groebner._reduced_basis(ring, _packed(ring, H))
+    news = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), max_size=4))
+    leads = [next(iter(g)) for g in prefix]
+    for t in map(codec.pack, news):  # as in a run, none divisible by an earlier one
+        if not any(codec.divides(s, t) for s in leads):
+            leads.append(t)
+    active = []
+    pairs = list(groebner._pair_loop(ring, leads, active, Budget(), True, len(prefix)))
+    assert all(i < j and j >= len(prefix) for i, j in pairs), pairs
+    for i in range(len(prefix)):
+        assert (i in active) != any(codec.divides(t, leads[i]) for t in leads[len(prefix):])

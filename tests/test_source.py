@@ -648,3 +648,26 @@ def test_every_height_route_has_one_result_path():
         assert "_route_result" in reached_names(source, caller), caller
     height_def = next(n for n in ast.parse(source).body if getattr(n, "name", None) == "height")
     assert "graded" not in {n.name for n in ast.walk(height_def) if isinstance(n, ast.FunctionDef)}
+
+
+def test_chain_levels_continue_from_the_previous_basis():
+    """Each level's ideal run starts from the previous level's reduced
+    basis: `_Chain.advance` passes `self.basis`, J_n's basis, to
+    `_reduced_basis` as its finished prefix `done`, and only the first
+    level, in `_Chain._reduced`, is reduced from its generators alone.
+    The strict-chain search reads the chain's records (`chain.steps`)."""
+    source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
+    assert call_sites(source, "_reduced_basis") == ["_Chain._reduced", "_Chain.advance"]
+    chain = next(n for n in ast.parse(source).body if getattr(n, "name", None) == "_Chain")
+    advance = next(n for n in chain.body if getattr(n, "name", None) == "advance")
+    (call,) = [
+        n for n in ast.walk(advance)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_reduced_basis"
+    ]
+    done = [k.value for k in call.keywords if k.arg == "done"] or call.args[3:4]
+    assert [ast.unparse(d) for d in done] == ["self.basis"]
+    (search,) = [
+        n for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_strict_chain_search"
+    ]
+    assert "chain.steps" in [ast.unparse(a) for a in search.args + [k.value for k in search.keywords]]
