@@ -26,10 +26,14 @@ path forms Δ₁(f^{p−1}):
   escape with a chain certificate, or at a fixed point inside m^{[p]} with
   I_∞ as a trap ideal, and it ends the escaping level at its first image
   outside m^{[p]}, where the step stops reading the stream.  For a regular
-  sequence I_1 = (I^{[p]} : I) (Fedder).  The chain and its verifiers
-  share θ (`_Splitting.chain_theta`) and run on packed exponents in the
-  ring layout (`PolynomialRing.codec`); polynomials are built only for a
-  certificate.
+  sequence I_1 = (I^{[p]} : I) (Fedder).  The chain, its verifiers and
+  `product_witness`'s joint chain share θ (`_Splitting.chain_theta`) and
+  run on packed exponents in the ring layout (`PolynomialRing.codec`);
+  polynomials are built only for a certificate.
+
+The graded twist (`_Splitting.twist`) and `chain_theta` apply the one packed
+θ, `frobenius.packed_theta`.  The ghost-route Δ₁ (`witt.delta1`) serves only
+`_verify_non_qfs`, as a route independent of the solver's.
 
 The (x_1⋯x_N)^{p^n−1} coefficient of f^{p−1}·Δ₁(f^{p−1})^{1+p+⋯+p^{n−2}}
 has one capped reader, `capped_coefficients`, for the coefficient verifier
@@ -54,7 +58,6 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .rings import (
     EXPONENT_LIMIT,
-    ExponentCodec,
     ExponentOverflowError,
     Grading,
     HomogeneityError,
@@ -80,7 +83,6 @@ from .frobenius import (
     packed_theta,
     packed_u,
     residue_table,
-    theta,
     u_map,
 )
 from .groebner import (
@@ -193,7 +195,8 @@ class _Splitting:
     its Teichmüller lift F, f^{p−2}, f^{p−1}, Δ₁(f), I_1's generators and
     Δ = Δ₁(f^{p−1}), each computed on first use, so a route forms only what
     it reads: the level-1 coefficient verifier reads f alone and never
-    forms F.  `height` builds one per call and hands it to every stage.
+    forms F.  `height` builds one per call and hands it to every stage
+    (`height_local` builds it on the forced local route).
 
     f, its Teichmüller lift F over ℤ/p², the powers, Δ₁(f) and Δ live packed
     under one narrow codec per problem (`rings.narrow_codec`), wide enough
@@ -293,7 +296,7 @@ class _Splitting:
 
     def twist(self, t: dict[int, int]) -> dict[int, int]:
         """u(F_*(−Δ₁(f)·t)), the twist of `chain_theta`, on the problem's codec."""
-        return _theta(t, self.codec, self._twist_table, self.p)
+        return packed_theta(t, self.codec, self._twist_table, self.p)
 
     @_cached
     def packed_i1(self) -> list[dict[int, int]]:
@@ -311,7 +314,7 @@ class _Splitting:
         """θ(F_*w) = f^{p−2}·u(F_*(−Δ₁(f)·w)) for w ∈ Ker u on the ring layout:
         the chain maps F_*I ∩ Ker u, and the other callers test u first."""
         table, fp2 = self._chain_twist
-        s = _theta(w, self.ring.codec, table, self.p)
+        s = packed_theta(w, self.ring.codec, table, self.p)
         return s if fp2 is None else packed_mul(fp2, s, self.p)
 
     @_cached
@@ -355,14 +358,6 @@ class _Splitting:
     def delta(self) -> Polynomial:
         """Δ₁(f^{p−1}), the multiplier of θ."""
         return self._unpack(self.packed_delta)
-
-
-def _theta(t: dict[int, int], codec: ExponentCodec, table, p: int) -> dict[int, int]:
-    """u(F_*(δ·t)) for t packed by `codec`, by `packed_theta` on the residue
-    table of a multiplier δ under that codec, coefficients reduced."""
-    residues = codec.residues
-    out = packed_theta([(e, residues(e, p), c) for e, c in t.items()], table, p)
-    return {q: r for q, c in out.items() if (r := c % p)}
 
 
 def _fail(reasons: Optional[list[str]], msg: str) -> bool:
@@ -1251,8 +1246,12 @@ def product_witness(
 
     With the factor equations fx, fy supplied the result is the strict
     θ-chain of the joint hypersurface: w₁ = g₁·h and w_{l+1} = θ(F_*w_l),
-    which verify_witness_chain accepts against (fx, fy); θ is the chain's
-    f^{p−2}·u(F_*(−Δ₁(f)·w)), so a w_l outside Ker u raises RingError.
+    which verify_witness_chain accepts against (fx, fy).  It is formed as
+    the I_n chain forms its images, on the joint `_Splitting` in the ring
+    layout: `packed_u` tests each w_l for Ker u (one outside raises
+    RingError), `_Splitting.chain_theta` steps, `_Splitting.escapes` tests
+    the last element against m^{[p]} (one inside raises RingError), and the
+    chain is unpacked once, at the end.
     The driving identity (blocks disjoint, u(F_*g_l) = 0) is
 
         θ(F_*(g ⊗ b)) = θ_X(F_*g) ⊗ f_Y^{p−1}·u_Y(F_*b),
@@ -1278,17 +1277,17 @@ def product_witness(
         )
     if fx is not None and fy is not None:
         sp = _Splitting([embed_left(fx, joint), embed_right(fy, joint)])
-        multiplier = -delta1(sp.f)
-        out = [embed_left(gs[0], joint) * embed_right(h, joint)]
+        codec = joint.codec
+        chain = [codec.pack_terms((embed_left(gs[0], joint) * embed_right(h, joint)).terms)]
         for l in range(1, n):
-            if u_map(out[-1]):
+            if packed_u(chain[-1], codec, sp.p):
                 raise RingError(f"product chain element {l} has nonzero u-image")
-            out.append(sp.fp2 * theta(out[-1], multiplier))
-        if in_max_ideal_frobenius_power(out[-1], 1):
+            chain.append(sp.chain_theta(chain[-1]))
+        if sp.escapes(chain[-1:]) is None:
             raise RingError(
-                f"product chain collapses: final element {out[-1]} lies in m^[p]"
+                f"product chain collapses: final element {sp.polynomial(chain[-1])} lies in m^[p]"
             )
-        return out
+        return [sp.polynomial(w) for w in chain]
     out = []
     for i, g in enumerate(gs, start=1):
         w = iterated_u(h, i - 1)
@@ -1322,8 +1321,6 @@ def height(
     zero one.
     """
     gens = _as_gen_list(system)
-    # one splitting serves every stage; it refuses an empty or zero system
-    sp = _Splitting(gens)
     if budget is None:
         budget = Budget()
     t0 = time.perf_counter()
@@ -1331,10 +1328,13 @@ def height(
     def finish(res: HeightResult) -> HeightResult:
         return _stamped(res, budget, t0)
 
+    if strategy == "local" and gens and all(gens):
+        # the local chain's entry builds the call's one splitting
+        return finish(height_local(Ideal(gens[0].ring, gens), n_max, budget))
+    # one splitting serves every stage; it refuses an empty or zero system
+    sp = _Splitting(gens)
     g = grading if grading is not None else Grading.standard(sp.ring.nvars)
 
-    if strategy == "local":
-        return finish(height_local(Ideal(sp.ring, gens), n_max, budget))
     if strategy == "graded":
         _require_graded(gens, g)
         return finish(_graded_cy(sp, g, n_max, budget))

@@ -9,20 +9,21 @@ normalized by u(F_*((x_1⋯x_N)^{p−1})) = 1: the Cartier-type generator of
 Hom_S(F_*S, S).  θ twists u by a fixed multiplier δ: θ(F_*a) = u(F_*(δ·a));
 with δ = Δ₁(f^{p−1}) this is the transition operator of the splitting-height
 chains of `criteria`, which apply it only on Ker u, as f^{p−2} times the
-twist by δ = −Δ₁(f).  `packed_theta` reads δ from a table of its packed
-terms grouped by residue class (`residue_table`), so the output exponent
-is one int addition and one exact division by p, and `packed_u` is the
-same division for the terms in the top residue class.  `theta`, `u_map`
-and `iterated_u` are their edges for polynomials on the ring layout, whose
-fields hold any exponent sum that θ forms, so the residue table is cached
-per δ alone (`_residue_table`); the I_n chain reads its table of −Δ₁(f)
-from that cache, so a certificate's verifier reads its solver's table.
+twist by δ = −Δ₁(f).  `packed_theta` is the one θ of the package: it reads
+δ from a table of its packed terms grouped by residue class
+(`residue_table`) and each term of a from its codec's residues, so the
+output exponent is one int addition and one exact division by p, and
+`packed_u` is the same division for the terms in the top residue class.
+`theta`, `u_map` and `iterated_u` are their edges for polynomials on the
+ring layout, packing in and unpacking out.  The ring layout's fields hold
+any exponent sum that θ forms, so its residue table is cached per δ alone
+(`_residue_table`); the I_n chain reads its table of −Δ₁(f) from that
+cache, so a certificate's verifier reads its solver's table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
 
 from .rings import ExponentCodec, Polynomial, RingError
 
@@ -76,33 +77,33 @@ def residue_table(
 
 
 def packed_theta(
-    a: Iterable[tuple[int, tuple[int, ...], int]],
+    a: dict[int, int],
+    codec: ExponentCodec,
     table: dict[tuple[int, ...], list[tuple[int, int]]],
     p: int,
 ) -> dict[int, int]:
-    """θ(F_*a) = u(F_*(delta·a)) on packed exponents, delta given by its
-    `residue_table`, without forming the full product.  `a` comes as
-    (packed exponent, its residues mod p, coefficient) triples; the
-    coefficients come back unreduced, and reducing them mod p (dropping
-    zeros) is left to the caller's one pass over the result.
+    """θ(F_*a) = u(F_*(delta·a)) for a packed by `codec`, delta given by its
+    `residue_table` under the same codec, without forming the full product;
+    the image comes reduced mod p, zeros dropped.
 
     Only products landing in the top residue class (p−1, ..., p−1) survive u,
     so for each term of `a` we touch only the compatible residue class of
-    delta.  For such a pair every field of pa + pd (packed a-exponent plus
-    packed delta-exponent minus (p−1)·𝟙) is a nonnegative multiple of p, so
-    the packed exponent of u's output is (pa + pd) // p.  The packing must
-    hold every field of a·delta: the ring layout holds any two exponents
-    within EXPONENT_LIMIT."""
+    delta (`codec.residues`).  For such a pair every field of pa + pd (packed
+    a-exponent plus packed delta-exponent minus (p−1)·𝟙) is a nonnegative
+    multiple of p, so the packed exponent of u's output is (pa + pd) // p.
+    The codec must hold every field of a·delta: the ring layout holds any
+    two exponents within EXPONENT_LIMIT."""
     out: dict[int, int] = {}
     get = out.get
-    for pa, residues, ca in a:
-        bucket = table.get(residues)
+    residues = codec.residues
+    for pa, ca in a.items():
+        bucket = table.get(residues(pa, p))
         if bucket is None:
             continue
         for pd, cd in bucket:
             q = (pa + pd) // p
             out[q] = get(q, 0) + ca * cd
-    return out
+    return {q: r for q, c in out.items() if (r := c % p)}
 
 
 @lru_cache(maxsize=32)
@@ -113,18 +114,14 @@ def _residue_table(delta: Polynomial):
 
 
 def theta(a: Polynomial, delta: Polynomial) -> Polynomial:
-    """θ(F_*a) = u(F_*(delta·a)) by `packed_theta` on the ring layout,
-    packing at the edge; the residue table is cached per delta."""
+    """θ(F_*a) = u(F_*(delta·a)): `packed_theta` on the ring layout, packing
+    at the edge; the residue table is cached per delta."""
     ring = a.ring
     if delta.ring != ring:
         raise RingError("theta arguments must share a ring")
-    table = _residue_table(delta)
-    codec, p = ring.codec, ring.field.p
-    # only terms with a compatible residue class are packed
-    residues = {e: r for e in a.terms if (r := tuple([x % p for x in e])) in table}
-    packed = codec.pack_terms({e: a.terms[e] for e in residues})
-    out = packed_theta(zip(packed, residues.values(), packed.values()), table, p)
-    return Polynomial(ring, codec.unpack_terms({q: r for q, c in out.items() if (r := c % p)}))
+    codec = ring.codec
+    out = packed_theta(codec.pack_terms(a.terms), codec, _residue_table(delta), ring.field.p)
+    return Polynomial(ring, codec.unpack_terms(out))
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,6 @@ def ring_codec(nvars: int) -> ExponentCodec:
 _NARROW: dict[tuple[int, int], ExponentCodec] = {}
 
 
-@lru_cache(maxsize=256)
 def narrow_codec(nvars: int, largest: int) -> ExponentCodec:
     """The narrow layout of `nvars` variables whose fields hold every
     exponent up to `largest`: its bit length plus a guard bit, so that

@@ -4,6 +4,7 @@ points, certificates and the orchestrator."""
 import itertools
 import math
 import random
+import re
 import traceback
 
 import pytest
@@ -126,9 +127,9 @@ def theta_images(monkeypatch):
     (the graded engine's orbit)."""
     images = []
 
-    def counting_theta(a, table, p):
+    def counting_theta(a, codec, table, p):
         images.append(a)
-        return packed_theta(a, table, p)
+        return packed_theta(a, codec, table, p)
 
     monkeypatch.setattr("qfsplit.criteria.packed_theta", counting_theta)
     return images
@@ -172,7 +173,7 @@ def test_lower_bound_run_forms_no_theta_past_the_cutoff(theta_images):
 def test_graded_run_stays_packed(monkeypatch, theta_images):
     """The engine reads every level from packed exponents: a LowerBound(5)
     run forms four packed θ images and calls neither the polynomial θ nor
-    `Polynomial.__pow__`."""
+    `Polynomial.__pow__`; `criteria` does not import the polynomial θ."""
     p, text = LOWER_BOUND_CUBIC
     f = ring_over(p).parse(text)
     calls = []
@@ -184,7 +185,7 @@ def test_graded_run_stays_packed(monkeypatch, theta_images):
         return call
 
     monkeypatch.setattr("qfsplit.frobenius.theta", refuse("frobenius.theta"))
-    monkeypatch.setattr("qfsplit.criteria.theta", refuse("criteria.theta"))
+    assert not hasattr(criteria, "theta")
     monkeypatch.setattr(Polynomial, "__pow__", refuse("Polynomial.__pow__"))
     res = height_graded_cy([f], Grading.standard(3), n_max=5)
     assert (res.verdict, res.n) == (LOWER_BOUND, 5)
@@ -374,10 +375,9 @@ def test_weighted_orbit_near_its_exponent_bound():
     def polynomial(packed):
         return ring.from_terms({unpack(e): c % 5 for e, c in packed if c % 5})
 
-    def recording(a, table, p):
-        a = list(a)
-        out = packed_theta(a, table, p)
-        terms.append(polynomial((e, c) for e, _, c in a))
+    def recording(a, codec, table, p):
+        out = packed_theta(a, codec, table, p)
+        terms.append(polynomial(a.items()))
         twists.append(polynomial(out.items()))
         return out
 
@@ -486,7 +486,7 @@ def test_graded_orbit_is_the_theta_orbit_of_the_public_maps(theta_images, p, wei
         res = height_graded_cy(gens, grading, n_max=n_max)
         expected = (FINITE, stop) if coefficients[stop - 1] else (LOWER_BOUND, n_max)
         assert (res.verdict, res.n, res.steps) == expected + (stop,)
-        terms = [ring.from_terms({unpack(e): c for e, _, c in a}) for a in theta_images]
+        terms = [ring.from_terms({unpack(e): c for e, c in a.items()}) for a in theta_images]
         assert terms == orbit[: stop - 1]
 
         t = random_form(rng, ring, weights, (p - 1) * sum(weights), 8, skip={top})
@@ -1857,12 +1857,45 @@ def test_product_witness_precondition_errors():
         )
 
 
-@pytest.mark.parametrize("p", [2, 3])
+def test_product_witness_joint_chain_that_leaves_ker_u_is_refused():
+    """gs = (g_1, g_1, g_2) passes the first factor's u-conditions but is no
+    θ-chain.  With h = y0·y1·y2 + (y0·y1·y2)^3, u(F_*h) = 1 + y0·y1·y2 and
+    u^2(F^2_*h) = 1 survives, but the joint w_2 = θ(F_*(g_1·h)) =
+    g_2 ⊗ f_Y·u(F_*h) has u(F_*w_2) = u(F_*g_2)·u(F_*(f_Y·(1 + y0·y1·y2))) = 1."""
+    rx, ry, ss, ordinary = product_fixture()
+    g1, g2 = height_local(Ideal(rx, [ss]), 4).certificate.data["chain"]
+    h = ry.parse("y0*y1*y2 + y0^3*y1^3*y2^3")
+    with pytest.raises(RingError, match=r"^product chain element 2 has nonzero u-image$"):
+        product_witness([g1, g1, g2], h, 3, fx=ss, fy=ordinary)
+
+
+@pytest.mark.parametrize("start", ["x0^2", "x0^5 + x0^2*x1^3 + x0^2*x2^3"])
+def test_product_witness_joint_chain_that_collapses_into_the_frobenius_power_is_refused(start):
+    """A start in Ker u whose θ-image lies in m^{[p]}, zero or not: the
+    joint chain's last element, the public theta of w_1 = g_1·h by
+    Δ₁(f^{p−1}), is named in the refusal."""
+    rx, ry, ss, ordinary = product_fixture()
+    g2 = height_local(Ideal(rx, [ss]), 4).certificate.data["chain"][1]
+    joint = criteria.joint_ring_of(rx, ry)
+    f = criteria.embed_left(ss, joint) * criteria.embed_right(ordinary, joint)
+    w1 = criteria.embed_left(rx.parse(start), joint) * criteria.embed_right(ordinary, joint)
+    last = theta(w1, delta1(f))  # f^{p−1} = f at p = 2
+    assert in_max_ideal_frobenius_power(last, 1)
+    message = f"product chain collapses: final element {last} lies in m^[p]"
+    with pytest.raises(RingError, match=f"^{re.escape(message)}$"):
+        product_witness([rx.parse(start), g2], ordinary, 2, fx=ss, fy=ordinary)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_product_witness_chain_is_the_delta_route_chain(p):
-    """The joint θ-chain of `product_witness`, formed through Δ₁(f), is
-    w_{l+1} = theta(w_l, delta1(f^{p−1})) of the public maps for f the
-    product of the factor equations: a supersingular random cubic with its
-    strict chain, times an ordinary one with h = f_Y^{p−1}."""
+    """The joint θ-chain of `product_witness`, formed through Δ₁(f), is the
+    chain of the public maps for f the product of the factor equations: a
+    supersingular random cubic with its strict chain g_l, times an ordinary
+    one with h = f_Y^{p−1}.  It is w_{l+1} = theta(w_l, delta1(f^{p−1}))
+    at p = 2, 3 (at p = 5 that Δ needs f^20 in six variables), and at every
+    p both f^{p−2}·theta(w_l, −delta1(f)) and the tensor chain
+    g_l ⊗ b_l, b_1 = h, b_{l+1} = f_Y^{p−1}·u(F_*b_l), of the driving
+    identity."""
     rng = random.Random(p)
     rx, ry = ring_over(p), ring_named(p, ["a", "b", "c"])
     ss = ordinary = None
@@ -1873,14 +1906,25 @@ def test_product_witness_chain_is_the_delta_route_chain(p):
         elif ss is None:
             cert = height_local(Ideal(rx, [cubic]), 4).certificate
             ss, chain = (cubic, cert.data["chain"]) if "chain" in cert.data else (None, None)
-    ws = product_witness(chain, ordinary ** (p - 1), len(chain), fx=ss, fy=ordinary)
+    h = ordinary ** (p - 1)
+    ws = product_witness(chain, h, len(chain), fx=ss, fy=ordinary)
+    assert len(ws) >= 2
     joint = ws[0].ring
     f = criteria.embed_left(ss, joint) * criteria.embed_right(ordinary, joint)
-    delta = delta1(f ** (p - 1))
-    expected = ws[:1]
-    while len(expected) < len(chain):
-        expected.append(theta(expected[-1], delta))
-    assert len(ws) >= 2 and ws == expected
+    twist, fp2 = -delta1(f), f ** (p - 2)
+    projected, tensor = ws[:1], [h]
+    while len(projected) < len(chain):
+        projected.append(fp2 * theta(projected[-1], twist))
+        tensor.append(h * u_map(tensor[-1]))
+    assert ws == projected
+    left, right = criteria.embed_left, criteria.embed_right
+    assert ws == [left(g, joint) * right(b, joint) for g, b in zip(chain, tensor)]
+    if p <= 3:
+        delta = delta1(f ** (p - 1))
+        expected = ws[:1]
+        while len(expected) < len(chain):
+            expected.append(theta(expected[-1], delta))
+        assert ws == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -2280,6 +2324,40 @@ def test_height_resumes_i_infinity_from_the_local_chain(p, names, text, n_max):
     as_json = criteria.certificate_to_json
     assert as_json(res.certificate) == as_json(cert)
     assert verify_certificate(Ideal(ring, [f]), res.certificate)
+
+
+@pytest.mark.parametrize(
+    "p,names,texts,n",
+    [
+        (3, "xyz", ["z^2 + x^3 + y^5"], 3),  # E8^0
+        (2, "xyzwus", [SEXTIC_G1, "s"], 2),  # sextic g1 | s = 0
+    ],
+    ids=["E8^0@p3", "sextic-g1-section@p2"],
+)
+def test_forced_local_height_is_height_local(monkeypatch, p, names, texts, n):
+    """`height(strategy="local")` answers as `height_local` does (verdict,
+    n, route, steps and certificate), and each of the two calls builds one
+    `_Splitting`: f, the product of the generators, is formed once."""
+    ring = ring_named(p, list(names))
+    gens = [ring.parse(t) for t in texts]
+    built = []
+    init = criteria._Splitting.__init__
+
+    def counting_init(sp, gens):
+        built.append(sp)
+        init(sp, gens)
+
+    monkeypatch.setattr(criteria._Splitting, "__init__", counting_init)
+    answers = []
+    for call in (lambda: height(gens, strategy="local"), lambda: height_local(Ideal(ring, gens))):
+        built.clear()
+        res = call()
+        assert len(built) == 1
+        answers.append(
+            (res.verdict, res.n, res.route, res.steps, criteria.certificate_to_json(res.certificate))
+        )
+    assert answers[0] == answers[1]
+    assert answers[0][:3] == (FINITE, n, "local-chain")
 
 
 @pytest.mark.parametrize("steps,route", [(500, "i-infinity"), (400, "local-chain")])

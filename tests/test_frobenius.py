@@ -13,6 +13,9 @@ from qfsplit import (
     u_map,
 )
 
+from qfsplit.frobenius import packed_theta, residue_table
+from qfsplit.rings import Polynomial, narrow_codec
+
 import oracles as O
 from oracles import W2Element
 from conftest import poly_strategy, ring_over
@@ -99,6 +102,25 @@ def test_theta_matches_u_oracle_in_one_to_four_variables(p, names, data):
     wide = far.pth_power() * narrow + far
     for a in data.draw(st.permutations([narrow, wide, narrow])):
         assert theta(a, delta) == O.u_oracle(delta * a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("names", ["xy", "xyz", "xyzw"])
+@given(data=st.data())
+def test_packed_theta_is_one_map_on_every_codec(p, names, data):
+    """`packed_theta` of multi-term a and δ gives one image under a narrow
+    codec that holds every field of a·δ and under the ring layout, and that
+    image is the public theta's and u(F_*(δ·a)) of the oracle."""
+    ring = ring_over(p, tuple(names))
+    multi_term = poly_strategy(ring, max_exp=6, max_terms=6).filter(lambda g: len(g) >= 2)
+    a, delta = data.draw(multi_term), data.draw(multi_term)
+    image = theta(a, delta)
+    assert image == O.u_oracle(delta * a)
+    for codec in (narrow_codec(ring.nvars, a.max_exponent() + delta.max_exponent()), ring.codec):
+        table = residue_table(codec.pack_terms(delta.terms), codec, p)
+        out = packed_theta(codec.pack_terms(a.terms), codec, table, p)
+        assert all(0 < c < p for c in out.values())
+        assert Polynomial(ring, codec.unpack_terms(out)) == image
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

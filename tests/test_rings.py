@@ -596,8 +596,7 @@ def test_ring_layout_u_and_theta_exponent(p, data, nvars):
     one = codec.pack((p - 1,) * nvars)
     assert (codec.pack(e) + codec.pack(d) - one) // p == codec.pack(out)
     table = residue_table({codec.pack(d): 1}, codec, p)
-    term = [(codec.pack(e), codec.residues(codec.pack(e), p), 1)]
-    assert packed_theta(term, table, p) == {codec.pack(out): 1}
+    assert packed_theta({codec.pack(e): 1}, codec, table, p) == {codec.pack(out): 1}
     top = all(x % p == p - 1 for x in e)
     expected = {codec.pack(tuple((x - (p - 1)) // p for x in e)): 1} if top else {}
     assert packed_u({codec.pack(e): 1}, codec, p) == expected

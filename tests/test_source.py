@@ -457,19 +457,20 @@ def test_level_two_verifier_never_forms_delta1_of_f_to_the_p_minus_one():
 
 def test_the_chain_and_its_verifiers_never_form_delta1_of_f_to_the_p_minus_one():
     """The I_n chain, the strict-chain search, the step and trap-ideal
-    verifiers apply θ only on Ker u, through Δ₁(f) (`_Splitting.chain_theta`),
-    and `product_witness` by the same formula on polynomials: none of them
-    reaches the splitting's Δ₁(f^{p−1}) or the δ-ring rule that forms it.
-    The coefficient verifier still does, from level 3 on."""
+    verifiers and `product_witness`'s joint chain apply θ only on Ker u,
+    through Δ₁(f) (`_Splitting.chain_theta`): none of them reaches the
+    splitting's Δ₁(f^{p−1}) or the δ-ring rule that forms it, and
+    `product_witness` reaches neither the polynomial θ nor the ghost-route
+    Δ₁.  The coefficient verifier still forms Δ₁(f^{p−1}), from level 3 on."""
     source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
     delta = {"packed_delta", "delta1_power"}
-    for start in ("_Chain", "_strict_chain_search", "_step_fault", "verify_infinity_certificate"):
+    starts = ("_Chain", "_strict_chain_search", "_step_fault", "verify_infinity_certificate")
+    for start in starts + ("product_witness",):
         reached = reached_through(source, start, "_Splitting")
         assert reached & delta == set(), start
         assert {"chain_theta", "packed_delta1", "fp2"} <= reached, start
     reached = reached_through(source, "product_witness", "_Splitting")
-    assert reached & (delta | {"delta"}) == set()
-    assert {"theta", "delta1", "fp2"} <= reached
+    assert reached & {"delta", "theta", "delta1"} == set()
     assert reached_through(source, "graded_cy_coefficient", "_Splitting") >= delta
 
 
@@ -577,7 +578,8 @@ def test_criteria_has_one_chain_loop():
     one I_n chain, `_Chain`, which steps by one method, `_Chain.advance`:
     it alone reads the Ker u stream, and θ(F_*· ∩ Ker u) is formed only by
     it and by the trap-ideal verifier, which none of the three reaches (the
-    strict-chain search and the step verifier apply θ to single elements).
+    strict-chain search, the step verifier and `product_witness` apply θ
+    to single elements).
     One reader, `_read_chain`, serves `height_local`, `qfs_decide` and
     `height`; only `enclosure_closure` closes the chain past a level that
     escapes."""
@@ -592,7 +594,8 @@ def test_criteria_has_one_chain_loop():
     assert methods == {"__init__", "_reduced", "advance", "close", "levels"}
     assert call_sites(source, "_intersect_keru") == ["_Chain.advance"]
     assert sorted(call_sites(source, "chain_theta", method=True)) == [
-        "_Chain.advance", "_step_fault", "_strict_chain_search", "verify_infinity_certificate",
+        "_Chain.advance", "_step_fault", "_strict_chain_search", "product_witness",
+        "verify_infinity_certificate",
     ]
     for caller in ("height_local", "qfs_decide", "enclosure_closure"):
         reached = reached_names(source, caller)
@@ -601,6 +604,29 @@ def test_criteria_has_one_chain_loop():
     for caller in ("height_local", "qfs_decide", "height"):
         assert "_read_chain" in reached_names(source, caller), caller
     assert call_sites(source, "close", method=True) == ["enclosure_closure"]
+
+
+def test_theta_has_one_packed_form():
+    """`frobenius.packed_theta` is the one θ of the package: only the public
+    `theta`, the graded twist and the chain's θ call it, and `criteria` does
+    not import the polynomial `theta`."""
+    sites = sorted(
+        f"{path.stem}.{scope}"
+        for path in MODULES
+        for method in (False, True)
+        for scope in call_sites(path.read_text(), "packed_theta", method=method)
+    )
+    assert sites == [
+        "criteria._Splitting.chain_theta", "criteria._Splitting.twist", "frobenius.theta",
+    ]
+    tree = ast.parse((REPO / "src" / "qfsplit" / "criteria.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "theta" not in imported
 
 
 def except_handlers(source: str, name: str) -> list[str]:
