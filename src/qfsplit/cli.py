@@ -329,6 +329,8 @@ def _run_product(args) -> tuple[dict, int]:
     yvars = tuple(v.strip() for v in args.y_vars.split(",") if v.strip())
     rx = PolynomialRing(field, xvars)
     ry = PolynomialRing(field, yvars)
+    if bool(args.x_poly) != bool(args.y_poly):
+        raise InputError("--x-poly and --y-poly go together: give both factor equations or neither")
     try:
         gs = [rx.parse(t) for t in _split_polys([args.chain])]
         h = ry.parse(args.splitting)
@@ -341,7 +343,7 @@ def _run_product(args) -> tuple[dict, int]:
     except RingError as exc:
         raise InputError(str(exc)) from exc
     payload = {"witnesses": [str(w) for w in ws], "n": len(ws)}
-    if fx is not None and fy is not None:
+    if fx is not None:
         joint = ws[0].ring
         joint_ideal = Ideal(
             joint, [joint.parse(args.x_poly), joint.parse(args.y_poly)]

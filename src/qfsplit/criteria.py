@@ -31,9 +31,12 @@ path forms Δ₁(f^{p−1}):
   run on packed exponents in the ring layout (`PolynomialRing.codec`);
   polynomials are built only for a certificate.
 
-The graded twist (`_Splitting.twist`) and `chain_theta` apply the one packed
-θ, `frobenius.packed_theta`.  The ghost-route Δ₁ (`witt.delta1`) serves only
-`_verify_non_qfs`, as a route independent of the solver's.
+Both ChainWitness shapes have one checker, `_verify_levels`: a strict chain
+g_1 → ... → g_n is the levelled certificate with one record (g_l, g_{l+1})
+per level and g_n escaping.  The graded twist (`_Splitting.twist`) and
+`chain_theta` apply the one packed θ, `frobenius.packed_theta`.  The
+ghost-route Δ₁ (`witt.delta1`) serves only `_verify_non_qfs`, as a route
+independent of the solver's.
 
 The (x_1⋯x_N)^{p^n−1} coefficient of f^{p−1}·Δ₁(f^{p−1})^{1+p+⋯+p^{n−2}}
 has one capped reader, `capped_coefficients`, for the coefficient verifier
@@ -972,39 +975,20 @@ def verify_witness_chain(
     budget: Optional[Budget] = None,
     reasons: Optional[list[str]] = None,
 ) -> bool:
-    """Check a strict θ-chain: g_1 ∈ I_1, u(F_*g_l) = 0 and θ(F_*g_l) = g_{l+1}
-    for every step, and g_last ∉ m^{[p]}; on the ring layout, each element
-    packed once.
-
-    Which checks multiply and which reduce: u(F_*g_l) and θ(F_*g_l) are
-    products, compared with the next element, and g_1 ∈ I_1 is checked as
-    g_1 = c·x^μ·g for an I_1 generator g (`_term_multiple`), the form of
-    every chain the solver finds.  Only a g_1 that fails that check, such
-    as a combination of several generators, is reduced modulo a Groebner
-    basis of I_1.
-
-    A passing chain certifies height ≤ len(chain): membership g_l ∈ I_l
-    follows inductively from I_{l+1} = θ(F_*I_l ∩ Ker u) + I_1."""
+    """Check a strict θ-chain g_1 → ... → g_n, which certifies height ≤ n:
+    g_1 ∈ I_1, u(F_*g_l) = 0 and θ(F_*g_l) = g_{l+1} for l < n, g_n ∉ m^{[p]}.
+    It is the levelled certificate with one record (g_l, g_{l+1}) per level
+    and g_n escaping, and `_verify_levels` checks it as one, so a reason
+    names a level ("level l: ...") or the escape element g_n."""
     if not chain:
         return _fail(reasons, "empty chain")
     if fault := _polynomials_fault(I.ring, chain, "chain element"):
         return _fail(reasons, fault)
-    if budget is None:
-        budget = Budget()
     sp = _Splitting(I.gens)
     pack = sp.ring.codec.pack_terms
     packed = [pack(g.terms) for g in chain]
-    if not (
-        _term_multiple(sp.ring, packed[0], sp.packed_i1, budget)
-        or Ideal(sp.ring, sp.i1)._contains(packed[0], budget)
-    ):
-        return _fail(reasons, f"step 1: {chain[0]} is not in I_1")
-    for l, g in enumerate(packed[:-1]):
-        if fault := _step_fault(sp, g, packed[l + 1], chain[l + 1]):
-            return _fail(reasons, f"step {l + 1}: {fault}")
-    if sp.escapes(packed[-1:]) is None:
-        return _fail(reasons, f"final element {chain[-1]} lies in m^[p]")
-    return True
+    levels = [[record] for record in zip(packed, packed[1:])]
+    return _verify_levels(sp, levels, packed[-1], budget, reasons)
 
 
 def _term_multiple(
@@ -1036,18 +1020,54 @@ def _term_multiple(
     return False
 
 
-def _step_fault(
-    sp: _Splitting, w: dict[int, int], image: dict[int, int], recorded: Polynomial
-) -> Optional[str]:
-    """Why the packed record (w, image) is not a θ-step, if it is not: u(F_*w)
-    must vanish and θ(F_*w) equal the image, `recorded` unpacked."""
-    u = packed_u(w, sp.ring.codec, sp.p)
-    if u:
-        return f"u(F_*g) = {sp.polynomial(u)} is nonzero"
-    theta_w = sp.chain_theta(w)
-    if theta_w != image:
-        return f"theta image {sp.polynomial(theta_w)} differs from recorded {recorded}"
-    return None
+def _verify_levels(
+    sp: _Splitting,
+    levels: Sequence[Sequence[tuple[dict[int, int], dict[int, int]]]],
+    escape: dict[int, int],
+    budget: Optional[Budget],
+    reasons: Optional[list[str]],
+) -> bool:
+    """The one chain check, for both ChainWitness shapes: packed records
+    (w, image) level by level from I_1, then an escape element.
+
+    Level l's pool is I_1's generators and level l − 1's nonzero images, so
+    (pool) ⊆ I_l.  Each record of level l needs w ∈ (pool), u(F_*w) = 0 and
+    θ(F_*w) = image, and the escape element needs to lie in the next pool's
+    ideal, level n, and outside m^{[p]} (`_Splitting.escapes`): then
+    I_n ⊄ m^{[p]}, so the height is at most n.  Membership is tested one way
+    for every element: an image of the level below is a pool generator (every
+    g_l, l ≥ 2, of a strict chain, and the solver's escape element); else
+    c·x^μ·g for a pool generator g is one product (`_term_multiple`); only
+    what fails both, such as a Ker u generator, is reduced modulo the pool's
+    Groebner basis, built once per level on first need."""
+    if budget is None:
+        budget = Budget()
+    ring, poly = sp.ring, sp.polynomial
+    images: list[dict[int, int]] = []
+    # the escape element closes the walk as a record of level n with no image
+    for l, records in enumerate([*levels, [(escape, None)]], start=1):
+        ideal, nxt = None, []
+        for w, image in records:
+            if w not in images and not _term_multiple(ring, w, sp.packed_i1 + images, budget):
+                ideal = ideal or Ideal(ring, map(poly, sp.packed_i1 + images))
+                if not ideal._contains(w, budget):
+                    where = f"level {l}:" if image is not None else "escape element"
+                    return _fail(reasons, f"{where} {poly(w)} is not in I_{l}")
+            if image is None:
+                break
+            if u := packed_u(w, ring.codec, sp.p):
+                return _fail(reasons, f"level {l}: u(F_*g) = {poly(u)} is nonzero")
+            if (theta_w := sp.chain_theta(w)) != image:
+                return _fail(
+                    reasons,
+                    f"level {l}: theta image {poly(theta_w)} differs from recorded {poly(image)}",
+                )
+            if image:
+                nxt.append(image)
+        images = nxt
+    if sp.escapes([escape]) is None:
+        return _fail(reasons, f"escape element {poly(escape)} lies in m^[p]")
+    return True
 
 
 def verify_witness_levels(
@@ -1056,56 +1076,30 @@ def verify_witness_levels(
     budget: Optional[Budget] = None,
     reasons: Optional[list[str]] = None,
 ) -> bool:
-    """Re-verify a levelled ChainWitness.
-
-    Rebuilds the generator pools from I_1: each level-l record (w, image) must
-    satisfy w ∈ (pool_l), u(F_*w) = 0 and θ(F_*w) = image; the next pool is
-    I_1's generators plus the images.  The escape element must belong to the
-    final pool's ideal and lie outside m^{[p]}.
-
-    Which checks multiply and which reduce: u(F_*w) and θ(F_*w) of each
-    record are products, compared with its image, and the escape element's
-    membership is checked as c·x^μ·g for a generator g of the final pool
-    (`_term_multiple`; the solver records a pool generator itself, μ = 0).
-    Each record's w ∈ (pool_l) is reduced modulo a Groebner basis of the
-    level's pool, since the solver's w is a Ker u generator, a combination
-    of the pool; so is an escape element that fails the product check."""
+    """Re-verify a levelled ChainWitness: its `levels` of (w, θ(F_*w)) records
+    (ChainStep) and its `escape` element by `_verify_levels`, once their
+    form is checked and `escape_level` is one past the last level."""
     if cert.kind != CHAIN_WITNESS:
         return _fail(reasons, f"expected a {CHAIN_WITNESS} certificate, got {cert.kind}")
-    if budget is None:
-        budget = Budget()
     sp = _Splitting(I.gens)
     pack = sp.ring.codec.pack_terms
-    pool = list(sp.i1)
     levels: Sequence[Sequence[ChainStep]] = cert.data.get("levels", ())
     if not isinstance(levels, (list, tuple)) or not all(type(r) in (list, tuple) for r in levels):
         return _fail(reasons, f"levels {levels!r} is not a list of record lists")
     for l, records in enumerate(levels, start=1):
-        pool_ideal = Ideal(sp.ring, pool)
         for rec in records:
-            entries = [rec.element, rec.image] if isinstance(rec, ChainStep) else [rec]
+            if not isinstance(rec, ChainStep):
+                return _fail(reasons, f"level {l}: record {rec!r} is not a ChainStep")
+            entries = [rec.element, rec.image]
             if fault := _polynomials_fault(sp.ring, entries, f"level {l}: record entry"):
                 return _fail(reasons, fault)
-            w, image = pack(rec.element.terms), pack(rec.image.terms)
-            if not pool_ideal._contains(w, budget):
-                return _fail(reasons, f"level {l}: {rec.element} is not in I_{l}")
-            if fault := _step_fault(sp, w, image, rec.image):
-                return _fail(reasons, f"level {l}: {fault}")
-        pool = list(_dedupe(sp.i1 + [rec.image for rec in records]))
     esc = cert.data.get("escape")
     if fault := _polynomials_fault(sp.ring, [esc], "escape element"):
         return _fail(reasons, fault)
-    packed_esc = pack(esc.terms)
-    if not (
-        _term_multiple(sp.ring, packed_esc, [pack(g.terms) for g in pool], budget)
-        or Ideal(sp.ring, pool)._contains(packed_esc, budget)
-    ):
-        return _fail(reasons, f"escape element {esc} is not in the final level's ideal")
-    if in_max_ideal_frobenius_power(esc, 1):
-        return _fail(reasons, f"escape element {esc} lies in m^[p]")
     if cert.data.get("escape_level") != len(levels) + 1:
         return _fail(reasons, "escape level disagrees with the number of recorded levels")
-    return True
+    packed = [[(pack(r.element.terms), pack(r.image.terms)) for r in rs] for rs in levels]
+    return _verify_levels(sp, packed, pack(esc.terms), budget, reasons)
 
 
 def verify_infinity_certificate(
@@ -1328,7 +1322,7 @@ def height(
     def finish(res: HeightResult) -> HeightResult:
         return _stamped(res, budget, t0)
 
-    if strategy == "local" and gens and all(gens):
+    if strategy == "local" and gens:
         # the local chain's entry builds the call's one splitting
         return finish(height_local(Ideal(gens[0].ring, gens), n_max, budget))
     # one splitting serves every stage; it refuses an empty or zero system

@@ -252,15 +252,15 @@ def _reduce(
 
 
 class Ideal:
-    """An ideal of F_p[x] presented by generators, with a cached reduced
-    grevlex Groebner basis: packed, as `_reduced_basis` returns it, and its
-    polynomial view."""
+    """An ideal of F_p[x] presented by the generators it is given, zeros
+    included, with a cached reduced grevlex Groebner basis: packed, as
+    `_reduced_basis` returns it, and its polynomial view."""
 
     __slots__ = ("ring", "gens", "_basis", "_gb", "_table")
 
     def __init__(self, ring: PolynomialRing, gens: Iterable[Polynomial]):
         self.ring = ring
-        self.gens = tuple(g for g in gens if g)
+        self.gens = tuple(gens)
         for g in self.gens:
             if g.ring != ring:
                 raise RingError("ideal generator from a different ring")

@@ -598,6 +598,27 @@ def test_product_command_verifies(capsys):
     assert data["n"] == 1 and data["verified"] is True
 
 
+@pytest.mark.parametrize("given", ["--x-poly", "--y-poly"])
+def test_product_refuses_half_a_factor_pair(capsys, given):
+    """The exact chain and its verification need both factor equations;
+    either one alone is an input error, not a silent fall back to the raw
+    tensor pairs."""
+    ordinary = "y0^3 + y0*y1*y2 + y1^2*y2 + y2^3"
+    g1 = "x0^3 + x0*x1*x2 + x1^2*x2 + x2^3"
+    code, out, err = run_cli(
+        capsys,
+        [
+            "product", "--p", "2",
+            "--x-vars", "x0,x1,x2", "--y-vars", "y0,y1,y2",
+            "--chain", g1, "--splitting", ordinary,
+            given, g1 if given == "--x-poly" else ordinary,
+            "--format", "json",
+        ],
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "--x-poly and --y-poly" in err
+
+
 def test_height_verify_on_a_height_four_k3_quartic(capsys):
     """The verifier rebuilds Δ₁(f^{p−1})^{1+3+9} capped at 3^4−1 level by
     level, so a height-4 quartic re-verifies in well under a second."""

@@ -279,12 +279,12 @@ PAST_THE_LIMIT = "cannot be re-verified within the exponent limit"
 @pytest.mark.parametrize(
     "kind,data,reason",
     [
-        (CHAIN_WITNESS, {"chain": [OVERFLOW_X, OVERFLOW_Y]}, "step 1: x is not in I_1"),
-        (CHAIN_WITNESS, {"chain": [OVERFLOW_X]}, "step 1: x is not in I_1"),
+        (CHAIN_WITNESS, {"chain": [OVERFLOW_X, OVERFLOW_Y]}, "level 1: x is not in I_1"),
+        (CHAIN_WITNESS, {"chain": [OVERFLOW_X]}, "escape element x is not in I_1"),
         (
             CHAIN_WITNESS,
             {"levels": [], "escape": OVERFLOW_X, "escape_level": 1},
-            "escape element x is not in the final level's ideal",
+            "escape element x is not in I_1",
         ),
         ("FixedPointEnclosure", {"generators": [OVERFLOW_X**3]}, "unknown certificate kind"),
         (I_INFTY_STABILIZED, {"generators": [OVERFLOW_X**3], "iterations": 1}, "is not in J"),
@@ -604,26 +604,36 @@ def test_capped_coefficients_are_the_truncated_product_coefficients(p, data):
 def test_every_entry_point_refuses_a_system_without_a_nonzero_generator():
     """No regular sequence is empty or has a zero element, and S/(0) = S is
     F-split: each entry point raises RingError (from the one splitting it
-    builds) rather than answer, or fail with IndexError."""
+    builds) rather than answer, or fail with IndexError.  An `Ideal` keeps
+    the generators it is given, so a zero one among nonzero ones is refused
+    through every entry point that takes an Ideal, as `height` refuses it."""
     ring = ring_over(3)
     x = ring.variable("x")
+    f = x**3 + ring.parse("y^2*z")
     empty = Ideal(ring, [ring.zero])
-    assert empty.gens == ()
+    assert empty.gens == (ring.zero,)
     cert = Certificate(COEFFICIENT_WITNESS, {"level": 1, "coefficient": 1, "grading": [[1, 1, 1]]})
+    levelled = Certificate(CHAIN_WITNESS, {"levels": [], "escape": x, "escape_level": 1})
     calls = [
-        lambda: height_local(empty),
-        lambda: qfs_decide(empty),
-        lambda: enclosure_closure(empty),
-        lambda: verify_certificate(empty, cert),
-        lambda: verify_witness_chain(empty, [x]),
-        lambda: verify_infinity_certificate(empty, Ideal(ring, [x**3])),
         lambda: graded_cy_coefficient([], 1),
         lambda: non_qfs_quick([ring.zero]),
         lambda: non_qfs_quick([]),
         lambda: fedder_fsplit([ring.zero]),
         lambda: fedder_fsplit([]),
-        lambda: fedder_fsplit(empty),
     ]
+    for system in (empty, Ideal(ring, [f, ring.zero])):
+        assert system.gens[-1] == ring.zero
+        calls += [
+            lambda I=system: height_local(I),
+            lambda I=system: qfs_decide(I),
+            lambda I=system: enclosure_closure(I),
+            lambda I=system: verify_certificate(I, cert),
+            lambda I=system: verify_witness_chain(I, [x]),
+            lambda I=system: verify_witness_levels(I, levelled),
+            lambda I=system: verify_infinity_certificate(I, Ideal(ring, [x**3])),
+            lambda I=system: fedder_fsplit(I),
+            lambda I=system: height(I, strategy="local"),
+        ]
     calls += [
         lambda s=strategy, g=gens: height(g, strategy=s)
         for strategy in ("auto", "local", "graded", "qfs")
@@ -1072,8 +1082,8 @@ def test_quasi_f_split_witnesses_of_the_i_infinity_route_reject_tampering(monkey
     """qfs_decide's ChainWitness, in both forms, is refused once tampered.
     Strict (D8^1 at p = 2, height 3): a changed last element, a first element
     outside I_1, and a chain cut short.  Levelled (the strict search patched
-    off): a changed θ image, an escape moved into m^{[p]} (times x^2, so
-    still in I_3), a wrong escape level."""
+    off): a record x outside each level, a changed θ image, an escape moved
+    into m^{[p]} (times x^2, so still in I_3), a wrong escape level."""
     ring = ring_over(2)
     I = Ideal(ring, [ring.parse("z^2 + x^2*y + x*y^4 + x*y^3*z")])
     qfs, cert = qfs_decide(I)
@@ -1081,7 +1091,7 @@ def test_quasi_f_split_witnesses_of_the_i_infinity_route_reject_tampering(monkey
     assert qfs and len(chain) == 3 and verify_certificate(I, cert)
     x = ring.variable("x")
     for bad, reason in [
-        (chain[:-1] + [bump_leading_coefficient(chain[-1])], "step 2: theta image"),
+        (chain[:-1] + [bump_leading_coefficient(chain[-1])], "level 2: theta image"),
         ([x] + chain[1:], "is not in I_1"),
         (chain[:-1], "lies in m^[p]"),
     ]:
@@ -1094,10 +1104,16 @@ def test_quasi_f_split_witnesses_of_the_i_infinity_route_reject_tampering(monkey
     data = cert.data
     assert qfs and "chain" not in data and data["escape_level"] == 3
     assert verify_certificate(I, cert)
+    # a record whose w lies outside its level: x ∉ I_j ⊆ m^2, checked first
+    outside = []
+    for j, records in enumerate(data["levels"], start=1):
+        levels = list(data["levels"])
+        levels[j - 1] = [ChainStep(x, x)] + list(records)
+        outside.append((dict(data, levels=levels), f"level {j}: x is not in I_{j}"))
     levels = [list(records) for records in data["levels"]]
     l, k = next((l, k) for l, rs in enumerate(levels) for k, r in enumerate(rs) if r.image)
     levels[l][k] = ChainStep(levels[l][k].element, bump_leading_coefficient(levels[l][k].image))
-    for bad, reason in [
+    for bad, reason in outside + [
         (dict(data, levels=levels), f"level {l + 1}: theta image"),
         (dict(data, escape=x**2 * data["escape"]), "lies in m^[p]"),
         (dict(data, escape_level=2), "escape level disagrees"),
@@ -1372,7 +1388,7 @@ def test_verify_witness_chain_pinpoints_bad_theta():
     chain[1] = chain[1] + ring.parse("x*y*z")
     reasons = []
     assert not verify_witness_chain(Ideal(ring, [f]), chain, reasons=reasons)
-    assert reasons and "step 1" in reasons[0]
+    assert reasons and "level 1" in reasons[0]
 
 
 def test_verify_witness_chain_rejects_trapped_tail():
@@ -1471,7 +1487,7 @@ def test_a_tampered_monomial_multiple_is_not_in_i1(tamper):
     assert not term_multiple_of_i1(ring, a, [f])
     reasons = []
     assert not verify_witness_chain(Ideal(ring, [f]), [a], reasons=reasons)
-    assert reasons[0].startswith("step 1:") and reasons[0].endswith("is not in I_1")
+    assert reasons[0].startswith("escape element ") and reasons[0].endswith("is not in I_1")
 
 
 def test_a_start_combining_two_generators_is_accepted_by_reduction():
@@ -1686,6 +1702,59 @@ def test_rdp_certificates_verify_with_no_groebner_basis(monkeypatch):
         assert verify_certificate(I, cert, reasons=reasons), (I, reasons)
 
 
+def one_record_per_level(chain):
+    """The levelled ChainWitness that says what the strict chain g_1 → ... →
+    g_n says: one record (g_l, g_{l+1}) per level, g_n escaping at level n."""
+    levels = [[ChainStep(g, image)] for g, image in zip(chain, chain[1:])]
+    return Certificate(
+        CHAIN_WITNESS, {"levels": levels, "escape": chain[-1], "escape_level": len(chain)}
+    )
+
+
+def strict_chains():
+    """(I, chain) for every strict chain of the double-point table and of
+    LEVELLED_CASES."""
+    out = []
+    for row in rdp_rows((2, 3, 5), 8):
+        ring = ring_over(row["p"])
+        I = Ideal(ring, [ring.parse(row["f"])])
+        out.append((I, height(I).certificate.data["chain"]))
+    for p, names, texts in LEVELLED_CASES:
+        ring = ring_named(p, names)
+        I = Ideal(ring, [ring.parse(t) for t in texts])
+        data = height(I).certificate.data
+        if "chain" in data:
+            out.append((I, data["chain"]))
+    return out
+
+
+def test_a_strict_chain_and_its_levelled_form_get_one_verdict():
+    """A strict chain is a proof of I_n ⊄ m^{[p]} with one record per level,
+    so it and its one-record-per-level form must get the same verdict and
+    the same first reason, untampered and on each tamper: an image bumped
+    at each level (θ(F_*g_l) ≠ g_{l+1}), a start x outside I_1 (every I_1
+    here lies in m^2) and a chain cut short, whose last element lies in
+    I_{n−1} ⊆ m^{[p]} since n is the height."""
+    rows = strict_chains()
+    assert len(rows) == 93 and {len(chain) for _, chain in rows} >= {1, 2, 3}
+    for I, chain in rows:
+        x = I.ring.variable(I.ring.variables[0])
+        tampers = [(chain, None), ([x] + chain[1:], "is not in I_1")]
+        for l in range(1, len(chain)):
+            bumped = chain[:l] + [bump_leading_coefficient(chain[l])] + chain[l + 1 :]
+            tampers.append((bumped, f"level {l}: theta image"))
+        if len(chain) >= 2:
+            tampers.append((chain[:-1], "lies in m^[p]"))
+        for bad, reason in tampers:
+            strict, levelled = [], []
+            verdict = verify_witness_chain(I, bad, reasons=strict)
+            assert verify_witness_levels(I, one_record_per_level(bad), reasons=levelled) is verdict
+            assert verdict is (reason is None), (I, bad, strict)
+            assert strict[:1] == levelled[:1]
+            if reason is not None:
+                assert reason in strict[0], (I, strict)
+
+
 @pytest.mark.parametrize("p,names,texts", LEVELLED_CASES[:3])
 def test_strict_chain_rejects_a_tampered_element(p, names, texts):
     I, cert = levelled_certificate(p, names, texts)
@@ -1739,7 +1808,7 @@ FOREIGN = ring_named(2, ["a", "b", "c"]).parse("a")
         ("FixedPointEnclosure", {"generators": []}, "unknown certificate kind FixedPointEnclosure"),
         (CHAIN_WITNESS, {"chain": ["x"]}, "chain element 'x' is not a polynomial of"),
         (CHAIN_WITNESS, {"chain": [FOREIGN]}, "chain element <a over F_2> is not a polynomial of"),
-        (CHAIN_WITNESS, {"levels": [[1]]}, "level 1: record entry 1 is not a polynomial of"),
+        (CHAIN_WITNESS, {"levels": [[1]]}, "level 1: record 1 is not a ChainStep"),
         (CHAIN_WITNESS, {"levels": [[ChainStep(FOREIGN, FOREIGN)]]}, "level 1: record entry"),
         (CHAIN_WITNESS, {"levels": [], "escape": "x", "escape_level": 1}, "escape element 'x'"),
         (I_INFTY_STABILIZED, {"generators": "x", "iterations": 1}, "expected a list of generators"),
@@ -1749,6 +1818,7 @@ FOREIGN = ring_named(2, ["a", "b", "c"]).parse("a")
         (CHAIN_WITNESS, [1], "certificate data [1] is not a mapping"),
         (I_INFTY_STABILIZED, "x", "certificate data 'x' is not a mapping"),
         (NON_QFS, None, "certificate data None is not a mapping"),
+        (CHAIN_WITNESS, {"levels": [[ring_over(2).parse("x")]]}, "level 1: record <x over F_2> is not a"),
     ],
 )
 def test_malformed_certificates_are_refused_with_a_reason(kind, data, reason):

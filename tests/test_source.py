@@ -456,7 +456,7 @@ def test_level_two_verifier_never_forms_delta1_of_f_to_the_p_minus_one():
 
 
 def test_the_chain_and_its_verifiers_never_form_delta1_of_f_to_the_p_minus_one():
-    """The I_n chain, the strict-chain search, the step and trap-ideal
+    """The I_n chain, the strict-chain search, the chain and trap-ideal
     verifiers and `product_witness`'s joint chain apply θ only on Ker u,
     through Δ₁(f) (`_Splitting.chain_theta`): none of them reaches the
     splitting's Δ₁(f^{p−1}) or the δ-ring rule that forms it, and
@@ -464,7 +464,7 @@ def test_the_chain_and_its_verifiers_never_form_delta1_of_f_to_the_p_minus_one()
     Δ₁.  The coefficient verifier still forms Δ₁(f^{p−1}), from level 3 on."""
     source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
     delta = {"packed_delta", "delta1_power"}
-    starts = ("_Chain", "_strict_chain_search", "_step_fault", "verify_infinity_certificate")
+    starts = ("_Chain", "_strict_chain_search", "_verify_levels", "verify_infinity_certificate")
     for start in starts + ("product_witness",):
         reached = reached_through(source, start, "_Splitting")
         assert reached & delta == set(), start
@@ -578,7 +578,7 @@ def test_criteria_has_one_chain_loop():
     one I_n chain, `_Chain`, which steps by one method, `_Chain.advance`:
     it alone reads the Ker u stream, and θ(F_*· ∩ Ker u) is formed only by
     it and by the trap-ideal verifier, which none of the three reaches (the
-    strict-chain search, the step verifier and `product_witness` apply θ
+    strict-chain search, the chain checker and `product_witness` apply θ
     to single elements).
     One reader, `_read_chain`, serves `height_local`, `qfs_decide` and
     `height`; only `enclosure_closure` closes the chain past a level that
@@ -594,7 +594,7 @@ def test_criteria_has_one_chain_loop():
     assert methods == {"__init__", "_reduced", "advance", "close", "levels"}
     assert call_sites(source, "_intersect_keru") == ["_Chain.advance"]
     assert sorted(call_sites(source, "chain_theta", method=True)) == [
-        "_Chain.advance", "_step_fault", "_strict_chain_search", "product_witness",
+        "_Chain.advance", "_strict_chain_search", "_verify_levels", "product_witness",
         "verify_infinity_certificate",
     ]
     for caller in ("height_local", "qfs_decide", "enclosure_closure"):
@@ -604,6 +604,34 @@ def test_criteria_has_one_chain_loop():
     for caller in ("height_local", "qfs_decide", "height"):
         assert "_read_chain" in reached_names(source, caller), caller
     assert call_sites(source, "close", method=True) == ["enclosure_closure"]
+
+
+def test_both_chain_witness_shapes_have_one_checker():
+    """A strict θ-chain is a levelled certificate with one record per level,
+    so `_verify_levels` is the one chain check: both verifiers hand their
+    records to it, it alone of them tests membership (a one-term multiple,
+    `_term_multiple`, else reduction) and m^{[p]} (`_Splitting.escapes`),
+    and `verify_witness_chain` repacks the chain with no loop of its own."""
+    source = (REPO / "src" / "qfsplit" / "criteria.py").read_text()
+    defs = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    assert "_step_fault" not in defs
+    assert call_sites(source, "_term_multiple") == ["_verify_levels"]
+    assert sorted(call_sites(source, "_verify_levels")) == [
+        "verify_witness_chain", "verify_witness_levels",
+    ]
+    assert sorted(call_sites(source, "_contains", method=True)) == [
+        "_verify_levels", "verify_infinity_certificate",
+    ]
+    for name in ("verify_witness_chain", "verify_witness_levels"):
+        read = {
+            n.attr if isinstance(n, ast.Attribute) else n.id
+            for n in ast.walk(defs[name])
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        checks = {"packed_u", "chain_theta", "escapes", "in_max_ideal_frobenius_power", "_contains"}
+        assert read & checks == set(), name
+    chain = defs["verify_witness_chain"]
+    assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(chain))
 
 
 def test_theta_has_one_packed_form():
