@@ -32,9 +32,11 @@ from .rings import (
 )
 from .groebner import Budget, BudgetExceededError, Ideal, colon_ideal, ideal_equal
 from .criteria import (
+    CHAIN_WITNESS,
     Certificate,
     FINITE,
     INFINITE,
+    I_INFTY_STABILIZED,
     UNKNOWN,
     certificate_to_json,
     enclosure_closure,
@@ -44,8 +46,6 @@ from .criteria import (
     product_witness,
     result_to_json,
     verify_certificate,
-    verify_infinity_certificate,
-    verify_witness_chain,
 )
 from .criteria import height_graded_cy
 from .strata import FamilyContext, search_height, strata_polynomials
@@ -79,10 +79,7 @@ class Job:
                 raise InputError(f"bad polynomial {text!r}: {exc}") from exc
         if self.grading is not None:
             for f in out:
-                try:
-                    check_homogeneous(f, self.grading)
-                except HomogeneityError as exc:
-                    raise InputError(str(exc)) from exc
+                check_homogeneous(f, self.grading)
         return out
 
 
@@ -141,27 +138,16 @@ _OPTION_RULES = {
 _JOB_OPTIONS = {"height": tuple(_OPTION_RULES), "fsplit": (), "qfs": ("budget", "verify")}
 
 
-def _checked(key: str, value: Any) -> Any:
-    """``value`` if the option ``key`` may take it; otherwise an input error."""
-    ok, must = _OPTION_RULES[key]
-    if not ok(value):
-        raise InputError(f"{key} must be {must}, got {value!r}")
-    return value
-
-
 def _options(command: str, options: dict[str, Any]) -> dict[str, Any]:
     """The options of a job, each checked; one its command does not read is
     an input error."""
     for key, value in options.items():
         if key not in _JOB_OPTIONS[command]:
             raise InputError(f"{command} takes no option {key!r}")
-        _checked(key, value)
+        ok, must = _OPTION_RULES[key]
+        if not ok(value):
+            raise InputError(f"{key} must be {must}, got {value!r}")
     return options
-
-
-def _budget(limit: Optional[int]) -> Budget:
-    """A budget of ``limit`` steps; None gives the default limit."""
-    return Budget() if limit is None else Budget(_checked("budget", limit))
 
 
 def _job_from_args(args, command: str) -> Job:
@@ -182,13 +168,18 @@ def _job_from_args(args, command: str) -> Job:
 
 
 def _polynomials(job: Job) -> list[Polynomial]:
-    """The job's parsed polynomials: at least one, and none zero, since no
-    regular sequence has a zero element."""
+    """The job's parsed polynomials: at least one, and none zero or
+    constant, since no regular sequence has such an element."""
     polys = job.parsed()
     if not polys:
         raise InputError(f"{job.command} needs at least one polynomial")
     if not all(polys):
         raise InputError("a zero generator is not part of a regular sequence")
+    for f in polys:
+        if f.total_degree() == 0:
+            raise InputError(
+                f"generator '{f}' is constant, so the generators are not a regular sequence"
+            )
     return polys
 
 
@@ -199,7 +190,8 @@ def _generators(job: Job) -> list[Polynomial]:
     if len(polys) > 1:
         grading = job.grading or Grading.standard(len(job.variables))
         try:
-            degrees = [check_homogeneous(f, grading) for f in polys]
+            for f in polys:
+                check_homogeneous(f, grading)
         except HomogeneityError:
             print(
                 "note: generators are assumed to form a regular sequence; "
@@ -207,22 +199,15 @@ def _generators(job: Job) -> list[Polynomial]:
                 file=sys.stderr,
             )
         else:
-            _require_regular_sequence(polys, degrees, _budget(job.options.get("budget")))
+            _require_regular_sequence(polys, Budget(job.options.get("budget")))
     return polys
 
 
-def _require_regular_sequence(
-    polys: Sequence[Polynomial], degrees: Sequence[tuple[int, ...]], budget: Budget
-) -> None:
-    """Input error unless the homogeneous ``polys`` form a regular sequence:
-    none is constant, and (f_1..f_{i−1}) : f_i = (f_1..f_{i−1}) for i ≥ 2.
+def _require_regular_sequence(polys: Sequence[Polynomial], budget: Budget) -> None:
+    """Input error unless the homogeneous, nonconstant ``polys`` form a
+    regular sequence: (f_1..f_{i−1}) : f_i = (f_1..f_{i−1}) for i ≥ 2.
     Gradings are positive, so such generators lie in m, and their order does
     not matter."""
-    for f, d in zip(polys, degrees):
-        if not any(d):
-            raise InputError(
-                f"generator '{f}' is constant, so the generators are not a regular sequence"
-            )
     ring = polys[0].ring
     for i in range(1, len(polys)):
         before = Ideal(ring, polys[:i])
@@ -233,12 +218,34 @@ def _require_regular_sequence(
             )
 
 
-def _add_verification(payload: dict, I: Ideal, cert: Certificate) -> None:
-    """Re-verify ``cert`` against I and record the outcome in ``payload``."""
+def _add_verification(
+    payload: dict,
+    I: Ideal,
+    cert: Certificate,
+    budget: Optional[Budget] = None,
+    key: str = "verify_reasons",
+) -> None:
+    """The CLI's one check: re-verify ``cert`` against I within ``budget``
+    and set ``verified`` in ``payload`` (where it already stands, if it
+    does) and, on failure, the reasons under ``key``."""
     reasons: list[str] = []
-    payload["verified"] = verify_certificate(I, cert, reasons=reasons)
+    payload["verified"] = verify_certificate(I, cert, budget, reasons)
     if reasons:
-        payload["verify_reasons"] = reasons
+        payload[key] = reasons
+
+
+def _verify_input(args, text: str, what: str, item: str) -> tuple[Ideal, list[Polynomial]]:
+    """The ideal of a verify command's ``--poly`` flags and the
+    ';'-separated polynomials of ``text``, its ``what`` (at least one)."""
+    polys = _polynomials(_job_from_args(args, args.command))
+    ring = polys[0].ring
+    try:
+        parsed = [ring.parse(t) for t in _split_polys([text])]
+    except ParseError as exc:
+        raise InputError(f"bad {what} {item}: {exc}") from exc
+    if not parsed:
+        raise InputError(f"empty {what}")
+    return Ideal(ring, polys), parsed
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +261,7 @@ def _run_height(job: Job) -> tuple[dict, int]:
         grading=job.grading,
         n_max=n_max,
         strategy=job.options.get("strategy", "auto"),
-        budget=_budget(job.options.get("budget")),
+        budget=Budget(job.options.get("budget")),
     )
     payload = result_to_json(res)
     code = 2 if res.verdict == UNKNOWN else 0
@@ -269,7 +276,7 @@ def _run_fsplit(job: Job) -> tuple[dict, int]:
 
 def _run_qfs(job: Job) -> tuple[dict, int]:
     polys = _generators(job)
-    budget = _budget(job.options.get("budget"))
+    budget = Budget(job.options.get("budget"))
     I = Ideal(polys[0].ring, polys)
     is_qfs, cert = qfs_decide(I, budget)
     payload = {
@@ -283,43 +290,23 @@ def _run_qfs(job: Job) -> tuple[dict, int]:
 
 
 def _run_verify_chain(args) -> tuple[dict, int]:
-    polys = _polynomials(_job_from_args(args, "verify-chain"))
-    ring = polys[0].ring
-    try:
-        chain = [ring.parse(t) for t in _split_polys([args.chain])]
-    except ParseError as exc:
-        raise InputError(f"bad chain element: {exc}") from exc
-    if not chain:
-        raise InputError("empty chain")
-    reasons: list[str] = []
-    ok = verify_witness_chain(Ideal(ring, polys), chain, _budget(args.budget), reasons)
-    payload = {"verified": ok, "chain_length": len(chain)}
-    if reasons:
-        payload["reasons"] = reasons
+    I, chain = _verify_input(args, args.chain, "chain", "element")
+    # `verified` leads the report: the text format prints keys in this order
+    payload: dict[str, Any] = {"verified": None, "chain_length": len(chain)}
+    cert = Certificate(CHAIN_WITNESS, {"chain": chain})
+    _add_verification(payload, I, cert, Budget(args.budget), "reasons")
     return payload, 0
 
 
 def _run_verify_infty(args) -> tuple[dict, int]:
-    polys = _polynomials(_job_from_args(args, "verify-infty"))
-    ring = polys[0].ring
-    try:
-        trap = [ring.parse(t) for t in _split_polys([args.trap])]
-    except ParseError as exc:
-        raise InputError(f"bad trap ideal generator: {exc}") from exc
-    if not trap:
-        raise InputError("empty trap ideal")
-    I = Ideal(ring, polys)
-    budget = _budget(args.budget)
+    I, trap = _verify_input(args, args.trap, "trap ideal", "generator")
+    budget = Budget(args.budget)
     payload: dict[str, Any] = {}
-    J = Ideal(ring, trap)
     if args.close:
-        J = enclosure_closure(I, trap, budget)
-        payload["closure_generators"] = [str(g) for g in J.gens]
-    reasons: list[str] = []
-    ok = verify_infinity_certificate(I, J, budget, reasons)
-    payload["verified"] = ok
-    if reasons:
-        payload["reasons"] = reasons
+        trap = list(enclosure_closure(I, trap, budget).gens)
+        payload["closure_generators"] = [str(g) for g in trap]
+    cert = Certificate(I_INFTY_STABILIZED, {"generators": trap})
+    _add_verification(payload, I, cert, budget, "reasons")
     return payload, 0
 
 
@@ -331,33 +318,23 @@ def _run_product(args) -> tuple[dict, int]:
     ry = PolynomialRing(field, yvars)
     if bool(args.x_poly) != bool(args.y_poly):
         raise InputError("--x-poly and --y-poly go together: give both factor equations or neither")
-    try:
-        gs = [rx.parse(t) for t in _split_polys([args.chain])]
-        h = ry.parse(args.splitting)
-        fx = rx.parse(args.x_poly) if args.x_poly else None
-        fy = ry.parse(args.y_poly) if args.y_poly else None
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        ws = product_witness(gs, h, len(gs), fx=fx, fy=fy)
-    except RingError as exc:
-        raise InputError(str(exc)) from exc
+    gs = [rx.parse(t) for t in _split_polys([args.chain])]
+    h = ry.parse(args.splitting)
+    fx = rx.parse(args.x_poly) if args.x_poly else None
+    fy = ry.parse(args.y_poly) if args.y_poly else None
+    ws = product_witness(gs, h, len(gs), fx=fx, fy=fy)
     payload = {"witnesses": [str(w) for w in ws], "n": len(ws)}
     if fx is not None:
         joint = ws[0].ring
-        joint_ideal = Ideal(
-            joint, [joint.parse(args.x_poly), joint.parse(args.y_poly)]
-        )
-        reasons: list[str] = []
-        payload["verified"] = verify_witness_chain(joint_ideal, ws, reasons=reasons)
-        if reasons:
-            payload["reasons"] = reasons
+        joint_ideal = Ideal(joint, [joint.parse(args.x_poly), joint.parse(args.y_poly)])
+        cert = Certificate(CHAIN_WITNESS, {"chain": ws})
+        _add_verification(payload, joint_ideal, cert, key="reasons")
     return payload, 0
 
 
 def _run_strata(args) -> tuple[dict, int]:
     ctx = FamilyContext.create(args.p, args.nvars)
-    strata = strata_polynomials(ctx, args.h_max, _budget(args.budget))
+    strata = strata_polynomials(ctx, args.h_max, Budget(args.budget))
     return {
         "p": ctx.p,
         "nvars": args.nvars,
@@ -380,7 +357,7 @@ def _run_search(args) -> tuple[dict, int]:
         smoothness_check=not args.no_smoothness,
         restrict=args.restrict,
         seed=args.seed,
-        budget=_budget(args.budget),
+        budget=Budget(args.budget),
     )
     if witness is None:
         return {"found": False, "samples": args.samples}, 0

@@ -403,7 +403,8 @@ def _route_result(route: str, budget: Budget, read: Callable[[], HeightResult]) 
 
 
 def result_to_json(res: HeightResult) -> dict[str, Any]:
-    """The documented report shape: {verdict, n, certificate, steps, wall_time_ms}."""
+    """The documented report shape: {verdict, n, certificate, steps,
+    wall_time_ms, route, diagnostics}."""
     return {
         "verdict": res.verdict,
         "n": res.n,
@@ -477,6 +478,11 @@ def graded_cy_applicable(f_list: Sequence[Polynomial], g: Grading) -> Optional[s
     return None
 
 
+def _require_chain_length(n_max: int) -> None:
+    if n_max < 1:
+        raise RingError(f"n_max must be a positive chain length, got {n_max!r}")
+
+
 def _require_graded(f_list: Sequence[Polynomial], g: Grading) -> None:
     reason = graded_cy_applicable(f_list, g)
     if reason is not None:
@@ -527,6 +533,7 @@ def height_graded_cy(
     `height_local` do.
     """
     f_list = list(f_list)
+    _require_chain_length(n_max)
     _require_graded(f_list, g)
     return _graded_cy(_Splitting(f_list), g, n_max, budget if budget is not None else Budget())
 
@@ -778,6 +785,7 @@ def height_local(
     Infinite at a fixed point inside m^{[p]} with its IInftyStabilized trap,
     else LowerBound(n_max).  Budget aborts return Unknown with diagnostics.
     """
+    _require_chain_length(n_max)
     return _chain_result(_Chain(_Splitting(I.gens), budget), n_max, "local-chain")
 
 
@@ -915,9 +923,11 @@ def enclosure_closure(
     containment conditions, so the only remaining question is whether it
     stays inside m^{[p]}.  With an empty seed this is the whole I_∞, run to
     its fixed point (`_Chain.close`) even where a level escapes m^{[p]},
-    at which `qfs_decide` stops.
+    at which `qfs_decide` stops.  A seed from another ring raises RingError.
     """
-    sp = _Splitting(I.gens)
+    sp, seed = _Splitting(I.gens), list(seed)
+    if fault := _polynomials_fault(sp.ring, seed, "seed element"):
+        raise RingError(fault)
     return _Chain(sp, budget, [*seed, *sp.i1]).close()
 
 
@@ -1108,11 +1118,13 @@ def verify_infinity_certificate(
     budget: Optional[Budget] = None,
     reasons: Optional[list[str]] = None,
 ) -> bool:
-    """True iff J ⊇ θ(F_*J ∩ Ker u) + I_1 and J ⊆ m^{[p]}.
+    """True iff J is an ideal of I's ring, J ⊇ θ(F_*J ∩ Ker u) + I_1 and J ⊆ m^{[p]}.
 
     Such a J traps the whole I_n chain: I_1 ⊆ J and inductively
     I_{n+1} = θ(F_*I_n ∩ Ker u) + I_1 ⊆ J, so no I_n escapes m^{[p]} and the
     height is infinite."""
+    if J.ring != I.ring:
+        return _fail(reasons, f"J is an ideal of {J.ring!r}, not of {I.ring!r}")
     if budget is None:
         budget = Budget()
     sp = _Splitting(I.gens)
@@ -1253,8 +1265,11 @@ def product_witness(
     so the second tensor factor runs through u-iterates of h scaled by
     f_Y^{p−1}.  Without fx, fy the raw tensor pairs g_i ⊗ u^{i−1}(F^{i−1}_*h)
     are returned; they witness the same height bound but only through the
-    level conditions of the general theory, not as a literal θ-chain.
+    level conditions of the general theory, not as a literal θ-chain.  Only
+    one of fx, fy raises RingError.
     """
+    if (fx is None) != (fy is None):
+        raise RingError("fx and fy go together: give both factor equations or neither")
     if n < 1 or len(gs) != n:
         raise RingError(f"need a chain of length n = {n}, got {len(gs)}")
     ring_x = gs[0].ring
@@ -1269,7 +1284,7 @@ def product_witness(
             "u^{n-1}(F^{n-1}_*h) lies in m^[p]; h does not witness height <= n-1... "
             "choose h with a surviving Frobenius iterate"
         )
-    if fx is not None and fy is not None:
+    if fx is not None:
         sp = _Splitting([embed_left(fx, joint), embed_right(fy, joint)])
         codec = joint.codec
         chain = [codec.pack_terms((embed_left(gs[0], joint) * embed_right(h, joint)).terms)]
@@ -1312,8 +1327,9 @@ def height(
     and n_max bounds only (b) and (d).  Forced strategies: "graded" and
     "local" stop at n_max; "qfs" reads the chain from I_1 with no cutoff,
     as (e) does.  Raises RingError for a system with no generator or a
-    zero one.
+    zero one, and for n_max < 1.
     """
+    _require_chain_length(n_max)
     gens = _as_gen_list(system)
     if budget is None:
         budget = Budget()

@@ -74,8 +74,8 @@ class Budget:
 
     `limit=None` takes the limit from the QFSPLIT_GB_BUDGET environment
     variable, or DEFAULT_GB_BUDGET when that is unset or empty.  The variable
-    must hold a positive integer, as `--budget` must; any other value raises
-    RingError."""
+    must hold a positive integer, as `--budget` must, and so must an
+    explicit `limit`; any other value raises RingError."""
 
     __slots__ = ("limit", "steps")
 
@@ -88,6 +88,8 @@ class Budget:
                 limit = 0
             if limit <= 0:
                 raise RingError(f"QFSPLIT_GB_BUDGET must be a positive number of steps, got {env!r}")
+        elif limit <= 0:
+            raise RingError(f"budget must be a positive number of steps, got {limit!r}")
         self.limit = limit
         self.steps = 0
 

@@ -14,7 +14,16 @@ import pytest
 import qfsplit
 import qfsplit.__main__
 import qfsplit.cli
-from qfsplit import PolynomialRing, PrimeField, height
+from qfsplit import (
+    Budget,
+    Ideal,
+    PolynomialRing,
+    PrimeField,
+    enclosure_closure,
+    height,
+    verify_certificate,
+)
+from qfsplit.criteria import I_INFTY_STABILIZED, Certificate
 from qfsplit.cli import (
     InputError,
     main,
@@ -531,6 +540,34 @@ def test_non_regular_sequence_is_an_input_error(capsys, command, case):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "--p", "2", "--vars", "x,y,z", "--poly", polys]
+        for command in ("height", "qfs", "fsplit")
+        for polys in ("1", "x*y + z; 1")
+    ]
+    + [
+        ["verify-chain", "--p", "2", "--vars", "x,y,z", "--poly", "1", "--chain", "1"],
+        ["verify-infty", "--p", "2", "--vars", "x,y,z", "--poly", "1", "--trap", "x^2"],
+    ],
+    ids=[
+        f"{command}-{case}"
+        for command in ("height", "qfs", "fsplit")
+        for case in ("alone", "inhomogeneous")
+    ]
+    + ["verify-chain", "verify-infty"],
+)
+def test_a_constant_generator_is_an_input_error(capsys, argv):
+    """A constant generator is refused wherever `--poly` is read, alone or
+    beside an inhomogeneous one, as it is beside a homogeneous one: S/(1) is
+    the zero ring, so there is no height to certify.  A constant alone used
+    to answer Finite 1 on the fedder route with the chain ["1"]."""
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: generator '1' is constant, so the generators are not a regular sequence\n"
+
+
 def test_regular_sequence_check_budget_abort_exits_two(capsys):
     code, out, err = run_cli(
         capsys,
@@ -563,6 +600,97 @@ def test_verify_infty_with_closure(capsys):
     data = json.loads(out)
     assert data["verified"] is True
     assert len(data["closure_generators"]) >= 2
+
+
+def test_verify_infty_close_re_derives_the_closure_basis(capsys):
+    """`--close` checks the closure as any trap ideal is checked, through
+    `verify_certificate` on its generators: the verifier forms the basis
+    again (9 steps on the cusp at p = 2, where reading the basis the chain
+    cached took 5), so the command needs the closure's steps and those
+    steps, all from its one `--budget`, and one step fewer aborts."""
+    ring = PolynomialRing(PrimeField(2), ("x", "y", "z"))
+    f = ring.parse("x^3 + y^2*z")
+    I = Ideal(ring, [f])
+    budget = Budget()
+    closure = enclosure_closure(I, [f], budget)
+    closing = budget.steps
+    cert = Certificate(I_INFTY_STABILIZED, {"generators": list(closure.gens)})
+    assert verify_certificate(I, cert, budget)
+    assert budget.steps - closing == 9
+    argv = ["verify-infty"] + CUSP + ["--trap", str(f), "--close", "--budget"]
+    code, out, _ = run_cli(capsys, argv + [str(budget.steps)])
+    assert code == 0 and "verified: True" in out
+    code, out, err = run_cli(capsys, argv + [str(budget.steps - 1)])
+    assert (code, out) == (2, "") and "budget exhausted" in err
+
+
+def cusp_past_the_limit():
+    """f = z^2 + x^3 + y^K at p = 3 with K = 2^30 − 1, and f^{p−1} = f^2,
+    which fits the exponent limit; checking a chain or a trap that holds it
+    passes the limit (Δ₁(f^2) alone needs exponents up to p(p−1)·K)."""
+    ring = PolynomialRing(PrimeField(3), ("x", "y", "z"))
+    f = ring.parse("z^2 + x^3 + y^1073741823")
+    return f, f**2
+
+
+@pytest.mark.parametrize("command", ["verify-chain", "verify-infty"])
+def test_a_check_past_the_exponent_limit_is_a_failed_verification(capsys, command):
+    """A certificate whose check needs exponents past the limit cannot be
+    re-verified, and every command says so as `verify_certificate` does:
+    `verified: False` with the limit reason and exit 0, not an input error."""
+    f, fp1 = cusp_past_the_limit()
+    given = ["--chain", f"{fp1}; y"] if command == "verify-chain" else ["--trap", str(fp1)]
+    argv = [command, "--p", "3", "--vars", "x,y,z", "--poly", str(f), *given, "--format", "json"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["verified"] is False
+    assert len(data["reasons"]) == 1
+    assert "cannot be re-verified within the exponent limit 2147483647" in data["reasons"][0]
+
+
+FSPLIT_CUBIC = "x^3 + x*y*z + y^2*z + z^3"  # F-split at p = 2: the chain [f] verifies
+PRODUCT_XY = ["product", "--p", "2", "--x-vars", "x0,x1,x2", "--y-vars", "y0,y1,y2"]
+PRODUCT_G1 = "x0^3 + x0*x1*x2 + x1^2*x2 + x2^3"
+PRODUCT_ORDINARY = "y0^3 + y0*y1*y2 + y1^2*y2 + y2^3"
+# text reports of the commands that re-check a certificate: (argv, keys in order)
+TEXT_REPORTS = {
+    "verify-chain": (BUDGETED["verify-chain"], ["verified", "chain_length", "reasons"]),
+    "verify-chain-passes": (
+        ["verify-chain", "--p", "2", "--vars", "x,y,z", "--poly", FSPLIT_CUBIC,
+         "--chain", FSPLIT_CUBIC],
+        ["verified", "chain_length"],
+    ),
+    "verify-infty": (BUDGETED["verify-infty"], ["verified", "reasons"]),
+    "verify-infty-close": (
+        BUDGETED["verify-infty"] + ["--close"], ["closure_generators", "verified", "reasons"]
+    ),
+    "verify-infty-close-passes": (
+        ["verify-infty"] + CUSP + ["--trap", "x^3 + y^2*z", "--close"],
+        ["closure_generators", "verified"],
+    ),
+    "product": (
+        PRODUCT_XY + ["--chain", PRODUCT_G1, "--splitting", PRODUCT_ORDINARY,
+                      "--x-poly", PRODUCT_G1, "--y-poly", PRODUCT_ORDINARY],
+        ["witnesses", "n", "verified"],
+    ),
+    "product-raw": (
+        PRODUCT_XY + ["--chain", PRODUCT_G1, "--splitting", PRODUCT_ORDINARY], ["witnesses", "n"]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TEXT_REPORTS))
+def test_text_reports_keep_their_key_order(capsys, case):
+    """The text format prints a report's keys in the order the command
+    builds them, so the order is part of the output: `verified` leads
+    `verify-chain`'s report and follows the closure and the witnesses."""
+    argv, keys = TEXT_REPORTS[case]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert [line.split(": ", 1)[0] for line in out.splitlines()] == keys
+    verified = [line for line in out.splitlines() if line.startswith("verified: ")]
+    assert verified == ([f"verified: {'reasons' not in keys}"] if "verified" in keys else [])
 
 
 def test_verify_infty_raw_trap_fails(capsys):

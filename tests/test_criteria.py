@@ -1577,6 +1577,25 @@ def test_verify_infinity_rejects_fsplit_bracket():
     assert reasons
 
 
+def test_a_trap_ideal_or_a_seed_from_another_ring_is_refused():
+    """J must be an ideal of I's ring: a J over other variables or another
+    field is refused with a reason that says so, not accepted (J over
+    (a, b, c) at p = 2) or refused for an escape (J over F_3).  A seed of
+    `enclosure_closure` from another ring raises RingError; it is not read
+    term by term as a polynomial of I's ring."""
+    ring = ring_over(2)
+    I = Ideal(ring, [ring.parse("x^3 + y^2*z")])
+    trap = enclosure_closure(I)
+    assert verify_infinity_certificate(I, trap)
+    for other in (ring_named(2, ["a", "b", "c"]), ring_over(3)):
+        J = Ideal(other, [Polynomial(other, dict(g.terms)) for g in trap.gens])
+        reasons = []
+        assert not verify_infinity_certificate(I, J, reasons=reasons)
+        assert reasons == [f"J is an ideal of {other!r}, not of {ring!r}"]
+        with pytest.raises(RingError, match=r"^seed element .* is not a polynomial of "):
+            enclosure_closure(I, [other.variable(other.variables[0])])
+
+
 def test_integer_root_is_exact():
     assert _integer_root(64, 3) == 4  # int(64 ** (1 / 3)) is 3
     assert _integer_root(20000, 3) == 27
@@ -1925,6 +1944,16 @@ def test_product_witness_precondition_errors():
             ry.parse("y0^3 + y1^3 + y2^3"),
             2,
         )
+
+
+@pytest.mark.parametrize("given", ["fx", "fy"])
+def test_product_witness_refuses_half_a_factor_pair(given):
+    """The exact joint chain needs both factor equations; one alone raises
+    RingError rather than fall back to the raw tensor pairs."""
+    rx, ry, ss, ordinary = product_fixture()
+    chain = height_local(Ideal(rx, [ss]), 4).certificate.data["chain"]
+    with pytest.raises(RingError, match="^fx and fy go together"):
+        product_witness(chain, ordinary, 2, **{given: ss if given == "fx" else ordinary})
 
 
 def test_product_witness_joint_chain_that_leaves_ker_u_is_refused():
@@ -2440,6 +2469,25 @@ def test_budget_abort_after_the_hand_over_is_unknown(steps, route):
     assert (res.verdict, res.route) == (UNKNOWN, route)
     assert res.diagnostics == (f"budget exhausted after {steps + 1} steps",)
 
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_every_height_route_refuses_a_nonpositive_n_max(n_max):
+    """n_max is a chain length, so it must be positive, as `--n-max` must:
+    every route refuses 0 and −1 with RingError, where the graded engine
+    answered LowerBound(n_max) and the local chain Finite(1)."""
+    ring = ring_over(3)
+    f = ring.parse("x^3 + y^3 + z^3 + x*y*z")
+    calls = [
+        lambda: height_graded_cy([f], Grading.standard(3), n_max=n_max),
+        lambda: height_local(Ideal(ring, [f]), n_max=n_max),
+    ]
+    calls += [
+        lambda s=strategy: height(f, n_max=n_max, strategy=s)
+        for strategy in ("auto", "graded", "local", "qfs")
+    ]
+    for call in calls:
+        with pytest.raises(RingError, match=rf"^n_max must be a positive chain length, got {n_max}$"):
+            call()
 
 
 CY_P5 = "x^3 + y^3 + z^3 + x*y*z"  # graded at p = 5, height 2

@@ -306,6 +306,14 @@ def test_budget_env_takes_only_a_positive_step_count(monkeypatch, value):
     assert Budget(5).limit == 5  # an explicit limit does not read it
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_budget_takes_only_a_positive_explicit_limit(limit):
+    """An explicit limit follows the same rule as the variable: a budget of
+    no steps is refused by name, not read as an abort at the first step."""
+    with pytest.raises(RingError, match=rf"^budget must be a positive number of steps, got {limit}$"):
+        Budget(limit)
+
+
 def test_ideal_groebner_is_cached():
     ring = ring_over(3)
     I = Ideal(ring, [ring.parse("x^2 + y"), ring.parse("y^2 + z")])

@@ -725,3 +725,33 @@ def test_chain_levels_continue_from_the_previous_basis():
         if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_strict_chain_search"
     ]
     assert "chain.steps" in [ast.unparse(a) for a in search.args + [k.value for k in search.keywords]]
+
+
+def test_the_cli_checks_every_certificate_on_one_path():
+    """Every command that re-checks a certificate (`height --verify`,
+    `qfs --verify`, `verify-chain`, `verify-infty` and `product`) hands it
+    to `_add_verification`, the CLI's one call of `verify_certificate`, and
+    the CLI imports and reads no other verifier: so malformed data and an
+    input past the exponent limit read as a failed check from every one."""
+    from qfsplit import criteria
+
+    source = (REPO / "src" / "qfsplit" / "cli.py").read_text()
+    assert call_sites(source, "verify_certificate") == ["_add_verification"]
+    assert sorted(call_sites(source, "_add_verification")) == [
+        "_run_height", "_run_product", "_run_qfs", "_run_verify_chain", "_run_verify_infty",
+    ]
+    verifiers = {name for name in vars(criteria) if name.startswith("verify_")}
+    assert {"verify_witness_chain", "verify_infinity_certificate"} < verifiers
+    tree = ast.parse(source)
+    named = {
+        alias.name.split(".")[-1]
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Import, ast.ImportFrom))
+        for alias in n.names
+    }
+    named |= {
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    assert named & verifiers == {"verify_certificate"}
